@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import build_iterated_circuit, compile_to_two_qubit, compiled_stats
-from .harness import (ExperimentConfig, calibrate_hybrid, fit_depolarizing,
-                      run_experiment, sample_vector_pair, run_trial)
+from .harness import (ExperimentConfig, calibrate_hybrid, calibration_record,
+                      fit_depolarizing, run_experiment, run_streams, run_trial,
+                      sample_vector_pair, write_json)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -30,6 +31,10 @@ def _load_config(args) -> ExperimentConfig:
         overrides["out_dir"] = str(args.out)
     if getattr(args, "algorithms", None):
         overrides["algorithms"] = tuple(args.algorithms.split(","))
+    if getattr(args, "trials", None) is not None:
+        overrides["calib_trials"] = args.trials
+    if getattr(args, "tune_beta", False):
+        overrides["tune_beta"] = True
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
@@ -55,40 +60,30 @@ def _cmd_run(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _load_config(args)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    cal = calibrate_hybrid(config, args.trials or config.calib_trials, rng,
-                           tune_beta=args.tune_beta or config.tune_beta)
+    cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {str(d): {"mle_avg_depth2": c.mle_avg_depth2,
-                        "crt_exact_at_d": c.crt_exact_at_d,
-                        "beta_hybrid": c.beta_hybrid}
-               for d, c in sorted(cal.items())}
     path = out / "calibration.json"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, calibration_record(cal))
     print(f"calibration: {path}")
     return 0
 
 
 def _cmd_fit_noise(args) -> int:
     config = _load_config(args)
-    streams = np.random.SeedSequence(config.seed).spawn(config.n_trials)
+    sampling = dataclasses.replace(config, algorithms=())
+    streams = run_streams(config.seed, config.n_trials)
+    next(streams)  # stream 0 calibrates; the trials are the run's
     counts, thetas = [], []
-    for s in streams:
-        rng = np.random.default_rng(s)
-        pair = sample_vector_pair(rng, config.vector_mode)
-        trial = run_trial(dataclasses.replace(config, algorithms=()), pair, rng)
+    for rng in streams:
+        trial = run_trial(sampling, sample_vector_pair(rng, config.vector_mode), rng)
         counts.append(trial.counts_by_depth)
         thetas.append(trial.theta_true)
     gammas = fit_depolarizing(counts, thetas)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "gamma_fit.json"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump({"gamma_by_depth": gammas}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"gamma_by_depth": gammas})
     print(f"{'depth':>6} {'gamma_model':>12} {'gamma_fit':>12}")
     for d, g in enumerate(gammas):
         print(f"{d:>6} {config.noise.gamma_by_depth[d]:>12.4f} {g:>12.4f}")

@@ -14,28 +14,24 @@ accumulation happens in log space; 500-shot exponents overflow otherwise.
 The CRT estimator recovers the angle as ``v pi / (4 D^2 - 1)`` from folded
 low-precision residues of ``v`` modulo the coprime pair (2D-1, 2D+1).  The
 depth-D circuit amplifies the angle by 2D+1, so its folded reading ``l``
-constrains ``v`` modulo 2D-1 and vice versa.  Two residue conventions are
-provided.  The raw one takes the readings at face value, with bases
-``floor(s1 l)`` and ``floor(s2 h)``; it recovers the (3, 5) modulus pair
-but not larger ones.  The ``folded``
-convention inverts the fold exactly: the reading ``l`` equals twice the
-distance of ``v mod N1`` to the nearest multiple of N1, and the sign of
-``sin(2 (2D+1) theta)`` says on which side the fold happened, giving
-``v = s2 * l / 2  (mod N1)`` and symmetrically ``s1 * h / 2 (mod N2)``.
-With exact probabilities the folded convention plus the 3x3 offset grid
-reconstructs every grid angle exactly for D in 2..7.
+constrains ``v`` modulo 2D-1 and vice versa.  The residues invert the
+fold exactly: the reading ``l`` equals twice the distance of ``v mod N1``
+to the nearest multiple of N1, and the sign of ``sin(2 (2D+1) theta)``
+says on which side the fold happened, giving ``v = s2 * l / 2  (mod N1)``
+and symmetrically ``s1 * h / 2 (mod N2)``.  With exact probabilities this
+plus the 3x3 offset grid reconstructs every grid angle exactly for D in
+2..7.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import NoiseModel, effective_eta
 from .simulator import DepthCounts
 
-FORWARD_OFFSETS = ((1, 0), (0, 1), (1, 1), (0, 2))
 EXTENDED_OFFSETS = tuple((d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1))
 
 
@@ -61,6 +57,19 @@ class Estimate:
                    diagnostics=diagnostics)
 
 
+def _grid_size(epsilon: float) -> int:
+    """Point count ``round(1/epsilon)`` of the angle grid.
+
+    Raises ``ValueError`` unless that many points of spacing
+    ``pi epsilon / 2`` span [0, pi/2) to 1e-9; any other epsilon would cut
+    the grid short of pi/2 (at 0.3 it ends at 54 degrees).
+    """
+    n = round(1.0 / epsilon)
+    if abs(n * epsilon - 1.0) > 1e-9:
+        raise ValueError(f"epsilon {epsilon!r} is not 1/n for an integer n")
+    return n
+
+
 @dataclass(frozen=True)
 class PosteriorGrid:
     """Discretized distribution over candidate angles theta_k = pi k eps / 2."""
@@ -72,7 +81,7 @@ class PosteriorGrid:
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must be in (0, 1]")
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size != round(1.0 / self.epsilon):
+        if w.ndim != 1 or w.size != _grid_size(self.epsilon):
             raise ValueError("weights must have 1/epsilon entries")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
@@ -83,7 +92,7 @@ class PosteriorGrid:
 
     @classmethod
     def uniform(cls, epsilon: float = 0.001) -> "PosteriorGrid":
-        n = round(1.0 / epsilon)
+        n = _grid_size(epsilon)
         return cls(epsilon=epsilon, weights=np.full(n, 1.0 / n))
 
     @property
@@ -215,9 +224,8 @@ def _sign(x: float) -> int:
     return 1 if x >= 0 else -1
 
 
-def crt_reconstruct(p_d: float, p_dm1: float, theta_ref: float, d_max: int,
-                    pairing: str = "folded",
-                    offsets: str = "extended") -> tuple[float, CrtContext]:
+def crt_reconstruct(p_d: float, p_dm1: float, theta_ref: float,
+                    d_max: int) -> tuple[float, CrtContext]:
     """Algebraic core of the CRT estimator, on probabilities directly.
 
     ``p_d`` and ``p_dm1`` estimate ``sin^2((2D+1) theta)`` and
@@ -227,21 +235,15 @@ def crt_reconstruct(p_d: float, p_dm1: float, theta_ref: float, d_max: int,
     """
     if d_max < 2:
         raise ValueError("CRT needs maximum depth >= 2")
-    if pairing not in ("raw", "folded"):
-        raise ValueError(f"unknown pairing {pairing!r}")
     n1, n2 = 2 * d_max - 1, 2 * d_max + 1
     modulus = n1 * n2
     l = (2 * n1 / math.pi) * math.asin(math.sqrt(min(max(p_d, 0.0), 1.0)))
     h = (2 * n2 / math.pi) * math.asin(math.sqrt(min(max(p_dm1, 0.0), 1.0)))
     s1 = _sign(math.sin(2 * n1 * theta_ref))
     s2 = _sign(math.sin(2 * n2 * theta_ref))
-    if pairing == "raw":
-        base1, base2 = math.floor(s1 * l), math.floor(s2 * h)
-    else:
-        base1, base2 = round(s2 * l / 2), round(s1 * h / 2)
-    offset_set = FORWARD_OFFSETS if offsets == "forward" else EXTENDED_OFFSETS
+    base1, base2 = round(s2 * l / 2), round(s1 * h / 2)
     candidates = tuple(crt_solve((base1 + d1) % n1, n1, (base2 + d2) % n2, n2)
-                       for d1, d2 in offset_set)
+                       for d1, d2 in EXTENDED_OFFSETS)
     p0 = math.sin(theta_ref) ** 2
     best = None
     for v in candidates:
@@ -255,25 +257,24 @@ def crt_reconstruct(p_d: float, p_dm1: float, theta_ref: float, d_max: int,
 
 
 def crt_estimate(counts_at_d: DepthCounts, counts_at_dm1: DepthCounts,
-                 mle_low_depth: Estimate, d_max: int, pairing: str = "folded",
-                 offsets: str = "extended") -> Estimate:
+                 mle_low_depth: Estimate, d_max: int) -> Estimate:
     """Two-depth CRT estimate seeded by a low-depth MLE angle.
 
     Success probabilities at depths D and D-1 are the kept good fractions;
     the low-depth estimate supplies the fold signs, the selection anchor
-    and its own oracle-call bill.
+    and its own oracle-call bill, and is kept in the diagnostics as
+    ``anchor``.
     """
     if counts_at_d.kept == 0 or counts_at_dm1.kept == 0:
         raise EstimationError("no kept shots at one of the CRT depths")
     p_d = counts_at_d.n_good / counts_at_d.kept
     p_dm1 = counts_at_dm1.n_good / counts_at_dm1.kept
-    theta, context = crt_reconstruct(p_d, p_dm1, mle_low_depth.theta_hat, d_max,
-                                     pairing=pairing, offsets=offsets)
+    theta, context = crt_reconstruct(p_d, p_dm1, mle_low_depth.theta_hat, d_max)
     calls = (mle_low_depth.oracle_calls
              + counts_at_d.shots * (2 * d_max + 1)
              + counts_at_dm1.shots * (2 * d_max - 1))
     return Estimate.from_theta(theta, oracle_calls=calls, algorithm="crt",
-                               diagnostics={"context": context})
+                               diagnostics={"context": context, "anchor": mle_low_depth})
 
 
 def hybrid_estimate(mle_low_depth: Estimate, crt: Estimate,

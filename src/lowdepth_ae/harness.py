@@ -3,8 +3,9 @@
 A run draws random vector pairs, simulates one shot pool per depth, feeds
 the same pool to every enabled estimator and writes per-trial and
 aggregate CSVs plus a JSON manifest.  All randomness flows from a single
-seed through spawned generator streams, so identical configs produce
-byte-identical output files.
+seed through the streams of :func:`run_streams`, so identical configs
+produce byte-identical output files, and ``calibrate`` and ``fit-noise``
+see the very draws a run sees.
 
 Oracle-call accounting is cumulative for the MLE rows: the point at
 maximum depth d charges all shots taken at depths 0..d, each shot at
@@ -18,19 +19,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__
-from .circuits import build_iterated_circuit
 from .estimators import (Estimate, EstimationError, HybridCalibration,
-                         crt_estimate, crt_reconstruct, direct_estimate,
-                         hybrid_estimate, mle_estimate)
+                         _grid_size, crt_estimate, crt_reconstruct,
+                         direct_estimate, hybrid_estimate, mle_estimate)
 from .noise import NoiseModel, sample_noisy_shots
-from .schedules import (InfeasibleScheduleError, PowerLawConfig, Schedule,
+from .schedules import (InfeasibleScheduleError, PowerLawConfig,
                         optimize_exponent, power_law_schedule,
                         subsample_without_replacement)
-from .simulator import DepthCounts, success_probability
+from .simulator import DepthCounts
 
 ALGORITHMS = ("direct", "mle", "crt", "hybrid", "powerlaw")
 VECTOR_MODES = ("haar", "uniform-theta")
@@ -60,8 +61,6 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = ALGORITHMS
     noise: NoiseModel = field(default_factory=NoiseModel.linear_ramp)
     mle_noise_aware: bool = False
-    crt_pairing: str = "folded"
-    crt_offsets: str = "extended"
     beta_hybrid: float = 1.0
     tune_beta: bool = False
     calib_trials: int = 200
@@ -74,6 +73,7 @@ class ExperimentConfig:
             raise ValueError("trial and shot counts must be positive")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
+        _grid_size(self.epsilon)
         if self.max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
         if self.vector_mode not in VECTOR_MODES:
@@ -177,22 +177,30 @@ def _with_label(est: Estimate, label) -> Estimate:
     return dataclasses.replace(est, diagnostics=diag)
 
 
-def _plain_low_depth_mle(pool, config: ExperimentConfig) -> Estimate:
-    return mle_estimate(pool[:3], epsilon=config.epsilon, noise=None)
+def run_streams(seed: int, n_trials: int) -> Iterator[np.random.Generator]:
+    """The random streams of a run: stream 0 calibrates, stream i + 1 feeds trial i.
+
+    Each generator is created only when the iterator reaches it.
+    """
+    return (np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(n_trials + 1))
 
 
 def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
-              calibrations: dict[int, HybridCalibration] | None = None) -> TrialResult:
+              calibrations: dict[int, HybridCalibration] | None = None,
+              trial_id: int = 0) -> TrialResult:
     """Simulate one shot pool and run every enabled estimator on it.
 
-    The true angle comes from the simulated depth-0 oracle circuit.  Each
-    depth is sampled exactly once; the power-law estimator subsamples the
-    recorded pool without replacement rather than taking fresh shots.
-    Estimator failures are recorded per algorithm without aborting the rest.
+    The true angle is ``asin(min(|x . y|, 1))``, the angle whose squared
+    sine the depth-0 oracle circuit succeeds with.  Each depth is sampled
+    exactly once; the power-law estimator subsamples the recorded pool
+    without replacement rather than taking fresh shots.  CRT estimates
+    carry their depth-2 MLE anchor in ``diagnostics["anchor"]``.  Estimator
+    failures are recorded per algorithm without aborting the rest.
     """
     x, y = pair
-    p_true = success_probability(build_iterated_circuit(x, y, 0))
-    theta_true = math.asin(math.sqrt(min(max(p_true, 0.0), 1.0)))
+    theta_true = math.asin(min(abs(float(np.dot(x, y))), 1.0))
+    p_true = math.sin(theta_true) ** 2
     pool = tuple(sample_noisy_shots(theta_true, d, config.n_shots, config.noise, rng)
                  for d in range(config.max_depth + 1))
 
@@ -218,18 +226,15 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
     crt_by_depth: dict[int, Estimate] = {}
     if "crt" in config.algorithms or "hybrid" in config.algorithms:
         try:
-            mle_low = _plain_low_depth_mle(pool, config)
+            mle_low = mle_estimate(pool[:3], epsilon=config.epsilon, noise=None)
             for d_max in range(2, config.max_depth + 1):
-                crt_by_depth[d_max] = crt_estimate(
-                    pool[d_max], pool[d_max - 1], mle_low, d_max,
-                    pairing=config.crt_pairing, offsets=config.crt_offsets)
+                crt_by_depth[d_max] = crt_estimate(pool[d_max], pool[d_max - 1], mle_low, d_max)
         except EstimationError as exc:
             for alg in ("crt", "hybrid"):
                 if alg in config.algorithms:
                     estimates[alg] = ()
                     errors[alg] = str(exc)
             crt_by_depth = {}
-            mle_low = None
 
     if crt_by_depth and "crt" in config.algorithms:
         estimates["crt"] = tuple(_with_label(est, d) for d, est in sorted(crt_by_depth.items()))
@@ -260,64 +265,59 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
             return [_with_label(est, f"eps={config.powerlaw_target_eps:g}")]
         record("powerlaw", build_powerlaw)
 
-    return TrialResult(trial_id=0, theta_true=theta_true, p_true=p_true,
+    return TrialResult(trial_id=trial_id, theta_true=theta_true, p_true=p_true,
                        estimates=estimates, errors=errors, counts_by_depth=pool)
 
 
-def calibrate_hybrid(config: ExperimentConfig, n_calib_trials: int,
-                     rng: np.random.Generator,
-                     tune_beta: bool | None = None) -> dict[int, HybridCalibration]:
-    """Estimate the hybrid threshold inputs on fresh training draws.
+def calibrate_hybrid(config: ExperimentConfig,
+                     rng: np.random.Generator) -> dict[int, HybridCalibration]:
+    """Estimate the hybrid threshold inputs on ``config.calib_trials`` training draws.
 
-    ``mle_avg_depth2`` is the mean depth-2 MLE error under the configured
-    noise and shot budget; ``crt_exact_at_d`` is the mean error of the CRT
-    reconstruction fed exact (infinite-shot, noiseless) probabilities.
-    With ``tune_beta`` the threshold multiplier is grid-searched on the same
-    training draws: among multipliers whose hybrid never loses to plain CRT
-    at any depth, the one with the best best-depth error wins.
+    Each draw is a :func:`run_trial` of CRT alone on ``rng`` (stream 0 of
+    the run); draws whose CRT estimate failed are left out, as the run
+    leaves them out of its rows.  ``mle_avg_depth2`` is the mean error of
+    the depth-2 MLE anchor under the configured noise and shot budget;
+    ``crt_exact_at_d`` is the mean error of the CRT reconstruction fed
+    exact (infinite-shot, noiseless) probabilities.  With
+    ``config.tune_beta`` the threshold multiplier is grid-searched on the
+    same draws: among multipliers whose hybrid never loses to plain CRT at
+    any depth, the one with the best best-depth error wins.
     """
-    if n_calib_trials < 1:
-        raise ValueError("need at least one calibration trial")
-    if tune_beta is None:
-        tune_beta = config.tune_beta
+    crt_config = dataclasses.replace(config, algorithms=("crt",))
+    trials = [run_trial(crt_config, sample_vector_pair(rng, config.vector_mode), rng)
+              for _ in range(config.calib_trials)]
+    trials = [t for t in trials if t.estimates["crt"]]
+    if not trials:
+        raise EstimationError("no calibration trial produced a CRT estimate")
     depths = range(2, config.max_depth + 1)
-    thetas, p0s, q0s, crt_errs, exact_errs = [], [], {d: [] for d in depths}, \
-        {d: [] for d in depths}, {d: [] for d in depths}
-    for _ in range(n_calib_trials):
-        x, y = sample_vector_pair(rng, config.vector_mode)
-        dot = float(np.dot(x, y))
-        theta = math.asin(min(abs(dot), 1.0))
-        p_true = math.sin(theta) ** 2
-        thetas.append(theta)
-        pool = tuple(sample_noisy_shots(theta, d, config.n_shots, config.noise, rng)
-                     for d in range(config.max_depth + 1))
-        mle_low = _plain_low_depth_mle(pool, config)
-        p0s.append((mle_low.p_hat, p_true))
-        for d in depths:
-            est = crt_estimate(pool[d], pool[d - 1], mle_low, d,
-                               pairing=config.crt_pairing, offsets=config.crt_offsets)
-            q0s[d].append(est.p_hat)
-            crt_errs[d].append(abs(est.p_hat - p_true))
-            theta_exact, _ = crt_reconstruct(
-                math.sin((2 * d + 1) * theta) ** 2,
-                math.sin((2 * d - 1) * theta) ** 2, theta, d,
-                pairing=config.crt_pairing, offsets=config.crt_offsets)
-            exact_errs[d].append(abs(math.sin(theta_exact) ** 2 - p_true))
+    anchors = [t.estimates["crt"][0].diagnostics["anchor"] for t in trials]
 
-    mle_avg2 = float(np.mean([abs(p0 - pt) for p0, pt in p0s]))
-    crt_exact = {d: float(np.mean(exact_errs[d])) for d in depths}
+    def mean_err(p_hats) -> float:
+        return float(np.mean([abs(p - t.p_true) for p, t in zip(p_hats, trials)]))
+
+    mle_avg2 = mean_err(a.p_hat for a in anchors)
+    crt_exact = {}
+    for d in depths:
+        exact = [crt_reconstruct(math.sin((2 * d + 1) * t.theta_true) ** 2,
+                                 math.sin((2 * d - 1) * t.theta_true) ** 2,
+                                 t.theta_true, d)[0] for t in trials]
+        crt_exact[d] = mean_err(math.sin(theta) ** 2 for theta in exact)
+
+    def calibrations(beta) -> dict[int, HybridCalibration]:
+        return {d: HybridCalibration(mle_avg_depth2=mle_avg2, crt_exact_at_d=crt_exact[d],
+                                     beta_hybrid=beta) for d in depths}
 
     beta = config.beta_hybrid
-    if tune_beta:
-        crt_means = {d: float(np.mean(crt_errs[d])) for d in depths}
+    if config.tune_beta:
+        crt_by_depth = {d: [t.estimates["crt"][i] for t in trials]
+                        for i, d in enumerate(depths)}
+        crt_means = {d: mean_err(e.p_hat for e in crt_by_depth[d]) for d in depths}
         best = None
         for candidate in BETA_TUNING_GRID:
-            hybrid_means = {}
-            for d in depths:
-                thr = candidate * abs(mle_avg2 - crt_exact[d])
-                errs = [abs((p0 if abs(p0 - q0) > thr else q0) - pt)
-                        for (p0, pt), q0 in zip(p0s, q0s[d])]
-                hybrid_means[d] = float(np.mean(errs))
+            cal = calibrations(candidate)
+            hybrid_means = {d: mean_err(hybrid_estimate(a, e, cal[d]).p_hat
+                                        for a, e in zip(anchors, crt_by_depth[d]))
+                            for d in depths}
             if any(hybrid_means[d] > crt_means[d] + 1e-12 for d in depths):
                 continue
             score = min(hybrid_means.values())
@@ -325,9 +325,19 @@ def calibrate_hybrid(config: ExperimentConfig, n_calib_trials: int,
                 best = (score, candidate)
         if best is not None:
             beta = best[1]
+    return calibrations(beta)
 
-    return {d: HybridCalibration(mle_avg_depth2=mle_avg2, crt_exact_at_d=crt_exact[d],
-                                 beta_hybrid=beta) for d in depths}
+
+def calibration_record(calibrations: dict[int, HybridCalibration]) -> dict:
+    """JSON form of per-depth calibrations, as ``calibrate`` and the manifest write it."""
+    return {str(d): dataclasses.asdict(c) for d, c in sorted(calibrations.items())}
+
+
+def write_json(path: Path, record) -> None:
+    """Write ``record`` as indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def fit_depolarizing(counts_by_trial, true_thetas) -> list[float]:
@@ -436,37 +446,27 @@ def aggregate_and_emit(trials, config: ExperimentConfig, out_dir,
                                   "2d+1 calls per shot, discarded shots included",
         "gamma_fit": None if gamma_fit is None else [float(g) for g in gamma_fit],
         "gamma_fit_error": gamma_fit_error,
-        "calibration": None if not calibrations else {
-            str(d): {"mle_avg_depth2": c.mle_avg_depth2,
-                     "crt_exact_at_d": c.crt_exact_at_d,
-                     "beta_hybrid": c.beta_hybrid}
-            for d, c in sorted(calibrations.items())},
+        "calibration": calibration_record(calibrations) if calibrations else None,
         "trial_errors": {str(t.trial_id): t.errors for t in trials if t.errors},
     }
-    with open(paths["manifest"], "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(paths["manifest"], manifest)
     return paths
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None):
     """Calibrate, run all trials, fit the depolarizing model and emit files.
 
-    Returns ``(trials, paths)``.  Trial streams are spawned from the master
-    seed, so the run is reproducible bit for bit.
+    Returns ``(trials, paths)``.  The streams of :func:`run_streams` make
+    the run reproducible bit for bit.
     """
-    streams = [np.random.default_rng(s)
-               for s in np.random.SeedSequence(config.seed).spawn(config.n_trials + 1)]
+    streams = run_streams(config.seed, config.n_trials)
+    calib_rng = next(streams)
     calibrations = None
     if "hybrid" in config.algorithms:
-        calibrations = calibrate_hybrid(config, config.calib_trials, streams[0])
-
-    trials = []
-    for i in range(config.n_trials):
-        rng = streams[i + 1]
-        pair = sample_vector_pair(rng, config.vector_mode)
-        trial = run_trial(config, pair, rng, calibrations)
-        trials.append(dataclasses.replace(trial, trial_id=i))
+        calibrations = calibrate_hybrid(config, calib_rng)
+    trials = [run_trial(config, sample_vector_pair(rng, config.vector_mode), rng,
+                        calibrations, trial_id=i)
+              for i, rng in enumerate(streams)]
 
     gamma_fit = None
     fit_error = None

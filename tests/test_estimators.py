@@ -200,9 +200,6 @@ def test_crt_worked_example_d2():
     est_theta, context = crt_reconstruct(p_d, p_dm1, theta, 2)
     assert abs(est_theta - theta) < 1e-12
     assert context.modulus == 15
-    # the raw residue convention also recovers this point
-    est_raw, _ = crt_reconstruct(p_d, p_dm1, theta, 2, pairing="raw", offsets="forward")
-    assert abs(est_raw - theta) < 1e-12
 
 
 @pytest.mark.parametrize("d_max", range(2, 8))
@@ -244,11 +241,9 @@ def test_crt_estimate_requires_kept_shots():
         crt_estimate(counts(2, 0, 0, 500), counts(1, 10, 10), mle_low, 2)
 
 
-def test_crt_rejects_small_depth_and_bad_modes():
+def test_crt_rejects_small_depth():
     with pytest.raises(ValueError):
         crt_reconstruct(0.5, 0.5, 0.3, 1)
-    with pytest.raises(ValueError):
-        crt_reconstruct(0.5, 0.5, 0.3, 3, pairing="nope")
 
 
 # --------------------------------------------------------------------- hybrid

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lowdepth_ae.estimators import Estimate
+from lowdepth_ae.estimators import Estimate, PosteriorGrid
 from lowdepth_ae.harness import (AggregateRow, ExperimentConfig, TrialResult,
                                  UnidentifiableFitError, aggregate_and_emit,
                                  calibrate_hybrid, fit_depolarizing,
-                                 run_experiment, run_trial, sample_vector_pair)
+                                 run_experiment, run_streams, run_trial,
+                                 sample_vector_pair)
 from lowdepth_ae.noise import NoiseModel, noise_floor, sample_noisy_shots
 from lowdepth_ae.simulator import DepthCounts
 from lowdepth_ae.cli import main as cli_main
@@ -157,21 +158,37 @@ def test_config_validation():
         quiet_config(max_depth=9)  # noise model covers only 0..3
 
 
+@pytest.mark.parametrize("epsilon", [0.3, 0.15])
+def test_epsilon_that_truncates_the_grid_is_rejected(epsilon):
+    # round(1/eps) points of spacing pi eps / 2 would stop short of pi/2
+    # (54 degrees at eps=0.3)
+    with pytest.raises(ValueError):
+        quiet_config(epsilon=epsilon)
+    with pytest.raises(ValueError):
+        PosteriorGrid.uniform(epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 5e-3, 1e-2])
+def test_epsilon_of_one_over_integer_is_accepted(epsilon):
+    assert quiet_config(epsilon=epsilon).epsilon == epsilon
+    assert PosteriorGrid.uniform(epsilon).weights.size == round(1 / epsilon)
+
+
 # ---------------------------------------------------------------- calibration
 
 def test_calibration_scales_without_noise():
     config = ExperimentConfig(n_trials=1, n_shots=20_000, max_depth=2,
                               algorithms=("mle",), noise=NoiseModel.noiseless(7),
-                              vector_mode="uniform-theta")
-    cal = calibrate_hybrid(config, 120, np.random.default_rng(0))
+                              vector_mode="uniform-theta", calib_trials=120)
+    cal = calibrate_hybrid(config, np.random.default_rng(0))
     cramer_rao = 1.0 / math.sqrt(config.n_shots * (1 + 9 + 25))
     assert 0.1 * cramer_rao <= cal[2].mle_avg_depth2 <= 1.5 * cramer_rao
     assert cal[2].crt_exact_at_d <= math.pi / 30
 
 
 def test_calibration_single_trial_is_finite():
-    config = quiet_config()
-    cal = calibrate_hybrid(config, 1, np.random.default_rng(1))
+    config = quiet_config(calib_trials=1)
+    cal = calibrate_hybrid(config, np.random.default_rng(1))
     for depth, values in cal.items():
         assert math.isfinite(values.mle_avg_depth2)
         assert math.isfinite(values.crt_exact_at_d)
@@ -180,11 +197,45 @@ def test_calibration_single_trial_is_finite():
 
 def test_calibration_beta_tuning_picks_from_grid():
     from lowdepth_ae.harness import BETA_TUNING_GRID
-    config = quiet_config(n_shots=200, calib_trials=30)
-    cal = calibrate_hybrid(config, 30, np.random.default_rng(2), tune_beta=True)
+    config = quiet_config(n_shots=200, calib_trials=30, tune_beta=True)
+    cal = calibrate_hybrid(config, np.random.default_rng(2))
     betas = {c.beta_hybrid for c in cal.values()}
     assert len(betas) == 1
     assert betas.pop() in BETA_TUNING_GRID + (config.beta_hybrid,)
+
+
+def leaky_config(**kwargs):
+    return quiet_config(n_trials=30, n_shots=8, calib_trials=50,
+                        noise=NoiseModel.linear_ramp(3, leak_prob=0.6), **kwargs)
+
+
+def test_calibration_skips_failed_draws(tmp_path):
+    # Calibration is run_trial with CRT alone on stream 0.  With 8 shots and
+    # 60% leakage some draws keep no shot at a CRT depth; calibration
+    # averages over the rest, as the run does for its rows.
+    config = leaky_config(algorithms=("mle", "crt", "hybrid"))
+    crt_only = leaky_config(algorithms=("crt",))
+    rng = next(run_streams(config.seed, 0))
+    draws = [run_trial(crt_only, sample_vector_pair(rng, config.vector_mode), rng)
+             for _ in range(config.calib_trials)]
+    ok = [t for t in draws if t.estimates["crt"]]
+    assert 0 < len(ok) < len(draws)
+    anchors = [t.estimates["crt"][0].diagnostics["anchor"] for t in ok]
+    expected = float(np.mean([abs(a.p_hat - t.p_true) for a, t in zip(anchors, ok)]))
+    cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
+    assert all(c.mle_avg_depth2 == expected for c in cal.values())
+
+    with_hybrid, _ = run_experiment(config, out_dir=tmp_path / "hybrid")
+    without, _ = run_experiment(leaky_config(algorithms=("mle", "crt")),
+                                out_dir=tmp_path / "plain")
+    assert any(t.errors for t in without)
+    assert any(t.estimates["hybrid"] for t in with_hybrid)
+    assert [{a: e for a, e in t.errors.items() if a != "hybrid"} for t in with_hybrid] \
+        == [t.errors for t in without]
+    rows = {name: [r for r in (tmp_path / name / "trials.csv").read_text().splitlines()
+                   if not r.startswith("hybrid,")]
+            for name in ("hybrid", "plain")}
+    assert rows["hybrid"] == rows["plain"]
 
 
 # ------------------------------------------------------------------ noise fit
@@ -364,3 +415,20 @@ def test_cli_fit_noise_and_sweep(tmp_path, capsys):
     assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(sweep_dir),
                      "--param", "max-depth", "--values", "2,3"]) == 0
     assert (sweep_dir / "max_depth_2" / "aggregate.csv").exists()
+
+
+def test_cli_calibrate_and_fit_noise_match_the_run(tmp_path):
+    # run, calibrate and fit-noise draw the same trials from the same streams
+    config = quiet_config(n_trials=6, calib_trials=8, tune_beta=True,
+                          algorithms=("mle", "crt", "hybrid"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    for command in ("run", "calibrate", "fit-noise"):
+        assert cli_main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / command)]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+    fitted = json.loads((tmp_path / "fit-noise" / "gamma_fit.json").read_text(encoding="utf-8"))
+    calibration = json.loads(
+        (tmp_path / "calibrate" / "calibration.json").read_text(encoding="utf-8"))
+    assert fitted["gamma_by_depth"] == manifest["gamma_fit"]
+    assert calibration == manifest["calibration"]
