@@ -8,9 +8,9 @@ from .circuits import (Circuit, CompiledStats, Gate, LoaderAngles,
                        compiled_stats, decompose_rbs, loader_angles,
                        loader_circuit, rbs_unitary)
 from .estimators import (CrtContext, Estimate, EstimationError,
-                         HybridCalibration, PosteriorGrid, bayesian_update,
-                         crt_estimate, crt_reconstruct, crt_solve,
-                         direct_estimate, hybrid_estimate, mle_estimate)
+                         HybridCalibration, bayesian_update, crt_estimate,
+                         crt_reconstruct, crt_solve, direct_estimate,
+                         hybrid_estimate, mle_estimate)
 from .harness import (AggregateRow, ExperimentConfig, TrialResult,
                       aggregate_and_emit, calibrate_hybrid, fit_depolarizing,
                       run_experiment, run_trial, sample_vector_pair)
@@ -21,14 +21,14 @@ from .schedules import (InfeasibleScheduleError, PowerLawConfig, Schedule,
                         subsample_without_replacement)
 from .simulator import (DepthCounts, analytic_success_prob,
                         outcome_distribution, run_statevector,
-                        sample_and_postselect, success_probability)
+                        sample_and_postselect)
 
 __all__ = [
     "AggregateRow", "Circuit", "CompiledStats", "CorrelatedNoise",
     "CrtContext", "DepthCounts", "Estimate", "EstimationError",
     "ExperimentConfig", "Gate", "HybridCalibration",
     "InfeasibleScheduleError", "LoaderAngles", "NoiseModel",
-    "PosteriorGrid", "PowerLawConfig", "Schedule", "TrialResult",
+    "PowerLawConfig", "Schedule", "TrialResult",
     "adjoint_circuit", "aggregate_and_emit", "analytic_success_prob",
     "bayesian_update", "build_iterated_circuit", "build_oracle_circuit",
     "calibrate_hybrid", "compile_to_two_qubit", "compiled_stats",
@@ -39,5 +39,4 @@ __all__ = [
     "power_law_schedule", "rbs_unitary", "run_experiment", "run_statevector",
     "run_trial", "sample_and_postselect", "sample_noisy_shots",
     "sample_vector_pair", "subsample_without_replacement",
-    "success_probability",
 ]

@@ -5,11 +5,14 @@ angle by ``p_hat = sin^2(theta_hat)`` and whose oracle-call count charges
 ``2d+1`` calls per shot taken at depth ``d`` (discarded shots included:
 the oracle ran for them too).
 
-The maximum-likelihood engine keeps a discretized posterior over angles
-``theta_k = pi k eps / 2`` and multiplies in per-depth binomial likelihoods,
-``sin^2((2d+1) theta)`` for good counts and ``cos^2`` for bad ones, or
-their depolarized counterparts when a noise model is supplied.  All
-accumulation happens in log space; 500-shot exponents overflow otherwise.
+The maximum-likelihood engine keeps an unnormalized log-posterior over the
+angles ``theta_k = pi k eps / 2`` and adds per-depth binomial
+log-likelihoods, ``sin^2((2d+1) theta)`` for good counts and ``cos^2`` for
+bad ones, or their depolarized counterparts when a noise model is
+supplied; 500-shot exponents would overflow outside log space.  The
+estimate at maximum depth D uses the shots at depths 0..D, so one pass
+over the depths gives the estimate at every D: the argmax after each
+depth's update.
 
 The CRT estimator recovers the angle as ``v pi / (4 D^2 - 1)`` from folded
 low-precision residues of ``v`` modulo the coprime pair (2D-1, 2D+1).  The
@@ -60,48 +63,16 @@ class Estimate:
 def _grid_size(epsilon: float) -> int:
     """Point count ``round(1/epsilon)`` of the angle grid.
 
-    Raises ``ValueError`` unless that many points of spacing
-    ``pi epsilon / 2`` span [0, pi/2) to 1e-9; any other epsilon would cut
-    the grid short of pi/2 (at 0.3 it ends at 54 degrees).
+    Raises ``ValueError`` unless epsilon lies in (0, 1] and that many
+    points of spacing ``pi epsilon / 2`` span [0, pi/2) to 1e-9; any other
+    epsilon would cut the grid short of pi/2 (at 0.3 it ends at 54 degrees).
     """
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must be in (0, 1]")
     n = round(1.0 / epsilon)
     if abs(n * epsilon - 1.0) > 1e-9:
         raise ValueError(f"epsilon {epsilon!r} is not 1/n for an integer n")
     return n
-
-
-@dataclass(frozen=True)
-class PosteriorGrid:
-    """Discretized distribution over candidate angles theta_k = pi k eps / 2."""
-
-    epsilon: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in (0, 1]")
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size != _grid_size(self.epsilon):
-            raise ValueError("weights must have 1/epsilon entries")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, epsilon: float = 0.001) -> "PosteriorGrid":
-        n = _grid_size(epsilon)
-        return cls(epsilon=epsilon, weights=np.full(n, 1.0 / n))
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.pi * np.arange(self.weights.size) * self.epsilon / 2.0
-
-    def argmax_theta(self) -> float:
-        """Grid angle with the largest weight; ties go to the smaller index."""
-        return float(self.thetas[int(np.argmax(self.weights))])
 
 
 @dataclass(frozen=True)
@@ -146,77 +117,64 @@ def direct_estimate(counts: DepthCounts) -> Estimate:
                                algorithm="direct")
 
 
-def _log_likelihood(thetas: np.ndarray, depth: int, n_good: int, n_bad: int,
-                    noise: NoiseModel | None) -> np.ndarray:
-    m = 2 * depth + 1
+def bayesian_update(log_post: np.ndarray, thetas: np.ndarray, counts: DepthCounts,
+                    noise: NoiseModel | None = None) -> np.ndarray:
+    """Add the log-likelihood of one depth's counts to a log-posterior.
+
+    Discarded shots carry no information and are ignored.  A zero count
+    adds nothing (``0 log 0 = 0``); a nonzero count of an outcome that has
+    probability zero at an angle sends that angle to ``-inf``.
+    """
+    m = 2 * counts.depth + 1
     if noise is None:
         p1 = np.sin(m * thetas) ** 2
     else:
-        eta = effective_eta(noise, depth)
+        eta = effective_eta(noise, counts.depth)
         p1 = (1.0 - (1.0 - eta) * np.cos(2 * m * thetas)) / 2.0
-    p0 = 1.0 - p1
+    logl = 0.0
     with np.errstate(divide="ignore"):
-        logl = np.zeros_like(thetas)
-        if n_good:
-            logl = logl + n_good * np.log(p1)
-        if n_bad:
-            logl = logl + n_bad * np.log(p0)
-    return logl
-
-
-def bayesian_update(grid: PosteriorGrid, depth: int, counts: DepthCounts,
-                    noise: NoiseModel | None = None) -> PosteriorGrid:
-    """Multiply the posterior by the depth-d likelihood and renormalize.
-
-    Discarded shots carry no information and are ignored.  If every grid
-    point gets zero posterior mass the counts are inconsistent with the
-    grid and an :class:`EstimationError` is raised.
-    """
-    with np.errstate(divide="ignore"):
-        logw = np.where(grid.weights > 0.0, np.log(grid.weights), -np.inf)
-    logw = logw + _log_likelihood(grid.thetas, depth, counts.n_good, counts.n_bad, noise)
-    peak = np.max(logw)
-    if not np.isfinite(peak):
-        raise EstimationError("posterior underflow: counts are inconsistent with the grid")
-    w = np.exp(logw - peak)
-    return PosteriorGrid(epsilon=grid.epsilon, weights=w / w.sum())
+        if counts.n_good:
+            logl = logl + counts.n_good * np.log(p1)
+        if counts.n_bad:
+            logl = logl + counts.n_bad * np.log(1.0 - p1)
+    return log_post + logl
 
 
 def mle_estimate(counts_by_depth, epsilon: float = 0.001,
-                 noise: NoiseModel | None = None) -> Estimate:
-    """Maximum-likelihood angle from measurements at several depths.
+                 noise: NoiseModel | None = None) -> dict[int, Estimate]:
+    """Maximum-likelihood angle after each entry of a depth-ordered list.
 
-    Starts from a uniform prior on the ``1/epsilon``-point grid, applies the
-    Bayesian update for each depth in order (noise-aware when a model is
-    given) and returns the posterior argmax, ties broken toward smaller
-    angles.
+    One pass from a uniform prior on the ``1/epsilon``-point grid applies
+    the update of each entry in order (noise-aware when a model is given)
+    and records the posterior argmax after it, ties broken toward smaller
+    angles, keyed by the entry's depth.  Oracle calls are cumulative over
+    the entries so far.  Entries before the first kept shot get no
+    estimate.  Raises :class:`EstimationError` when no entry kept a shot or
+    the counts rule out every grid angle.
     """
-    counts_by_depth = list(counts_by_depth)
-    if not counts_by_depth or all(c.kept == 0 for c in counts_by_depth):
-        raise EstimationError("no kept shots at any depth")
-    grid = PosteriorGrid.uniform(epsilon)
+    thetas = np.pi * np.arange(_grid_size(epsilon)) * epsilon / 2.0
+    log_post = np.zeros_like(thetas)
+    estimates: dict[int, Estimate] = {}
     calls = 0
     for counts in counts_by_depth:
-        grid = bayesian_update(grid, counts.depth, counts, noise)
+        log_post = bayesian_update(log_post, thetas, counts, noise)
         calls += counts.shots * (2 * counts.depth + 1)
-    return Estimate.from_theta(grid.argmax_theta(), oracle_calls=calls, algorithm="mle")
+        if estimates or counts.kept:
+            k = int(np.argmax(log_post))
+            if log_post[k] == -np.inf:
+                raise EstimationError("posterior underflow: counts are inconsistent with the grid")
+            estimates[counts.depth] = Estimate.from_theta(float(thetas[k]), calls, "mle")
+    if not estimates:
+        raise EstimationError("no kept shots at any depth")
+    return estimates
 
 
 def crt_solve(r1: int, n1: int, r2: int, n2: int) -> int:
     """Unique v in [0, n1 n2) with v = r1 (mod n1) and v = r2 (mod n2).
 
-    Extended Euclid; the moduli must be coprime.
+    The moduli must be coprime, or ``pow`` raises ``ValueError``.
     """
-    old_r, r = n1, n2
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise ValueError(f"moduli {n1}, {n2} are not coprime")
-    inv_n1 = old_s % n2
-    k = ((r2 - r1) * inv_n1) % n2
+    k = ((r2 - r1) * pow(n1, -1, n2)) % n2
     return (r1 % n1 + n1 * k) % (n1 * n2)
 
 
@@ -265,8 +223,9 @@ def crt_estimate(counts_at_d: DepthCounts, counts_at_dm1: DepthCounts,
     and its own oracle-call bill, and is kept in the diagnostics as
     ``anchor``.
     """
-    if counts_at_d.kept == 0 or counts_at_dm1.kept == 0:
-        raise EstimationError("no kept shots at one of the CRT depths")
+    for counts in (counts_at_d, counts_at_dm1):
+        if counts.kept == 0:
+            raise EstimationError(f"no kept shots at depth {counts.depth}")
     p_d = counts_at_d.n_good / counts_at_d.kept
     p_dm1 = counts_at_dm1.n_good / counts_at_dm1.kept
     theta, context = crt_reconstruct(p_d, p_dm1, mle_low_depth.theta_hat, d_max)

@@ -130,7 +130,7 @@ class TrialResult:
     theta_true: float
     p_true: float
     estimates: dict[str, tuple[Estimate, ...]]
-    errors: dict[str, str]
+    errors: dict[str, str]  # per algorithm, "depth <label>: <reason>" of each dropped row
     counts_by_depth: tuple[DepthCounts, ...]
 
 
@@ -186,6 +186,21 @@ def run_streams(seed: int, n_trials: int) -> Iterator[np.random.Generator]:
             for s in np.random.SeedSequence(seed).spawn(n_trials + 1))
 
 
+def _attempt(build, *args):
+    """``build(*args)``, or the message of the estimator failure it raises."""
+    try:
+        return build(*args)
+    except (EstimationError, InfeasibleScheduleError) as exc:
+        return str(exc)
+
+
+def _at(mle_pass, depth: int):
+    """The estimate at ``depth`` of an attempted MLE pass, or why there is none."""
+    if isinstance(mle_pass, str):
+        return mle_pass
+    return mle_pass.get(depth, f"no kept shots at depths 0..{depth}")
+
+
 def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
               calibrations: dict[int, HybridCalibration] | None = None,
               trial_id: int = 0) -> TrialResult:
@@ -194,9 +209,12 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
     The true angle is ``asin(min(|x . y|, 1))``, the angle whose squared
     sine the depth-0 oracle circuit succeeds with.  Each depth is sampled
     exactly once; the power-law estimator subsamples the recorded pool
-    without replacement rather than taking fresh shots.  CRT estimates
-    carry their depth-2 MLE anchor in ``diagnostics["anchor"]``.  Estimator
-    failures are recorded per algorithm without aborting the rest.
+    without replacement rather than taking fresh shots.  One MLE pass over
+    the pool gives the MLE row at every depth.  CRT and hybrid rows share a
+    depth-2 anchor from a separate noise-unaware MLE pass over depths 0..2,
+    carried in each CRT estimate's ``diagnostics["anchor"]``.  A row whose
+    own inputs kept no shot is dropped, and its depth and reason are
+    recorded in ``errors`` under its algorithm; the other rows stay.
     """
     x, y = pair
     theta_true = math.asin(min(abs(float(np.dot(x, y))), 1.0))
@@ -204,51 +222,33 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
     pool = tuple(sample_noisy_shots(theta_true, d, config.n_shots, config.noise, rng)
                  for d in range(config.max_depth + 1))
 
-    estimates: dict[str, tuple[Estimate, ...]] = {}
-    errors: dict[str, str] = {}
-
-    def record(alg, build):
-        try:
-            estimates[alg] = tuple(build())
-        except (EstimationError, InfeasibleScheduleError) as exc:
-            estimates[alg] = ()
-            errors[alg] = str(exc)
-
+    # algorithm -> row label -> the estimate, or why the row has none
+    rows: dict[str, dict] = {}
     if "direct" in config.algorithms:
-        record("direct", lambda: [_with_label(direct_estimate(pool[0]), 0)])
+        rows["direct"] = {0: _attempt(direct_estimate, pool[0])}
 
     if "mle" in config.algorithms:
         mle_noise = config.noise if config.mle_noise_aware else None
-        record("mle", lambda: [
-            _with_label(mle_estimate(pool[:d + 1], epsilon=config.epsilon, noise=mle_noise), d)
-            for d in range(config.max_depth + 1)])
+        mle = _attempt(mle_estimate, pool, config.epsilon, mle_noise)
+        rows["mle"] = {d: _at(mle, d) for d in range(config.max_depth + 1)}
 
-    crt_by_depth: dict[int, Estimate] = {}
     if "crt" in config.algorithms or "hybrid" in config.algorithms:
-        try:
-            mle_low = mle_estimate(pool[:3], epsilon=config.epsilon, noise=None)
-            for d_max in range(2, config.max_depth + 1):
-                crt_by_depth[d_max] = crt_estimate(pool[d_max], pool[d_max - 1], mle_low, d_max)
-        except EstimationError as exc:
-            for alg in ("crt", "hybrid"):
-                if alg in config.algorithms:
-                    estimates[alg] = ()
-                    errors[alg] = str(exc)
-            crt_by_depth = {}
-
-    if crt_by_depth and "crt" in config.algorithms:
-        estimates["crt"] = tuple(_with_label(est, d) for d, est in sorted(crt_by_depth.items()))
-
-    if crt_by_depth and "hybrid" in config.algorithms:
-        cal = calibrations or {}
-        missing = [d for d in crt_by_depth if d not in cal]
-        if missing:
-            estimates["hybrid"] = ()
-            errors["hybrid"] = f"no calibration for depths {missing}"
-        else:
-            estimates["hybrid"] = tuple(
-                _with_label(hybrid_estimate(mle_low, crt_by_depth[d], cal[d]), d)
-                for d in sorted(crt_by_depth))
+        anchor = _at(_attempt(mle_estimate, pool[:3], config.epsilon), 2)
+        crt = {d: _attempt(crt_estimate, pool[d], pool[d - 1], anchor, d)
+               if isinstance(anchor, Estimate) else f"anchor: {anchor}"
+               for d in range(2, config.max_depth + 1)}
+        if "crt" in config.algorithms:
+            rows["crt"] = crt
+        if "hybrid" in config.algorithms:
+            cal = calibrations or {}
+            rows["hybrid"] = {}
+            for d, est in crt.items():
+                if isinstance(est, str):
+                    rows["hybrid"][d] = est
+                elif d not in cal:
+                    rows["hybrid"][d] = "no calibration"
+                else:
+                    rows["hybrid"][d] = hybrid_estimate(anchor, est, cal[d])
 
     if "powerlaw" in config.algorithms:
         def build_powerlaw():
@@ -259,14 +259,22 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
                 target_eps=config.powerlaw_target_eps))
             subsampled = [subsample_without_replacement(pool[d], min(n, pool[d].kept), rng)
                           for d, n in schedule.entries]
-            est = mle_estimate(subsampled, epsilon=config.epsilon, noise=config.noise)
-            est = dataclasses.replace(est, algorithm="powerlaw", diagnostics={
+            est = mle_estimate(subsampled, epsilon=config.epsilon,
+                               noise=config.noise)[config.max_depth]
+            return dataclasses.replace(est, algorithm="powerlaw", diagnostics={
                 "nu": nu, "schedule": schedule.entries})
-            return [_with_label(est, f"eps={config.powerlaw_target_eps:g}")]
-        record("powerlaw", build_powerlaw)
+        rows["powerlaw"] = {f"eps={config.powerlaw_target_eps:g}": _attempt(build_powerlaw)}
 
+    estimates = {alg: tuple(_with_label(est, label) for label, est in by_label.items()
+                            if isinstance(est, Estimate))
+                 for alg, by_label in rows.items()}
+    dropped = {alg: [f"depth {label}: {why}" for label, why in by_label.items()
+                     if isinstance(why, str)]
+               for alg, by_label in rows.items()}
     return TrialResult(trial_id=trial_id, theta_true=theta_true, p_true=p_true,
-                       estimates=estimates, errors=errors, counts_by_depth=pool)
+                       estimates=estimates,
+                       errors={alg: "; ".join(d) for alg, d in dropped.items() if d},
+                       counts_by_depth=pool)
 
 
 def calibrate_hybrid(config: ExperimentConfig,
@@ -274,23 +282,25 @@ def calibrate_hybrid(config: ExperimentConfig,
     """Estimate the hybrid threshold inputs on ``config.calib_trials`` training draws.
 
     Each draw is a :func:`run_trial` of CRT alone on ``rng`` (stream 0 of
-    the run); draws whose CRT estimate failed are left out, as the run
-    leaves them out of its rows.  ``mle_avg_depth2`` is the mean error of
-    the depth-2 MLE anchor under the configured noise and shot budget;
-    ``crt_exact_at_d`` is the mean error of the CRT reconstruction fed
-    exact (infinite-shot, noiseless) probabilities.  With
+    the run); draws without a CRT estimate at every depth are left out.
+    ``mle_avg_depth2`` is the mean error of the depth-2 MLE anchor under
+    the configured noise and shot budget; ``crt_exact_at_d`` is the mean
+    error of the CRT reconstruction fed exact (infinite-shot, noiseless)
+    probabilities.  With
     ``config.tune_beta`` the threshold multiplier is grid-searched on the
     same draws: among multipliers whose hybrid never loses to plain CRT at
     any depth, the one with the best best-depth error wins.
     """
     crt_config = dataclasses.replace(config, algorithms=("crt",))
+    depths = range(2, config.max_depth + 1)
     trials = [run_trial(crt_config, sample_vector_pair(rng, config.vector_mode), rng)
               for _ in range(config.calib_trials)]
-    trials = [t for t in trials if t.estimates["crt"]]
+    trials = [t for t in trials if len(t.estimates["crt"]) == len(depths)]
     if not trials:
-        raise EstimationError("no calibration trial produced a CRT estimate")
-    depths = range(2, config.max_depth + 1)
-    anchors = [t.estimates["crt"][0].diagnostics["anchor"] for t in trials]
+        raise EstimationError("no calibration trial produced a CRT estimate at every depth")
+    crt_rows = [{e.diagnostics["label"]: e for e in t.estimates["crt"]} for t in trials]
+    crt_by_depth = {d: [r[d] for r in crt_rows] for d in depths}
+    anchors = [e.diagnostics["anchor"] for e in crt_by_depth[2]]
 
     def mean_err(p_hats) -> float:
         return float(np.mean([abs(p - t.p_true) for p, t in zip(p_hats, trials)]))
@@ -309,8 +319,6 @@ def calibrate_hybrid(config: ExperimentConfig,
 
     beta = config.beta_hybrid
     if config.tune_beta:
-        crt_by_depth = {d: [t.estimates["crt"][i] for t in trials]
-                        for i, d in enumerate(depths)}
         crt_means = {d: mean_err(e.p_hat for e in crt_by_depth[d]) for d in depths}
         best = None
         for candidate in BETA_TUNING_GRID:

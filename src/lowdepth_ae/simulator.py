@@ -97,11 +97,6 @@ def outcome_distribution(state: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(state)) ** 2
 
 
-def success_probability(circuit: Circuit) -> float:
-    """Probability of the good outcome |1000> at the end of ``circuit``."""
-    return float(outcome_distribution(run_statevector(circuit))[GOOD_INDEX])
-
-
 def analytic_success_prob(theta: float, t: int) -> float:
     """sin^2((2t+1) theta): the amplified good-outcome probability."""
     if t < 0:

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdepth_ae.estimators import (EXTENDED_OFFSETS, Estimate,
                                     EstimationError, HybridCalibration,
-                                    PosteriorGrid, bayesian_update,
-                                    crt_estimate, crt_reconstruct, crt_solve,
+                                    bayesian_update, crt_estimate,
+                                    crt_reconstruct, crt_solve,
                                     direct_estimate, hybrid_estimate,
                                     mle_estimate)
 from lowdepth_ae.noise import NoiseModel
@@ -58,55 +60,45 @@ def test_direct_rejects_empty_kept_pool():
 
 # ----------------------------------------------------------------- posterior
 
-def test_uniform_grid_shape_and_range():
-    grid = PosteriorGrid.uniform(0.001)
-    assert grid.weights.size == 1000
-    assert abs(grid.weights.sum() - 1.0) < 1e-12
-    assert grid.thetas[0] == 0.0
-    assert grid.thetas[-1] < math.pi / 2
-
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        PosteriorGrid(epsilon=0.5, weights=np.array([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        PosteriorGrid(epsilon=0.5, weights=np.array([1.2, -0.2]))
+def grid(epsilon):
+    return np.pi * np.arange(round(1 / epsilon)) * epsilon / 2.0
 
 
 def test_update_with_zero_counts_is_identity():
-    grid = PosteriorGrid.uniform(0.01)
-    updated = bayesian_update(grid, 3, counts(3, 0, 0))
-    assert np.allclose(updated.weights, grid.weights, atol=1e-15)
+    thetas = grid(0.01)
+    log_post = RNG.normal(size=thetas.size)
+    updated = bayesian_update(log_post, thetas, counts(3, 0, 0, discarded=7))
+    assert np.array_equal(updated, log_post)
 
 
 def test_update_single_good_shot_shapes_like_sin_squared():
-    grid = PosteriorGrid.uniform(0.01)
-    updated = bayesian_update(grid, 0, counts(0, 1, 0))
-    expected = np.sin(grid.thetas) ** 2
-    expected /= expected.sum()
-    assert np.allclose(updated.weights, expected, atol=1e-12)
+    thetas = grid(0.01)
+    updated = bayesian_update(np.zeros_like(thetas), thetas, counts(0, 1, 0))
+    assert updated[0] == -np.inf  # p = 0 at theta = 0: excluded, not clamped
+    assert np.allclose(updated[1:], np.log(np.sin(thetas[1:]) ** 2), atol=1e-12)
+
+
+def test_update_zero_count_at_impossible_outcome_adds_nothing():
+    # all bad at depth 0: cos^2 vanishes nowhere on [0, pi/2), and the zero
+    # good count must not bring in 0 * log(sin^2 0) = nan at theta = 0
+    thetas = grid(0.01)
+    updated = bayesian_update(np.zeros_like(thetas), thetas, counts(0, 0, 5))
+    assert updated[0] == 0.0
+    assert np.all(np.isfinite(updated))
 
 
 def test_update_fully_depolarized_is_identity():
-    grid = PosteriorGrid.uniform(0.01)
+    # p = 1/2 at every angle: a constant shift, the same normalized posterior
+    thetas = grid(0.01)
     model = NoiseModel(gamma_by_depth=(0.0, 500.0, 500.0, 500.0))
-    updated = bayesian_update(grid, 2, counts(2, 40, 60), noise=model)
-    assert np.allclose(updated.weights, grid.weights, atol=1e-12)
+    updated = bayesian_update(np.zeros_like(thetas), thetas, counts(2, 40, 60), noise=model)
+    assert np.allclose(updated, 100 * math.log(0.5), atol=1e-9)
 
 
 def test_update_underflow_raises():
-    grid = PosteriorGrid(epsilon=1.0, weights=np.array([1.0]))  # only theta = 0
+    # epsilon = 1: the grid is theta = 0 alone, where a good shot is impossible
     with pytest.raises(EstimationError):
-        bayesian_update(grid, 0, counts(0, 5, 5))
-
-
-def test_grid_stays_normalized_over_random_updates():
-    grid = PosteriorGrid.uniform(0.005)
-    for _ in range(30):
-        d = int(RNG.integers(0, 8))
-        g, b = int(RNG.integers(0, 400)), int(RNG.integers(0, 400))
-        grid = bayesian_update(grid, d, counts(d, g, b))
-        assert abs(grid.weights.sum() - 1.0) < 1e-9
+        mle_estimate([counts(0, 5, 5)], epsilon=1.0)
 
 
 # ------------------------------------------------------------------------ mle
@@ -114,26 +106,26 @@ def test_grid_stays_normalized_over_random_updates():
 def test_mle_recovers_angle_from_exact_tallies():
     theta = math.pi / 8
     data = [exact_counts(theta, d, 500) for d in range(8)]
-    est = mle_estimate(data, epsilon=0.001)
+    est = mle_estimate(data, epsilon=0.001)[7]
     assert abs(est.theta_hat - theta) <= 0.001 * math.pi / 2 + 1e-12
     assert abs(est.p_hat - math.sin(est.theta_hat) ** 2) < 1e-12
 
 
 def test_mle_all_good_lands_on_top_of_grid():
-    est = mle_estimate([counts(0, 500, 0)], epsilon=0.001)
-    grid = PosteriorGrid.uniform(0.001)
-    assert est.theta_hat == grid.thetas[-1]
+    est = mle_estimate([counts(0, 500, 0)], epsilon=0.001)[0]
+    assert est.theta_hat == grid(0.001)[-1]
 
 
 def test_mle_all_bad_lands_on_zero():
-    est = mle_estimate([counts(0, 0, 500)], epsilon=0.001)
+    est = mle_estimate([counts(0, 0, 500)], epsilon=0.001)[0]
     assert est.theta_hat == 0.0
 
 
 def test_mle_oracle_accounting_includes_discards():
     data = [counts(0, 400, 50, discarded=50), counts(3, 100, 350, discarded=50)]
-    est = mle_estimate(data)
-    assert est.oracle_calls == 500 * 1 + 500 * 7
+    by_depth = mle_estimate(data)
+    assert by_depth[0].oracle_calls == 500
+    assert by_depth[3].oracle_calls == 500 * 1 + 500 * 7
 
 
 def test_mle_requires_kept_shots():
@@ -144,12 +136,47 @@ def test_mle_requires_kept_shots():
 
 
 def test_mle_noiseless_exactness_on_grid_points():
-    grid = PosteriorGrid.uniform(0.001)
+    thetas = grid(0.001)
     for k in RNG.choice(np.arange(2, 999), size=50, replace=False):
-        theta = float(grid.thetas[k])
+        theta = float(thetas[k])
         data = [exact_counts(theta, d, 100_000) for d in range(8)]
-        est = mle_estimate(data, epsilon=0.001)
+        est = mle_estimate(data, epsilon=0.001)[7]
         assert abs(est.theta_hat - theta) < 1e-12, k
+
+
+@st.composite
+def depth_ordered_counts(draw):
+    depths = sorted(draw(st.sets(st.integers(0, 7), min_size=1, max_size=8)))
+    entries = []
+    for d in depths:
+        good, bad, discarded = (draw(st.integers(0, 40)) for _ in range(3))
+        if draw(st.booleans()):
+            good = bad = 0  # no kept shot at this depth
+        entries.append(counts(d, good, bad, discarded))
+    return entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=depth_ordered_counts(), epsilon=st.sampled_from([0.5, 0.1, 0.02, 0.01]),
+       noisy=st.booleans())
+def test_one_pass_equals_a_fresh_pass_over_each_prefix(data, epsilon, noisy):
+    noise = NoiseModel.linear_ramp(7) if noisy else None
+    kept = [c.depth for c in data if c.kept]
+    if not kept:
+        with pytest.raises(EstimationError):
+            mle_estimate(data, epsilon, noise)
+        return
+    by_depth = mle_estimate(data, epsilon, noise)
+    assert list(by_depth) == [c.depth for c in data if c.depth >= kept[0]]
+    for i, c in enumerate(data):
+        if c.depth not in by_depth:
+            continue
+        est = by_depth[c.depth]
+        prefix = data[:i + 1]
+        assert est == mle_estimate(prefix, epsilon, noise)[c.depth]
+        assert est.p_hat == math.sin(est.theta_hat) ** 2
+        assert 0.0 <= est.p_hat <= 1.0
+        assert est.oracle_calls == sum(e.shots * (2 * e.depth + 1) for e in prefix)
 
 
 # ------------------------------------------------------------------ crt_solve

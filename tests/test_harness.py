@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lowdepth_ae.estimators import Estimate, PosteriorGrid
+from lowdepth_ae.estimators import Estimate, mle_estimate
 from lowdepth_ae.harness import (AggregateRow, ExperimentConfig, TrialResult,
                                  UnidentifiableFitError, aggregate_and_emit,
                                  calibrate_hybrid, fit_depolarizing,
@@ -165,13 +165,15 @@ def test_epsilon_that_truncates_the_grid_is_rejected(epsilon):
     with pytest.raises(ValueError):
         quiet_config(epsilon=epsilon)
     with pytest.raises(ValueError):
-        PosteriorGrid.uniform(epsilon)
+        mle_estimate([DepthCounts(depth=0, n_good=1, n_bad=0)], epsilon)
 
 
 @pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 5e-3, 1e-2])
 def test_epsilon_of_one_over_integer_is_accepted(epsilon):
     assert quiet_config(epsilon=epsilon).epsilon == epsilon
-    assert PosteriorGrid.uniform(epsilon).weights.size == round(1 / epsilon)
+    # all good lands on the top grid point, (1/eps - 1) steps of pi eps / 2
+    top = mle_estimate([DepthCounts(depth=0, n_good=1, n_bad=0)], epsilon)[0]
+    assert abs(top.theta_hat - (1 - epsilon) * math.pi / 2) < 1e-12
 
 
 # ---------------------------------------------------------------- calibration
@@ -212,13 +214,13 @@ def leaky_config(**kwargs):
 def test_calibration_skips_failed_draws(tmp_path):
     # Calibration is run_trial with CRT alone on stream 0.  With 8 shots and
     # 60% leakage some draws keep no shot at a CRT depth; calibration
-    # averages over the rest, as the run does for its rows.
+    # averages over the draws with a CRT estimate at every depth.
     config = leaky_config(algorithms=("mle", "crt", "hybrid"))
     crt_only = leaky_config(algorithms=("crt",))
     rng = next(run_streams(config.seed, 0))
     draws = [run_trial(crt_only, sample_vector_pair(rng, config.vector_mode), rng)
              for _ in range(config.calib_trials)]
-    ok = [t for t in draws if t.estimates["crt"]]
+    ok = [t for t in draws if len(t.estimates["crt"]) == config.max_depth - 1]
     assert 0 < len(ok) < len(draws)
     anchors = [t.estimates["crt"][0].diagnostics["anchor"] for t in ok]
     expected = float(np.mean([abs(a.p_hat - t.p_true) for a, t in zip(anchors, ok)]))
@@ -236,6 +238,23 @@ def test_calibration_skips_failed_draws(tmp_path):
                    if not r.startswith("hybrid,")]
             for name in ("hybrid", "plain")}
     assert rows["hybrid"] == rows["plain"]
+
+
+def test_a_row_drops_only_when_its_own_inputs_kept_no_shot(tmp_path):
+    # Trial 1 keeps [3, 0, 3, 5] shots: the D=2 CRT row needs depth 1 and
+    # drops, the D=3 row needs depths 3 and 2 and stays.  Trial 7 keeps
+    # [0, 4, 1, 4]: no MLE estimate at depth 0, but one at depths 1..3.
+    config = leaky_config(algorithms=("mle", "crt", "hybrid"))
+    trials, paths = run_experiment(config, out_dir=tmp_path)
+    assert [c.kept for c in trials[1].counts_by_depth] == [3, 0, 3, 5]
+    assert [e.diagnostics["label"] for e in trials[1].estimates["crt"]] == [3]
+    assert [e.diagnostics["label"] for e in trials[1].estimates["hybrid"]] == [3]
+    assert trials[1].errors["crt"].startswith("depth 2:")
+    assert [c.kept for c in trials[7].counts_by_depth] == [0, 4, 1, 4]
+    assert [e.diagnostics["label"] for e in trials[7].estimates["mle"]] == [1, 2, 3]
+    assert trials[7].errors == {"mle": "depth 0: no kept shots at depths 0..0"}
+    manifest = json.loads(paths["manifest"].read_text(encoding="utf-8"))
+    assert manifest["trial_errors"]["7"] == trials[7].errors
 
 
 # ------------------------------------------------------------------ noise fit
