@@ -12,7 +12,9 @@ bad ones, or their depolarized counterparts when a noise model is
 supplied; 500-shot exponents would overflow outside log space.  The
 estimate at maximum depth D uses the shots at depths 0..D, so one pass
 over the depths gives the estimate at every D: the argmax after each
-depth's update.
+depth's update.  The log-likelihood rows depend only on the grid, the
+noise and the depth, so the engine computes them once per depth for a
+chunk of trials and updates the chunk's posteriors together.
 
 The CRT estimator recovers the angle as ``v pi / (4 D^2 - 1)`` from folded
 low-precision residues of ``v`` modulo the coprime pair (2D-1, 2D+1).  The
@@ -36,6 +38,10 @@ from .noise import NoiseModel, effective_eta
 from .simulator import DepthCounts
 
 EXTENDED_OFFSETS = tuple((d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1))
+# Bytes of posterior and update scratch, three (trials x grid) float64
+# arrays, that mle_estimate holds per chunk of trials: two trials at
+# epsilon=1e-4, 21 at 1e-3, 218 at 1e-2.
+CHUNK_BYTES = 1 << 19
 
 
 class EstimationError(RuntimeError):
@@ -117,56 +123,95 @@ def direct_estimate(counts: DepthCounts) -> Estimate:
                                algorithm="direct")
 
 
-def bayesian_update(log_post: np.ndarray, thetas: np.ndarray, counts: DepthCounts,
-                    noise: NoiseModel | None = None) -> np.ndarray:
-    """Add the log-likelihood of one depth's counts to a log-posterior.
+def log_likelihood_rows(thetas: np.ndarray, depth: int,
+                        noise: NoiseModel | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``log p1`` and ``log(1 - p1)`` over the grid at one depth.
 
-    Discarded shots carry no information and are ignored.  A zero count
-    adds nothing (``0 log 0 = 0``); a nonzero count of an outcome that has
-    probability zero at an angle sends that angle to ``-inf``.
+    ``p1`` is the good-outcome probability ``sin^2((2d+1) theta)``, or its
+    depolarized form when a noise model is given; an outcome of probability
+    zero has log-likelihood ``-inf``.
     """
-    m = 2 * counts.depth + 1
+    m = 2 * depth + 1
     if noise is None:
         p1 = np.sin(m * thetas) ** 2
     else:
-        eta = effective_eta(noise, counts.depth)
+        eta = effective_eta(noise, depth)
         p1 = (1.0 - (1.0 - eta) * np.cos(2 * m * thetas)) / 2.0
-    logl = 0.0
     with np.errstate(divide="ignore"):
-        if counts.n_good:
-            logl = logl + counts.n_good * np.log(p1)
-        if counts.n_bad:
-            logl = logl + counts.n_bad * np.log(1.0 - p1)
-    return log_post + logl
+        return np.log(p1), np.log(1.0 - p1)
 
 
-def mle_estimate(counts_by_depth, epsilon: float = 0.001,
-                 noise: NoiseModel | None = None) -> dict[int, Estimate]:
-    """Maximum-likelihood angle after each entry of a depth-ordered list.
+def bayesian_update(log_post: np.ndarray, rows: tuple[np.ndarray, np.ndarray],
+                    n_good, n_bad) -> np.ndarray:
+    """Add the log-likelihood of good and bad counts to a log-posterior.
 
-    One pass from a uniform prior on the ``1/epsilon``-point grid applies
-    the update of each entry in order (noise-aware when a model is given)
-    and records the posterior argmax after it, ties broken toward smaller
-    angles, keyed by the entry's depth.  Oracle calls are cumulative over
-    the entries so far.  Entries before the first kept shot get no
-    estimate.  Raises :class:`EstimationError` when no entry kept a shot or
-    the counts rule out every grid angle.
+    ``rows`` are the :func:`log_likelihood_rows` of the counts' depth.  With
+    a stack of posteriors, one per trial, the counts are arrays holding one
+    count per trial.  Discarded shots carry no information and are not
+    passed.  A zero count adds nothing (``0 log 0 = 0``); a nonzero count of
+    an outcome that has probability zero at an angle sends that angle to
+    ``-inf``.  The result is ``log_post + (n_good log p1 + n_bad log(1-p1))``.
+    """
+    log_p1, log_p0 = rows
+    n_good = np.asarray(n_good)[..., None]
+    n_bad = np.asarray(n_bad)[..., None]
+    logl = np.multiply(n_good, log_p1, out=np.zeros_like(log_post), where=n_good > 0)
+    logl += np.multiply(n_bad, log_p0, out=np.zeros_like(log_post), where=n_bad > 0)
+    return np.add(log_post, logl, out=logl)
+
+
+def mle_estimate(pools, epsilon: float = 0.001,
+                 noise: NoiseModel | None = None) -> list[dict[int, Estimate] | str]:
+    """Maximum-likelihood angles of each trial after each entry of its counts.
+
+    ``pools`` holds one depth-ordered list of counts per trial, every list
+    with the same depths in the same order.  For each trial one pass from a
+    uniform prior on the ``1/epsilon``-point grid applies the update of
+    each entry in order (noise-aware when a model is given) and records the
+    posterior argmax after it, ties broken toward smaller angles, keyed by
+    the entry's depth.  Oracle calls are cumulative over the entries so
+    far.  Entries before the trial's first kept shot get no estimate.  A
+    trial whose entries kept no shot, or whose counts rule out every grid
+    angle, gets the reason it has no estimate in place of the dict.
+
+    Trials are updated in chunks whose posteriors and update scratch fit
+    :data:`CHUNK_BYTES`; the likelihood rows are computed once per chunk
+    and entry, so memory stays bounded at any trial count and grid size.
     """
     thetas = np.pi * np.arange(_grid_size(epsilon)) * epsilon / 2.0
-    log_post = np.zeros_like(thetas)
-    estimates: dict[int, Estimate] = {}
-    calls = 0
-    for counts in counts_by_depth:
-        log_post = bayesian_update(log_post, thetas, counts, noise)
-        calls += counts.shots * (2 * counts.depth + 1)
-        if estimates or counts.kept:
-            k = int(np.argmax(log_post))
-            if log_post[k] == -np.inf:
-                raise EstimationError("posterior underflow: counts are inconsistent with the grid")
-            estimates[counts.depth] = Estimate.from_theta(float(thetas[k]), calls, "mle")
-    if not estimates:
-        raise EstimationError("no kept shots at any depth")
-    return estimates
+    pools = [tuple(pool) for pool in pools]
+    depths = [counts.depth for counts in pools[0]] if pools else []
+    if any([counts.depth for counts in pool] != depths for pool in pools):
+        raise ValueError("every trial needs the same depths in the same order")
+    size = max(1, CHUNK_BYTES // (3 * thetas.nbytes))
+    results = []
+    for start in range(0, len(pools), size):
+        results += _mle_chunk(pools[start:start + size], depths, thetas, noise)
+    return results
+
+
+def _mle_chunk(pools, depths, thetas, noise) -> list[dict[int, Estimate] | str]:
+    counts = np.array([[(c.n_good, c.n_bad, c.shots) for c in pool] for pool in pools],
+                      dtype=np.int64).reshape(len(pools), len(depths), 3)
+    log_post = np.zeros((len(pools), thetas.size))
+    trials = np.arange(len(pools))
+    estimates: list[dict[int, Estimate]] = [{} for _ in pools]
+    started = np.zeros(len(pools), dtype=bool)
+    # an underflowed posterior is -inf everywhere and stays so
+    underflow = np.zeros(len(pools), dtype=bool)
+    calls = np.zeros(len(pools), dtype=np.int64)
+    for j, depth in enumerate(depths):
+        n_good, n_bad, shots = counts[:, j].T
+        log_post = bayesian_update(log_post, log_likelihood_rows(thetas, depth, noise),
+                                   n_good, n_bad)
+        calls += shots * (2 * depth + 1)
+        started |= n_good + n_bad > 0
+        k = np.argmax(log_post, axis=1)
+        underflow = log_post[trials, k] == -np.inf
+        for t in map(int, np.flatnonzero(started & ~underflow)):
+            estimates[t][depth] = Estimate.from_theta(float(thetas[k[t]]), int(calls[t]), "mle")
+    return ["posterior underflow: counts are inconsistent with the grid" if underflow[t]
+            else estimates[t] or "no kept shots at any depth" for t in trials]
 
 
 def crt_solve(r1: int, n1: int, r2: int, n2: int) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from .estimators import (Estimate, EstimationError, HybridCalibration,
                          _grid_size, crt_estimate, crt_reconstruct,
                          direct_estimate, hybrid_estimate, mle_estimate)
 from .noise import NoiseModel, sample_noisy_shots
-from .schedules import (InfeasibleScheduleError, PowerLawConfig,
+from .schedules import (InfeasibleScheduleError, PowerLawConfig, Schedule,
                         optimize_exponent, power_law_schedule,
                         subsample_without_replacement)
 from .simulator import DepthCounts
@@ -85,6 +86,10 @@ class ExperimentConfig:
             raise ValueError("noise model does not cover max_depth")
         if ("crt" in self.algorithms or "hybrid" in self.algorithms) and self.max_depth < 2:
             raise ValueError("crt/hybrid need max_depth >= 2")
+        if self.beta_hybrid < 0:
+            raise ValueError("beta_hybrid must be nonnegative")
+        if self.powerlaw_target_eps <= 0:
+            raise ValueError("powerlaw_target_eps must be positive")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -171,7 +176,10 @@ def sample_vector_pair(rng: np.random.Generator, mode: str = "haar"):
     raise ValueError(f"unknown vector mode {mode!r}")
 
 
-def _with_label(est: Estimate, label) -> Estimate:
+def _with_label(est, label):
+    """``est`` with its row label in its diagnostics; a reason passes through."""
+    if isinstance(est, str):
+        return est
     diag = dict(est.diagnostics or {})
     diag["label"] = label
     return dataclasses.replace(est, diagnostics=diag)
@@ -190,15 +198,118 @@ def _attempt(build, *args):
     """``build(*args)``, or the message of the estimator failure it raises."""
     try:
         return build(*args)
-    except (EstimationError, InfeasibleScheduleError) as exc:
+    except EstimationError as exc:
         return str(exc)
 
 
 def _at(mle_pass, depth: int):
-    """The estimate at ``depth`` of an attempted MLE pass, or why there is none."""
+    """The estimate at ``depth`` of an MLE pass, or why there is none."""
     if isinstance(mle_pass, str):
         return mle_pass
     return mle_pass.get(depth, f"no kept shots at depths 0..{depth}")
+
+
+def _powerlaw_plan(config: ExperimentConfig) -> tuple[float, Schedule] | str | None:
+    """The power-law exponent and schedule of a config, or why it has none.
+
+    ``None`` when the power-law estimator is off.  Both depend on the
+    config alone, so a run solves for them once.
+    """
+    if "powerlaw" not in config.algorithms:
+        return None
+    try:
+        nu = optimize_exponent(config.powerlaw_target_eps, config.n_shots,
+                               config.max_depth, config.noise.gamma_by_depth)
+    except InfeasibleScheduleError as exc:
+        return str(exc)
+    return nu, power_law_schedule(PowerLawConfig(
+        nu=nu, n_shots=config.n_shots, max_depth=config.max_depth,
+        target_eps=config.powerlaw_target_eps))
+
+
+def _draw(config: ExperimentConfig, pair, rng: np.random.Generator, plan):
+    """The true angle, shot pool and power-law subsample of one trial.
+
+    The pool and then the subsample (``None`` without a schedule) are
+    drawn from ``rng``, which has already drawn the trial's pair.
+    """
+    x, y = pair
+    theta_true = math.asin(min(abs(float(np.dot(x, y))), 1.0))
+    pool = tuple([sample_noisy_shots(theta_true, d, config.n_shots, config.noise, rng)
+                  for d in range(config.max_depth + 1)])
+    subsampled = None
+    if isinstance(plan, tuple):
+        subsampled = tuple([subsample_without_replacement(pool[d], min(n, pool[d].kept), rng)
+                            for d, n in plan[1].entries])
+    return theta_true, pool, subsampled
+
+
+def _estimate(config: ExperimentConfig, draws, plan, calibrations=None,
+              first_id: int = 0) -> list[TrialResult]:
+    """Every enabled estimator on every trial drawn by :func:`_draw`.
+
+    Each MLE pass runs over all the trials at once; ``plan`` is the
+    :func:`_powerlaw_plan` the draws were made with.
+    """
+    pools = [pool for _, pool, _ in draws]
+    # per trial: algorithm -> row label -> the labeled estimate, or why the row has none
+    rows: list[dict[str, dict]] = [{} for _ in draws]
+    if "direct" in config.algorithms:
+        for by_alg, pool in zip(rows, pools):
+            by_alg["direct"] = {0: _with_label(_attempt(direct_estimate, pool[0]), 0)}
+
+    if "mle" in config.algorithms:
+        mle_noise = config.noise if config.mle_noise_aware else None
+        for by_alg, mle in zip(rows, mle_estimate(pools, config.epsilon, mle_noise)):
+            by_alg["mle"] = {d: _with_label(_at(mle, d), d) for d in range(config.max_depth + 1)}
+
+    if "crt" in config.algorithms or "hybrid" in config.algorithms:
+        cal = calibrations or {}
+        anchor_passes = mle_estimate([pool[:3] for pool in pools], config.epsilon)
+        for by_alg, pool, anchor_pass in zip(rows, pools, anchor_passes):
+            anchor = _at(anchor_pass, 2)
+            crt = {d: _with_label(_attempt(crt_estimate, pool[d], pool[d - 1], anchor, d), d)
+                   if isinstance(anchor, Estimate) else f"anchor: {anchor}"
+                   for d in range(2, config.max_depth + 1)}
+            if "crt" in config.algorithms:
+                by_alg["crt"] = crt
+            if "hybrid" in config.algorithms:
+                by_alg["hybrid"] = {}
+                for d, est in crt.items():
+                    if isinstance(est, str):
+                        by_alg["hybrid"][d] = est
+                    elif d not in cal:
+                        by_alg["hybrid"][d] = "no calibration"
+                    else:
+                        by_alg["hybrid"][d] = _with_label(hybrid_estimate(anchor, est, cal[d]), d)
+
+    if "powerlaw" in config.algorithms:
+        label = f"eps={config.powerlaw_target_eps:g}"
+        if isinstance(plan, str):
+            passes = [plan] * len(draws)
+        else:
+            nu, schedule = plan
+            passes = mle_estimate([subsampled for _, _, subsampled in draws], config.epsilon,
+                                  config.noise)
+        for by_alg, powerlaw in zip(rows, passes):
+            if not isinstance(powerlaw, str):
+                powerlaw = dataclasses.replace(powerlaw[config.max_depth], algorithm="powerlaw",
+                                               diagnostics={"nu": nu, "schedule": schedule.entries,
+                                                            "label": label})
+            by_alg["powerlaw"] = {label: powerlaw}
+
+    results = []
+    for trial_id, ((theta_true, pool, _), by_alg) in enumerate(zip(draws, rows), first_id):
+        estimates = {alg: tuple(est for est in by_label.values() if isinstance(est, Estimate))
+                     for alg, by_label in by_alg.items()}
+        dropped = {alg: [f"depth {label}: {why}" for label, why in by_label.items()
+                         if isinstance(why, str)]
+                   for alg, by_label in by_alg.items()}
+        results.append(TrialResult(
+            trial_id=trial_id, theta_true=theta_true, p_true=math.sin(theta_true) ** 2,
+            estimates=estimates, errors={alg: "; ".join(d) for alg, d in dropped.items() if d},
+            counts_by_depth=pool))
+    return results
 
 
 def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
@@ -216,73 +327,32 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
     own inputs kept no shot is dropped, and its depth and reason are
     recorded in ``errors`` under its algorithm; the other rows stay.
     """
-    x, y = pair
-    theta_true = math.asin(min(abs(float(np.dot(x, y))), 1.0))
-    p_true = math.sin(theta_true) ** 2
-    pool = tuple(sample_noisy_shots(theta_true, d, config.n_shots, config.noise, rng)
-                 for d in range(config.max_depth + 1))
+    plan = _powerlaw_plan(config)
+    return _estimate(config, [_draw(config, pair, rng, plan)], plan, calibrations,
+                     trial_id)[0]
 
-    # algorithm -> row label -> the estimate, or why the row has none
-    rows: dict[str, dict] = {}
-    if "direct" in config.algorithms:
-        rows["direct"] = {0: _attempt(direct_estimate, pool[0])}
 
-    if "mle" in config.algorithms:
-        mle_noise = config.noise if config.mle_noise_aware else None
-        mle = _attempt(mle_estimate, pool, config.epsilon, mle_noise)
-        rows["mle"] = {d: _at(mle, d) for d in range(config.max_depth + 1)}
+def run_trials(config: ExperimentConfig, rngs,
+               calibrations: dict[int, HybridCalibration] | None = None) -> list[TrialResult]:
+    """:func:`run_trial` on a vector pair drawn from each generator, trial ids from 0.
 
-    if "crt" in config.algorithms or "hybrid" in config.algorithms:
-        anchor = _at(_attempt(mle_estimate, pool[:3], config.epsilon), 2)
-        crt = {d: _attempt(crt_estimate, pool[d], pool[d - 1], anchor, d)
-               if isinstance(anchor, Estimate) else f"anchor: {anchor}"
-               for d in range(2, config.max_depth + 1)}
-        if "crt" in config.algorithms:
-            rows["crt"] = crt
-        if "hybrid" in config.algorithms:
-            cal = calibrations or {}
-            rows["hybrid"] = {}
-            for d, est in crt.items():
-                if isinstance(est, str):
-                    rows["hybrid"][d] = est
-                elif d not in cal:
-                    rows["hybrid"][d] = "no calibration"
-                else:
-                    rows["hybrid"][d] = hybrid_estimate(anchor, est, cal[d])
-
-    if "powerlaw" in config.algorithms:
-        def build_powerlaw():
-            nu = optimize_exponent(config.powerlaw_target_eps, config.n_shots,
-                                   config.max_depth, config.noise.gamma_by_depth)
-            schedule = power_law_schedule(PowerLawConfig(
-                nu=nu, n_shots=config.n_shots, max_depth=config.max_depth,
-                target_eps=config.powerlaw_target_eps))
-            subsampled = [subsample_without_replacement(pool[d], min(n, pool[d].kept), rng)
-                          for d, n in schedule.entries]
-            est = mle_estimate(subsampled, epsilon=config.epsilon,
-                               noise=config.noise)[config.max_depth]
-            return dataclasses.replace(est, algorithm="powerlaw", diagnostics={
-                "nu": nu, "schedule": schedule.entries})
-        rows["powerlaw"] = {f"eps={config.powerlaw_target_eps:g}": _attempt(build_powerlaw)}
-
-    estimates = {alg: tuple(_with_label(est, label) for label, est in by_label.items()
-                            if isinstance(est, Estimate))
-                 for alg, by_label in rows.items()}
-    dropped = {alg: [f"depth {label}: {why}" for label, why in by_label.items()
-                     if isinstance(why, str)]
-               for alg, by_label in rows.items()}
-    return TrialResult(trial_id=trial_id, theta_true=theta_true, p_true=p_true,
-                       estimates=estimates,
-                       errors={alg: "; ".join(d) for alg, d in dropped.items() if d},
-                       counts_by_depth=pool)
+    Every trial's stream is consumed first, in the order pair, pool,
+    power-law subsample, and the power-law schedule is solved once; the
+    MLE passes then run batched across trials.
+    """
+    plan = _powerlaw_plan(config)
+    draws = [_draw(config, sample_vector_pair(rng, config.vector_mode), rng, plan)
+             for rng in rngs]
+    return _estimate(config, draws, plan, calibrations)
 
 
 def calibrate_hybrid(config: ExperimentConfig,
                      rng: np.random.Generator) -> dict[int, HybridCalibration]:
     """Estimate the hybrid threshold inputs on ``config.calib_trials`` training draws.
 
-    Each draw is a :func:`run_trial` of CRT alone on ``rng`` (stream 0 of
-    the run); draws without a CRT estimate at every depth are left out.
+    Each draw is a trial of CRT alone on ``rng`` (stream 0 of the run),
+    run by :func:`run_trials`; draws without a CRT estimate at every depth
+    are left out.
     ``mle_avg_depth2`` is the mean error of the depth-2 MLE anchor under
     the configured noise and shot budget; ``crt_exact_at_d`` is the mean
     error of the CRT reconstruction fed exact (infinite-shot, noiseless)
@@ -293,8 +363,7 @@ def calibrate_hybrid(config: ExperimentConfig,
     """
     crt_config = dataclasses.replace(config, algorithms=("crt",))
     depths = range(2, config.max_depth + 1)
-    trials = [run_trial(crt_config, sample_vector_pair(rng, config.vector_mode), rng)
-              for _ in range(config.calib_trials)]
+    trials = run_trials(crt_config, itertools.repeat(rng, config.calib_trials))
     trials = [t for t in trials if len(t.estimates["crt"]) == len(depths)]
     if not trials:
         raise EstimationError("no calibration trial produced a CRT estimate at every depth")
@@ -352,9 +421,12 @@ def fit_depolarizing(counts_by_trial, true_thetas) -> list[float]:
     """Least-squares depolarizing rates from observed good fractions.
 
     Per depth the model ``g = (1 - a cos(2 (2d+1) theta)) / 2`` is solved
-    for ``a = exp(-gamma_d)`` in closed form and clamped into (0, 1].
-    Raises :class:`UnidentifiableFitError` when every probability sits at
-    1/2 (no cosine signal to regress on).
+    for ``a = exp(-gamma_d)`` in closed form and clamped into (0, 1].  A
+    trial that kept no shot at a depth has no good fraction there and is
+    left out of that depth's regression.  Raises
+    :class:`UnidentifiableFitError` when fewer than two trials kept a shot
+    at a depth, or when every probability sits at 1/2 (no cosine signal to
+    regress on).
     """
     counts_by_trial = list(counts_by_trial)
     if len(counts_by_trial) < 2:
@@ -363,9 +435,13 @@ def fit_depolarizing(counts_by_trial, true_thetas) -> list[float]:
     n_depths = len(counts_by_trial[0])
     gammas = []
     for d in range(n_depths):
-        rates = np.array([trial[d].n_good / trial[d].kept if trial[d].kept else 0.5
-                          for trial in counts_by_trial])
-        c = np.cos(2 * (2 * d + 1) * thetas)
+        good = np.array([trial[d].n_good for trial in counts_by_trial])
+        kept = good + np.array([trial[d].n_bad for trial in counts_by_trial])
+        has_rate = kept > 0
+        if np.count_nonzero(has_rate) < 2:
+            raise UnidentifiableFitError(f"depth {d}: fewer than two trials kept a shot")
+        rates = good[has_rate] / kept[has_rate]
+        c = np.cos(2 * (2 * d + 1) * thetas[has_rate])
         z = 1.0 - 2.0 * rates
         denom = float(np.sum(c * c))
         if denom < 1e-9:
@@ -472,9 +548,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     calibrations = None
     if "hybrid" in config.algorithms:
         calibrations = calibrate_hybrid(config, calib_rng)
-    trials = [run_trial(config, sample_vector_pair(rng, config.vector_mode), rng,
-                        calibrations, trial_id=i)
-              for i, rng in enumerate(streams)]
+    trials = run_trials(config, streams, calibrations)
 
     gamma_fit = None
     fit_error = None

@@ -30,6 +30,11 @@ class CorrelatedNoise:
     quiet.  ``p_switch=1`` never bursts and ``burst_scale=1`` changes
     nothing, so either limit reduces exactly to independent shots; small
     ``p_switch`` gives long correlated bursts.
+
+    The entry probability never exceeds the exit probability, so one
+    uniform draw per shot decides the transition from either state: below
+    ``p_switch * (1 - p_switch)`` it toggles the state, below ``p_switch``
+    it resets the chain to quiet, otherwise it holds the state.
     """
 
     p_switch: float
@@ -122,6 +127,19 @@ def _sample_independent(p_bar: float, depth: int, n_shots: int, leak: float,
 
 def _sample_correlated(theta: float, depth: int, n_shots: int, model: NoiseModel,
                        rng: np.random.Generator) -> DepthCounts:
+    """Burst-modulated shots from uniform draws taken up front.
+
+    The draws are one state draw per shot (``u_state``), then one leak
+    draw per shot when the model leaks, then one outcome draw per shot.
+    Because ``p_enter = p (1 - p)`` never exceeds ``p_leave = p``, each
+    state draw does one of three things whatever the current state: it
+    toggles the state (``u < p_enter``), resets it to quiet
+    (``p_enter <= u < p_leave``) or holds it.  The chain starts quiet, so
+    a shot is in a burst exactly when the number of toggles since the last
+    reset is odd: a cumulative toggle count minus its value at the last
+    reset, which is the running maximum of that count sampled at the
+    resets.
+    """
     corr = model.correlation
     eta = effective_eta(model, depth)
     p_t = math.sin((2 * depth + 1) * theta) ** 2
@@ -133,18 +151,20 @@ def _sample_correlated(theta: float, depth: int, n_shots: int, model: NoiseModel
     u_state = rng.random(n_shots)
     u_leak = rng.random(n_shots) if model.leak_prob > 0 else None
     u_out = rng.random(n_shots)
-    n_good = n_bad = n_disc = 0
-    burst = False
-    for i in range(n_shots):
-        burst = (u_state[i] >= p_leave) if burst else (u_state[i] < p_enter)
-        if u_leak is not None and u_leak[i] < model.leak_prob:
-            n_disc += 1
-            continue
-        if u_out[i] < (p_burst if burst else p_quiet):
-            n_good += 1
-        else:
-            n_bad += 1
-    return DepthCounts(depth=depth, n_good=n_good, n_bad=n_bad, n_discarded=n_disc)
+    toggle = u_state < p_enter
+    reset = ~toggle & (u_state < p_leave)
+    toggles = np.cumsum(toggle)
+    at_reset = np.maximum.accumulate(np.where(reset, toggles, 0))
+    burst = (toggles - at_reset) % 2 == 1
+    good = u_out < np.where(burst, p_burst, p_quiet)
+    n_disc = 0
+    if u_leak is not None:
+        leaked = u_leak < model.leak_prob
+        good &= ~leaked
+        n_disc = int(np.count_nonzero(leaked))
+    n_good = int(np.count_nonzero(good))
+    return DepthCounts(depth=depth, n_good=n_good, n_bad=n_shots - n_disc - n_good,
+                       n_discarded=n_disc)
 
 
 def sample_noisy_shots(theta: float, depth: int, n_shots: int, model: NoiseModel,
@@ -153,7 +173,8 @@ def sample_noisy_shots(theta: float, depth: int, n_shots: int, model: NoiseModel
 
     Independent mode draws Bernoulli outcomes at ``noisy_prob`` with an
     optional leak channel feeding the discard tally; correlated mode runs
-    the burst modulator shot by shot.  Deterministic given the generator.
+    the burst modulator over the shots in order.  Deterministic given the
+    generator.
     """
     if n_shots < 0:
         raise ValueError("n_shots must be nonnegative")

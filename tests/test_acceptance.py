@@ -117,7 +117,8 @@ def test_ac04_noiseless_mle_efficiency():
     for _ in range(200):
         theta = rng.uniform(0.0, math.pi / 2)
         pool = [sample_noisy_shots(theta, d, 500, model, rng) for d in range(8)]
-        est = mle_estimate(pool, epsilon=0.001)[7]
+        (by_depth,) = mle_estimate([pool], epsilon=0.001)
+        est = by_depth[7]
         errs.append(abs(est.theta_hat - theta))
     mean_err = float(np.mean(errs))
     bound = 3 * CRAMER_RAO_THETA

@@ -1,18 +1,20 @@
 """Direct, MLE, CRT and hybrid estimators against independent oracles."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lowdepth_ae import estimators
 from lowdepth_ae.estimators import (EXTENDED_OFFSETS, Estimate,
                                     EstimationError, HybridCalibration,
                                     bayesian_update, crt_estimate,
                                     crt_reconstruct, crt_solve,
                                     direct_estimate, hybrid_estimate,
-                                    mle_estimate)
-from lowdepth_ae.noise import NoiseModel
+                                    log_likelihood_rows, mle_estimate)
+from lowdepth_ae.noise import NoiseModel, effective_eta
 from lowdepth_ae.simulator import DepthCounts
 
 RNG = np.random.default_rng(1234)
@@ -64,16 +66,24 @@ def grid(epsilon):
     return np.pi * np.arange(round(1 / epsilon)) * epsilon / 2.0
 
 
+def mle(counts_by_depth, epsilon=0.001, noise=None):
+    """One trial's MLE pass, raising the reason when it has no estimate."""
+    (result,) = mle_estimate([counts_by_depth], epsilon, noise)
+    if isinstance(result, str):
+        raise EstimationError(result)
+    return result
+
+
 def test_update_with_zero_counts_is_identity():
     thetas = grid(0.01)
     log_post = RNG.normal(size=thetas.size)
-    updated = bayesian_update(log_post, thetas, counts(3, 0, 0, discarded=7))
+    updated = bayesian_update(log_post, log_likelihood_rows(thetas, 3), 0, 0)
     assert np.array_equal(updated, log_post)
 
 
 def test_update_single_good_shot_shapes_like_sin_squared():
     thetas = grid(0.01)
-    updated = bayesian_update(np.zeros_like(thetas), thetas, counts(0, 1, 0))
+    updated = bayesian_update(np.zeros_like(thetas), log_likelihood_rows(thetas, 0), 1, 0)
     assert updated[0] == -np.inf  # p = 0 at theta = 0: excluded, not clamped
     assert np.allclose(updated[1:], np.log(np.sin(thetas[1:]) ** 2), atol=1e-12)
 
@@ -82,7 +92,7 @@ def test_update_zero_count_at_impossible_outcome_adds_nothing():
     # all bad at depth 0: cos^2 vanishes nowhere on [0, pi/2), and the zero
     # good count must not bring in 0 * log(sin^2 0) = nan at theta = 0
     thetas = grid(0.01)
-    updated = bayesian_update(np.zeros_like(thetas), thetas, counts(0, 0, 5))
+    updated = bayesian_update(np.zeros_like(thetas), log_likelihood_rows(thetas, 0), 0, 5)
     assert updated[0] == 0.0
     assert np.all(np.isfinite(updated))
 
@@ -91,14 +101,24 @@ def test_update_fully_depolarized_is_identity():
     # p = 1/2 at every angle: a constant shift, the same normalized posterior
     thetas = grid(0.01)
     model = NoiseModel(gamma_by_depth=(0.0, 500.0, 500.0, 500.0))
-    updated = bayesian_update(np.zeros_like(thetas), thetas, counts(2, 40, 60), noise=model)
+    updated = bayesian_update(np.zeros_like(thetas), log_likelihood_rows(thetas, 2, model),
+                              40, 60)
     assert np.allclose(updated, 100 * math.log(0.5), atol=1e-9)
+
+
+def test_update_of_a_stack_updates_each_row_with_its_own_counts():
+    thetas = grid(0.01)
+    rows = log_likelihood_rows(thetas, 1)
+    stack = RNG.normal(size=(3, thetas.size))
+    updated = bayesian_update(stack, rows, np.array([0, 4, 2]), np.array([3, 0, 5]))
+    for i, (good, bad) in enumerate([(0, 3), (4, 0), (2, 5)]):
+        assert np.array_equal(updated[i], bayesian_update(stack[i], rows, good, bad))
 
 
 def test_update_underflow_raises():
     # epsilon = 1: the grid is theta = 0 alone, where a good shot is impossible
     with pytest.raises(EstimationError):
-        mle_estimate([counts(0, 5, 5)], epsilon=1.0)
+        mle([counts(0, 5, 5)], epsilon=1.0)
 
 
 # ------------------------------------------------------------------------ mle
@@ -106,33 +126,39 @@ def test_update_underflow_raises():
 def test_mle_recovers_angle_from_exact_tallies():
     theta = math.pi / 8
     data = [exact_counts(theta, d, 500) for d in range(8)]
-    est = mle_estimate(data, epsilon=0.001)[7]
+    est = mle(data, epsilon=0.001)[7]
     assert abs(est.theta_hat - theta) <= 0.001 * math.pi / 2 + 1e-12
     assert abs(est.p_hat - math.sin(est.theta_hat) ** 2) < 1e-12
 
 
 def test_mle_all_good_lands_on_top_of_grid():
-    est = mle_estimate([counts(0, 500, 0)], epsilon=0.001)[0]
+    est = mle([counts(0, 500, 0)], epsilon=0.001)[0]
     assert est.theta_hat == grid(0.001)[-1]
 
 
 def test_mle_all_bad_lands_on_zero():
-    est = mle_estimate([counts(0, 0, 500)], epsilon=0.001)[0]
+    est = mle([counts(0, 0, 500)], epsilon=0.001)[0]
     assert est.theta_hat == 0.0
 
 
 def test_mle_oracle_accounting_includes_discards():
     data = [counts(0, 400, 50, discarded=50), counts(3, 100, 350, discarded=50)]
-    by_depth = mle_estimate(data)
+    by_depth = mle(data)
     assert by_depth[0].oracle_calls == 500
     assert by_depth[3].oracle_calls == 500 * 1 + 500 * 7
 
 
 def test_mle_requires_kept_shots():
     with pytest.raises(EstimationError):
-        mle_estimate([counts(0, 0, 0, discarded=10)])
+        mle([counts(0, 0, 0, discarded=10)])
     with pytest.raises(EstimationError):
-        mle_estimate([])
+        mle([])
+    assert mle_estimate([]) == []
+
+
+def test_mle_needs_the_same_depths_for_every_trial():
+    with pytest.raises(ValueError):
+        mle_estimate([[counts(0, 1, 1)], [counts(1, 1, 1)]])
 
 
 def test_mle_noiseless_exactness_on_grid_points():
@@ -140,7 +166,7 @@ def test_mle_noiseless_exactness_on_grid_points():
     for k in RNG.choice(np.arange(2, 999), size=50, replace=False):
         theta = float(thetas[k])
         data = [exact_counts(theta, d, 100_000) for d in range(8)]
-        est = mle_estimate(data, epsilon=0.001)[7]
+        est = mle(data, epsilon=0.001)[7]
         assert abs(est.theta_hat - theta) < 1e-12, k
 
 
@@ -164,19 +190,82 @@ def test_one_pass_equals_a_fresh_pass_over_each_prefix(data, epsilon, noisy):
     kept = [c.depth for c in data if c.kept]
     if not kept:
         with pytest.raises(EstimationError):
-            mle_estimate(data, epsilon, noise)
+            mle(data, epsilon, noise)
         return
-    by_depth = mle_estimate(data, epsilon, noise)
+    by_depth = mle(data, epsilon, noise)
     assert list(by_depth) == [c.depth for c in data if c.depth >= kept[0]]
     for i, c in enumerate(data):
         if c.depth not in by_depth:
             continue
         est = by_depth[c.depth]
         prefix = data[:i + 1]
-        assert est == mle_estimate(prefix, epsilon, noise)[c.depth]
+        assert est == mle(prefix, epsilon, noise)[c.depth]
         assert est.p_hat == math.sin(est.theta_hat) ** 2
         assert 0.0 <= est.p_hat <= 1.0
         assert est.oracle_calls == sum(e.shots * (2 * e.depth + 1) for e in prefix)
+
+
+def scalar_mle(counts_by_depth, epsilon, noise):
+    """One trial's pass, one 1-D update per entry: the reference for the chunked engine.
+
+    Each update is checked against the per-entry arithmetic the engine used
+    before likelihood rows were shared: the rows recomputed from the angles
+    and a zero count skipped.
+    """
+    thetas = grid(epsilon)
+    log_post = np.zeros_like(thetas)
+    estimates, calls = {}, 0
+    for c in counts_by_depth:
+        m = 2 * c.depth + 1
+        if noise is None:
+            p1 = np.sin(m * thetas) ** 2
+        else:
+            p1 = (1.0 - (1.0 - effective_eta(noise, c.depth)) * np.cos(2 * m * thetas)) / 2.0
+        logl = 0.0
+        with np.errstate(divide="ignore"):
+            if c.n_good:
+                logl = logl + c.n_good * np.log(p1)
+            if c.n_bad:
+                logl = logl + c.n_bad * np.log(1.0 - p1)
+        updated = bayesian_update(log_post, log_likelihood_rows(thetas, c.depth, noise),
+                                  c.n_good, c.n_bad)
+        log_post = log_post + logl
+        assert np.array_equal(updated, log_post)
+        calls += c.shots * m
+        if estimates or c.kept:
+            k = int(np.argmax(log_post))
+            if log_post[k] == -np.inf:
+                return "posterior underflow: counts are inconsistent with the grid"
+            estimates[c.depth] = Estimate.from_theta(float(thetas[k]), calls, "mle")
+    return estimates or "no kept shots at any depth"
+
+
+@st.composite
+def trial_batches(draw):
+    depths = sorted(draw(st.sets(st.integers(0, 7), min_size=1, max_size=8)))
+    pools = []
+    for _ in range(draw(st.integers(1, 9))):
+        pool = []
+        for d in depths:
+            good, bad, discarded = (draw(st.integers(0, 40)) for _ in range(3))
+            if draw(st.integers(0, 3)) == 0:
+                good = bad = 0  # no kept shot at this depth
+            pool.append(counts(d, good, bad, discarded))
+        pools.append(pool)
+    return pools
+
+
+@settings(max_examples=200, deadline=None)
+@given(pools=trial_batches(), epsilon=st.sampled_from([1.0, 0.5, 0.1, 0.02, 0.01]),
+       noisy=st.booleans(), chunk=st.integers(1, 4))
+def test_chunked_engine_equals_a_scalar_pass_per_trial(pools, epsilon, noisy, chunk):
+    # chunks of `chunk` trials, so most batches cross a chunk boundary; at
+    # epsilon 1 and 1/2 a good count at theta = 0 underflows the posterior
+    noise = NoiseModel.linear_ramp(7) if noisy else None
+    budget = chunk * 3 * 8 * round(1 / epsilon)
+    with mock.patch.object(estimators, "CHUNK_BYTES", budget):
+        assert mle_estimate(pools, epsilon, noise) == [scalar_mle(p, epsilon, noise)
+                                                       for p in pools]
 
 
 # ------------------------------------------------------------------ crt_solve

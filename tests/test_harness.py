@@ -6,13 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lowdepth_ae import estimators, harness
 from lowdepth_ae.estimators import Estimate, mle_estimate
-from lowdepth_ae.harness import (AggregateRow, ExperimentConfig, TrialResult,
-                                 UnidentifiableFitError, aggregate_and_emit,
-                                 calibrate_hybrid, fit_depolarizing,
-                                 run_experiment, run_streams, run_trial,
-                                 sample_vector_pair)
+from lowdepth_ae.harness import (ALGORITHMS, AggregateRow, ExperimentConfig,
+                                 TrialResult, UnidentifiableFitError,
+                                 aggregate_and_emit, calibrate_hybrid,
+                                 fit_depolarizing, run_experiment, run_streams,
+                                 run_trial, run_trials, sample_vector_pair)
 from lowdepth_ae.noise import NoiseModel, noise_floor, sample_noisy_shots
+from lowdepth_ae.schedules import InfeasibleScheduleError, optimize_exponent
 from lowdepth_ae.simulator import DepthCounts
 from lowdepth_ae.cli import main as cli_main
 
@@ -158,6 +160,21 @@ def test_config_validation():
         quiet_config(max_depth=9)  # noise model covers only 0..3
 
 
+def test_config_rejects_a_nonpositive_powerlaw_target():
+    # accepted before, the run died after calibration and every trial
+    with pytest.raises(ValueError, match="powerlaw_target_eps"):
+        quiet_config(powerlaw_target_eps=0.0)
+    with pytest.raises(ValueError, match="powerlaw_target_eps"):
+        quiet_config(powerlaw_target_eps=-0.01)
+
+
+def test_config_rejects_a_negative_hybrid_multiplier():
+    # accepted before, the run died inside calibration
+    with pytest.raises(ValueError, match="beta_hybrid"):
+        quiet_config(beta_hybrid=-1.0)
+    assert quiet_config(beta_hybrid=0.0).beta_hybrid == 0.0
+
+
 @pytest.mark.parametrize("epsilon", [0.3, 0.15])
 def test_epsilon_that_truncates_the_grid_is_rejected(epsilon):
     # round(1/eps) points of spacing pi eps / 2 would stop short of pi/2
@@ -165,14 +182,15 @@ def test_epsilon_that_truncates_the_grid_is_rejected(epsilon):
     with pytest.raises(ValueError):
         quiet_config(epsilon=epsilon)
     with pytest.raises(ValueError):
-        mle_estimate([DepthCounts(depth=0, n_good=1, n_bad=0)], epsilon)
+        mle_estimate([[DepthCounts(depth=0, n_good=1, n_bad=0)]], epsilon)
 
 
 @pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 5e-3, 1e-2])
 def test_epsilon_of_one_over_integer_is_accepted(epsilon):
     assert quiet_config(epsilon=epsilon).epsilon == epsilon
     # all good lands on the top grid point, (1/eps - 1) steps of pi eps / 2
-    top = mle_estimate([DepthCounts(depth=0, n_good=1, n_bad=0)], epsilon)[0]
+    (by_depth,) = mle_estimate([[DepthCounts(depth=0, n_good=1, n_bad=0)]], epsilon)
+    top = by_depth[0]
     assert abs(top.theta_hat - (1 - epsilon) * math.pi / 2) < 1e-12
 
 
@@ -257,6 +275,40 @@ def test_a_row_drops_only_when_its_own_inputs_kept_no_shot(tmp_path):
     assert manifest["trial_errors"]["7"] == trials[7].errors
 
 
+@pytest.mark.parametrize("mle_noise_aware", [False, True])
+def test_batched_trials_equal_trials_run_one_by_one(mle_noise_aware, monkeypatch):
+    # every estimator, leaky pools with empty depths, MLE passes in chunks
+    # of seven trials
+    monkeypatch.setattr(estimators, "CHUNK_BYTES", 7 * 3 * 8 * 100)
+    config = leaky_config(algorithms=ALGORITHMS, mle_noise_aware=mle_noise_aware)
+    cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
+    streams = list(run_streams(config.seed, config.n_trials))[1:]
+    one_by_one = [run_trial(config, sample_vector_pair(rng, config.vector_mode), rng, cal,
+                            trial_id=i) for i, rng in enumerate(streams)]
+    batched = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
+    assert any(t.errors for t in batched)
+    assert batched == one_by_one
+
+
+def test_a_run_solves_the_power_law_schedule_once(tmp_path, monkeypatch):
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return optimize_exponent(*args)
+
+    monkeypatch.setattr(harness, "optimize_exponent", counted)
+    config = quiet_config(n_trials=6, algorithms=("direct", "powerlaw"),
+                          powerlaw_target_eps=1e-9)  # infeasible on purpose
+    trials, paths = run_experiment(config, out_dir=tmp_path)
+    assert len(solves) == 1
+    with pytest.raises(InfeasibleScheduleError) as exc:
+        optimize_exponent(1e-9, config.n_shots, config.max_depth, config.noise.gamma_by_depth)
+    manifest = json.loads(paths["manifest"].read_text(encoding="utf-8"))
+    assert manifest["trial_errors"] == {str(i): {"powerlaw": f"depth eps=1e-09: {exc.value}"}
+                                        for i in range(6)}
+
+
 # ------------------------------------------------------------------ noise fit
 
 def make_fit_data(gamma, n_trials=40, shots=100_000, seed=0):
@@ -288,6 +340,24 @@ def test_fit_degenerate_probabilities_unidentifiable():
               for _ in range(5)]
     with pytest.raises(UnidentifiableFitError):
         fit_depolarizing(counts, [theta] * 5)
+
+
+def test_fit_leaves_out_trials_that_kept_no_shot():
+    # 8 shots at 60% leakage: some trials keep no shot at some depth.  Such
+    # a trial has no good fraction there; it used to enter the regression
+    # as rate 1/2 and pull the fitted damping up.
+    model = NoiseModel.linear_ramp(7, leak_prob=0.6)
+    rng = np.random.default_rng(8)
+    thetas = rng.uniform(0.0, math.pi / 2, 300)
+    counts = [[sample_noisy_shots(theta, d, 8, model, rng) for d in range(8)]
+              for theta in thetas]
+    assert any(c.kept == 0 for trial in counts for c in trial)
+    empty = [DepthCounts(depth=d, n_good=0, n_bad=0, n_discarded=8) for d in range(8)]
+    with_empty = counts[:100] + [empty] * 50 + counts[100:]
+    thetas_with_empty = np.concatenate([thetas[:100], np.full(50, 0.3), thetas[100:]])
+    assert fit_depolarizing(with_empty, thetas_with_empty) == fit_depolarizing(counts, thetas)
+    with pytest.raises(UnidentifiableFitError, match="fewer than two"):
+        fit_depolarizing([counts[0], empty, empty], thetas[:3])
 
 
 def test_fit_needs_two_trials():

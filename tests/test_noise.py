@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdepth_ae.noise import (CorrelatedNoise, NoiseModel, effective_eta,
                                noise_floor, noisy_prob, sample_noisy_shots)
+from lowdepth_ae.simulator import DepthCounts
 
 CHI2_CRIT_2DOF = 13.816  # p = 0.999 critical value, 2 degrees of freedom
 
@@ -176,3 +179,49 @@ def test_correlated_bursts_change_the_rate():
     theta, depth, n = 0.05, 3, 100_000  # amplified prob far from the 1/2 fixed point
     counts = sample_noisy_shots(theta, depth, n, corr, np.random.default_rng(2))
     assert _chi2_vs_independent(counts, theta, depth, base, n) > CHI2_CRIT_2DOF
+
+
+def scalar_burst_shots(theta, depth, n_shots, model, rng):
+    """The shot-by-shot burst chain: the reference the sampler must equal."""
+    corr = model.correlation
+    eta = effective_eta(model, depth)
+    p_t = math.sin((2 * depth + 1) * theta) ** 2
+    p_enter = corr.p_switch * (1.0 - corr.p_switch)
+    p_leave = corr.p_switch
+    eta_burst = min(eta * corr.burst_scale, 1.0)
+    p_quiet = p_t * (1 - eta) + eta / 2
+    p_burst = p_t * (1 - eta_burst) + eta_burst / 2
+    u_state = rng.random(n_shots)
+    u_leak = rng.random(n_shots) if model.leak_prob > 0 else None
+    u_out = rng.random(n_shots)
+    n_good = n_bad = n_disc = 0
+    burst = False
+    for i in range(n_shots):
+        burst = (u_state[i] >= p_leave) if burst else (u_state[i] < p_enter)
+        if u_leak is not None and u_leak[i] < model.leak_prob:
+            n_disc += 1
+            continue
+        if u_out[i] < (p_burst if burst else p_quiet):
+            n_good += 1
+        else:
+            n_bad += 1
+    return DepthCounts(depth=depth, n_good=n_good, n_bad=n_bad, n_discarded=n_disc)
+
+
+unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_switch=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+       burst_scale=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+       leak=st.one_of(st.just(0.0), unit), n_shots=st.integers(0, 600),
+       theta=st.floats(0.0, math.pi / 2), depth=st.integers(0, 7),
+       gamma=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_burst_sampler_equals_the_shot_by_shot_chain(p_switch, burst_scale, leak, n_shots,
+                                                      theta, depth, gamma, seed):
+    model = NoiseModel(gamma_by_depth=(gamma,) * 8, leak_prob=leak,
+                       correlation=CorrelatedNoise(p_switch=p_switch, burst_scale=burst_scale))
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert (sample_noisy_shots(theta, depth, n_shots, model, fast)
+            == scalar_burst_shots(theta, depth, n_shots, model, slow))
+    assert fast.random() == slow.random()  # the same number of draws
