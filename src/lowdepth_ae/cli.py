@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, extra in (
             ("run", _cmd_run, "run the configured experiment and emit data files"),
             ("calibrate", _cmd_calibrate, "write hybrid calibration values"),
-            ("fit-noise", _cmd_fit_noise, "fit per-depth depolarizing rates from simulated data"),
+            ("fit-noise", _cmd_fit_noise,
+             "fit -log(1 - eta_d) = gamma_d - log(1 - beta) per depth from simulated data"),
             ("sweep", _cmd_sweep, "repeat the run over a parameter range")):
         p = sub.add_parser(name, help=extra)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")

@@ -13,8 +13,8 @@ supplied; 500-shot exponents would overflow outside log space.  The
 estimate at maximum depth D uses the shots at depths 0..D, so one pass
 over the depths gives the estimate at every D: the argmax after each
 depth's update.  The log-likelihood rows depend only on the grid, the
-noise and the depth, so the engine computes them once per depth for a
-chunk of trials and updates the chunk's posteriors together.
+noise and the depth, so the engine computes them once per depth and call,
+and updates the posteriors of a chunk of trials together.
 
 The CRT estimator recovers the angle as ``v pi / (4 D^2 - 1)`` from folded
 low-precision residues of ``v`` modulo the coprime pair (2D-1, 2D+1).  The
@@ -40,7 +40,9 @@ from .simulator import DepthCounts
 EXTENDED_OFFSETS = tuple((d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1))
 # Bytes of posterior and update scratch, three (trials x grid) float64
 # arrays, that mle_estimate holds per chunk of trials: two trials at
-# epsilon=1e-4, 21 at 1e-3, 218 at 1e-2.
+# epsilon=1e-4, 21 at 1e-3, 218 at 1e-2.  The likelihood table shared by
+# all chunks, depths x 2 x grid float64 (1.28 MB for 8 depths at 1e-4),
+# sits outside this budget.
 CHUNK_BYTES = 1 << 19
 
 
@@ -50,7 +52,11 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Estimate:
-    """Final angle/probability estimate with oracle-call accounting."""
+    """Final angle/probability estimate with oracle-call accounting.
+
+    The estimators record the maximum depth of the shots behind the
+    estimate as its row label, ``diagnostics["label"]``.
+    """
 
     theta_hat: float
     p_hat: float
@@ -120,7 +126,7 @@ def direct_estimate(counts: DepthCounts) -> Estimate:
     p_hat = counts.n_good / counts.kept
     theta = math.asin(math.sqrt(p_hat))
     return Estimate.from_theta(theta, oracle_calls=counts.shots * (2 * counts.depth + 1),
-                               algorithm="direct")
+                               algorithm="direct", diagnostics={"label": counts.depth})
 
 
 def log_likelihood_rows(thetas: np.ndarray, depth: int,
@@ -174,23 +180,24 @@ def mle_estimate(pools, epsilon: float = 0.001,
     trial whose entries kept no shot, or whose counts rule out every grid
     angle, gets the reason it has no estimate in place of the dict.
 
-    Trials are updated in chunks whose posteriors and update scratch fit
-    :data:`CHUNK_BYTES`; the likelihood rows are computed once per chunk
-    and entry, so memory stays bounded at any trial count and grid size.
+    The likelihood rows of each entry are computed once and serve every
+    trial; trials are updated in chunks whose posteriors and update scratch
+    fit :data:`CHUNK_BYTES`, so memory stays bounded at any trial count.
     """
     thetas = np.pi * np.arange(_grid_size(epsilon)) * epsilon / 2.0
     pools = [tuple(pool) for pool in pools]
     depths = [counts.depth for counts in pools[0]] if pools else []
     if any([counts.depth for counts in pool] != depths for pool in pools):
         raise ValueError("every trial needs the same depths in the same order")
+    table = [log_likelihood_rows(thetas, depth, noise) for depth in depths]
     size = max(1, CHUNK_BYTES // (3 * thetas.nbytes))
     results = []
     for start in range(0, len(pools), size):
-        results += _mle_chunk(pools[start:start + size], depths, thetas, noise)
+        results += _mle_chunk(pools[start:start + size], depths, thetas, table)
     return results
 
 
-def _mle_chunk(pools, depths, thetas, noise) -> list[dict[int, Estimate] | str]:
+def _mle_chunk(pools, depths, thetas, table) -> list[dict[int, Estimate] | str]:
     counts = np.array([[(c.n_good, c.n_bad, c.shots) for c in pool] for pool in pools],
                       dtype=np.int64).reshape(len(pools), len(depths), 3)
     log_post = np.zeros((len(pools), thetas.size))
@@ -200,16 +207,16 @@ def _mle_chunk(pools, depths, thetas, noise) -> list[dict[int, Estimate] | str]:
     # an underflowed posterior is -inf everywhere and stays so
     underflow = np.zeros(len(pools), dtype=bool)
     calls = np.zeros(len(pools), dtype=np.int64)
-    for j, depth in enumerate(depths):
+    for j, (depth, rows) in enumerate(zip(depths, table)):
         n_good, n_bad, shots = counts[:, j].T
-        log_post = bayesian_update(log_post, log_likelihood_rows(thetas, depth, noise),
-                                   n_good, n_bad)
+        log_post = bayesian_update(log_post, rows, n_good, n_bad)
         calls += shots * (2 * depth + 1)
         started |= n_good + n_bad > 0
         k = np.argmax(log_post, axis=1)
         underflow = log_post[trials, k] == -np.inf
         for t in map(int, np.flatnonzero(started & ~underflow)):
-            estimates[t][depth] = Estimate.from_theta(float(thetas[k[t]]), int(calls[t]), "mle")
+            estimates[t][depth] = Estimate.from_theta(float(thetas[k[t]]), int(calls[t]), "mle",
+                                                      {"label": depth})
     return ["posterior underflow: counts are inconsistent with the grid" if underflow[t]
             else estimates[t] or "no kept shots at any depth" for t in trials]
 
@@ -245,15 +252,12 @@ def crt_reconstruct(p_d: float, p_dm1: float, theta_ref: float,
     s1 = _sign(math.sin(2 * n1 * theta_ref))
     s2 = _sign(math.sin(2 * n2 * theta_ref))
     base1, base2 = round(s2 * l / 2), round(s1 * h / 2)
-    candidates = tuple(crt_solve((base1 + d1) % n1, n1, (base2 + d2) % n2, n2)
-                       for d1, d2 in EXTENDED_OFFSETS)
+    inverse = pow(n1, -1, n2)  # crt_solve of each offset pair, sharing one inverse
+    candidates = tuple([r1 + n1 * ((r2 - r1) * inverse % n2) for r1, r2 in
+                        [((base1 + d1) % n1, (base2 + d2) % n2) for d1, d2 in EXTENDED_OFFSETS]])
     p0 = math.sin(theta_ref) ** 2
-    best = None
-    for v in candidates:
-        folded = min(v, modulus - v)  # sin^2 cannot tell v from modulus - v
-        err = abs(math.sin(folded * math.pi / modulus) ** 2 - p0)
-        if best is None or (err, folded) < best:
-            best = (err, folded)
+    folded = [min(v, modulus - v) for v in candidates]  # sin^2 cannot tell v from modulus - v
+    best = min([(abs(math.sin(f * math.pi / modulus) ** 2 - p0), f) for f in folded])
     context = CrtContext(d_max=d_max, n1=n1, n2=n2, modulus=modulus, l=l, h=h,
                          s1=s1, s2=s2, candidates=candidates)
     return best[1] * math.pi / modulus, context
@@ -278,7 +282,8 @@ def crt_estimate(counts_at_d: DepthCounts, counts_at_dm1: DepthCounts,
              + counts_at_d.shots * (2 * d_max + 1)
              + counts_at_dm1.shots * (2 * d_max - 1))
     return Estimate.from_theta(theta, oracle_calls=calls, algorithm="crt",
-                               diagnostics={"context": context, "anchor": mle_low_depth})
+                               diagnostics={"context": context, "anchor": mle_low_depth,
+                                            "label": d_max})
 
 
 def hybrid_estimate(mle_low_depth: Estimate, crt: Estimate,
@@ -287,7 +292,7 @@ def hybrid_estimate(mle_low_depth: Estimate, crt: Estimate,
 
     The acceptance window is ``beta * |MLE_avg(2) - CRT_exact(D)|``; outside
     it the estimator falls back to the low-depth MLE value.  The chosen
-    branch is recorded in the diagnostics.
+    branch is recorded in the diagnostics, beside the CRT estimate's label.
     """
     disagreement = abs(mle_low_depth.p_hat - crt.p_hat)
     if disagreement > calibration.threshold:
@@ -298,4 +303,5 @@ def hybrid_estimate(mle_low_depth: Estimate, crt: Estimate,
                                algorithm="hybrid",
                                diagnostics={"branch": branch,
                                             "disagreement": disagreement,
-                                            "threshold": calibration.threshold})
+                                            "threshold": calibration.threshold,
+                                            "label": (crt.diagnostics or {}).get("label")})

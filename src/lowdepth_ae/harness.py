@@ -176,15 +176,6 @@ def sample_vector_pair(rng: np.random.Generator, mode: str = "haar"):
     raise ValueError(f"unknown vector mode {mode!r}")
 
 
-def _with_label(est, label):
-    """``est`` with its row label in its diagnostics; a reason passes through."""
-    if isinstance(est, str):
-        return est
-    diag = dict(est.diagnostics or {})
-    diag["label"] = label
-    return dataclasses.replace(est, diagnostics=diag)
-
-
 def run_streams(seed: int, n_trials: int) -> Iterator[np.random.Generator]:
     """The random streams of a run: stream 0 calibrates, stream i + 1 feeds trial i.
 
@@ -252,23 +243,30 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None,
     :func:`_powerlaw_plan` the draws were made with.
     """
     pools = [pool for _, pool, _ in draws]
-    # per trial: algorithm -> row label -> the labeled estimate, or why the row has none
+    # per trial: algorithm -> row label -> the estimate, or why the row has none
     rows: list[dict[str, dict]] = [{} for _ in draws]
     if "direct" in config.algorithms:
         for by_alg, pool in zip(rows, pools):
-            by_alg["direct"] = {0: _with_label(_attempt(direct_estimate, pool[0]), 0)}
+            by_alg["direct"] = {0: _attempt(direct_estimate, pool[0])}
 
+    anchors = [None] * len(draws)
     if "mle" in config.algorithms:
         mle_noise = config.noise if config.mle_noise_aware else None
-        for by_alg, mle in zip(rows, mle_estimate(pools, config.epsilon, mle_noise)):
-            by_alg["mle"] = {d: _with_label(_at(mle, d), d) for d in range(config.max_depth + 1)}
+        for t, mle in enumerate(mle_estimate(pools, config.epsilon, mle_noise)):
+            rows[t]["mle"] = {d: _at(mle, d) for d in range(config.max_depth + 1)}
+            if mle_noise is None:
+                anchors[t] = _at(mle, 2)
 
     if "crt" in config.algorithms or "hybrid" in config.algorithms:
         cal = calibrations or {}
-        anchor_passes = mle_estimate([pool[:3] for pool in pools], config.epsilon)
-        for by_alg, pool, anchor_pass in zip(rows, pools, anchor_passes):
-            anchor = _at(anchor_pass, 2)
-            crt = {d: _with_label(_attempt(crt_estimate, pool[d], pool[d - 1], anchor, d), d)
+        # a trial without a depth-2 estimate from a noise-unaware MLE pass
+        # gets its anchor from its own pass over depths 0..2
+        redo = [t for t, anchor in enumerate(anchors) if not isinstance(anchor, Estimate)]
+        for t, anchor_pass in zip(redo, mle_estimate([pools[t][:3] for t in redo],
+                                                     config.epsilon)):
+            anchors[t] = _at(anchor_pass, 2)
+        for by_alg, pool, anchor in zip(rows, pools, anchors):
+            crt = {d: _attempt(crt_estimate, pool[d], pool[d - 1], anchor, d)
                    if isinstance(anchor, Estimate) else f"anchor: {anchor}"
                    for d in range(2, config.max_depth + 1)}
             if "crt" in config.algorithms:
@@ -281,7 +279,7 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None,
                     elif d not in cal:
                         by_alg["hybrid"][d] = "no calibration"
                     else:
-                        by_alg["hybrid"][d] = _with_label(hybrid_estimate(anchor, est, cal[d]), d)
+                        by_alg["hybrid"][d] = hybrid_estimate(anchor, est, cal[d])
 
     if "powerlaw" in config.algorithms:
         label = f"eps={config.powerlaw_target_eps:g}"
@@ -322,9 +320,10 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
     exactly once; the power-law estimator subsamples the recorded pool
     without replacement rather than taking fresh shots.  One MLE pass over
     the pool gives the MLE row at every depth.  CRT and hybrid rows share a
-    depth-2 anchor from a separate noise-unaware MLE pass over depths 0..2,
-    carried in each CRT estimate's ``diagnostics["anchor"]``.  A row whose
-    own inputs kept no shot is dropped, and its depth and reason are
+    depth-2 anchor, carried in each CRT estimate's ``diagnostics["anchor"]``:
+    the depth-2 MLE row when that pass is noise-unaware and has one, else
+    the estimate of a separate noise-unaware pass over depths 0..2.  A row
+    whose own inputs kept no shot is dropped, and its depth and reason are
     recorded in ``errors`` under its algorithm; the other rows stay.
     """
     plan = _powerlaw_plan(config)
@@ -421,7 +420,10 @@ def fit_depolarizing(counts_by_trial, true_thetas) -> list[float]:
     """Least-squares depolarizing rates from observed good fractions.
 
     Per depth the model ``g = (1 - a cos(2 (2d+1) theta)) / 2`` is solved
-    for ``a = exp(-gamma_d)`` in closed form and clamped into (0, 1].  A
+    for ``a`` in closed form and clamped into (0, 1], and ``-log a`` is
+    returned.  Since ``a = 1 - eta_d = (1 - beta) exp(-gamma_d)``, that is
+    ``gamma_d - log(1 - beta)``, not ``gamma_d``: the readout error and the
+    damping cannot be told apart from the counts.  A
     trial that kept no shot at a depth has no good fraction there and is
     left out of that depth's regression.  Raises
     :class:`UnidentifiableFitError` when fewer than two trials kept a shot

@@ -236,7 +236,8 @@ def scalar_mle(counts_by_depth, epsilon, noise):
             k = int(np.argmax(log_post))
             if log_post[k] == -np.inf:
                 return "posterior underflow: counts are inconsistent with the grid"
-            estimates[c.depth] = Estimate.from_theta(float(thetas[k]), calls, "mle")
+            estimates[c.depth] = Estimate.from_theta(float(thetas[k]), calls, "mle",
+                                                     {"label": c.depth})
     return estimates or "no kept shots at any depth"
 
 
@@ -266,6 +267,22 @@ def test_chunked_engine_equals_a_scalar_pass_per_trial(pools, epsilon, noisy, ch
     with mock.patch.object(estimators, "CHUNK_BYTES", budget):
         assert mle_estimate(pools, epsilon, noise) == [scalar_mle(p, epsilon, noise)
                                                        for p in pools]
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4])
+def test_likelihood_rows_are_built_once_per_depth_per_call(chunk, noisy):
+    # nine trials in chunks of `chunk` trials share one likelihood table
+    rng = np.random.default_rng(chunk)
+    depths, epsilon = [0, 1, 2, 5], 0.01
+    noise = NoiseModel.linear_ramp(7) if noisy else None
+    pools = [[counts(d, *map(int, rng.integers(0, 20, 3))) for d in depths] for _ in range(9)]
+    expected = [scalar_mle(p, epsilon, noise) for p in pools]
+    with mock.patch.object(estimators, "CHUNK_BYTES", chunk * 3 * 8 * 100), \
+            mock.patch.object(estimators, "log_likelihood_rows",
+                              wraps=log_likelihood_rows) as rows:
+        assert mle_estimate(pools, epsilon, noise) == expected
+    assert [c.args[1:] for c in rows.call_args_list] == [(d, noise) for d in depths]
 
 
 # ------------------------------------------------------------------ crt_solve

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from lowdepth_ae import estimators, harness
-from lowdepth_ae.estimators import Estimate, mle_estimate
+from lowdepth_ae.estimators import (Estimate, crt_estimate, hybrid_estimate,
+                                    mle_estimate)
 from lowdepth_ae.harness import (ALGORITHMS, AggregateRow, ExperimentConfig,
                                  TrialResult, UnidentifiableFitError,
                                  aggregate_and_emit, calibrate_hybrid,
@@ -288,6 +289,69 @@ def test_batched_trials_equal_trials_run_one_by_one(mle_noise_aware, monkeypatch
     batched = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
     assert any(t.errors for t in batched)
     assert batched == one_by_one
+
+
+def rows_on_a_separate_anchor_pass(config, trials, cal):
+    """Per trial, the CRT and hybrid rows by label, built on the depth-2
+    estimate of the trial's own noise-unaware MLE pass over depths 0..2."""
+    expected = []
+    for trial, anchor_pass in zip(trials, mle_estimate(
+            [t.counts_by_depth[:3] for t in trials], config.epsilon)):
+        pool, crt, hybrid = trial.counts_by_depth, {}, {}
+        anchor = anchor_pass.get(2) if isinstance(anchor_pass, dict) else None
+        for d in range(2, config.max_depth + 1):
+            if anchor is not None and pool[d].kept and pool[d - 1].kept:
+                crt[d] = crt_estimate(pool[d], pool[d - 1], anchor, d)
+                hybrid[d] = hybrid_estimate(anchor, crt[d], cal[d])
+        expected.append({"crt": crt, "hybrid": hybrid})
+    return expected
+
+
+def by_label(estimates):
+    return {e.diagnostics["label"]: e for e in estimates}
+
+
+@pytest.mark.parametrize("algorithms,mle_noise_aware", [
+    (("mle", "crt", "hybrid"), False), (("mle", "crt", "hybrid"), True),
+    (("crt", "hybrid"), False)])
+def test_crt_and_hybrid_rows_equal_those_on_a_separate_anchor_pass(algorithms,
+                                                                   mle_noise_aware):
+    # leaky pools: some trials keep no shot at a depth the anchor or a CRT row needs
+    config = leaky_config(algorithms=algorithms, mle_noise_aware=mle_noise_aware)
+    cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
+    trials = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
+    assert any(c.kept == 0 for t in trials for c in t.counts_by_depth[:3])
+    expected = rows_on_a_separate_anchor_pass(config, trials, cal)
+    assert [{alg: by_label(t.estimates[alg]) for alg in ("crt", "hybrid")}
+            for t in trials] == expected
+    if algorithms[0] == "mle" and not mle_noise_aware:
+        # the anchor is the MLE row at depth 2 itself
+        assert all(crt.diagnostics["anchor"] is by_label(t.estimates["mle"])[2]
+                   for t in trials for crt in t.estimates["crt"])
+
+
+def test_an_mle_pass_that_fails_after_depth_2_keeps_the_crt_anchor(monkeypatch):
+    # fabricate an underflow after depth 2: the engine's full-depth pass
+    # loses trial 0, whose anchor then comes from its own pass over depths 0..2
+    calls = []
+
+    def failing_after_depth_2(pools, epsilon, noise=None):
+        calls.append(len(pools))
+        result = mle_estimate(pools, epsilon, noise)
+        if pools and len(pools[0]) > 3:
+            result[0] = "posterior underflow: counts are inconsistent with the grid"
+        return result
+
+    config = quiet_config(algorithms=("mle", "crt", "hybrid"))
+    cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
+    monkeypatch.setattr(harness, "mle_estimate", failing_after_depth_2)
+    trials = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
+    assert calls == [config.n_trials, 1]
+    assert trials[0].estimates["mle"] == ()
+    assert trials[0].errors["mle"].startswith("depth 0: posterior underflow")
+    assert len(trials[0].estimates["crt"]) == len(trials[0].estimates["hybrid"]) == 2
+    assert [{alg: by_label(t.estimates[alg]) for alg in ("crt", "hybrid")}
+            for t in trials] == rows_on_a_separate_anchor_pass(config, trials, cal)
 
 
 def test_a_run_solves_the_power_law_schedule_once(tmp_path, monkeypatch):
