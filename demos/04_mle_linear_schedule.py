@@ -19,15 +19,9 @@ for aware in (False, True):
         vector_mode="uniform-theta", algorithms=("direct", "mle"),
         noise=NoiseModel.linear_ramp(7), mle_noise_aware=aware)
     with tempfile.TemporaryDirectory() as tmp:
-        trials, _ = run_experiment(config, out_dir=tmp)
-    per_depth = {d: [] for d in range(8)}
-    direct_errs = []
-    for trial in trials:
-        direct_errs.append(abs(trial.estimates["direct"][0].p_hat - trial.p_true))
-        for est in trial.estimates["mle"]:
-            per_depth[est.diagnostics["label"]].append(abs(est.p_hat - trial.p_true))
-    results[aware] = ({d: float(np.mean(v)) for d, v in per_depth.items()},
-                      float(np.mean(direct_errs)))
+        table, _ = run_experiment(config, out_dir=tmp)
+    results[aware] = ({d: float(np.mean(table.err_p("mle", d))) for d in range(8)},
+                      float(np.mean(table.err_p("direct", 0))))
 
 print(f"direct sampling at depth 0 (500 shots): mean error {results[False][1]:.4f}\n")
 print(f"{'max depth':>9} {'oracle calls':>13} {'plain MLE':>11} {'noise-aware':>12}")

@@ -33,13 +33,12 @@ config = ExperimentConfig(n_trials=150, n_shots=500, max_depth=7, seed=5,
                           vector_mode="uniform-theta", algorithms=("crt",),
                           noise=noise)
 with tempfile.TemporaryDirectory() as tmp:
-    trials, _ = run_experiment(config, out_dir=tmp)
+    table, _ = run_experiment(config, out_dir=tmp)
 
 print("\n500 shots per depth under bursty depolarizing noise:")
 print(f"{'D':>3} {'mean err':>9} {'median':>8} {'outliers>3x median':>19}")
 for d_max in range(2, 8):
-    errs = np.array([abs(e.p_hat - t.p_true) for t in trials
-                     for e in t.estimates["crt"] if e.diagnostics["label"] == d_max])
+    errs = table.err_p("crt", d_max)
     med = float(np.median(errs))
     print(f"{d_max:>3} {errs.mean():>9.4f} {med:>8.4f} {float(np.mean(errs > 3 * med)):>19.2f}")
 

@@ -19,23 +19,16 @@ config = ExperimentConfig(n_trials=150, n_shots=500, max_depth=7, seed=13,
                           algorithms=("mle", "crt", "hybrid"), noise=noise,
                           tune_beta=True, calib_trials=150)
 with tempfile.TemporaryDirectory() as tmp:
-    trials, _ = run_experiment(config, out_dir=tmp)
+    table, _ = run_experiment(config, out_dir=tmp)
 
-mle2 = float(np.mean([abs(e.p_hat - t.p_true) for t in trials
-                      for e in t.estimates["mle"] if e.diagnostics["label"] == 2]))
+mle2 = float(np.mean(table.err_p("mle", 2)))
 print(f"depth-2 MLE mean error: {mle2:.4f}\n")
 print(f"{'D':>3} {'crt':>8} {'hybrid':>8} {'fallback rate':>14}")
 for d_max in range(2, 8):
-    crt = np.array([abs(e.p_hat - t.p_true) for t in trials
-                    for e in t.estimates["crt"] if e.diagnostics["label"] == d_max])
-    hyb, branches = [], []
-    for t in trials:
-        for e in t.estimates["hybrid"]:
-            if e.diagnostics["label"] == d_max:
-                hyb.append(abs(e.p_hat - t.p_true))
-                branches.append(e.diagnostics["branch"])
-    fallback = branches.count("mle") / len(branches)
-    print(f"{d_max:>3} {crt.mean():>8.4f} {np.mean(hyb):>8.4f} {fallback:>14.2f}")
+    k = table.slot("hybrid", d_max)
+    fallback = float(np.mean(table.branch[table.kept[:, k], k] == "mle"))
+    print(f"{d_max:>3} {table.err_p('crt', d_max).mean():>8.4f} "
+          f"{table.err_p('hybrid', d_max).mean():>8.4f} {fallback:>14.2f}")
 
 print("\nThe hybrid never loses to plain CRT and its best depth improves on")
 print("the depth-2 MLE it falls back to.")

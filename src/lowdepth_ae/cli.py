@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from .circuits import build_iterated_circuit, compile_to_two_qubit, compiled_sta
 from .harness import (ExperimentConfig, calibrate_hybrid, calibration_record,
                       fit_depolarizing, run_experiment, run_streams, run_trial,
                       sample_vector_pair, write_json)
+from .noise import effective_eta
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -77,16 +79,17 @@ def _cmd_fit_noise(args) -> int:
     counts, thetas = [], []
     for rng in streams:
         trial = run_trial(sampling, sample_vector_pair(rng, config.vector_mode), rng)
-        counts.append(trial.counts_by_depth)
-        thetas.append(trial.theta_true)
+        counts.append(trial.counts[0])
+        thetas.append(trial.theta_true[0])
     gammas = fit_depolarizing(counts, thetas)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "gamma_fit.json"
     write_json(path, {"gamma_by_depth": gammas})
+    # the fit measures -log(1 - eta_d), readout error included
     print(f"{'depth':>6} {'gamma_model':>12} {'gamma_fit':>12}")
     for d, g in enumerate(gammas):
-        print(f"{d:>6} {config.noise.gamma_by_depth[d]:>12.4f} {g:>12.4f}")
+        print(f"{d:>6} {-math.log(1.0 - effective_eta(config.noise, d)):>12.4f} {g:>12.4f}")
     print(f"gamma fit: {path}")
     return 0
 

@@ -1,9 +1,11 @@
 """Amplitude estimators: direct sampling, grid-posterior MLE, CRT, hybrid.
 
-All estimators return an :class:`Estimate` whose probability is tied to the
-angle by ``p_hat = sin^2(theta_hat)`` and whose oracle-call count charges
-``2d+1`` calls per shot taken at depth ``d`` (discarded shots included:
-the oracle ran for them too).
+Every estimate ties its probability to its angle by ``p_hat =
+sin^2(theta_hat)`` and charges ``2d+1`` oracle calls per shot taken at
+depth ``d`` (discarded shots included: the oracle ran for them too).  The
+scalar estimators return one :class:`Estimate`; :func:`mle_estimate` and
+:func:`crt_columns` fill arrays for many trials at once, equal element by
+element to the scalar arithmetic.
 
 The maximum-likelihood engine keeps an unnormalized log-posterior over the
 angles ``theta_k = pi k eps / 2`` and adds per-depth binomial
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,11 +55,7 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Estimate:
-    """Final angle/probability estimate with oracle-call accounting.
-
-    The estimators record the maximum depth of the shots behind the
-    estimate as its row label, ``diagnostics["label"]``.
-    """
+    """Final angle/probability estimate with oracle-call accounting."""
 
     theta_hat: float
     p_hat: float
@@ -87,19 +86,18 @@ def _grid_size(epsilon: float) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class CrtContext:
-    """Intermediate quantities of one CRT reconstruction."""
+class CrtReadings(NamedTuple):
+    """CRT estimates, their probabilities, folded readings and fold signs.
 
-    d_max: int
-    n1: int
-    n2: int
-    modulus: int
-    l: float
-    h: float
-    s1: int
-    s2: int
-    candidates: tuple[int, ...]
+    Scalars from :func:`crt_reconstruct`, arrays from :func:`crt_columns`.
+    """
+
+    theta: float | np.ndarray
+    p_hat: float | np.ndarray
+    l: float | np.ndarray
+    h: float | np.ndarray
+    s1: int | np.ndarray
+    s2: int | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ def direct_estimate(counts: DepthCounts) -> Estimate:
     p_hat = counts.n_good / counts.kept
     theta = math.asin(math.sqrt(p_hat))
     return Estimate.from_theta(theta, oracle_calls=counts.shots * (2 * counts.depth + 1),
-                               algorithm="direct", diagnostics={"label": counts.depth})
+                               algorithm="direct")
 
 
 def log_likelihood_rows(thetas: np.ndarray, depth: int,
@@ -166,59 +164,71 @@ def bayesian_update(log_post: np.ndarray, rows: tuple[np.ndarray, np.ndarray],
     return np.add(log_post, logl, out=logl)
 
 
-def mle_estimate(pools, epsilon: float = 0.001,
-                 noise: NoiseModel | None = None) -> list[dict[int, Estimate] | str]:
+class MlePass(NamedTuple):
+    """Columns of one :func:`mle_estimate` call, one row per trial.
+
+    ``theta[t, j]`` is the estimate after entry ``j`` (``nan`` if none),
+    ``calls[t, j]`` its cumulative oracle calls, and ``reason[t]`` why trial
+    ``t`` has no estimate at all, or ``None``.
+    """
+
+    theta: np.ndarray
+    calls: np.ndarray
+    reason: np.ndarray
+
+
+def mle_estimate(counts, depths, epsilon: float = 0.001,
+                 noise: NoiseModel | None = None) -> MlePass:
     """Maximum-likelihood angles of each trial after each entry of its counts.
 
-    ``pools`` holds one depth-ordered list of counts per trial, every list
-    with the same depths in the same order.  For each trial one pass from a
-    uniform prior on the ``1/epsilon``-point grid applies the update of
-    each entry in order (noise-aware when a model is given) and records the
-    posterior argmax after it, ties broken toward smaller angles, keyed by
-    the entry's depth.  Oracle calls are cumulative over the entries so
-    far.  Entries before the trial's first kept shot get no estimate.  A
-    trial whose entries kept no shot, or whose counts rule out every grid
-    angle, gets the reason it has no estimate in place of the dict.
+    ``counts[t, j]`` holds the (good, bad, discarded) tallies of trial ``t``
+    at depth ``depths[j]``.  For each trial one pass from a uniform prior on
+    the ``1/epsilon``-point grid applies the update of each entry in order
+    (noise-aware when a model is given) and records the posterior argmax
+    after it, ties broken toward smaller angles.  Oracle calls are
+    cumulative over the entries so far.  Entries before the trial's first
+    kept shot get no estimate.  A trial whose entries kept no shot, or
+    whose counts rule out every grid angle, gets no estimate at any entry
+    and the reason in ``reason``.
 
     The likelihood rows of each entry are computed once and serve every
     trial; trials are updated in chunks whose posteriors and update scratch
     fit :data:`CHUNK_BYTES`, so memory stays bounded at any trial count.
     """
     thetas = np.pi * np.arange(_grid_size(epsilon)) * epsilon / 2.0
-    pools = [tuple(pool) for pool in pools]
-    depths = [counts.depth for counts in pools[0]] if pools else []
-    if any([counts.depth for counts in pool] != depths for pool in pools):
-        raise ValueError("every trial needs the same depths in the same order")
+    depths = list(depths)
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 3 or counts.shape[1:] != (len(depths), 3):
+        raise ValueError("counts need one (good, bad, discarded) entry per depth and trial")
     table = [log_likelihood_rows(thetas, depth, noise) for depth in depths]
     size = max(1, CHUNK_BYTES // (3 * thetas.nbytes))
-    results = []
-    for start in range(0, len(pools), size):
-        results += _mle_chunk(pools[start:start + size], depths, thetas, table)
-    return results
+    theta = np.full(counts.shape[:2], np.nan)
+    calls = np.cumsum(counts.sum(axis=2) * (2 * np.array(depths, dtype=np.int64) + 1), axis=1)
+    reason = np.full(len(counts), None, dtype=object)
+    for start in range(0, len(counts), size):
+        chunk = slice(start, start + size)
+        reason[chunk] = _mle_chunk(counts[chunk], thetas, table, theta[chunk])
+    return MlePass(theta, calls, reason)
 
 
-def _mle_chunk(pools, depths, thetas, table) -> list[dict[int, Estimate] | str]:
-    counts = np.array([[(c.n_good, c.n_bad, c.shots) for c in pool] for pool in pools],
-                      dtype=np.int64).reshape(len(pools), len(depths), 3)
-    log_post = np.zeros((len(pools), thetas.size))
-    trials = np.arange(len(pools))
-    estimates: list[dict[int, Estimate]] = [{} for _ in pools]
-    started = np.zeros(len(pools), dtype=bool)
+def _mle_chunk(counts, thetas, table, theta) -> list:
+    """Fill ``theta`` for one chunk of trials; return each trial's failure reason."""
+    log_post = np.zeros((len(counts), thetas.size))
+    trials = np.arange(len(counts))
+    started = np.zeros(len(counts), dtype=bool)
     # an underflowed posterior is -inf everywhere and stays so
-    underflow = np.zeros(len(pools), dtype=bool)
-    calls = np.zeros(len(pools), dtype=np.int64)
-    for j, (depth, rows) in enumerate(zip(depths, table)):
-        n_good, n_bad, shots = counts[:, j].T
+    underflow = np.zeros(len(counts), dtype=bool)
+    for j, rows in enumerate(table):
+        n_good, n_bad = counts[:, j, 0], counts[:, j, 1]
         log_post = bayesian_update(log_post, rows, n_good, n_bad)
-        calls += shots * (2 * depth + 1)
         started |= n_good + n_bad > 0
         k = np.argmax(log_post, axis=1)
         underflow = log_post[trials, k] == -np.inf
-        for t in map(int, np.flatnonzero(started & ~underflow)):
-            estimates[t][depth] = Estimate.from_theta(float(thetas[k[t]]), int(calls[t]), "mle",
-                                                      {"label": depth})
-    return ["posterior underflow: counts are inconsistent with the grid" if underflow[t]
-            else estimates[t] or "no kept shots at any depth" for t in trials]
+        theta[:, j] = np.where(started & ~underflow, thetas[k], np.nan)
+    theta[underflow | ~started] = np.nan
+    return ["posterior underflow: counts are inconsistent with the grid" if u
+            else None if s else "no kept shots at any depth"
+            for u, s in zip(underflow.tolist(), started.tolist())]
 
 
 def crt_solve(r1: int, n1: int, r2: int, n2: int) -> int:
@@ -235,13 +245,13 @@ def _sign(x: float) -> int:
 
 
 def crt_reconstruct(p_d: float, p_dm1: float, theta_ref: float,
-                    d_max: int) -> tuple[float, CrtContext]:
+                    d_max: int) -> tuple[float, CrtReadings]:
     """Algebraic core of the CRT estimator, on probabilities directly.
 
     ``p_d`` and ``p_dm1`` estimate ``sin^2((2D+1) theta)`` and
     ``sin^2((2D-1) theta)``; ``theta_ref`` is the low-depth angle that fixes
     the fold signs and anchors the candidate selection.  Returns the angle
-    estimate together with the reconstruction context.
+    estimate together with its readings.
     """
     if d_max < 2:
         raise ValueError("CRT needs maximum depth >= 2")
@@ -253,14 +263,65 @@ def crt_reconstruct(p_d: float, p_dm1: float, theta_ref: float,
     s2 = _sign(math.sin(2 * n2 * theta_ref))
     base1, base2 = round(s2 * l / 2), round(s1 * h / 2)
     inverse = pow(n1, -1, n2)  # crt_solve of each offset pair, sharing one inverse
-    candidates = tuple([r1 + n1 * ((r2 - r1) * inverse % n2) for r1, r2 in
-                        [((base1 + d1) % n1, (base2 + d2) % n2) for d1, d2 in EXTENDED_OFFSETS]])
+    candidates = [r1 + n1 * ((r2 - r1) * inverse % n2) for r1, r2 in
+                  [((base1 + d1) % n1, (base2 + d2) % n2) for d1, d2 in EXTENDED_OFFSETS]]
     p0 = math.sin(theta_ref) ** 2
     folded = [min(v, modulus - v) for v in candidates]  # sin^2 cannot tell v from modulus - v
     best = min([(abs(math.sin(f * math.pi / modulus) ** 2 - p0), f) for f in folded])
-    context = CrtContext(d_max=d_max, n1=n1, n2=n2, modulus=modulus, l=l, h=h,
-                         s1=s1, s2=s2, candidates=candidates)
-    return best[1] * math.pi / modulus, context
+    theta = best[1] * math.pi / modulus
+    return theta, CrtReadings(theta, math.sin(theta) ** 2, l, h, s1, s2)
+
+
+def _elementwise(fn, values) -> np.ndarray:
+    """``fn`` of every element of ``values`` as a Python float, in an array of its shape."""
+    values = np.asarray(values, dtype=float)
+    return np.array(list(map(fn, values.ravel().tolist())), dtype=float).reshape(values.shape)
+
+
+def sin_squared(thetas) -> np.ndarray:
+    """``math.sin(theta) ** 2`` of every element, as :meth:`Estimate.from_theta` has it.
+
+    numpy's ``x ** 2`` rounds differently on about one input in a thousand.
+    """
+    return _elementwise(lambda theta: math.sin(theta) ** 2, thetas)
+
+
+def crt_columns(p_d, p_dm1, theta_ref, d_max) -> CrtReadings:
+    """:func:`crt_reconstruct` over arrays, equal to it element by element.
+
+    The arguments broadcast together, one reconstruction per element;
+    ``theta_ref`` must be finite.  The readings, fold signs and squared
+    sines go through :mod:`math` as in the scalar version, because numpy's
+    ``arcsin`` rounds differently on some inputs.
+    """
+    p_d, p_dm1, theta_ref, d_max = np.broadcast_arrays(
+        np.asarray(p_d, dtype=float), np.asarray(p_dm1, dtype=float),
+        np.asarray(theta_ref, dtype=float), np.asarray(d_max, dtype=np.int64))
+    if np.any(d_max < 2):
+        raise ValueError("CRT needs maximum depth >= 2")
+    n1, n2 = 2 * d_max - 1, 2 * d_max + 1
+    modulus = n1 * n2
+    l = (2 * n1 / math.pi) * _elementwise(math.asin, np.sqrt(np.clip(p_d, 0.0, 1.0)))
+    h = (2 * n2 / math.pi) * _elementwise(math.asin, np.sqrt(np.clip(p_dm1, 0.0, 1.0)))
+    s1 = np.where(_elementwise(math.sin, 2 * n1 * theta_ref) >= 0, 1, -1)
+    s2 = np.where(_elementwise(math.sin, 2 * n2 * theta_ref) >= 0, 1, -1)
+    # sin^2(f pi / modulus) of every folded candidate f at each depth
+    top = int(d_max.max(initial=2))
+    folded_p = np.zeros((top + 1, 2 * top * top))
+    for d in set(d_max.ravel().tolist()):
+        m = 4 * d * d - 1
+        folded_p[d, :m // 2 + 1] = [math.sin(f * math.pi / m) ** 2 for f in range(m // 2 + 1)]
+    offsets = np.array(EXTENDED_OFFSETS)
+    n1_, n2_, modulus_, d_ = n1[..., None], n2[..., None], modulus[..., None], d_max[..., None]
+    r1 = (np.rint(s2 * l / 2).astype(np.int64)[..., None] + offsets[:, 0]) % n1_
+    r2 = (np.rint(s1 * h / 2).astype(np.int64)[..., None] + offsets[:, 1]) % n2_
+    # n1 D = D (2D + 1) - 2D = 1 (mod n2): D is the inverse of n1 modulo n2
+    candidates = r1 + n1_ * ((r2 - r1) * d_ % n2_)
+    folded = np.minimum(candidates, modulus_ - candidates)
+    err = np.abs(folded_p[d_, folded] - sin_squared(theta_ref)[..., None])
+    # the smallest error, ties toward the smaller folded value
+    best = np.where(err == err.min(axis=-1, keepdims=True), folded, modulus_).min(axis=-1)
+    return CrtReadings(best * math.pi / modulus, folded_p[d_max, best], l, h, s1, s2)
 
 
 def crt_estimate(counts_at_d: DepthCounts, counts_at_dm1: DepthCounts,
@@ -269,8 +330,8 @@ def crt_estimate(counts_at_d: DepthCounts, counts_at_dm1: DepthCounts,
 
     Success probabilities at depths D and D-1 are the kept good fractions;
     the low-depth estimate supplies the fold signs, the selection anchor
-    and its own oracle-call bill, and is kept in the diagnostics as
-    ``anchor``.
+    and its own oracle-call bill.  The readings are kept in the diagnostics
+    as ``context``.
     """
     for counts in (counts_at_d, counts_at_dm1):
         if counts.kept == 0:
@@ -282,8 +343,7 @@ def crt_estimate(counts_at_d: DepthCounts, counts_at_dm1: DepthCounts,
              + counts_at_d.shots * (2 * d_max + 1)
              + counts_at_dm1.shots * (2 * d_max - 1))
     return Estimate.from_theta(theta, oracle_calls=calls, algorithm="crt",
-                               diagnostics={"context": context, "anchor": mle_low_depth,
-                                            "label": d_max})
+                               diagnostics={"context": context})
 
 
 def hybrid_estimate(mle_low_depth: Estimate, crt: Estimate,
@@ -292,7 +352,7 @@ def hybrid_estimate(mle_low_depth: Estimate, crt: Estimate,
 
     The acceptance window is ``beta * |MLE_avg(2) - CRT_exact(D)|``; outside
     it the estimator falls back to the low-depth MLE value.  The chosen
-    branch is recorded in the diagnostics, beside the CRT estimate's label.
+    branch is recorded in the diagnostics.
     """
     disagreement = abs(mle_low_depth.p_hat - crt.p_hat)
     if disagreement > calibration.threshold:
@@ -301,7 +361,5 @@ def hybrid_estimate(mle_low_depth: Estimate, crt: Estimate,
         winner, branch = crt, "crt"
     return Estimate.from_theta(winner.theta_hat, oracle_calls=crt.oracle_calls,
                                algorithm="hybrid",
-                               diagnostics={"branch": branch,
-                                            "disagreement": disagreement,
-                                            "threshold": calibration.threshold,
-                                            "label": (crt.diagnostics or {}).get("label")})
+                               diagnostics={"branch": branch, "disagreement": disagreement,
+                                            "threshold": calibration.threshold})

@@ -1,11 +1,16 @@
 """End-to-end experiment driver.
 
-A run draws random vector pairs, simulates one shot pool per depth, feeds
-the same pool to every enabled estimator and writes per-trial and
-aggregate CSVs plus a JSON manifest.  All randomness flows from a single
-seed through the streams of :func:`run_streams`, so identical configs
-produce byte-identical output files, and ``calibrate`` and ``fit-noise``
-see the very draws a run sees.
+A run first draws every trial: a random vector pair, one shot pool per
+depth and the power-law subsample, gathered into one (trials, depths, 3)
+array of good, bad and discarded counts.  Each enabled estimator then
+fills its columns of one :class:`RunTable` for all trials at once: the
+MLE passes update chunks of trials together, CRT reconstructs every
+(trial, depth) pair in one call and the hybrid chooses with one mask.
+Emission formats each column once into per-trial and aggregate CSVs plus
+a JSON manifest.  All randomness flows from a single seed through the
+streams of :func:`run_streams`, so identical configs produce
+byte-identical output files, and ``calibrate`` and ``fit-noise`` see the
+very draws a run sees.
 
 Oracle-call accounting is cumulative for the MLE rows: the point at
 maximum depth d charges all shots taken at depths 0..d, each shot at
@@ -13,26 +18,25 @@ depth d' costing 2d'+1 calls.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from . import __version__
-from .estimators import (Estimate, EstimationError, HybridCalibration,
-                         _grid_size, crt_estimate, crt_reconstruct,
-                         direct_estimate, hybrid_estimate, mle_estimate)
-from .noise import NoiseModel, sample_noisy_shots
+from .estimators import (CrtReadings, EstimationError, HybridCalibration,
+                         _elementwise, _grid_size, crt_columns, mle_estimate,
+                         sin_squared)
+from .noise import CorrelatedNoise, NoiseModel, sample_noisy_shots
 from .schedules import (InfeasibleScheduleError, PowerLawConfig, Schedule,
                         optimize_exponent, power_law_schedule,
                         subsample_without_replacement)
-from .simulator import DepthCounts
 
 ALGORITHMS = ("direct", "mle", "crt", "hybrid", "powerlaw")
 VECTOR_MODES = ("haar", "uniform-theta")
@@ -82,6 +86,8 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"algorithms {list(self.algorithms)} name one more than once")
         if self.noise.max_depth < self.max_depth:
             raise ValueError("noise model does not cover max_depth")
         if ("crt" in self.algorithms or "hybrid" in self.algorithms) and self.max_depth < 2:
@@ -92,33 +98,16 @@ class ExperimentConfig:
             raise ValueError("powerlaw_target_eps must be positive")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["algorithms"] = list(self.algorithms)
-        noise = {"gamma_by_depth": list(self.noise.gamma_by_depth),
-                 "beta_readout": self.noise.beta_readout,
-                 "leak_prob": self.noise.leak_prob,
-                 "correlation": None}
-        if self.noise.correlation is not None:
-            noise["correlation"] = {"p_switch": self.noise.correlation.p_switch,
-                                    "burst_scale": self.noise.correlation.burst_scale}
-        d["noise"] = noise
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        from .noise import CorrelatedNoise
         data = dict(data)
-        noise_data = data.pop("noise", None)
-        if noise_data is not None:
-            corr = noise_data.get("correlation")
-            noise = NoiseModel(
-                gamma_by_depth=tuple(noise_data["gamma_by_depth"]),
-                beta_readout=noise_data.get("beta_readout", 0.0),
-                leak_prob=noise_data.get("leak_prob", 0.0),
-                correlation=None if corr is None else CorrelatedNoise(**corr))
-            data["noise"] = noise
-        if "algorithms" in data:
-            data["algorithms"] = tuple(data["algorithms"])
+        noise = data.pop("noise", None)
+        if noise is not None:
+            corr = noise.get("correlation")
+            data["noise"] = NoiseModel(**{
+                **noise, "correlation": None if corr is None else CorrelatedNoise(**corr)})
         return cls(**data)
 
     @classmethod
@@ -127,30 +116,66 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """All estimates produced from one input pair and its shot pool."""
+@dataclass(eq=False)
+class RunTable:
+    """The trials of a run and every row their estimators produced, as columns.
 
-    trial_id: int
-    theta_true: float
-    p_true: float
-    estimates: dict[str, tuple[Estimate, ...]]
-    errors: dict[str, str]  # per algorithm, "depth <label>: <reason>" of each dropped row
-    counts_by_depth: tuple[DepthCounts, ...]
+    Trial ``t`` (its id in the outputs) has true angle ``theta_true[t]`` and
+    shot pool ``counts[t, d]`` of (good, bad, discarded) tallies at depth
+    ``d``.  Slot ``k`` is the row (``algorithm[k]``, ``label[k]``) of every
+    trial, in ``trials.csv`` order.  Cell ``[t, k]`` holds ``theta_hat``
+    (``nan`` if the row was dropped), ``oracle_calls``, the hybrid
+    ``branch`` and the ``reason`` a row was dropped (else ``None``).  With
+    CRT or hybrid on, ``anchor`` is each trial's depth-2 MLE angle (``nan``
+    if none) and ``crt`` holds the CRT columns of depths 2..D, which mean
+    something where the trial's CRT row at that depth is kept.
+    """
+
+    theta_true: np.ndarray
+    counts: np.ndarray
+    algorithm: tuple[str, ...]
+    label: tuple
+    theta_hat: np.ndarray
+    oracle_calls: np.ndarray
+    branch: np.ndarray
+    reason: np.ndarray
+    anchor: np.ndarray | None = None
+    crt: CrtReadings | None = None
+
+    @cached_property
+    def p_true(self) -> np.ndarray:
+        return sin_squared(self.theta_true)
+
+    @cached_property
+    def p_hat(self) -> np.ndarray:
+        return sin_squared(self.theta_hat)
+
+    @cached_property
+    def kept(self) -> np.ndarray:
+        return ~np.isnan(self.theta_hat)
+
+    def slot(self, algorithm: str, label) -> int:
+        return list(zip(self.algorithm, self.label)).index((algorithm, label))
+
+    def err_p(self, algorithm: str, label) -> np.ndarray:
+        """``|p_hat - p_true|`` of the kept rows of one slot, in trial order."""
+        k = self.slot(algorithm, label)
+        kept = self.kept[:, k]
+        return np.abs(self.p_hat[kept, k] - self.p_true[kept])
+
+    def errors(self) -> dict[str, dict[str, str]]:
+        """Per trial id and algorithm, ``"depth <label>: <reason>"`` of each dropped row."""
+        dropped: dict[str, dict[str, list]] = {}
+        for t, k in zip(*(i.tolist() for i in np.nonzero(~self.kept))):
+            dropped.setdefault(str(t), {}).setdefault(
+                self.algorithm[k], []).append(f"depth {self.label[k]}: {self.reason[t, k]}")
+        return {t: {alg: "; ".join(rows) for alg, rows in by_alg.items()}
+                for t, by_alg in dropped.items()}
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    algorithm: str
-    depth: str
-    total_oracle_calls: int
-    mean_abs_err_p: float
-    std_err_p: float
-    mean_abs_err_theta: float
-
-    def __post_init__(self):
-        if self.mean_abs_err_p < 0 or self.std_err_p < 0 or self.mean_abs_err_theta < 0:
-            raise ValueError("error statistics must be nonnegative")
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a real vector, ``sqrt(v . v)``, without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def sample_vector_pair(rng: np.random.Generator, mode: str = "haar"):
@@ -163,16 +188,16 @@ def sample_vector_pair(rng: np.random.Generator, mode: str = "haar"):
     if mode == "haar":
         x = rng.standard_normal(4)
         y = rng.standard_normal(4)
-        return x / np.linalg.norm(x), y / np.linalg.norm(y)
+        return x / _norm(x), y / _norm(y)
     if mode == "uniform-theta":
         theta = rng.uniform(0.0, math.pi / 2)
         x = rng.standard_normal(4)
-        x /= np.linalg.norm(x)
+        x /= _norm(x)
         u = rng.standard_normal(4)
         u -= (u @ x) * x
-        u /= np.linalg.norm(u)
+        u /= _norm(u)
         y = math.sin(theta) * x + math.cos(theta) * u
-        return x, y / np.linalg.norm(y)
+        return x, y / _norm(y)
     raise ValueError(f"unknown vector mode {mode!r}")
 
 
@@ -185,26 +210,11 @@ def run_streams(seed: int, n_trials: int) -> Iterator[np.random.Generator]:
             for s in np.random.SeedSequence(seed).spawn(n_trials + 1))
 
 
-def _attempt(build, *args):
-    """``build(*args)``, or the message of the estimator failure it raises."""
-    try:
-        return build(*args)
-    except EstimationError as exc:
-        return str(exc)
+def _powerlaw_plan(config: ExperimentConfig) -> Schedule | str | None:
+    """The power-law schedule of a config, or why it has none.
 
-
-def _at(mle_pass, depth: int):
-    """The estimate at ``depth`` of an MLE pass, or why there is none."""
-    if isinstance(mle_pass, str):
-        return mle_pass
-    return mle_pass.get(depth, f"no kept shots at depths 0..{depth}")
-
-
-def _powerlaw_plan(config: ExperimentConfig) -> tuple[float, Schedule] | str | None:
-    """The power-law exponent and schedule of a config, or why it has none.
-
-    ``None`` when the power-law estimator is off.  Both depend on the
-    config alone, so a run solves for them once.
+    ``None`` when the power-law estimator is off.  The schedule depends on
+    the config alone, so a run solves for it once.
     """
     if "powerlaw" not in config.algorithms:
         return None
@@ -213,106 +223,126 @@ def _powerlaw_plan(config: ExperimentConfig) -> tuple[float, Schedule] | str | N
                                config.max_depth, config.noise.gamma_by_depth)
     except InfeasibleScheduleError as exc:
         return str(exc)
-    return nu, power_law_schedule(PowerLawConfig(
+    return power_law_schedule(PowerLawConfig(
         nu=nu, n_shots=config.n_shots, max_depth=config.max_depth,
         target_eps=config.powerlaw_target_eps))
 
 
+def _tallies(pool) -> list[int]:
+    """Good, bad and discarded counts of each depth in turn, flat."""
+    return [n for c in pool for n in (c.n_good, c.n_bad, c.n_discarded)]
+
+
 def _draw(config: ExperimentConfig, pair, rng: np.random.Generator, plan):
-    """The true angle, shot pool and power-law subsample of one trial.
+    """The true angle, shot pool and power-law subsample tallies of one trial.
 
     The pool and then the subsample (``None`` without a schedule) are
     drawn from ``rng``, which has already drawn the trial's pair.
     """
     x, y = pair
     theta_true = math.asin(min(abs(float(np.dot(x, y))), 1.0))
-    pool = tuple([sample_noisy_shots(theta_true, d, config.n_shots, config.noise, rng)
-                  for d in range(config.max_depth + 1)])
+    pool = [sample_noisy_shots(theta_true, d, config.n_shots, config.noise, rng)
+            for d in range(config.max_depth + 1)]
     subsampled = None
-    if isinstance(plan, tuple):
-        subsampled = tuple([subsample_without_replacement(pool[d], min(n, pool[d].kept), rng)
-                            for d, n in plan[1].entries])
-    return theta_true, pool, subsampled
+    if isinstance(plan, Schedule):
+        subsampled = _tallies([subsample_without_replacement(pool[d], min(n, pool[d].kept), rng)
+                               for d, n in plan.entries])
+    return theta_true, _tallies(pool), subsampled
 
 
-def _estimate(config: ExperimentConfig, draws, plan, calibrations=None,
-              first_id: int = 0) -> list[TrialResult]:
-    """Every enabled estimator on every trial drawn by :func:`_draw`.
+def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTable:
+    """Every enabled estimator on every trial drawn by :func:`_draw`, as one table.
 
-    Each MLE pass runs over all the trials at once; ``plan`` is the
-    :func:`_powerlaw_plan` the draws were made with.
+    ``plan`` is the :func:`_powerlaw_plan` the draws were made with.
     """
-    pools = [pool for _, pool, _ in draws]
-    # per trial: algorithm -> row label -> the estimate, or why the row has none
-    rows: list[dict[str, dict]] = [{} for _ in draws]
+    n_depths = config.max_depth + 1
+    depths = range(n_depths)
+    theta_true = np.array([theta for theta, _, _ in draws], dtype=float)
+    counts = np.array([pool for _, pool, _ in draws], dtype=np.int64).reshape(-1, n_depths, 3)
+    blocks = {}  # algorithm -> labels and (trials x labels) theta, reason, calls, branch
+
+    def add(algorithm, labels, theta, calls, *drops, branch=""):
+        """Each of ``drops`` holds a reason where a row drops, else ``None``; the first wins."""
+        reason = np.full(theta.shape, None, dtype=object)
+        for why in drops:
+            reason = np.where(np.equal(reason, None), why, reason)
+        blocks[algorithm] = (tuple(labels), np.where(np.equal(reason, None), theta, np.nan),
+                             reason, calls, np.broadcast_to(branch, theta.shape))
+
+    if config.algorithms:
+        # kept good fraction and no-kept-shot flag per (trial, depth)
+        empty = counts[..., 0] + counts[..., 1] == 0
+        rate = counts[..., 0] / np.maximum(counts[..., 0] + counts[..., 1], 1)
+        shots = counts.sum(axis=2)
     if "direct" in config.algorithms:
-        for by_alg, pool in zip(rows, pools):
-            by_alg["direct"] = {0: _attempt(direct_estimate, pool[0])}
-
-    anchors = [None] * len(draws)
+        add("direct", (0,), _elementwise(math.asin, np.sqrt(rate[:, :1])), shots[:, :1],
+            np.where(empty[:, :1], "all shots were discarded", None))
+    mle_noise = config.noise if config.mle_noise_aware else None
     if "mle" in config.algorithms:
-        mle_noise = config.noise if config.mle_noise_aware else None
-        for t, mle in enumerate(mle_estimate(pools, config.epsilon, mle_noise)):
-            rows[t]["mle"] = {d: _at(mle, d) for d in range(config.max_depth + 1)}
-            if mle_noise is None:
-                anchors[t] = _at(mle, 2)
+        mle = mle_estimate(counts, depths, config.epsilon, mle_noise)
+        add("mle", depths, mle.theta, mle.calls, mle.reason[:, None],
+            np.where(np.isnan(mle.theta), [f"no kept shots at depths 0..{d}" for d in depths],
+                     None))
 
+    anchor, crt = None, None
     if "crt" in config.algorithms or "hybrid" in config.algorithms:
-        cal = calibrations or {}
-        # a trial without a depth-2 estimate from a noise-unaware MLE pass
-        # gets its anchor from its own pass over depths 0..2
-        redo = [t for t, anchor in enumerate(anchors) if not isinstance(anchor, Estimate)]
-        for t, anchor_pass in zip(redo, mle_estimate([pools[t][:3] for t in redo],
-                                                     config.epsilon)):
-            anchors[t] = _at(anchor_pass, 2)
-        for by_alg, pool, anchor in zip(rows, pools, anchors):
-            crt = {d: _attempt(crt_estimate, pool[d], pool[d - 1], anchor, d)
-                   if isinstance(anchor, Estimate) else f"anchor: {anchor}"
-                   for d in range(2, config.max_depth + 1)}
-            if "crt" in config.algorithms:
-                by_alg["crt"] = crt
-            if "hybrid" in config.algorithms:
-                by_alg["hybrid"] = {}
-                for d, est in crt.items():
-                    if isinstance(est, str):
-                        by_alg["hybrid"][d] = est
-                    elif d not in cal:
-                        by_alg["hybrid"][d] = "no calibration"
-                    else:
-                        by_alg["hybrid"][d] = hybrid_estimate(anchor, est, cal[d])
+        # the depth-2 estimate of a noise-unaware MLE pass over the pools;
+        # a trial without one gets its own pass over depths 0..2
+        anchor = np.full(len(draws), np.nan)
+        anchor_calls = np.zeros(len(draws), dtype=np.int64)
+        anchor_why = np.full(len(draws), None, dtype=object)
+        if "mle" in config.algorithms and mle_noise is None:
+            anchor, anchor_calls = mle.theta[:, 2].copy(), mle.calls[:, 2].copy()
+        redo = np.flatnonzero(np.isnan(anchor))
+        if redo.size:
+            again = mle_estimate(counts[redo, :3], range(3), config.epsilon)
+            anchor[redo], anchor_calls[redo], anchor_why[redo] = \
+                again.theta[:, 2], again.calls[:, 2], again.reason
+        d = np.arange(2, n_depths)
+        crt = crt_columns(rate[:, 2:], rate[:, 1:-1], np.nan_to_num(anchor)[:, None], d)
+        calls = anchor_calls[:, None] + shots[:, 2:] * (2 * d + 1) + shots[:, 1:-1] * (2 * d - 1)
+        drops = (np.where(np.isnan(anchor), [f"anchor: {why}" for why in anchor_why],
+                          None)[:, None],
+                 np.where(empty[:, 2:], [f"no kept shots at depth {x}" for x in d], None),
+                 np.where(empty[:, 1:-1], [f"no kept shots at depth {x - 1}" for x in d], None))
+        add("crt", d.tolist(), crt.theta, calls, *drops)
+        if "hybrid" in config.algorithms:
+            cal = calibrations or {}
+            threshold = np.array([cal[x].threshold if x in cal else np.nan for x in d.tolist()])
+            fallback = np.abs(sin_squared(anchor)[:, None] - crt.p_hat) > threshold
+            add("hybrid", d.tolist(), np.where(fallback, anchor[:, None], crt.theta), calls,
+                *drops, np.where(np.isnan(threshold), "no calibration", None),
+                branch=np.where(fallback, "mle", "crt"))
 
     if "powerlaw" in config.algorithms:
-        label = f"eps={config.powerlaw_target_eps:g}"
+        label = (f"eps={config.powerlaw_target_eps:g}",)
         if isinstance(plan, str):
-            passes = [plan] * len(draws)
+            zeros = np.zeros((len(draws), 1), dtype=np.int64)
+            add("powerlaw", label, zeros, zeros, np.full(zeros.shape, plan, dtype=object))
         else:
-            nu, schedule = plan
-            passes = mle_estimate([subsampled for _, _, subsampled in draws], config.epsilon,
-                                  config.noise)
-        for by_alg, powerlaw in zip(rows, passes):
-            if not isinstance(powerlaw, str):
-                powerlaw = dataclasses.replace(powerlaw[config.max_depth], algorithm="powerlaw",
-                                               diagnostics={"nu": nu, "schedule": schedule.entries,
-                                                            "label": label})
-            by_alg["powerlaw"] = {label: powerlaw}
+            subsampled = np.array([sub for _, _, sub in draws], dtype=np.int64)
+            powerlaw = mle_estimate(subsampled.reshape(-1, n_depths, 3), depths, config.epsilon,
+                                    config.noise)
+            add("powerlaw", label, powerlaw.theta[:, -1:], powerlaw.calls[:, -1:],
+                powerlaw.reason[:, None])
 
-    results = []
-    for trial_id, ((theta_true, pool, _), by_alg) in enumerate(zip(draws, rows), first_id):
-        estimates = {alg: tuple(est for est in by_label.values() if isinstance(est, Estimate))
-                     for alg, by_label in by_alg.items()}
-        dropped = {alg: [f"depth {label}: {why}" for label, why in by_label.items()
-                         if isinstance(why, str)]
-                   for alg, by_label in by_alg.items()}
-        results.append(TrialResult(
-            trial_id=trial_id, theta_true=theta_true, p_true=math.sin(theta_true) ** 2,
-            estimates=estimates, errors={alg: "; ".join(d) for alg, d in dropped.items() if d},
-            counts_by_depth=pool))
-    return results
+    chosen = [blocks[alg] for alg in config.algorithms]
+    labels, thetas, reasons, calls, branches = zip(*chosen) if chosen else [()] * 5
+
+    def join(parts, dtype):
+        if not parts:
+            return np.empty((len(draws), 0), dtype)
+        return np.concatenate(parts, axis=1).astype(dtype)
+
+    return RunTable(
+        theta_true=theta_true, counts=counts,
+        algorithm=tuple(alg for alg, slots in zip(config.algorithms, labels) for _ in slots),
+        label=sum(labels, ()), theta_hat=join(thetas, float), oracle_calls=join(calls, np.int64),
+        branch=join(branches, object), reason=join(reasons, object), anchor=anchor, crt=crt)
 
 
 def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
-              calibrations: dict[int, HybridCalibration] | None = None,
-              trial_id: int = 0) -> TrialResult:
+              calibrations: dict[int, HybridCalibration] | None = None) -> RunTable:
     """Simulate one shot pool and run every enabled estimator on it.
 
     The true angle is ``asin(min(|x . y|, 1))``, the angle whose squared
@@ -320,24 +350,22 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
     exactly once; the power-law estimator subsamples the recorded pool
     without replacement rather than taking fresh shots.  One MLE pass over
     the pool gives the MLE row at every depth.  CRT and hybrid rows share a
-    depth-2 anchor, carried in each CRT estimate's ``diagnostics["anchor"]``:
-    the depth-2 MLE row when that pass is noise-unaware and has one, else
-    the estimate of a separate noise-unaware pass over depths 0..2.  A row
-    whose own inputs kept no shot is dropped, and its depth and reason are
-    recorded in ``errors`` under its algorithm; the other rows stay.
+    depth-2 anchor, kept in the table's ``anchor``: the depth-2 MLE row
+    when that pass is noise-unaware and has one, else the estimate of a
+    separate noise-unaware pass over depths 0..2.  A row whose own inputs
+    kept no shot is dropped with its reason; the other rows stay.
     """
     plan = _powerlaw_plan(config)
-    return _estimate(config, [_draw(config, pair, rng, plan)], plan, calibrations,
-                     trial_id)[0]
+    return _estimate(config, [_draw(config, pair, rng, plan)], plan, calibrations)
 
 
 def run_trials(config: ExperimentConfig, rngs,
-               calibrations: dict[int, HybridCalibration] | None = None) -> list[TrialResult]:
+               calibrations: dict[int, HybridCalibration] | None = None) -> RunTable:
     """:func:`run_trial` on a vector pair drawn from each generator, trial ids from 0.
 
     Every trial's stream is consumed first, in the order pair, pool,
     power-law subsample, and the power-law schedule is solved once; the
-    MLE passes then run batched across trials.
+    estimators then fill their columns for all trials at once.
     """
     plan = _powerlaw_plan(config)
     draws = [_draw(config, sample_vector_pair(rng, config.vector_mode), rng, plan)
@@ -361,25 +389,22 @@ def calibrate_hybrid(config: ExperimentConfig,
     any depth, the one with the best best-depth error wins.
     """
     crt_config = dataclasses.replace(config, algorithms=("crt",))
-    depths = range(2, config.max_depth + 1)
-    trials = run_trials(crt_config, itertools.repeat(rng, config.calib_trials))
-    trials = [t for t in trials if len(t.estimates["crt"]) == len(depths)]
-    if not trials:
+    table = run_trials(crt_config, itertools.repeat(rng, config.calib_trials))
+    ok = table.kept.all(axis=1)
+    if not ok.any():
         raise EstimationError("no calibration trial produced a CRT estimate at every depth")
-    crt_rows = [{e.diagnostics["label"]: e for e in t.estimates["crt"]} for t in trials]
-    crt_by_depth = {d: [r[d] for r in crt_rows] for d in depths}
-    anchors = [e.diagnostics["anchor"] for e in crt_by_depth[2]]
+    depths = list(table.label)
+    theta, p_true = table.theta_true[ok, None], table.p_true[ok]
+    anchor_p, crt_p = sin_squared(table.anchor[ok]), table.p_hat[ok]
 
     def mean_err(p_hats) -> float:
-        return float(np.mean([abs(p - t.p_true) for p, t in zip(p_hats, trials)]))
+        return float(np.mean(np.abs(p_hats - p_true)))
 
-    mle_avg2 = mean_err(a.p_hat for a in anchors)
-    crt_exact = {}
-    for d in depths:
-        exact = [crt_reconstruct(math.sin((2 * d + 1) * t.theta_true) ** 2,
-                                 math.sin((2 * d - 1) * t.theta_true) ** 2,
-                                 t.theta_true, d)[0] for t in trials]
-        crt_exact[d] = mean_err(math.sin(theta) ** 2 for theta in exact)
+    mle_avg2 = mean_err(anchor_p)
+    d_max = np.array(depths)
+    exact = crt_columns(sin_squared((2 * d_max + 1) * theta),
+                        sin_squared((2 * d_max - 1) * theta), theta, d_max)
+    crt_exact = {d: mean_err(exact.p_hat[:, j]) for j, d in enumerate(depths)}
 
     def calibrations(beta) -> dict[int, HybridCalibration]:
         return {d: HybridCalibration(mle_avg_depth2=mle_avg2, crt_exact_at_d=crt_exact[d],
@@ -387,13 +412,14 @@ def calibrate_hybrid(config: ExperimentConfig,
 
     beta = config.beta_hybrid
     if config.tune_beta:
-        crt_means = {d: mean_err(e.p_hat for e in crt_by_depth[d]) for d in depths}
+        crt_means = {d: mean_err(crt_p[:, j]) for j, d in enumerate(depths)}
         best = None
         for candidate in BETA_TUNING_GRID:
             cal = calibrations(candidate)
-            hybrid_means = {d: mean_err(hybrid_estimate(a, e, cal[d]).p_hat
-                                        for a, e in zip(anchors, crt_by_depth[d]))
-                            for d in depths}
+            hybrid_means = {
+                d: mean_err(np.where(np.abs(anchor_p - crt_p[:, j]) > cal[d].threshold,
+                                     anchor_p, crt_p[:, j]))
+                for j, d in enumerate(depths)}
             if any(hybrid_means[d] > crt_means[d] + 1e-12 for d in depths):
                 continue
             score = min(hybrid_means.values())
@@ -416,12 +442,14 @@ def write_json(path: Path, record) -> None:
         fh.write("\n")
 
 
-def fit_depolarizing(counts_by_trial, true_thetas) -> list[float]:
+def fit_depolarizing(counts, true_thetas) -> list[float]:
     """Least-squares depolarizing rates from observed good fractions.
 
-    Per depth the model ``g = (1 - a cos(2 (2d+1) theta)) / 2`` is solved
-    for ``a`` in closed form and clamped into (0, 1], and ``-log a`` is
-    returned.  Since ``a = 1 - eta_d = (1 - beta) exp(-gamma_d)``, that is
+    ``counts[t, d]`` holds the (good, bad, discarded) tallies of trial
+    ``t`` at depth ``d``, as in :attr:`RunTable.counts`.  Per depth the
+    model ``g = (1 - a cos(2 (2d+1) theta)) / 2`` is solved for ``a`` in
+    closed form and clamped into (0, 1], and ``-log a`` is returned.  Since
+    ``a = 1 - eta_d = (1 - beta) exp(-gamma_d)``, that is
     ``gamma_d - log(1 - beta)``, not ``gamma_d``: the readout error and the
     damping cannot be told apart from the counts.  A
     trial that kept no shot at a depth has no good fraction there and is
@@ -430,15 +458,14 @@ def fit_depolarizing(counts_by_trial, true_thetas) -> list[float]:
     at a depth, or when every probability sits at 1/2 (no cosine signal to
     regress on).
     """
-    counts_by_trial = list(counts_by_trial)
-    if len(counts_by_trial) < 2:
+    counts = np.asarray(counts, dtype=np.int64)
+    if len(counts) < 2:
         raise ValueError("need counts from at least two trials per depth")
     thetas = np.asarray(true_thetas, dtype=float)
-    n_depths = len(counts_by_trial[0])
     gammas = []
-    for d in range(n_depths):
-        good = np.array([trial[d].n_good for trial in counts_by_trial])
-        kept = good + np.array([trial[d].n_bad for trial in counts_by_trial])
+    for d in range(counts.shape[1]):
+        good = counts[:, d, 0]
+        kept = good + counts[:, d, 1]
         has_rate = kept > 0
         if np.count_nonzero(has_rate) < 2:
             raise UnidentifiableFitError(f"depth {d}: fewer than two trials kept a shot")
@@ -455,72 +482,76 @@ def fit_depolarizing(counts_by_trial, true_thetas) -> list[float]:
     return gammas
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+def _strings(values: np.ndarray) -> list[str]:
+    """``repr`` of each float and ``str`` of each int, as written to the CSVs.
+
+    Each distinct float, told apart by its bits, is formatted once: the
+    estimates repeat a few grid angles over many rows.
+    """
+    if values.dtype.kind != "f":
+        return list(map(str, values.tolist()))
+    memo: dict[int, str] = {}
+    return [memo.get(bits) or memo.setdefault(bits, repr(value))
+            for bits, value in zip(values.view(np.int64).tolist(), values.tolist())]
 
 
 def _write_csv(path: Path, columns, rows) -> None:
+    """Write a header and rows of strings as comma-separated lines.
+
+    The fields are names, labels and numbers, none of which ``csv`` would
+    quote, so the lines are what ``csv.writer`` writes, only faster.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.writelines(",".join(row) + "\n" for row in itertools.chain([columns], rows))
 
 
-def aggregate_and_emit(trials, config: ExperimentConfig, out_dir,
+def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
                        calibrations=None, gamma_fit=None,
                        gamma_fit_error: str | None = None) -> dict[str, Path]:
-    """Write per-trial and aggregate CSVs, CRT error histograms and a manifest."""
-    if not trials:
+    """Write per-trial and aggregate CSVs, CRT error histograms and a manifest.
+
+    ``trials.csv`` has one line per kept row of ``table``, trial by trial
+    and slot by slot.  Each (algorithm, label) slot aggregates its kept
+    rows in trial order, slots in the order their first row is written.
+    """
+    if len(table.theta_true) == 0:
         raise ValueError("no trials to aggregate")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    trial_rows = []
-    groups: dict[tuple, list] = {}
-    for trial in trials:
-        for alg in config.algorithms:
-            for est in trial.estimates.get(alg, ()):
-                label = est.diagnostics["label"]
-                branch = est.diagnostics.get("branch", "")
-                err_p = abs(est.p_hat - trial.p_true)
-                err_t = abs(est.theta_hat - trial.theta_true)
-                trial_rows.append((alg, label, est.oracle_calls, trial.trial_id,
-                                   trial.theta_true, trial.p_true, est.theta_hat,
-                                   est.p_hat, err_p, err_t, branch))
-                groups.setdefault((alg, str(label)), []).append(
-                    (est.oracle_calls, err_p, err_t))
-
+    kept = table.kept
+    err_p = np.abs(table.p_hat - table.p_true[:, None])
+    err_t = np.abs(table.theta_hat - table.theta_true[:, None])
+    t, k = np.nonzero(kept)
     paths = {"trials": out / "trials.csv", "aggregate": out / "aggregate.csv",
              "crt_histogram": out / "crt_error_histogram.csv",
              "manifest": out / "manifest.json"}
-    _write_csv(paths["trials"], TRIAL_COLUMNS, trial_rows)
+    per_trial = [np.array(_strings(column), dtype=object)[t]
+                 for column in (np.arange(len(kept)), table.theta_true, table.p_true)]
+    per_slot = [np.array(column, dtype=object)[k]
+                for column in (table.algorithm, [str(label) for label in table.label])]
+    cells = [_strings(column[t, k]) for column in (table.oracle_calls, table.theta_hat,
+                                                   table.p_hat, err_p, err_t)]
+    _write_csv(paths["trials"], TRIAL_COLUMNS,
+               zip(*per_slot, cells[0], *per_trial, *cells[1:], table.branch[t, k]))
 
-    agg_rows = []
-    for (alg, label), items in groups.items():
-        errs_p = np.array([e for _, e, _ in items])
-        errs_t = np.array([e for _, _, e in items])
-        row = AggregateRow(algorithm=alg, depth=label,
-                           total_oracle_calls=int(sum(c for c, _, _ in items)),
-                           mean_abs_err_p=float(errs_p.mean()),
-                           std_err_p=float(errs_p.std()),
-                           mean_abs_err_theta=float(errs_t.mean()))
-        agg_rows.append((row.algorithm, row.depth, row.total_oracle_calls,
-                         row.mean_abs_err_p, row.std_err_p, row.mean_abs_err_theta))
-    _write_csv(paths["aggregate"], AGGREGATE_COLUMNS, agg_rows)
-
-    hist_rows = []
+    n_slots = kept.shape[1]
+    first_row = kept.argmax(axis=0) * n_slots + np.arange(n_slots)
+    slots = [s for s in sorted(range(n_slots), key=first_row.__getitem__) if kept[:, s].any()]
+    agg_rows, hist_rows = [], []
     edges = np.linspace(0.0, 0.5, 26)
-    for (alg, label), items in groups.items():
-        if alg != "crt":
-            continue
-        errs = np.array([e for _, e, _ in items])
-        counts, _ = np.histogram(errs, bins=edges)
-        for lo, hi, n in zip(edges[:-1], edges[1:], counts):
-            hist_rows.append((label, float(lo), float(hi), int(n)))
-        hist_rows.append((label, 0.5, 1.0, int(np.sum(errs >= 0.5))))
+    for s in slots:
+        rows = kept[:, s]
+        errs_p, errs_t = err_p[rows, s], err_t[rows, s]
+        alg, label = table.algorithm[s], str(table.label[s])
+        agg_rows.append([alg, label, str(table.oracle_calls[rows, s].sum()),
+                         *_strings(np.array([errs_p.mean(), errs_p.std(), errs_t.mean()]))])
+        if alg == "crt":
+            counts, _ = np.histogram(errs_p, bins=edges)
+            hist_rows += [[label, *_strings(np.array([lo, hi])), str(n)]
+                          for lo, hi, n in zip(edges[:-1], edges[1:], counts)]
+            hist_rows.append([label, "0.5", "1.0", str(np.sum(errs_p >= 0.5))])
+    _write_csv(paths["aggregate"], AGGREGATE_COLUMNS, agg_rows)
     _write_csv(paths["crt_histogram"], ("depth", "bin_lo", "bin_hi", "count"), hist_rows)
 
     config_record = config.to_dict()
@@ -533,7 +564,7 @@ def aggregate_and_emit(trials, config: ExperimentConfig, out_dir,
         "gamma_fit": None if gamma_fit is None else [float(g) for g in gamma_fit],
         "gamma_fit_error": gamma_fit_error,
         "calibration": calibration_record(calibrations) if calibrations else None,
-        "trial_errors": {str(t.trial_id): t.errors for t in trials if t.errors},
+        "trial_errors": table.errors(),
     }
     write_json(paths["manifest"], manifest)
     return paths
@@ -542,25 +573,25 @@ def aggregate_and_emit(trials, config: ExperimentConfig, out_dir,
 def run_experiment(config: ExperimentConfig, out_dir=None):
     """Calibrate, run all trials, fit the depolarizing model and emit files.
 
-    Returns ``(trials, paths)``.  The streams of :func:`run_streams` make
-    the run reproducible bit for bit.
+    Returns ``(table, paths)``, the run's :class:`RunTable` and the written
+    files.  The streams of :func:`run_streams` make the run reproducible
+    bit for bit.
     """
     streams = run_streams(config.seed, config.n_trials)
     calib_rng = next(streams)
     calibrations = None
     if "hybrid" in config.algorithms:
         calibrations = calibrate_hybrid(config, calib_rng)
-    trials = run_trials(config, streams, calibrations)
+    table = run_trials(config, streams, calibrations)
 
     gamma_fit = None
     fit_error = None
     try:
-        gamma_fit = fit_depolarizing([t.counts_by_depth for t in trials],
-                                     [t.theta_true for t in trials])
+        gamma_fit = fit_depolarizing(table.counts, table.theta_true)
     except (UnidentifiableFitError, ValueError) as exc:
         fit_error = str(exc)
 
-    paths = aggregate_and_emit(trials, config, out_dir or config.out_dir,
+    paths = aggregate_and_emit(table, config, out_dir or config.out_dir,
                                calibrations=calibrations, gamma_fit=gamma_fit,
                                gamma_fit_error=fit_error)
-    return trials, paths
+    return table, paths

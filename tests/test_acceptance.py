@@ -117,9 +117,9 @@ def test_ac04_noiseless_mle_efficiency():
     for _ in range(200):
         theta = rng.uniform(0.0, math.pi / 2)
         pool = [sample_noisy_shots(theta, d, 500, model, rng) for d in range(8)]
-        (by_depth,) = mle_estimate([pool], epsilon=0.001)
-        est = by_depth[7]
-        errs.append(abs(est.theta_hat - theta))
+        result = mle_estimate([[(c.n_good, c.n_bad, c.n_discarded) for c in pool]], range(8),
+                              epsilon=0.001)
+        errs.append(abs(result.theta[0, 7] - theta))
     mean_err = float(np.mean(errs))
     bound = 3 * CRAMER_RAO_THETA
     assert mean_err <= bound
@@ -163,12 +163,8 @@ def test_ac06_mle_beats_baseline_under_ramp_noise(tmp_path):
         n_trials=50, n_shots=500, max_depth=7, epsilon=0.001, seed=RNG_SEED + 5,
         vector_mode="uniform-theta", algorithms=("mle",),
         noise=NoiseModel.linear_ramp(7), mle_noise_aware=True)
-    trials, _ = run_experiment(config, out_dir=tmp_path / "ac6")
-    per_depth = {d: [] for d in range(8)}
-    for trial in trials:
-        for est in trial.estimates["mle"]:
-            per_depth[est.diagnostics["label"]].append(abs(est.p_hat - trial.p_true))
-    means = {d: float(np.mean(v)) for d, v in per_depth.items()}
+    table, _ = run_experiment(config, out_dir=tmp_path / "ac6")
+    means = {d: float(np.mean(table.err_p("mle", d))) for d in range(8)}
     best_depth = min(means, key=means.get)
     # depth-0 floor under the uniform-theta prior: eta0 * E|1/2 - p| = eta0 / pi
     theta_grid = (np.arange(20000) + 0.5) * (math.pi / 2) / 20000
@@ -213,23 +209,18 @@ def correlated_run(tmp_path_factory):
         noise=CORRELATED_NOISE, tune_beta=True, calib_trials=200)
     out = tmp_path_factory.mktemp("correlated_run")
     start = time.time()
-    trials, paths = run_experiment(config, out_dir=out)
-    return trials, paths, time.time() - start
+    table, paths = run_experiment(config, out_dir=out)
+    return table, paths, time.time() - start
 
 
-def _errors_by_depth(trials, algorithm):
-    out: dict[int, list] = {}
-    for trial in trials:
-        for est in trial.estimates.get(algorithm, ()):
-            out.setdefault(est.diagnostics["label"], []).append(
-                abs(est.p_hat - trial.p_true))
-    return {d: np.array(v) for d, v in out.items()}
+def _errors_by_depth(table, algorithm):
+    return {d: table.err_p(algorithm, d) for d in range(2, 8)}
 
 
 def test_ac08_crt_under_noise(correlated_run):
-    trials, _, sim_elapsed = correlated_run
+    table, _, sim_elapsed = correlated_run
     start = time.time()
-    crt_errs = _errors_by_depth(trials, "crt")
+    crt_errs = _errors_by_depth(table, "crt")
     means = {d: float(e.mean()) for d, e in crt_errs.items()}
     best_depth = min(means, key=means.get)
     assert best_depth in {2, 3, 4}
@@ -250,16 +241,13 @@ def test_ac08_crt_under_noise(correlated_run):
 
 
 def test_ac09_hybrid_improvement(correlated_run):
-    trials, paths, sim_elapsed = correlated_run
+    table, paths, sim_elapsed = correlated_run
     start = time.time()
-    crt_means = {d: float(e.mean()) for d, e in _errors_by_depth(trials, "crt").items()}
-    hybrid_means = {d: float(e.mean()) for d, e in _errors_by_depth(trials, "hybrid").items()}
+    crt_means = {d: float(e.mean()) for d, e in _errors_by_depth(table, "crt").items()}
+    hybrid_means = {d: float(e.mean()) for d, e in _errors_by_depth(table, "hybrid").items()}
     for d in crt_means:
         assert hybrid_means[d] <= crt_means[d], f"hybrid loses to CRT at depth {d}"
-    mle2_errs = [abs(est.p_hat - trial.p_true)
-                 for trial in trials for est in trial.estimates["mle"]
-                 if est.diagnostics["label"] == 2]
-    mle2_mean = float(np.mean(mle2_errs))
+    mle2_mean = float(np.mean(table.err_p("mle", 2)))
     best_depth = min(hybrid_means, key=hybrid_means.get)
     assert hybrid_means[best_depth] < mle2_mean
     assert 0.5 * HYBRID_BEST_HARDWARE <= hybrid_means[best_depth] <= 2 * HYBRID_BEST_HARDWARE

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lowdepth_ae import estimators
 from lowdepth_ae.estimators import (EXTENDED_OFFSETS, Estimate,
                                     EstimationError, HybridCalibration,
-                                    bayesian_update, crt_estimate,
+                                    bayesian_update, crt_columns, crt_estimate,
                                     crt_reconstruct, crt_solve,
                                     direct_estimate, hybrid_estimate,
                                     log_likelihood_rows, mle_estimate)
@@ -66,9 +66,24 @@ def grid(epsilon):
     return np.pi * np.arange(round(1 / epsilon)) * epsilon / 2.0
 
 
+def tallies(pools, depths):
+    """The (trials, depths, 3) good/bad/discarded array of lists of counts."""
+    return np.array([[(c.n_good, c.n_bad, c.n_discarded) for c in pool] for pool in pools],
+                    dtype=np.int64).reshape(len(pools), len(depths), 3)
+
+
+def per_trial(result, depths):
+    """An MLE pass as one {depth: Estimate} dict per trial, or the trial's failure reason."""
+    return [reason or {d: Estimate.from_theta(float(th), int(c), "mle", {"label": d})
+                       for d, th, c in zip(depths, theta, calls) if not math.isnan(th)}
+            for theta, calls, reason in zip(result.theta, result.calls, result.reason)]
+
+
 def mle(counts_by_depth, epsilon=0.001, noise=None):
     """One trial's MLE pass, raising the reason when it has no estimate."""
-    (result,) = mle_estimate([counts_by_depth], epsilon, noise)
+    depths = [c.depth for c in counts_by_depth]
+    (result,) = per_trial(mle_estimate(tallies([counts_by_depth], depths), depths, epsilon,
+                                       noise), depths)
     if isinstance(result, str):
         raise EstimationError(result)
     return result
@@ -153,12 +168,16 @@ def test_mle_requires_kept_shots():
         mle([counts(0, 0, 0, discarded=10)])
     with pytest.raises(EstimationError):
         mle([])
-    assert mle_estimate([]) == []
+    empty = mle_estimate(np.zeros((0, 2, 3), dtype=np.int64), [0, 1])
+    assert empty.theta.shape == empty.calls.shape == (0, 2) and empty.reason.shape == (0,)
 
 
 def test_mle_needs_the_same_depths_for_every_trial():
+    # one (good, bad, discarded) entry per listed depth, for every trial
     with pytest.raises(ValueError):
-        mle_estimate([[counts(0, 1, 1)], [counts(1, 1, 1)]])
+        mle_estimate(np.ones((2, 1, 3), dtype=np.int64), [0, 1])
+    with pytest.raises(ValueError):
+        mle_estimate(np.ones((2, 2, 2), dtype=np.int64), [0, 1])
 
 
 def test_mle_noiseless_exactness_on_grid_points():
@@ -264,9 +283,10 @@ def test_chunked_engine_equals_a_scalar_pass_per_trial(pools, epsilon, noisy, ch
     # epsilon 1 and 1/2 a good count at theta = 0 underflows the posterior
     noise = NoiseModel.linear_ramp(7) if noisy else None
     budget = chunk * 3 * 8 * round(1 / epsilon)
+    depths = [c.depth for c in pools[0]]
     with mock.patch.object(estimators, "CHUNK_BYTES", budget):
-        assert mle_estimate(pools, epsilon, noise) == [scalar_mle(p, epsilon, noise)
-                                                       for p in pools]
+        result = mle_estimate(tallies(pools, depths), depths, epsilon, noise)
+    assert per_trial(result, depths) == [scalar_mle(p, epsilon, noise) for p in pools]
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -281,7 +301,8 @@ def test_likelihood_rows_are_built_once_per_depth_per_call(chunk, noisy):
     with mock.patch.object(estimators, "CHUNK_BYTES", chunk * 3 * 8 * 100), \
             mock.patch.object(estimators, "log_likelihood_rows",
                               wraps=log_likelihood_rows) as rows:
-        assert mle_estimate(pools, epsilon, noise) == expected
+        result = mle_estimate(tallies(pools, depths), depths, epsilon, noise)
+    assert per_trial(result, depths) == expected
     assert [c.args[1:] for c in rows.call_args_list] == [(d, noise) for d in depths]
 
 
@@ -332,7 +353,7 @@ def test_crt_worked_example_d2():
 
     est_theta, context = crt_reconstruct(p_d, p_dm1, theta, 2)
     assert abs(est_theta - theta) < 1e-12
-    assert context.modulus == 15
+    assert (context.theta, context.p_hat) == (est_theta, math.sin(est_theta) ** 2)
 
 
 @pytest.mark.parametrize("d_max", range(2, 8))
@@ -356,6 +377,37 @@ def test_crt_off_grid_error_within_one_grid_step(d_max):
         assert abs(est_theta - theta) <= math.pi / modulus + 1e-12
 
 
+@st.composite
+def crt_rows(draw):
+    """(p_d, p_dm1, theta_ref, d_max) rows: probabilities on a shot grid with
+    0 and 1 included, anchors at the fold-sign tie theta = 0 and at the
+    zeros of sin(2 (2D -+ 1) theta) computed in floating point."""
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        d = draw(st.integers(2, 9))
+        shots = draw(st.integers(1, 40))
+        p_d, p_dm1 = (draw(st.integers(0, shots)) / shots for _ in range(2))
+        n = draw(st.sampled_from([2 * d - 1, 2 * d + 1]))
+        theta = draw(st.one_of(st.floats(0.0, math.pi / 2), st.just(0.0),
+                               st.integers(0, n).map(lambda k, n=n: k * math.pi / (2 * n))))
+        rows.append((p_d, p_dm1, theta, d))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=crt_rows())
+def test_crt_columns_equal_crt_reconstruct_row_by_row(rows):
+    columns = crt_columns(*(np.array(column) for column in zip(*rows)))
+    for i, row in enumerate(rows):
+        _, readings = crt_reconstruct(*row)
+        assert tuple(column[i] for column in columns) == readings
+
+
+def test_crt_columns_reject_small_depth():
+    with pytest.raises(ValueError):
+        crt_columns([0.5, 0.5], [0.5, 0.5], [0.3, 0.3], [2, 1])
+
+
 def test_crt_estimate_from_counts_and_oracle_bill():
     theta = 2 * math.pi / 15
     mle_low = Estimate.from_theta(theta, oracle_calls=500 * (1 + 3 + 5), algorithm="mle")
@@ -365,7 +417,7 @@ def test_crt_estimate_from_counts_and_oracle_bill():
     assert est.oracle_calls == 500 * 9 + 500 * 5 + 500 * 3
     assert est.algorithm == "crt"
     assert abs(est.p_hat - math.sin(est.theta_hat) ** 2) < 1e-12
-    assert est.diagnostics["context"].n1 == 3
+    assert est.diagnostics["context"].theta == est.theta_hat
 
 
 def test_crt_estimate_requires_kept_shots():

@@ -1,23 +1,56 @@
 """Experiment driver: trials, calibration, noise fitting, emission, CLI."""
+import csv
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdepth_ae import estimators, harness
-from lowdepth_ae.estimators import (Estimate, crt_estimate, hybrid_estimate,
-                                    mle_estimate)
-from lowdepth_ae.harness import (ALGORITHMS, AggregateRow, ExperimentConfig,
-                                 TrialResult, UnidentifiableFitError,
-                                 aggregate_and_emit, calibrate_hybrid,
-                                 fit_depolarizing, run_experiment, run_streams,
-                                 run_trial, run_trials, sample_vector_pair)
-from lowdepth_ae.noise import NoiseModel, noise_floor, sample_noisy_shots
+from lowdepth_ae.estimators import (Estimate, EstimationError, HybridCalibration,
+                                    crt_estimate, hybrid_estimate, mle_estimate)
+from lowdepth_ae.harness import (ALGORITHMS, ExperimentConfig, RunTable,
+                                 UnidentifiableFitError, aggregate_and_emit,
+                                 calibrate_hybrid, fit_depolarizing,
+                                 run_experiment, run_streams, run_trial,
+                                 run_trials, sample_vector_pair)
+from lowdepth_ae.noise import NoiseModel, effective_eta, noise_floor, sample_noisy_shots
 from lowdepth_ae.schedules import InfeasibleScheduleError, optimize_exponent
 from lowdepth_ae.simulator import DepthCounts
 from lowdepth_ae.cli import main as cli_main
+
+
+def tallies(pools):
+    """The (trials, depths, 3) good/bad/discarded array of lists of counts."""
+    return np.array([[(c.n_good, c.n_bad, c.n_discarded) for c in pool] for pool in pools],
+                    dtype=np.int64)
+
+
+def pool_of(table, t):
+    """Trial ``t``'s shot pool as counts, one per depth."""
+    return [DepthCounts(depth=d, n_good=g, n_bad=b, n_discarded=x)
+            for d, (g, b, x) in enumerate(table.counts[t].tolist())]
+
+
+def kept_labels(table, t, algorithm):
+    """Labels of the rows of ``algorithm`` that trial ``t`` kept."""
+    return [label for k, (alg, label) in enumerate(zip(table.algorithm, table.label))
+            if alg == algorithm and table.kept[t, k]]
+
+
+def trial_rows(table, t):
+    """Everything the table holds on trial ``t``, as plain values to compare."""
+    rows = [(alg, label, table.reason[t, k]) if not table.kept[t, k] else
+            (alg, label, float(table.theta_hat[t, k]), int(table.oracle_calls[t, k]),
+             table.branch[t, k])
+            for k, (alg, label) in enumerate(zip(table.algorithm, table.label))]
+    crt = None if table.crt is None else [column[t].tolist() for column in table.crt]
+    anchor = None if table.anchor is None else repr(float(table.anchor[t]))
+    return float(table.theta_true[t]), table.counts[t].tolist(), rows, anchor, crt
 
 
 def quiet_config(**kwargs):
@@ -72,8 +105,7 @@ def test_noiseless_trial_mle_is_accurate():
         rng = np.random.default_rng(seed)
         pair = sample_vector_pair(rng, "uniform-theta")
         trial = run_trial(config, pair, rng)
-        est = trial.estimates["mle"][-1]
-        errs.append(abs(est.theta_hat - trial.theta_true))
+        errs.append(abs(trial.theta_hat[0, -1] - trial.theta_true[0]))
     assert np.mean(errs) <= config.epsilon + 0.005
 
 
@@ -87,8 +119,8 @@ def test_noiseless_trial_at_pi_over_eight():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         trial = run_trial(config, (x, y), rng)
-        assert abs(trial.theta_true - theta) < 1e-9
-        errs.append(abs(trial.estimates["mle"][-1].theta_hat - theta))
+        assert abs(trial.theta_true[0] - theta) < 1e-9
+        errs.append(abs(trial.theta_hat[0, -1] - theta))
     assert np.mean(errs) <= config.epsilon + 0.003
 
 
@@ -96,8 +128,8 @@ def test_empty_algorithm_set_yields_no_estimates():
     config = quiet_config(algorithms=())
     rng = np.random.default_rng(3)
     trial = run_trial(config, sample_vector_pair(rng, "haar"), rng)
-    assert trial.estimates == {}
-    assert len(trial.counts_by_depth) == config.max_depth + 1
+    assert trial.algorithm == () and trial.theta_hat.shape == (1, 0)
+    assert trial.counts.shape == (1, config.max_depth + 1, 3)
 
 
 def test_direct_error_approaches_noise_floor():
@@ -117,15 +149,20 @@ def test_direct_error_approaches_noise_floor():
     assert abs(np.mean(errs) - floor) < 0.15 * floor
 
 
+def powerlaw_calls_from_the_pool(config, table):
+    """Per trial, the oracle calls of the schedule's shots drawn from the kept pool."""
+    schedule = harness._powerlaw_plan(config)
+    kept = table.counts[..., 0] + table.counts[..., 1]
+    return [sum(min(n, int(kept[t, d])) * (2 * d + 1) for d, n in schedule.entries)
+            for t in range(len(kept))]
+
+
 def test_powerlaw_subsamples_the_recorded_pool():
     config = quiet_config(algorithms=("powerlaw",))
     rng = np.random.default_rng(5)
     trial = run_trial(config, sample_vector_pair(rng, "haar"), rng)
-    (est,) = trial.estimates["powerlaw"]
-    schedule = dict(est.diagnostics["schedule"])
-    for depth, counts in enumerate(trial.counts_by_depth):
-        assert schedule[depth] <= config.n_shots
-        assert min(schedule[depth], counts.kept) <= counts.kept
+    assert trial.kept.all()
+    assert trial.oracle_calls[:, 0].tolist() == powerlaw_calls_from_the_pool(config, trial)
 
 
 def test_per_algorithm_failure_does_not_abort_trial():
@@ -133,9 +170,9 @@ def test_per_algorithm_failure_does_not_abort_trial():
                           powerlaw_target_eps=1e-9)  # infeasible on purpose
     rng = np.random.default_rng(6)
     trial = run_trial(config, sample_vector_pair(rng, "haar"), rng)
-    assert trial.estimates["powerlaw"] == ()
-    assert "powerlaw" in trial.errors
-    assert len(trial.estimates["direct"]) == 1
+    assert kept_labels(trial, 0, "powerlaw") == []
+    assert "powerlaw" in trial.errors()["0"]
+    assert kept_labels(trial, 0, "direct") == [0]
 
 
 # --------------------------------------------------------------------- config
@@ -161,6 +198,16 @@ def test_config_validation():
         quiet_config(max_depth=9)  # noise model covers only 0..3
 
 
+def test_config_rejects_duplicate_algorithms(tmp_path):
+    # accepted before, every row of the named algorithm was written twice
+    with pytest.raises(ValueError, match="more than once"):
+        quiet_config(algorithms=("mle", "mle"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(quiet_config().to_dict()), encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--algorithms", "direct,mle,direct"]) == 2
+
+
 def test_config_rejects_a_nonpositive_powerlaw_target():
     # accepted before, the run died after calibration and every trial
     with pytest.raises(ValueError, match="powerlaw_target_eps"):
@@ -183,16 +230,15 @@ def test_epsilon_that_truncates_the_grid_is_rejected(epsilon):
     with pytest.raises(ValueError):
         quiet_config(epsilon=epsilon)
     with pytest.raises(ValueError):
-        mle_estimate([[DepthCounts(depth=0, n_good=1, n_bad=0)]], epsilon)
+        mle_estimate([[(1, 0, 0)]], [0], epsilon)
 
 
 @pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 5e-3, 1e-2])
 def test_epsilon_of_one_over_integer_is_accepted(epsilon):
     assert quiet_config(epsilon=epsilon).epsilon == epsilon
     # all good lands on the top grid point, (1/eps - 1) steps of pi eps / 2
-    (by_depth,) = mle_estimate([[DepthCounts(depth=0, n_good=1, n_bad=0)]], epsilon)
-    top = by_depth[0]
-    assert abs(top.theta_hat - (1 - epsilon) * math.pi / 2) < 1e-12
+    top = mle_estimate([[(1, 0, 0)]], [0], epsilon).theta[0, 0]
+    assert abs(top - (1 - epsilon) * math.pi / 2) < 1e-12
 
 
 # ---------------------------------------------------------------- calibration
@@ -239,20 +285,20 @@ def test_calibration_skips_failed_draws(tmp_path):
     rng = next(run_streams(config.seed, 0))
     draws = [run_trial(crt_only, sample_vector_pair(rng, config.vector_mode), rng)
              for _ in range(config.calib_trials)]
-    ok = [t for t in draws if len(t.estimates["crt"]) == config.max_depth - 1]
+    ok = [t for t in draws if t.kept.all()]
     assert 0 < len(ok) < len(draws)
-    anchors = [t.estimates["crt"][0].diagnostics["anchor"] for t in ok]
-    expected = float(np.mean([abs(a.p_hat - t.p_true) for a, t in zip(anchors, ok)]))
+    expected = float(np.mean([abs(math.sin(t.anchor[0]) ** 2 - t.p_true[0]) for t in ok]))
     cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
     assert all(c.mle_avg_depth2 == expected for c in cal.values())
 
     with_hybrid, _ = run_experiment(config, out_dir=tmp_path / "hybrid")
     without, _ = run_experiment(leaky_config(algorithms=("mle", "crt")),
                                 out_dir=tmp_path / "plain")
-    assert any(t.errors for t in without)
-    assert any(t.estimates["hybrid"] for t in with_hybrid)
-    assert [{a: e for a, e in t.errors.items() if a != "hybrid"} for t in with_hybrid] \
-        == [t.errors for t in without]
+    assert without.errors()
+    assert kept_labels(with_hybrid, 0, "hybrid")
+    errors = {t: {a: e for a, e in by_alg.items() if a != "hybrid"}
+              for t, by_alg in with_hybrid.errors().items()}
+    assert {t: by_alg for t, by_alg in errors.items() if by_alg} == without.errors()
     rows = {name: [r for r in (tmp_path / name / "trials.csv").read_text().splitlines()
                    if not r.startswith("hybrid,")]
             for name in ("hybrid", "plain")}
@@ -264,16 +310,16 @@ def test_a_row_drops_only_when_its_own_inputs_kept_no_shot(tmp_path):
     # drops, the D=3 row needs depths 3 and 2 and stays.  Trial 7 keeps
     # [0, 4, 1, 4]: no MLE estimate at depth 0, but one at depths 1..3.
     config = leaky_config(algorithms=("mle", "crt", "hybrid"))
-    trials, paths = run_experiment(config, out_dir=tmp_path)
-    assert [c.kept for c in trials[1].counts_by_depth] == [3, 0, 3, 5]
-    assert [e.diagnostics["label"] for e in trials[1].estimates["crt"]] == [3]
-    assert [e.diagnostics["label"] for e in trials[1].estimates["hybrid"]] == [3]
-    assert trials[1].errors["crt"].startswith("depth 2:")
-    assert [c.kept for c in trials[7].counts_by_depth] == [0, 4, 1, 4]
-    assert [e.diagnostics["label"] for e in trials[7].estimates["mle"]] == [1, 2, 3]
-    assert trials[7].errors == {"mle": "depth 0: no kept shots at depths 0..0"}
+    table, paths = run_experiment(config, out_dir=tmp_path)
+    kept = (table.counts[..., 0] + table.counts[..., 1]).tolist()
+    assert kept[1] == [3, 0, 3, 5]
+    assert kept_labels(table, 1, "crt") == kept_labels(table, 1, "hybrid") == [3]
+    assert table.errors()["1"]["crt"].startswith("depth 2:")
+    assert kept[7] == [0, 4, 1, 4]
+    assert kept_labels(table, 7, "mle") == [1, 2, 3]
+    assert table.errors()["7"] == {"mle": "depth 0: no kept shots at depths 0..0"}
     manifest = json.loads(paths["manifest"].read_text(encoding="utf-8"))
-    assert manifest["trial_errors"]["7"] == trials[7].errors
+    assert manifest["trial_errors"] == table.errors()
 
 
 @pytest.mark.parametrize("mle_noise_aware", [False, True])
@@ -284,31 +330,42 @@ def test_batched_trials_equal_trials_run_one_by_one(mle_noise_aware, monkeypatch
     config = leaky_config(algorithms=ALGORITHMS, mle_noise_aware=mle_noise_aware)
     cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
     streams = list(run_streams(config.seed, config.n_trials))[1:]
-    one_by_one = [run_trial(config, sample_vector_pair(rng, config.vector_mode), rng, cal,
-                            trial_id=i) for i, rng in enumerate(streams)]
+    one_by_one = [run_trial(config, sample_vector_pair(rng, config.vector_mode), rng, cal)
+                  for rng in streams]
     batched = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
-    assert any(t.errors for t in batched)
-    assert batched == one_by_one
+    assert batched.errors()
+    assert [trial_rows(batched, t) for t in range(config.n_trials)] \
+        == [trial_rows(one, 0) for one in one_by_one]
 
 
-def rows_on_a_separate_anchor_pass(config, trials, cal):
-    """Per trial, the CRT and hybrid rows by label, built on the depth-2
-    estimate of the trial's own noise-unaware MLE pass over depths 0..2."""
+def rows_on_a_separate_anchor_pass(config, table, cal):
+    """Per trial, the CRT and hybrid rows by label, built by the scalar
+    estimators on the depth-2 estimate of the trial's own noise-unaware MLE
+    pass over depths 0..2."""
+    anchors = mle_estimate(table.counts[:, :3], range(3), config.epsilon)
     expected = []
-    for trial, anchor_pass in zip(trials, mle_estimate(
-            [t.counts_by_depth[:3] for t in trials], config.epsilon)):
-        pool, crt, hybrid = trial.counts_by_depth, {}, {}
-        anchor = anchor_pass.get(2) if isinstance(anchor_pass, dict) else None
+    for t, (theta, calls) in enumerate(zip(anchors.theta[:, 2], anchors.calls[:, 2])):
+        pool, crt, hybrid = pool_of(table, t), {}, {}
+        anchor = Estimate.from_theta(float(theta), int(calls), "mle")
         for d in range(2, config.max_depth + 1):
-            if anchor is not None and pool[d].kept and pool[d - 1].kept:
-                crt[d] = crt_estimate(pool[d], pool[d - 1], anchor, d)
-                hybrid[d] = hybrid_estimate(anchor, crt[d], cal[d])
+            if not math.isnan(theta) and pool[d].kept and pool[d - 1].kept:
+                est = crt_estimate(pool[d], pool[d - 1], anchor, d)
+                crt[d] = (est.theta_hat, est.p_hat, est.oracle_calls, "")
+                est = hybrid_estimate(anchor, est, cal[d])
+                hybrid[d] = (est.theta_hat, est.p_hat, est.oracle_calls,
+                             est.diagnostics["branch"])
         expected.append({"crt": crt, "hybrid": hybrid})
     return expected
 
 
-def by_label(estimates):
-    return {e.diagnostics["label"]: e for e in estimates}
+def crt_and_hybrid_rows(table):
+    """Per trial, the table's kept CRT and hybrid rows by label."""
+    return [{alg: {label: (float(table.theta_hat[t, k]), float(table.p_hat[t, k]),
+                           int(table.oracle_calls[t, k]), table.branch[t, k])
+                   for k, (a, label) in enumerate(zip(table.algorithm, table.label))
+                   if a == alg and table.kept[t, k]}
+             for alg in ("crt", "hybrid")}
+            for t in range(len(table.theta_true))]
 
 
 @pytest.mark.parametrize("algorithms,mle_noise_aware", [
@@ -319,15 +376,13 @@ def test_crt_and_hybrid_rows_equal_those_on_a_separate_anchor_pass(algorithms,
     # leaky pools: some trials keep no shot at a depth the anchor or a CRT row needs
     config = leaky_config(algorithms=algorithms, mle_noise_aware=mle_noise_aware)
     cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
-    trials = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
-    assert any(c.kept == 0 for t in trials for c in t.counts_by_depth[:3])
-    expected = rows_on_a_separate_anchor_pass(config, trials, cal)
-    assert [{alg: by_label(t.estimates[alg]) for alg in ("crt", "hybrid")}
-            for t in trials] == expected
+    table = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
+    assert (table.counts[:, :3, :2].sum(axis=2) == 0).any()
+    assert crt_and_hybrid_rows(table) == rows_on_a_separate_anchor_pass(config, table, cal)
     if algorithms[0] == "mle" and not mle_noise_aware:
         # the anchor is the MLE row at depth 2 itself
-        assert all(crt.diagnostics["anchor"] is by_label(t.estimates["mle"])[2]
-                   for t in trials for crt in t.estimates["crt"])
+        assert np.array_equal(table.anchor, table.theta_hat[:, table.slot("mle", 2)],
+                              equal_nan=True)
 
 
 def test_an_mle_pass_that_fails_after_depth_2_keeps_the_crt_anchor(monkeypatch):
@@ -335,23 +390,34 @@ def test_an_mle_pass_that_fails_after_depth_2_keeps_the_crt_anchor(monkeypatch):
     # loses trial 0, whose anchor then comes from its own pass over depths 0..2
     calls = []
 
-    def failing_after_depth_2(pools, epsilon, noise=None):
-        calls.append(len(pools))
-        result = mle_estimate(pools, epsilon, noise)
-        if pools and len(pools[0]) > 3:
-            result[0] = "posterior underflow: counts are inconsistent with the grid"
+    def failing_after_depth_2(counts, depths, epsilon, noise=None):
+        calls.append(len(counts))
+        result = mle_estimate(counts, depths, epsilon, noise)
+        if len(depths) > 3:
+            result.theta[0] = np.nan
+            result.reason[0] = "posterior underflow: counts are inconsistent with the grid"
         return result
 
     config = quiet_config(algorithms=("mle", "crt", "hybrid"))
     cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
     monkeypatch.setattr(harness, "mle_estimate", failing_after_depth_2)
-    trials = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
+    table = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
     assert calls == [config.n_trials, 1]
-    assert trials[0].estimates["mle"] == ()
-    assert trials[0].errors["mle"].startswith("depth 0: posterior underflow")
-    assert len(trials[0].estimates["crt"]) == len(trials[0].estimates["hybrid"]) == 2
-    assert [{alg: by_label(t.estimates[alg]) for alg in ("crt", "hybrid")}
-            for t in trials] == rows_on_a_separate_anchor_pass(config, trials, cal)
+    assert kept_labels(table, 0, "mle") == []
+    assert table.errors()["0"]["mle"].startswith("depth 0: posterior underflow")
+    assert kept_labels(table, 0, "crt") == kept_labels(table, 0, "hybrid") == [2, 3]
+    assert crt_and_hybrid_rows(table) == rows_on_a_separate_anchor_pass(config, table, cal)
+
+
+def test_no_anchor_pass_runs_over_zero_trials():
+    # every trial has a depth-2 row from the noise-unaware MLE pass, so the
+    # run makes that pass alone; it used to add a pass over no trials
+    config = quiet_config(algorithms=("mle", "crt"))
+    rngs = list(run_streams(config.seed, config.n_trials))[1:]
+    with mock.patch.object(harness, "mle_estimate", wraps=mle_estimate) as engine:
+        table = run_trials(config, rngs)
+    assert not np.isnan(table.anchor).any()
+    assert [len(c.args[0]) for c in engine.call_args_list] == [config.n_trials]
 
 
 def test_a_run_solves_the_power_law_schedule_once(tmp_path, monkeypatch):
@@ -381,7 +447,7 @@ def make_fit_data(gamma, n_trials=40, shots=100_000, seed=0):
     thetas = rng.uniform(0.0, math.pi / 2, n_trials)
     counts = [[sample_noisy_shots(theta, d, shots, model, rng) for d in range(8)]
               for theta in thetas]
-    return counts, thetas
+    return tallies(counts), thetas
 
 
 def test_fit_recovers_known_gamma():
@@ -403,7 +469,7 @@ def test_fit_degenerate_probabilities_unidentifiable():
     counts = [[sample_noisy_shots(theta, d, 1000, model, rng) for d in range(8)]
               for _ in range(5)]
     with pytest.raises(UnidentifiableFitError):
-        fit_depolarizing(counts, [theta] * 5)
+        fit_depolarizing(tallies(counts), [theta] * 5)
 
 
 def test_fit_leaves_out_trials_that_kept_no_shot():
@@ -419,9 +485,10 @@ def test_fit_leaves_out_trials_that_kept_no_shot():
     empty = [DepthCounts(depth=d, n_good=0, n_bad=0, n_discarded=8) for d in range(8)]
     with_empty = counts[:100] + [empty] * 50 + counts[100:]
     thetas_with_empty = np.concatenate([thetas[:100], np.full(50, 0.3), thetas[100:]])
-    assert fit_depolarizing(with_empty, thetas_with_empty) == fit_depolarizing(counts, thetas)
+    assert fit_depolarizing(tallies(with_empty), thetas_with_empty) \
+        == fit_depolarizing(tallies(counts), thetas)
     with pytest.raises(UnidentifiableFitError, match="fewer than two"):
-        fit_depolarizing([counts[0], empty, empty], thetas[:3])
+        fit_depolarizing(tallies([counts[0], empty, empty]), thetas[:3])
 
 
 def test_fit_needs_two_trials():
@@ -432,31 +499,28 @@ def test_fit_needs_two_trials():
 
 # ------------------------------------------------------------------- emission
 
-def one_estimate(p_hat, label, calls=500, algorithm="direct"):
-    return Estimate.from_theta(math.asin(math.sqrt(p_hat)), calls, algorithm,
-                               diagnostics={"label": label})
+def direct_table(p_hats, calls=500):
+    """A table of direct rows at depth 0, one trial per estimate, all at p_true 1/2."""
+    n = len(p_hats)
+    return RunTable(theta_true=np.full(n, math.pi / 4),
+                    counts=np.zeros((n, 1, 3), dtype=np.int64),
+                    algorithm=("direct",), label=(0,),
+                    theta_hat=np.array([[math.asin(math.sqrt(p))] for p in p_hats]),
+                    oracle_calls=np.full((n, 1), calls), branch=np.full((n, 1), ""),
+                    reason=np.full((n, 1), None, dtype=object))
 
 
 def test_emit_single_trial_single_algorithm(tmp_path):
-    trial = TrialResult(trial_id=0, theta_true=math.pi / 4, p_true=0.5,
-                        estimates={"direct": (one_estimate(0.52, 0),)},
-                        errors={}, counts_by_depth=())
     config = quiet_config(algorithms=("direct",))
-    paths = aggregate_and_emit([trial], config, tmp_path)
+    paths = aggregate_and_emit(direct_table([0.52]), config, tmp_path)
     lines = paths["trials"].read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("algorithm,depth,oracle_calls,trial_id,theta_true")
 
 
 def test_emit_aggregate_mean(tmp_path):
-    trials = [
-        TrialResult(trial_id=i, theta_true=math.pi / 4, p_true=0.5,
-                    estimates={"direct": (one_estimate(p, 0),)},
-                    errors={}, counts_by_depth=())
-        for i, p in enumerate((0.51, 0.53))
-    ]
     config = quiet_config(algorithms=("direct",))
-    paths = aggregate_and_emit(trials, config, tmp_path)
+    paths = aggregate_and_emit(direct_table([0.51, 0.53]), config, tmp_path)
     header, row = paths["aggregate"].read_text(encoding="utf-8").splitlines()
     fields = dict(zip(header.split(","), row.split(",")))
     assert abs(float(fields["mean_abs_err_p"]) - 0.02) < 1e-12
@@ -465,13 +529,7 @@ def test_emit_aggregate_mean(tmp_path):
 
 def test_emit_rejects_empty_trials(tmp_path):
     with pytest.raises(ValueError):
-        aggregate_and_emit([], quiet_config(), tmp_path)
-
-
-def test_aggregate_row_validation():
-    with pytest.raises(ValueError):
-        AggregateRow(algorithm="mle", depth="0", total_oracle_calls=1,
-                     mean_abs_err_p=-0.1, std_err_p=0.0, mean_abs_err_theta=0.0)
+        aggregate_and_emit(direct_table([]), quiet_config(), tmp_path)
 
 
 # ------------------------------------------------------------------ end to end
@@ -504,12 +562,11 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
 
 def test_shot_pools_are_shared_across_estimators(tmp_path):
     config = quiet_config()
-    trials, _ = run_experiment(config, out_dir=tmp_path / "run")
-    for trial in trials:
-        kept = {c.depth: c.kept for c in trial.counts_by_depth}
-        (est,) = trial.estimates["powerlaw"]
-        for depth, n in est.diagnostics["schedule"]:
-            assert min(n, kept[depth]) <= kept[depth]
+    table, _ = run_experiment(config, out_dir=tmp_path / "run")
+    assert table.oracle_calls[:, table.slot("powerlaw", "eps=0.05")].tolist() \
+        == powerlaw_calls_from_the_pool(config, table)
+    direct = table.oracle_calls[:, table.slot("direct", 0)]
+    assert direct.tolist() == table.counts[:, 0].sum(axis=1).tolist()
 
 
 # ------------------------------------------------------------------------ cli
@@ -570,6 +627,24 @@ def test_cli_fit_noise_and_sweep(tmp_path, capsys):
     assert (sweep_dir / "max_depth_2" / "aggregate.csv").exists()
 
 
+def test_cli_fit_noise_prints_the_rate_the_fit_measures(tmp_path, capsys):
+    # the fit measures -log(1 - eta_d) = gamma_d - log(1 - beta); the model
+    # column printed gamma_d, 0.035 against a fit of 0.088 at depth 0
+    noise = NoiseModel(gamma_by_depth=(0.035, 0.08, 0.125, 0.17), beta_readout=0.05)
+    config = quiet_config(n_trials=400, n_shots=500, seed=5, noise=noise,
+                          vector_mode="uniform-theta")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    assert cli_main(["fit-noise", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["depth", "gamma_model", "gamma_fit"]
+    rows = [line.split() for line in lines[1:1 + config.max_depth + 1]]
+    for d, (depth, model, fit) in enumerate(rows):
+        assert int(depth) == d
+        assert model == f"{-math.log(1.0 - effective_eta(noise, d)):.4f}"
+        assert abs(float(model) - float(fit)) < 0.02
+
+
 def test_cli_calibrate_and_fit_noise_match_the_run(tmp_path):
     # run, calibrate and fit-noise draw the same trials from the same streams
     config = quiet_config(n_trials=6, calib_trials=8, tune_beta=True,
@@ -585,3 +660,106 @@ def test_cli_calibrate_and_fit_noise_match_the_run(tmp_path):
         (tmp_path / "calibrate" / "calibration.json").read_text(encoding="utf-8"))
     assert fitted["gamma_by_depth"] == manifest["gamma_fit"]
     assert calibration == manifest["calibration"]
+
+
+# ------------------------------------------------------- columnar CRT/hybrid
+
+@st.composite
+def crt_inputs(draw):
+    """Tallies of a few trials, with empty depths and all-good/all-bad ones,
+    a config and per-depth calibrations that may leave depths out."""
+    max_depth = draw(st.integers(2, 5))
+    n_trials = draw(st.integers(1, 6))
+    tallies_by_trial = []
+    for _ in range(n_trials):
+        pool = []
+        # depths 0..2 keep no shot (no anchor) or only bad ones (the anchor is
+        # theta = 0, where both fold signs tie at sin = 0)
+        low = draw(st.sampled_from(["any", "any", "empty", "bad"]))
+        for d in range(max_depth + 1):
+            good, bad, discarded = (draw(st.integers(0, 12)) for _ in range(3))
+            kind = low if d < 3 and low != "any" else draw(st.sampled_from(
+                ["empty", "good", "bad", "any", "any", "any"]))
+            if kind == "empty":
+                good = bad = 0      # no kept shot
+            elif kind == "good":
+                bad = 0             # p = 1
+            elif kind == "bad":
+                good = 0            # p = 0
+            pool += [good, bad, discarded]
+        tallies_by_trial.append(pool)
+    config = quiet_config(
+        n_trials=n_trials, max_depth=max_depth, noise=NoiseModel.linear_ramp(max_depth),
+        epsilon=draw(st.sampled_from([0.5, 0.1, 0.02, 0.01])),
+        mle_noise_aware=draw(st.booleans()),
+        algorithms=draw(st.sampled_from([("crt", "hybrid"), ("mle", "crt", "hybrid")])))
+    cal = {d: HybridCalibration(mle_avg_depth2=draw(st.floats(0, 0.3)),
+                                crt_exact_at_d=draw(st.floats(0, 0.3)),
+                                beta_hybrid=draw(st.sampled_from([0.0, 0.5, 1.0, 4.0])))
+           for d in range(2, max_depth + 1) if draw(st.integers(0, 4))}
+    return config, tallies_by_trial, cal
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=crt_inputs())
+def test_columnar_crt_and_hybrid_equal_the_scalar_estimators_row_by_row(inputs):
+    config, tallies_by_trial, cal = inputs
+    draws = [(0.3, pool, None) for pool in tallies_by_trial]
+    table = harness._estimate(config, draws, None, cal)
+    anchors = mle_estimate(table.counts[:, :3], range(3), config.epsilon)
+    for t in range(config.n_trials):
+        pool = pool_of(table, t)
+        theta, calls = anchors.theta[t, 2], anchors.calls[t, 2]
+        anchor = Estimate.from_theta(float(theta), int(calls), "mle")
+        for d in range(2, config.max_depth + 1):
+            expected = {}
+            if math.isnan(theta):
+                expected["crt"] = expected["hybrid"] = f"anchor: {anchors.reason[t]}"
+            else:
+                try:
+                    crt = crt_estimate(pool[d], pool[d - 1], anchor, d)
+                except EstimationError as exc:
+                    expected["crt"] = expected["hybrid"] = str(exc)
+                else:
+                    expected["crt"] = (crt.theta_hat, crt.p_hat, crt.oracle_calls, "")
+                    assert tuple(column[t, d - 2] for column in table.crt) \
+                        == crt.diagnostics["context"]
+                    if d not in cal:
+                        expected["hybrid"] = "no calibration"
+                    else:
+                        est = hybrid_estimate(anchor, crt, cal[d])
+                        expected["hybrid"] = (est.theta_hat, est.p_hat, est.oracle_calls,
+                                              est.diagnostics["branch"])
+            for alg in ("crt", "hybrid"):
+                k = table.slot(alg, d)
+                actual = table.reason[t, k] if not table.kept[t, k] else (
+                    float(table.theta_hat[t, k]), float(table.p_hat[t, k]),
+                    int(table.oracle_calls[t, k]), table.branch[t, k])
+                assert actual == expected[alg], (t, alg, d)
+
+
+def test_emitted_floats_are_the_repr_of_the_table_values(tmp_path):
+    table, paths = run_experiment(quiet_config(), out_dir=tmp_path)
+    with open(paths["trials"], encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    t, k = np.nonzero(table.kept)
+    assert len(rows) == len(t)
+    err_p = np.abs(table.p_hat - table.p_true[:, None])
+    err_theta = np.abs(table.theta_hat - table.theta_true[:, None])
+    for row, t, k in zip(rows, t.tolist(), k.tolist()):
+        assert row["theta_true"] == repr(float(table.theta_true[t]))
+        assert row["p_true"] == repr(float(table.p_true[t]))
+        assert row["theta_hat"] == repr(float(table.theta_hat[t, k]))
+        assert row["p_hat"] == repr(float(table.p_hat[t, k]))
+        assert row["abs_err_p"] == repr(float(err_p[t, k]))
+        assert row["abs_err_theta"] == repr(float(err_theta[t, k]))
+        # the probability is sin^2 of the angle, as the scalar estimators compute it
+        assert float(row["p_hat"]) == math.sin(float(row["theta_hat"])) ** 2
+    with open(paths["aggregate"], encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            label = row["depth"] if row["algorithm"] == "powerlaw" else int(row["depth"])
+            errs = [float(r["abs_err_p"]) for r in rows
+                    if (r["algorithm"], r["depth"]) == (row["algorithm"], row["depth"])]
+            assert row["mean_abs_err_p"] == repr(float(np.mean(errs)))
+            assert row["std_err_p"] == repr(float(np.std(errs)))
+            assert errs == table.err_p(row["algorithm"], label).tolist()
