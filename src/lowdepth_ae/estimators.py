@@ -18,6 +18,17 @@ depth's update.  The log-likelihood rows depend only on the grid, the
 noise and the depth, so the engine computes them once per depth and call,
 and updates the posteriors of a chunk of trials together.
 
+On a grid of :data:`PRUNE_MIN_GRID` points or more the engine skips the
+points that provably cannot be the argmax.  The bound of a block of points
+is the same update with each likelihood row replaced by its maximum over
+the block, computed with the same floating-point operations in the same
+order as a point's value.  For counts >= 0 every step is monotone under
+round-to-nearest, so the computed bound is never below the computed value
+of any point of the block.  A block is dropped at a depth only when its
+bound is strictly below the computed value of some real grid point there;
+ties still resolve toward the smaller index, and every output equals the
+full pass's bit for bit.
+
 The CRT estimator recovers the angle as ``v pi / (4 D^2 - 1)`` from folded
 low-precision residues of ``v`` modulo the coprime pair (2D-1, 2D+1).  The
 depth-D circuit amplifies the angle by 2D+1, so its folded reading ``l``
@@ -41,12 +52,23 @@ from .noise import NoiseModel, effective_eta
 from .simulator import DepthCounts
 
 EXTENDED_OFFSETS = tuple((d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1))
-# Bytes of posterior and update scratch, three (trials x grid) float64
-# arrays, that mle_estimate holds per chunk of trials: two trials at
-# epsilon=1e-4, 21 at 1e-3, 218 at 1e-2.  The likelihood table shared by
+# Bytes of update scratch that mle_estimate holds at a time.  On a grid of
+# fewer than PRUNE_MIN_GRID points that is three (trials x grid) float64
+# arrays per chunk of trials: 21 trials at epsilon=1e-3, 218 at 1e-2.  On a
+# finer grid it is one batch of about CHUNK_BYTES / BLOCK_BYTES blocks
+# (3,276), made of whole trials, so a single trial whose posterior keeps
+# most of the grid in play can exceed it.  The likelihood table shared by
 # all chunks, depths x 2 x grid float64 (1.28 MB for 8 depths at 1e-4),
-# sits outside this budget.
+# and the pruned pass's block maxima (a fifth of that) sit outside it.
 CHUNK_BYTES = 1 << 19
+# Grid size from which mle_estimate prunes; at 1,000 points pruning
+# saves no time, at 2,000 it saves 20-40%, at 10^4 about half.
+PRUNE_MIN_GRID = 2000
+# Blocks of the pruned pass split into BRANCH blocks each, from at most
+# BRANCH**2 blocks over the grid down to single points.
+BRANCH = 10
+# Peak scratch of one block in a pruned sweep, measured with tracemalloc.
+BLOCK_BYTES = 160
 
 
 class EstimationError(RuntimeError):
@@ -157,8 +179,12 @@ def bayesian_update(log_post: np.ndarray, rows: tuple[np.ndarray, np.ndarray],
     ``-inf``.  The result is ``log_post + (n_good log p1 + n_bad log(1-p1))``.
     """
     log_p1, log_p0 = rows
-    n_good = np.asarray(n_good)[..., None]
-    n_bad = np.asarray(n_bad)[..., None]
+    return _add_counts(log_post, log_p1, log_p0, np.asarray(n_good)[..., None],
+                       np.asarray(n_bad)[..., None])
+
+
+def _add_counts(log_post, log_p1, log_p0, n_good, n_bad) -> np.ndarray:
+    """:func:`bayesian_update` on arguments that broadcast to ``log_post``'s shape."""
     logl = np.multiply(n_good, log_p1, out=np.zeros_like(log_post), where=n_good > 0)
     logl += np.multiply(n_bad, log_p0, out=np.zeros_like(log_post), where=n_bad > 0)
     return np.add(log_post, logl, out=logl)
@@ -192,43 +218,179 @@ def mle_estimate(counts, depths, epsilon: float = 0.001,
     and the reason in ``reason``.
 
     The likelihood rows of each entry are computed once and serve every
-    trial; trials are updated in chunks whose posteriors and update scratch
-    fit :data:`CHUNK_BYTES`, so memory stays bounded at any trial count.
+    trial.  On a grid of fewer than :data:`PRUNE_MIN_GRID` points every
+    point of every trial is updated, in chunks of trials whose posteriors
+    and update scratch fit :data:`CHUNK_BYTES`.  On a finer grid the pass
+    updates only blocks of points that can still hold the argmax.  A
+    block's bound is the update of the block maxima of the rows,
+    ``bayesian_update(bound, (max log p1, max log p0), n_good, n_bad)``;
+    every step of the update is monotone under round-to-nearest for
+    counts >= 0, so the computed bound is never below the computed value of
+    any point in the block.  A block is pruned at an entry only when its
+    bound is strictly below the exact computed value of some real grid
+    point there, so the argmax, ties toward smaller angles included, is
+    the full pass's bit for bit (see :func:`_pruned_argmax`).
     """
     thetas = np.pi * np.arange(_grid_size(epsilon)) * epsilon / 2.0
     depths = list(depths)
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 3 or counts.shape[1:] != (len(depths), 3):
         raise ValueError("counts need one (good, bad, discarded) entry per depth and trial")
-    table = [log_likelihood_rows(thetas, depth, noise) for depth in depths]
-    size = max(1, CHUNK_BYTES // (3 * thetas.nbytes))
-    theta = np.full(counts.shape[:2], np.nan)
+    table = np.empty((len(depths), 2, thetas.size))
+    for j, depth in enumerate(depths):
+        table[j] = log_likelihood_rows(thetas, depth, noise)
     calls = np.cumsum(counts.sum(axis=2) * (2 * np.array(depths, dtype=np.int64) + 1), axis=1)
+    started = np.logical_or.accumulate(counts[..., 0] + counts[..., 1] > 0, axis=1)
+    if thetas.size < PRUNE_MIN_GRID:
+        k, top = _full_argmax(counts, table)
+    else:
+        k, top = _pruned_argmax(counts, started, table)
+    # an underflowed posterior is -inf everywhere and stays so
+    underflow = started & (top == -np.inf)
+    failed = underflow[:, -1:].any(axis=1)
+    theta = np.where(started & ~underflow & ~failed[:, None], thetas[k], np.nan)
     reason = np.full(len(counts), None, dtype=object)
-    for start in range(0, len(counts), size):
-        chunk = slice(start, start + size)
-        reason[chunk] = _mle_chunk(counts[chunk], thetas, table, theta[chunk])
+    reason[~started[:, -1:].any(axis=1)] = "no kept shots at any depth"
+    reason[failed] = "posterior underflow: counts are inconsistent with the grid"
     return MlePass(theta, calls, reason)
 
 
-def _mle_chunk(counts, thetas, table, theta) -> list:
-    """Fill ``theta`` for one chunk of trials; return each trial's failure reason."""
-    log_post = np.zeros((len(counts), thetas.size))
-    trials = np.arange(len(counts))
-    started = np.zeros(len(counts), dtype=bool)
-    # an underflowed posterior is -inf everywhere and stays so
-    underflow = np.zeros(len(counts), dtype=bool)
-    for j, rows in enumerate(table):
-        n_good, n_bad = counts[:, j, 0], counts[:, j, 1]
-        log_post = bayesian_update(log_post, rows, n_good, n_bad)
-        started |= n_good + n_bad > 0
-        k = np.argmax(log_post, axis=1)
-        underflow = log_post[trials, k] == -np.inf
-        theta[:, j] = np.where(started & ~underflow, thetas[k], np.nan)
-    theta[underflow | ~started] = np.nan
-    return ["posterior underflow: counts are inconsistent with the grid" if u
-            else None if s else "no kept shots at any depth"
-            for u, s in zip(underflow.tolist(), started.tolist())]
+def _full_argmax(counts, table) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior argmax and maximum of each trial after each entry, over every grid point."""
+    k = np.zeros(counts.shape[:2], dtype=np.int64)
+    top = np.zeros(counts.shape[:2])
+    grid_size = table.shape[2]
+    size = max(1, CHUNK_BYTES // (3 * 8 * grid_size))
+    for start in range(0, len(counts), size):
+        chunk = slice(start, start + size)
+        log_post = np.zeros((len(counts[chunk]), grid_size))
+        trials = np.arange(len(log_post))
+        for j, rows in enumerate(table):
+            log_post = bayesian_update(log_post, rows, counts[chunk, j, 0], counts[chunk, j, 1])
+            k[chunk, j] = np.argmax(log_post, axis=1)
+            top[chunk, j] = log_post[trials, k[chunk, j]]
+    return k, top
+
+
+class _Level(NamedTuple):
+    """Blocks of ``width`` consecutive grid points, the last one possibly shorter.
+
+    ``ratio`` blocks of this level tile one block of the level above.
+    For ``width > 1``, ``rows[j, :, :, b]`` holds the maxima of entry
+    ``j``'s likelihood rows over block ``b`` and the rows at the block's
+    first point, as ``[[max log p1, first log p1], [max log p0, first
+    log p0]]``; for single points ``rows`` is the likelihood table.
+    """
+
+    width: int
+    ratio: int
+    rows: np.ndarray
+
+
+def _levels(table) -> list[_Level]:
+    """The levels of the pruned pass, coarsest first, widths falling by :data:`BRANCH` to 1."""
+    grid_size = table.shape[2]
+    width = BRANCH
+    while -(-grid_size // width) > BRANCH ** 2:
+        width *= BRANCH
+    levels, above = [], grid_size
+    while width > 1:
+        starts = np.arange(0, grid_size, width)
+        rows = np.empty(table.shape[:2] + (2, starts.size))
+        np.maximum.reduceat(table, starts, axis=2, out=rows[:, :, 0])
+        rows[:, :, 1] = table[..., ::width]
+        levels.append(_Level(width, -(-above // width), rows))
+        above, width = width, width // BRANCH
+    return levels + [_Level(1, above, table)]
+
+
+def _pruned_argmax(counts, started, table) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_full_argmax` from the grid points that can hold the argmax.
+
+    The grid is tiled by blocks at each of the :func:`_levels`, each block
+    split into :data:`BRANCH` blocks of the next level, down to single
+    points.  A block's bound after entry ``j`` is the update of entries
+    ``0..j`` applied to the block maxima of the likelihood rows, by
+    :func:`_add_counts` as a point's value is, so it is never below the
+    value of any point in the block (see :func:`mle_estimate`).  The lower
+    bound after entry ``j`` is the largest value so far of a real grid
+    point: the first point of every block swept.  A block survives entry
+    ``j`` unless its bound is strictly below the lower bound there; entries
+    before a trial's first kept shot need no argmax and keep no block.
+    Each block is swept only through the last entry its parent survives,
+    and only the blocks that survive some entry are split.  At the point
+    level the bound is the value itself, so the lower bound ends at each
+    trial's maximum and the smallest index attaining it is the argmax.
+    """
+    n_entries, _, grid_size = table.shape
+    lower = np.where(started.T, -np.inf, np.inf)
+    best = np.full(lower.shape, grid_size - 1)
+    trial = np.flatnonzero(started[:, -1:].any(axis=1))
+    # (good, bad) counts of each trial by entry: pairs[j, :, t]
+    pairs = np.ascontiguousarray(counts[..., :2].transpose(1, 2, 0))
+    _descend(_levels(table), trial, np.zeros_like(trial), np.full_like(trial, n_entries - 1),
+             pairs, lower, best)
+    return best.T, lower.T
+
+
+def _descend(levels, trial, idx, reach, pairs, lower, best) -> None:
+    """Sweep the blocks of ``levels[0]`` inside the blocks ``idx`` of the level above.
+
+    The blocks inside block ``idx[r]`` of trial ``trial[r]`` (sorted by
+    trial) are swept through entry ``reach[r]``, in batches of whole
+    trials; the survivors of each batch descend to the next level.
+    """
+    level = levels[0]
+    for part in _batches(trial, max(1, CHUNK_BYTES // (BLOCK_BYTES * level.ratio))):
+        kids = (idx[part, None] * level.ratio + np.arange(level.ratio)).ravel()
+        real = kids < level.rows.shape[-1]
+        t, i, last = _sweep(level, np.repeat(trial[part], level.ratio)[real], kids[real],
+                            np.repeat(reach[part], level.ratio)[real], pairs, lower, best)
+        if len(levels) > 1:
+            keep = np.flatnonzero(last >= 0)
+            keep = keep[np.argsort(t[keep], kind="stable")]
+            _descend(levels[1:], t[keep], i[keep], last[keep], pairs, lower, best)
+
+
+def _batches(trial, budget) -> list[slice]:
+    """Slices of the sorted ``trial``, each about ``budget`` long, that split no trial."""
+    starts = np.flatnonzero(np.diff(trial, prepend=-1))
+    cuts = starts[np.searchsorted(starts, np.arange(0, len(trial), budget), side="right") - 1]
+    cuts = list(dict.fromkeys(cuts.tolist())) + [len(trial)]
+    return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _sweep(level, trial, idx, reach, pairs, lower, best):
+    """Bound blocks ``idx`` of ``level`` for ``trial`` through entry ``reach``.
+
+    Raises ``lower`` to the values of the blocks' first points and
+    returns the blocks, reordered, with the last entry each survives (-1
+    if none); see :func:`_pruned_argmax`.  At the point level the bound is
+    the value, and the smallest index that attains ``lower`` goes into
+    ``best`` instead.
+    """
+    order = np.argsort(-reach, kind="stable")
+    trial, idx, reach = trial[order], idx[order], reach[order]
+    # blocks still swept at entry j are the first active[j]
+    active = np.searchsorted(-reach, -np.arange(len(level.rows)), side="right").tolist()
+    points = level.width == 1
+    value = np.zeros(len(idx) if points else (2, len(idx)))  # bound, first point's value
+    last = np.full(len(idx), -1)
+    for j, a in enumerate(active):
+        if not a:
+            break
+        t, i = trial[:a], idx[:a]
+        value[..., :a] = _add_counts(value[..., :a], *level.rows[j].take(i, axis=-1),
+                                     *pairs[j].take(t, axis=1))
+        bound, first = (value[:a], value[:a]) if points else value[:, :a]
+        np.maximum.at(lower[j], t, first)
+        if points:
+            # the grid's last index is no smaller than any index attaining the maximum
+            hit = np.where(bound == lower[j].take(t), i, level.rows.shape[-1] - 1)
+            np.minimum.at(best[j], t, hit)
+        else:
+            last[:a][bound >= lower[j].take(t)] = j
+    return trial, idx, last
 
 
 def crt_solve(r1: int, n1: int, r2: int, n2: int) -> int:

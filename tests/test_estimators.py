@@ -1,5 +1,6 @@
 """Direct, MLE, CRT and hybrid estimators against independent oracles."""
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -287,6 +288,95 @@ def test_chunked_engine_equals_a_scalar_pass_per_trial(pools, epsilon, noisy, ch
     with mock.patch.object(estimators, "CHUNK_BYTES", budget):
         result = mle_estimate(tallies(pools, depths), depths, epsilon, noise)
     assert per_trial(result, depths) == [scalar_mle(p, epsilon, noise) for p in pools]
+
+
+# the rows are constant where gamma is 500 (p = 1/2 exactly): every angle ties there
+ENGINE_NOISES = {"plain": None, "ramp": NoiseModel.linear_ramp(7),
+                 "flat": NoiseModel(gamma_by_depth=(500.0,) * 8),
+                 "flat-late": NoiseModel(gamma_by_depth=(0.035, 0.08) + (500.0,) * 6)}
+
+
+@st.composite
+def peaked_batches(draw):
+    """Trials whose tallies follow an angle: ``kept sin^2((2d+1) theta)`` good
+    shots give or take two, 1 to 500 shots a depth, theta = 0 (a ``-inf``
+    column of the plain rows once a good shot is counted) among the angles,
+    and leading or scattered depths that kept no shot."""
+    depths = sorted(draw(st.sets(st.integers(0, 7), min_size=1, max_size=8)))
+    lead = draw(st.integers(0, len(depths)))
+    pools = []
+    for _ in range(draw(st.integers(1, 6))):
+        theta = draw(st.one_of(st.just(0.0), st.floats(0.0, math.pi / 2)))
+        shots = draw(st.sampled_from([1, 8, 40, 500]))
+        pool = []
+        for i, d in enumerate(depths):
+            kept = 0 if i < lead or draw(st.integers(0, 5)) == 0 else draw(st.integers(1, shots))
+            p = math.sin((2 * d + 1) * theta) ** 2
+            good = min(kept, max(0, round(kept * p) + draw(st.integers(-2, 2))))
+            pool.append(counts(d, good, kept - good, shots - kept))
+        pools.append(pool)
+    return pools
+
+
+@settings(deadline=None)
+@given(pools=peaked_batches(), epsilon=st.sampled_from([1e-3, 1e-4, 1 / 1009, 0.5, 1.0]),
+       noise=st.sampled_from(sorted(ENGINE_NOISES)), chunk=st.integers(1, 3))
+def test_pruned_engine_equals_a_scalar_pass_per_trial(pools, epsilon, noise, chunk):
+    # pruning on at every grid size, 1009 points leave a short last block at
+    # every level, and batches of a few blocks per trial split every level
+    depths = [c.depth for c in pools[0]]
+    budget = chunk * estimators.BLOCK_BYTES * estimators.BRANCH
+    with mock.patch.object(estimators, "PRUNE_MIN_GRID", 1), \
+            mock.patch.object(estimators, "CHUNK_BYTES", budget):
+        result = mle_estimate(tallies(pools, depths), depths, epsilon, ENGINE_NOISES[noise])
+    assert per_trial(result, depths) == [scalar_mle(p, epsilon, ENGINE_NOISES[noise])
+                                         for p in pools]
+
+
+@pytest.mark.parametrize("noise", ["plain", "flat"])
+def test_pruned_engine_runs_on_grids_from_the_cutoff(noise):
+    # the default cutoff: 1,000 points take the full pass, 2,000 the pruned one
+    rng = np.random.default_rng(7)
+    depths = list(range(8))
+    pools = [[exact_counts(theta, d, 500) for d in depths] for theta in rng.uniform(0, 1.5, 5)]
+    for epsilon, pruned in [(1e-3, False), (1 / estimators.PRUNE_MIN_GRID, True)]:
+        with mock.patch.object(estimators, "_pruned_argmax",
+                               wraps=estimators._pruned_argmax) as engine:
+            result = mle_estimate(tallies(pools, depths), depths, epsilon, ENGINE_NOISES[noise])
+        assert engine.called == pruned
+        assert per_trial(result, depths) == [scalar_mle(p, epsilon, ENGINE_NOISES[noise])
+                                             for p in pools]
+
+
+def test_pruned_engine_keeps_no_point_in_play_before_the_first_kept_shot():
+    # two depths without a kept shot leave every angle at 0, tied: were they
+    # held to the lower bound, all 10^4 points would be swept at depth 0
+    data = [counts(d, 0, 0, 500) for d in (0, 1)] + [exact_counts(0.7, d, 500)
+                                                     for d in range(2, 8)]
+    with mock.patch.object(estimators, "_sweep", wraps=estimators._sweep) as sweep:
+        assert mle(data, epsilon=1e-4) == scalar_mle(data, 1e-4, None)
+    points = sum(len(c.args[2]) for c in sweep.call_args_list if c.args[0].width == 1)
+    assert 0 < points < 1000
+
+
+def test_pruned_engine_scratch_does_not_grow_with_trials():
+    # 10^5 points: the table and block maxima, plus one batch of blocks
+    rng = np.random.default_rng(8)
+    depths, epsilon = list(range(8)), 1e-5
+    peaks = []
+    for n_trials in (20, 200):
+        pools = [[exact_counts(theta, d, 500) for d in depths]
+                 for theta in rng.uniform(0, 1.5, n_trials)]
+        data = tallies(pools, depths)
+        tracemalloc.start()
+        try:
+            mle_estimate(data, depths, epsilon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    table = len(depths) * 2 * round(1 / epsilon) * 8
+    assert peaks[0] < 1.25 * table + 4 * estimators.CHUNK_BYTES
+    assert peaks[1] - peaks[0] < estimators.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("noisy", [False, True])

@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 from lowdepth_ae import estimators, harness
 from lowdepth_ae.estimators import (Estimate, EstimationError, HybridCalibration,
                                     crt_estimate, hybrid_estimate, mle_estimate)
-from lowdepth_ae.harness import (ALGORITHMS, ExperimentConfig, RunTable,
+from lowdepth_ae.harness import (ALGORITHMS, VECTOR_MODES, ExperimentConfig, RunTable,
                                  UnidentifiableFitError, aggregate_and_emit,
                                  calibrate_hybrid, fit_depolarizing,
                                  run_experiment, run_streams, run_trial,
                                  run_trials, sample_vector_pair)
-from lowdepth_ae.noise import NoiseModel, effective_eta, noise_floor, sample_noisy_shots
+from lowdepth_ae.noise import (CorrelatedNoise, NoiseModel, effective_eta, noise_floor,
+                               sample_noisy_shots)
 from lowdepth_ae.schedules import InfeasibleScheduleError, optimize_exponent
 from lowdepth_ae.simulator import DepthCounts
 from lowdepth_ae.cli import main as cli_main
@@ -567,6 +569,45 @@ def test_shot_pools_are_shared_across_estimators(tmp_path):
         == powerlaw_calls_from_the_pool(config, table)
     direct = table.oracle_calls[:, table.slot("direct", 0)]
     assert direct.tolist() == table.counts[:, 0].sum(axis=1).tolist()
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs that ``ExperimentConfig`` accepts, with epsilon on both
+    sides of the grid size from which the MLE engine prunes."""
+    max_depth = draw(st.integers(0, 4))
+    names = ALGORITHMS if max_depth >= 2 else ("direct", "mle", "powerlaw")
+    gammas = sorted(draw(st.lists(st.floats(0.0, 2.0), min_size=max_depth + 1,
+                                  max_size=max_depth + 1)))
+    correlation = draw(st.sampled_from([None, CorrelatedNoise(0.05, 4.0),
+                                        CorrelatedNoise(1.0, 1.0)]))
+    noise = NoiseModel(gamma_by_depth=gammas,
+                       beta_readout=draw(st.sampled_from([0.0, 0.05, 0.3])),
+                       leak_prob=draw(st.sampled_from([0.0, 0.3, 0.9])), correlation=correlation)
+    cutoff = estimators.PRUNE_MIN_GRID
+    return ExperimentConfig(
+        n_trials=draw(st.integers(1, 4)), n_shots=draw(st.integers(1, 40)), max_depth=max_depth,
+        epsilon=1 / draw(st.sampled_from([100, cutoff - 1, cutoff, cutoff + 3])),
+        seed=draw(st.integers(0, 2 ** 16)), vector_mode=draw(st.sampled_from(VECTOR_MODES)),
+        algorithms=draw(st.lists(st.sampled_from(names), min_size=1, unique=True)),
+        noise=noise, mle_noise_aware=draw(st.booleans()),
+        beta_hybrid=draw(st.sampled_from([0.0, 1.0, 4.0])), tune_beta=draw(st.booleans()),
+        calib_trials=draw(st.integers(1, 8)),
+        powerlaw_target_eps=draw(st.sampled_from([1e-3, 0.05, 0.3])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs())
+def test_an_accepted_config_gives_valid_rows_or_an_estimation_error(config):
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            table, _ = run_experiment(config, out)
+        except EstimationError:
+            return
+    assert np.all((table.p_hat[table.kept] >= 0.0) & (table.p_hat[table.kept] <= 1.0))
+    for k, (algorithm, depth) in enumerate(zip(table.algorithm, table.label)):
+        if algorithm == "mle":
+            assert np.all(table.oracle_calls[:, k] == config.n_shots * (depth + 1) ** 2)
 
 
 # ------------------------------------------------------------------------ cli
