@@ -47,6 +47,8 @@ TRIAL_COLUMNS = ("algorithm", "depth", "oracle_calls", "trial_id", "theta_true",
                  "branch_tag")
 AGGREGATE_COLUMNS = ("algorithm", "depth", "total_oracle_calls", "mean_abs_err_p",
                      "std_err_p", "mean_abs_err_theta")
+# The estimate columns of a one-trial table without estimators: empty, so sharable.
+_NO_ROWS = tuple(np.empty((1, 0), dtype) for dtype in (float, np.int64, object, object))
 
 
 class UnidentifiableFitError(RuntimeError):
@@ -74,6 +76,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if min(self.n_trials, self.n_shots, self.calib_trials) < 1:
             raise ValueError("trial and shot counts must be positive")
         if not 0.0 < self.epsilon < 1.0:
@@ -186,15 +190,13 @@ def sample_vector_pair(rng: np.random.Generator, mode: str = "haar"):
     ``x . y = sin(theta)``, spreading the estimated probability over [0, 1].
     """
     if mode == "haar":
-        x = rng.standard_normal(4)
-        y = rng.standard_normal(4)
+        x, y = rng.standard_normal((2, 4))
         return x / _norm(x), y / _norm(y)
     if mode == "uniform-theta":
-        theta = rng.uniform(0.0, math.pi / 2)
-        x = rng.standard_normal(4)
+        theta = math.pi / 2 * rng.random()  # rng.uniform(0, pi / 2), bit for bit
+        x, u = rng.standard_normal((2, 4))
         x /= _norm(x)
-        u = rng.standard_normal(4)
-        u -= (u @ x) * x
+        u -= u.dot(x) * x
         u /= _norm(u)
         y = math.sin(theta) * x + math.cos(theta) * u
         return x, y / _norm(y)
@@ -228,26 +230,23 @@ def _powerlaw_plan(config: ExperimentConfig) -> Schedule | str | None:
         target_eps=config.powerlaw_target_eps))
 
 
-def _tallies(pool) -> list[int]:
-    """Good, bad and discarded counts of each depth in turn, flat."""
-    return [n for c in pool for n in (c.n_good, c.n_bad, c.n_discarded)]
-
-
 def _draw(config: ExperimentConfig, pair, rng: np.random.Generator, plan):
     """The true angle, shot pool and power-law subsample tallies of one trial.
 
-    The pool and then the subsample (``None`` without a schedule) are
-    drawn from ``rng``, which has already drawn the trial's pair.
+    Tallies are the good, bad and discarded counts of each depth in turn,
+    flat.  The pool and then the subsample (``None`` without a schedule)
+    are drawn from ``rng``, which has already drawn the trial's pair.
     """
     x, y = pair
     theta_true = math.asin(min(abs(float(np.dot(x, y))), 1.0))
-    pool = [sample_noisy_shots(theta_true, d, config.n_shots, config.noise, rng)
+    n_shots, noise = config.n_shots, config.noise
+    pool = [sample_noisy_shots(theta_true, d, n_shots, noise, rng)
             for d in range(config.max_depth + 1)]
     subsampled = None
     if isinstance(plan, Schedule):
-        subsampled = _tallies([subsample_without_replacement(pool[d], min(n, pool[d].kept), rng)
-                               for d, n in plan.entries])
-    return theta_true, _tallies(pool), subsampled
+        subsampled = [n for d, m in plan.entries for n in subsample_without_replacement(
+            pool[d], min(m, pool[d].kept), rng)[1:]]
+    return theta_true, [n for counts in pool for n in counts[1:]], subsampled
 
 
 def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTable:
@@ -353,10 +352,15 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
     depth-2 anchor, kept in the table's ``anchor``: the depth-2 MLE row
     when that pass is noise-unaware and has one, else the estimate of a
     separate noise-unaware pass over depths 0..2.  A row whose own inputs
-    kept no shot is dropped with its reason; the other rows stay.
+    kept no shot is dropped with its reason; the other rows stay.  With no
+    algorithm enabled the table holds the draw alone.
     """
     plan = _powerlaw_plan(config)
-    return _estimate(config, [_draw(config, pair, rng, plan)], plan, calibrations)
+    draw = _draw(config, pair, rng, plan)
+    if config.algorithms:
+        return _estimate(config, [draw], plan, calibrations)
+    counts = np.array(draw[1], dtype=np.int64).reshape(1, -1, 3)
+    return RunTable(np.array(draw[:1]), counts, (), (), *_NO_ROWS)
 
 
 def run_trials(config: ExperimentConfig, rngs,

@@ -69,6 +69,9 @@ class NoiseModel:
             raise ValueError("gamma rates must be nonnegative")
         if any(b < a - 1e-12 for a, b in zip(gs, gs[1:])):
             raise ValueError("gamma rates must be nondecreasing in depth")
+        # each depth's effective_eta; not a field, so eq, hash and asdict ignore it
+        object.__setattr__(self, "eta_by_depth", tuple(
+            1.0 - (1.0 - self.beta_readout) * math.exp(-g) for g in gs))
 
     @property
     def max_depth(self) -> int:
@@ -88,9 +91,9 @@ class NoiseModel:
 
 def effective_eta(model: NoiseModel, depth: int) -> float:
     """Combined depolarizing probability ``eta_d = 1 - (1-beta) exp(-gamma_d)``."""
-    if not 0 <= depth <= model.max_depth:
+    if not 0 <= depth < len(model.eta_by_depth):
         raise ValueError(f"depth {depth} outside model range 0..{model.max_depth}")
-    return 1.0 - (1.0 - model.beta_readout) * math.exp(-model.gamma_by_depth[depth])
+    return model.eta_by_depth[depth]
 
 
 def noisy_prob(theta: float, depth: int, model: NoiseModel) -> float:
@@ -117,23 +120,15 @@ def noise_floor(model: NoiseModel, depth: int, prior_p, weights=None) -> float:
     return effective_eta(model, depth) * expect
 
 
-def _sample_independent(p_bar: float, depth: int, n_shots: int, leak: float,
-                        rng: np.random.Generator) -> DepthCounts:
-    n_disc = int(rng.binomial(n_shots, leak)) if leak > 0 else 0
-    n_good = int(rng.binomial(n_shots - n_disc, p_bar))
-    return DepthCounts(depth=depth, n_good=n_good,
-                       n_bad=n_shots - n_disc - n_good, n_discarded=n_disc)
-
-
 def _sample_correlated(theta: float, depth: int, n_shots: int, model: NoiseModel,
-                       rng: np.random.Generator) -> DepthCounts:
+                       eta: float, rng: np.random.Generator) -> DepthCounts:
     """Burst-modulated shots from uniform draws taken up front.
 
-    The draws are one state draw per shot (``u_state``), then one leak
-    draw per shot when the model leaks, then one outcome draw per shot.
-    Because ``p_enter = p (1 - p)`` never exceeds ``p_leave = p``, each
-    state draw does one of three things whatever the current state: it
-    toggles the state (``u < p_enter``), resets it to quiet
+    The draws, taken in one call, are one state draw per shot, then one
+    leak draw per shot when the model leaks, then one outcome draw per
+    shot.  Because ``p_enter = p (1 - p)`` never exceeds ``p_leave = p``,
+    each state draw does one of three things whatever the current state:
+    it toggles the state (``u < p_enter``), resets it to quiet
     (``p_enter <= u < p_leave``) or holds it.  The chain starts quiet, so
     a shot is in a burst exactly when the number of toggles since the last
     reset is odd: a cumulative toggle count minus its value at the last
@@ -141,30 +136,26 @@ def _sample_correlated(theta: float, depth: int, n_shots: int, model: NoiseModel
     resets.
     """
     corr = model.correlation
-    eta = effective_eta(model, depth)
     p_t = math.sin((2 * depth + 1) * theta) ** 2
-    p_enter = corr.p_switch * (1.0 - corr.p_switch)
-    p_leave = corr.p_switch
     eta_burst = min(eta * corr.burst_scale, 1.0)
-    p_quiet = p_t * (1 - eta) + eta / 2
-    p_burst = p_t * (1 - eta_burst) + eta_burst / 2
-    u_state = rng.random(n_shots)
-    u_leak = rng.random(n_shots) if model.leak_prob > 0 else None
-    u_out = rng.random(n_shots)
-    toggle = u_state < p_enter
-    reset = ~toggle & (u_state < p_leave)
-    toggles = np.cumsum(toggle)
-    at_reset = np.maximum.accumulate(np.where(reset, toggles, 0))
-    burst = (toggles - at_reset) % 2 == 1
-    good = u_out < np.where(burst, p_burst, p_quiet)
+    p_good = np.array([p_t * (1 - eta) + eta / 2, p_t * (1 - eta_burst) + eta_burst / 2])
+    leaky = model.leak_prob > 0
+    rows = 3 if leaky else 2
+    u = rng.random(rows * n_shots).reshape(rows, n_shots)
+    toggle = u[0] < corr.p_switch * (1.0 - corr.p_switch)
+    reset = u[0] < corr.p_switch
+    reset ^= toggle  # every toggle draw is also below p_leave
+    toggles = toggle.cumsum()
+    toggles -= np.maximum.accumulate(toggles * reset)
+    toggles &= 1  # 1 in a burst
+    good = u[-1] < p_good.take(toggles)
     n_disc = 0
-    if u_leak is not None:
-        leaked = u_leak < model.leak_prob
-        good &= ~leaked
+    if leaky:
+        leaked = u[1] < model.leak_prob
+        np.greater(good, leaked, out=good)  # good and not leaked
         n_disc = int(np.count_nonzero(leaked))
     n_good = int(np.count_nonzero(good))
-    return DepthCounts(depth=depth, n_good=n_good, n_bad=n_shots - n_disc - n_good,
-                       n_discarded=n_disc)
+    return DepthCounts(depth, n_good, n_shots - n_disc - n_good, n_disc)
 
 
 def sample_noisy_shots(theta: float, depth: int, n_shots: int, model: NoiseModel,
@@ -178,7 +169,11 @@ def sample_noisy_shots(theta: float, depth: int, n_shots: int, model: NoiseModel
     """
     if n_shots < 0:
         raise ValueError("n_shots must be nonnegative")
+    eta = effective_eta(model, depth)
     if model.correlation is not None:
-        return _sample_correlated(theta, depth, n_shots, model, rng)
-    return _sample_independent(noisy_prob(theta, depth, model), depth, n_shots,
-                               model.leak_prob, rng)
+        return _sample_correlated(theta, depth, n_shots, model, eta, rng)
+    # noisy_prob, with the leak draw (if any) before the outcome draw
+    p_bar = (1.0 - (1.0 - eta) * math.cos(2 * (2 * depth + 1) * theta)) / 2.0
+    n_disc = int(rng.binomial(n_shots, model.leak_prob)) if model.leak_prob > 0 else 0
+    n_good = int(rng.binomial(n_shots - n_disc, p_bar))
+    return DepthCounts(depth, n_good, n_shots - n_disc - n_good, n_disc)

@@ -7,7 +7,7 @@ landing outside the unary code space are detected errors and discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,20 +30,17 @@ def _ry(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class DepthCounts:
-    """Postselected measurement tallies at one circuit depth."""
+class DepthCounts(namedtuple("DepthCounts", "depth n_good n_bad n_discarded")):
+    """Postselected measurement tallies at one circuit depth, an immutable tuple."""
 
-    depth: int
-    n_good: int
-    n_bad: int
-    n_discarded: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.depth < 0:
+    def __new__(cls, depth: int, n_good: int, n_bad: int, n_discarded: int = 0):
+        if depth < 0:
             raise ValueError("depth must be nonnegative")
-        if min(self.n_good, self.n_bad, self.n_discarded) < 0:
+        if n_good < 0 or n_bad < 0 or n_discarded < 0:
             raise ValueError("counts must be nonnegative")
+        return tuple.__new__(cls, (depth, n_good, n_bad, n_discarded))
 
     @property
     def shots(self) -> int:

@@ -91,6 +91,34 @@ def test_vector_pairs_reproducible():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+def scalar_vector_pair(rng, mode):
+    """The pair drawn one vector at a time: the reference the one-call draw must equal."""
+    def norm(v):
+        return math.sqrt(v.dot(v))
+
+    if mode == "haar":
+        x = rng.standard_normal(4)
+        y = rng.standard_normal(4)
+        return x / norm(x), y / norm(y)
+    theta = rng.uniform(0.0, math.pi / 2)
+    x = rng.standard_normal(4)
+    x /= norm(x)
+    u = rng.standard_normal(4)
+    u -= (u @ x) * x
+    u /= norm(u)
+    y = math.sin(theta) * x + math.cos(theta) * u
+    return x, y / norm(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(VECTOR_MODES), seed=st.integers(0, 2**32 - 1))
+def test_one_call_vector_pair_equals_the_vector_by_vector_draw(mode, seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for a, b in zip(sample_vector_pair(fast, mode), scalar_vector_pair(slow, mode)):
+        assert a.tobytes() == b.tobytes()
+    assert fast.random() == slow.random()  # the same number of draws
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         sample_vector_pair(np.random.default_rng(0), "spherical")
@@ -132,6 +160,19 @@ def test_empty_algorithm_set_yields_no_estimates():
     trial = run_trial(config, sample_vector_pair(rng, "haar"), rng)
     assert trial.algorithm == () and trial.theta_hat.shape == (1, 0)
     assert trial.counts.shape == (1, config.max_depth + 1, 3)
+
+
+@pytest.mark.parametrize("vector_mode", VECTOR_MODES)
+def test_a_sampling_only_trial_equals_the_batched_table(vector_mode):
+    config = quiet_config(algorithms=(), vector_mode=vector_mode,
+                          noise=NoiseModel.linear_ramp(3, leak_prob=0.2))
+    rng = np.random.default_rng(3)
+    trial = run_trial(config, sample_vector_pair(rng, vector_mode), rng)
+    batched = run_trials(config, [np.random.default_rng(3)])
+    for name in ("theta_true", "counts", "theta_hat", "oracle_calls", "branch", "reason"):
+        a, b = getattr(trial, name), getattr(batched, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    assert (trial.algorithm, trial.label, trial.anchor) == ((), (), None)
 
 
 def test_direct_error_approaches_noise_floor():
@@ -208,6 +249,13 @@ def test_config_rejects_duplicate_algorithms(tmp_path):
     cfg_path.write_text(json.dumps(quiet_config().to_dict()), encoding="utf-8")
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
                      "--algorithms", "direct,mle,direct"]) == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig.from_dict({"seed": seed})
+    assert ExperimentConfig.from_dict({"seed": 0}).seed == 0
 
 
 def test_config_rejects_a_nonpositive_powerlaw_target():

@@ -1,4 +1,6 @@
 """Effective depolarizing model: rates, probabilities and shot generation."""
+import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -37,6 +39,41 @@ def test_effective_eta_saturates_at_one():
 def test_effective_eta_depth_out_of_range():
     with pytest.raises(ValueError):
         effective_eta(model_with(gamma=(0.1, 0.2)), 2)
+    with pytest.raises(ValueError):
+        effective_eta(model_with(gamma=(0.1, 0.2)), -1)
+
+
+rates = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=9).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gammas=rates, beta=st.one_of(st.just(0), st.floats(0.0, 0.999)))
+def test_precomputed_etas_equal_the_formula_and_stay_out_of_the_fields(gammas, beta):
+    model = NoiseModel(gamma_by_depth=gammas, beta_readout=beta)
+    twin = NoiseModel(gamma_by_depth=tuple(gammas), beta_readout=beta)
+    for d, gamma in enumerate(gammas):
+        eta = 1.0 - (1.0 - beta) * math.exp(-gamma)
+        assert model.eta_by_depth[d] == eta and effective_eta(model, d) == eta
+    assert model == twin and hash(model) == hash(twin)
+    assert dataclasses.asdict(model) == {"gamma_by_depth": tuple(gammas), "beta_readout": beta,
+                                         "leak_prob": 0.0, "correlation": None}
+    assert [f.name for f in dataclasses.fields(model)] == [
+        "gamma_by_depth", "beta_readout", "leak_prob", "correlation"]
+    other = dataclasses.replace(model, beta_readout=0.5)
+    assert other.eta_by_depth == tuple(1.0 - 0.5 * math.exp(-g) for g in gammas)
+    for depth in (-1, len(gammas)):
+        with pytest.raises(ValueError):
+            effective_eta(model, depth)
+
+
+def test_each_model_keeps_its_own_etas_when_ids_are_reused():
+    # a model built where a collected one lived must not see that one's etas
+    for k in range(200):
+        gamma = k / 50
+        model = NoiseModel(gamma_by_depth=(gamma,), beta_readout=0.01)
+        assert effective_eta(model, 0) == 1.0 - 0.99 * math.exp(-gamma)
+        del model
+        gc.collect()
 
 
 def test_noisy_prob_half_is_fixed_point():
@@ -208,7 +245,37 @@ def scalar_burst_shots(theta, depth, n_shots, model, rng):
     return DepthCounts(depth=depth, n_good=n_good, n_bad=n_bad, n_discarded=n_disc)
 
 
+def scalar_independent_shots(theta, depth, n_shots, model, rng):
+    """Independent shots through the scalar chain: eta, noisy_prob, leak, then outcomes."""
+    eta = 1.0 - (1.0 - model.beta_readout) * math.exp(-model.gamma_by_depth[depth])
+    p_bar = (1.0 - (1.0 - eta) * math.cos(2 * (2 * depth + 1) * theta)) / 2.0
+    assert p_bar == noisy_prob(theta, depth, model)
+    n_disc = int(rng.binomial(n_shots, model.leak_prob)) if model.leak_prob > 0 else 0
+    n_good = int(rng.binomial(n_shots - n_disc, p_bar))
+    return DepthCounts(depth=depth, n_good=n_good, n_bad=n_shots - n_disc - n_good,
+                       n_discarded=n_disc)
+
+
 unit = st.floats(0.0, 1.0, exclude_max=True)
+bursts = st.builds(CorrelatedNoise, p_switch=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+                   burst_scale=st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(correlation=st.one_of(st.none(), bursts), leak=st.one_of(st.just(0.0), unit),
+       n_shots=st.one_of(st.just(0), st.integers(0, 600)), theta=st.floats(0.0, math.pi / 2),
+       depth=st.integers(0, 7), gamma=st.floats(0.0, 3.0), beta=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_sampler_equals_the_scalar_chain(correlation, leak, n_shots, theta, depth, gamma,
+                                         beta, seed):
+    model = NoiseModel(gamma_by_depth=(gamma,) * 8, beta_readout=beta, leak_prob=leak,
+                       correlation=correlation)
+    reference = scalar_independent_shots if correlation is None else scalar_burst_shots
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    counts = sample_noisy_shots(theta, depth, n_shots, model, fast)
+    assert counts == reference(theta, depth, n_shots, model, slow)
+    assert type(counts) is DepthCounts and counts.shots == n_shots
+    assert fast.random() == slow.random()  # the same number of draws
 
 
 @settings(max_examples=300, deadline=None)

@@ -123,3 +123,18 @@ def test_depth_counts_validation():
     counts = DepthCounts(depth=2, n_good=3, n_bad=4, n_discarded=5)
     assert counts.shots == 12
     assert counts.kept == 7
+
+
+@pytest.mark.parametrize("fields", [(0, 0, -1, 0), (0, 0, 0, -1), (-1, 1, 1, 1)])
+def test_depth_counts_rejects_any_negative_field(fields):
+    with pytest.raises(ValueError):
+        DepthCounts(*fields)
+
+
+def test_depth_counts_is_an_immutable_tuple():
+    counts = DepthCounts(2, 3, 4)
+    assert counts == (2, 3, 4, 0) == DepthCounts(depth=2, n_good=3, n_bad=4, n_discarded=0)
+    assert hash(counts) == hash((2, 3, 4, 0))
+    assert repr(counts) == "DepthCounts(depth=2, n_good=3, n_bad=4, n_discarded=0)"
+    with pytest.raises(AttributeError):
+        counts.n_good = 5
