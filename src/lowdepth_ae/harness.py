@@ -47,8 +47,6 @@ TRIAL_COLUMNS = ("algorithm", "depth", "oracle_calls", "trial_id", "theta_true",
                  "branch_tag")
 AGGREGATE_COLUMNS = ("algorithm", "depth", "total_oracle_calls", "mean_abs_err_p",
                      "std_err_p", "mean_abs_err_theta")
-# The estimate columns of a one-trial table without estimators: empty, so sharable.
-_NO_ROWS = tuple(np.empty((1, 0), dtype) for dtype in (float, np.int64, object, object))
 
 
 class UnidentifiableFitError(RuntimeError):
@@ -76,7 +74,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if min(self.n_trials, self.n_shots, self.calib_trials) < 1:
             raise ValueError("trial and shot counts must be positive")
@@ -256,8 +255,13 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
     """
     n_depths = config.max_depth + 1
     depths = range(n_depths)
-    theta_true = np.array([theta for theta, _, _ in draws], dtype=float)
-    counts = np.array([pool for _, pool, _ in draws], dtype=np.int64).reshape(-1, n_depths, 3)
+    thetas, pools, subsampled = zip(*draws)
+    theta_true = np.array(thetas, dtype=float)
+    counts = np.array(pools, dtype=np.int64).reshape(-1, n_depths, 3)
+    if not config.algorithms:  # sampling only: no estimate columns
+        n = len(draws)
+        return RunTable(theta_true, counts, (), (), np.empty((n, 0)), np.empty((n, 0), np.int64),
+                        np.empty((n, 0), object), np.empty((n, 0), object))
     blocks = {}  # algorithm -> labels and (trials x labels) theta, reason, calls, branch
 
     def add(algorithm, labels, theta, calls, *drops, branch=""):
@@ -268,11 +272,10 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
         blocks[algorithm] = (tuple(labels), np.where(np.equal(reason, None), theta, np.nan),
                              reason, calls, np.broadcast_to(branch, theta.shape))
 
-    if config.algorithms:
-        # kept good fraction and no-kept-shot flag per (trial, depth)
-        empty = counts[..., 0] + counts[..., 1] == 0
-        rate = counts[..., 0] / np.maximum(counts[..., 0] + counts[..., 1], 1)
-        shots = counts.sum(axis=2)
+    # kept good fraction and no-kept-shot flag per (trial, depth)
+    empty = counts[..., 0] + counts[..., 1] == 0
+    rate = counts[..., 0] / np.maximum(counts[..., 0] + counts[..., 1], 1)
+    shots = counts.sum(axis=2)
     if "direct" in config.algorithms:
         add("direct", (0,), _elementwise(math.asin, np.sqrt(rate[:, :1])), shots[:, :1],
             np.where(empty[:, :1], "all shots were discarded", None))
@@ -319,18 +322,14 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
             zeros = np.zeros((len(draws), 1), dtype=np.int64)
             add("powerlaw", label, zeros, zeros, np.full(zeros.shape, plan, dtype=object))
         else:
-            subsampled = np.array([sub for _, _, sub in draws], dtype=np.int64)
-            powerlaw = mle_estimate(subsampled.reshape(-1, n_depths, 3), depths, config.epsilon,
-                                    config.noise)
+            subsampled = np.array(subsampled, dtype=np.int64).reshape(-1, n_depths, 3)
+            powerlaw = mle_estimate(subsampled, depths, config.epsilon, config.noise)
             add("powerlaw", label, powerlaw.theta[:, -1:], powerlaw.calls[:, -1:],
                 powerlaw.reason[:, None])
 
-    chosen = [blocks[alg] for alg in config.algorithms]
-    labels, thetas, reasons, calls, branches = zip(*chosen) if chosen else [()] * 5
+    labels, thetas, reasons, calls, branches = zip(*(blocks[alg] for alg in config.algorithms))
 
     def join(parts, dtype):
-        if not parts:
-            return np.empty((len(draws), 0), dtype)
         return np.concatenate(parts, axis=1).astype(dtype)
 
     return RunTable(
@@ -352,15 +351,10 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
     depth-2 anchor, kept in the table's ``anchor``: the depth-2 MLE row
     when that pass is noise-unaware and has one, else the estimate of a
     separate noise-unaware pass over depths 0..2.  A row whose own inputs
-    kept no shot is dropped with its reason; the other rows stay.  With no
-    algorithm enabled the table holds the draw alone.
+    kept no shot is dropped with its reason; the other rows stay.
     """
     plan = _powerlaw_plan(config)
-    draw = _draw(config, pair, rng, plan)
-    if config.algorithms:
-        return _estimate(config, [draw], plan, calibrations)
-    counts = np.array(draw[1], dtype=np.int64).reshape(1, -1, 3)
-    return RunTable(np.array(draw[:1]), counts, (), (), *_NO_ROWS)
+    return _estimate(config, [_draw(config, pair, rng, plan)], plan, calibrations)
 
 
 def run_trials(config: ExperimentConfig, rngs,

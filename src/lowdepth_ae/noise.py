@@ -121,7 +121,7 @@ def noise_floor(model: NoiseModel, depth: int, prior_p, weights=None) -> float:
 
 
 def _sample_correlated(theta: float, depth: int, n_shots: int, model: NoiseModel,
-                       eta: float, rng: np.random.Generator) -> DepthCounts:
+                       rng: np.random.Generator) -> DepthCounts:
     """Burst-modulated shots from uniform draws taken up front.
 
     The draws, taken in one call, are one state draw per shot, then one
@@ -136,6 +136,7 @@ def _sample_correlated(theta: float, depth: int, n_shots: int, model: NoiseModel
     resets.
     """
     corr = model.correlation
+    eta = effective_eta(model, depth)
     p_t = math.sin((2 * depth + 1) * theta) ** 2
     eta_burst = min(eta * corr.burst_scale, 1.0)
     p_good = np.array([p_t * (1 - eta) + eta / 2, p_t * (1 - eta_burst) + eta_burst / 2])
@@ -169,11 +170,9 @@ def sample_noisy_shots(theta: float, depth: int, n_shots: int, model: NoiseModel
     """
     if n_shots < 0:
         raise ValueError("n_shots must be nonnegative")
-    eta = effective_eta(model, depth)
     if model.correlation is not None:
-        return _sample_correlated(theta, depth, n_shots, model, eta, rng)
-    # noisy_prob, with the leak draw (if any) before the outcome draw
-    p_bar = (1.0 - (1.0 - eta) * math.cos(2 * (2 * depth + 1) * theta)) / 2.0
+        return _sample_correlated(theta, depth, n_shots, model, rng)
+    p_bar = noisy_prob(theta, depth, model)
     n_disc = int(rng.binomial(n_shots, model.leak_prob)) if model.leak_prob > 0 else 0
     n_good = int(rng.binomial(n_shots - n_disc, p_bar))
     return DepthCounts(depth, n_good, n_shots - n_disc - n_good, n_disc)

@@ -31,9 +31,17 @@ def _ry(angle: float) -> np.ndarray:
 
 
 class DepthCounts(namedtuple("DepthCounts", "depth n_good n_bad n_discarded")):
-    """Postselected measurement tallies at one circuit depth, an immutable tuple."""
+    """Postselected measurement tallies at one circuit depth, an immutable tuple.
+
+    Equal to the plain tuple of its four fields.  ``_make`` and ``_replace``
+    validate through the constructor too.
+    """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> "DepthCounts":
+        return cls(*iterable)
 
     def __new__(cls, depth: int, n_good: int, n_bad: int, n_discarded: int = 0):
         if depth < 0:

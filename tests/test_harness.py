@@ -251,7 +251,7 @@ def test_config_rejects_duplicate_algorithms(tmp_path):
                      "--algorithms", "direct,mle,direct"]) == 2
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
 def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig.from_dict({"seed": seed})

@@ -138,3 +138,13 @@ def test_depth_counts_is_an_immutable_tuple():
     assert repr(counts) == "DepthCounts(depth=2, n_good=3, n_bad=4, n_discarded=0)"
     with pytest.raises(AttributeError):
         counts.n_good = 5
+
+
+def test_depth_counts_make_and_replace_validate():
+    counts = DepthCounts(2, 3, 4)
+    assert DepthCounts._make([2, 3, 4, 1]) == counts._replace(n_discarded=1) == (2, 3, 4, 1)
+    assert type(counts._replace(n_good=1)) is DepthCounts
+    with pytest.raises(ValueError):
+        DepthCounts._make([2, -3, 4, 0])
+    with pytest.raises(ValueError):
+        counts._replace(n_bad=-1)
