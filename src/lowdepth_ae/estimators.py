@@ -18,8 +18,11 @@ depth's update.  The log-likelihood rows depend only on the grid, the
 noise and the depth, so the engine computes them once per depth and call,
 and updates the posteriors of a chunk of trials together.
 
-On a grid of :data:`PRUNE_MIN_GRID` points or more the engine skips the
-points that provably cannot be the argmax.  The bound of a block of points
+The engine skips the points that provably cannot be the argmax.  It tiles
+the grid by blocks at a few levels, at most ``BRANCH**2`` blocks at the top
+(the points themselves on a grid of that many points or fewer), updates the
+whole top level of every trial as one dense array, and below it only the
+blocks that can still hold the argmax.  The bound of a block of points
 is the same update with each likelihood row replaced by its maximum over
 the block, computed with the same floating-point operations in the same
 order as a point's value.  For counts >= 0 every step is monotone under
@@ -27,7 +30,7 @@ round-to-nearest, so the computed bound is never below the computed value
 of any point of the block.  A block is dropped at a depth only when its
 bound is strictly below the computed value of some real grid point there;
 ties still resolve toward the smaller index, and every output equals the
-full pass's bit for bit.
+full pass's bit for bit, also when a caller asks for the last one alone.
 
 The CRT estimator recovers the angle as ``v pi / (4 D^2 - 1)`` from folded
 low-precision residues of ``v`` modulo the coprime pair (2D-1, 2D+1).  The
@@ -52,23 +55,23 @@ from .noise import NoiseModel, effective_eta
 from .simulator import DepthCounts
 
 EXTENDED_OFFSETS = tuple((d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1))
-# Bytes of update scratch that mle_estimate holds at a time.  On a grid of
-# fewer than PRUNE_MIN_GRID points that is three (trials x grid) float64
-# arrays per chunk of trials: 21 trials at epsilon=1e-3, 218 at 1e-2.  On a
-# finer grid it is one batch of about CHUNK_BYTES / BLOCK_BYTES blocks
-# (3,276), made of whole trials, so a single trial whose posterior keeps
-# most of the grid in play can exceed it.  The likelihood table shared by
-# all chunks, depths x 2 x grid float64 (1.28 MB for 8 depths at 1e-4),
-# and the pruned pass's block maxima (a fifth of that) sit outside it.
+# Bytes of update scratch that mle_estimate holds at a time: one batch of
+# whole trials of the dense top level, CELL_BYTES per value it holds (a
+# bound and a first point's value per block, 65 trials at 100 blocks; the
+# grid itself when the top level is points, 131 trials at epsilon=1e-2), or
+# one batch of about CHUNK_BYTES / BLOCK_BYTES blocks (3,276) of a level
+# below, made of whole trials, so a single trial whose posterior keeps most
+# of the grid in play can exceed it.  The likelihood table shared by all
+# batches, depths x 2 x grid float64 (1.28 MB for 8 depths at 1e-4), and
+# the block maxima (a fifth of that) sit outside it.
 CHUNK_BYTES = 1 << 19
-# Grid size from which mle_estimate prunes; at 1,000 points pruning
-# saves no time, at 2,000 it saves 20-40%, at 10^4 about half.
-PRUNE_MIN_GRID = 2000
-# Blocks of the pruned pass split into BRANCH blocks each, from at most
-# BRANCH**2 blocks over the grid down to single points.
+# Blocks split into BRANCH blocks each, from at most BRANCH**2 blocks over
+# the grid down to single points.
 BRANCH = 10
-# Peak scratch of one block in a pruned sweep, measured with tracemalloc.
+# Peak scratch of one block swept below the top level, and of one value of
+# the dense top level, measured with tracemalloc.
 BLOCK_BYTES = 160
+CELL_BYTES = 40
 
 
 class EstimationError(RuntimeError):
@@ -185,8 +188,12 @@ def bayesian_update(log_post: np.ndarray, rows: tuple[np.ndarray, np.ndarray],
 
 def _add_counts(log_post, log_p1, log_p0, n_good, n_bad) -> np.ndarray:
     """:func:`bayesian_update` on arguments that broadcast to ``log_post``'s shape."""
-    logl = np.multiply(n_good, log_p1, out=np.zeros_like(log_post), where=n_good > 0)
-    logl += np.multiply(n_bad, log_p0, out=np.zeros_like(log_post), where=n_bad > 0)
+    if (n_good > 0).all() and (n_bad > 0).all():  # the masks below would keep every element
+        logl = np.multiply(n_good, log_p1, out=np.empty_like(log_post))
+        logl += n_bad * log_p0
+    else:
+        logl = np.multiply(n_good, log_p1, out=np.zeros_like(log_post), where=n_good > 0)
+        logl += np.multiply(n_bad, log_p0, out=np.zeros_like(log_post), where=n_bad > 0)
     return np.add(log_post, logl, out=logl)
 
 
@@ -203,8 +210,8 @@ class MlePass(NamedTuple):
     reason: np.ndarray
 
 
-def mle_estimate(counts, depths, epsilon: float = 0.001,
-                 noise: NoiseModel | None = None) -> MlePass:
+def mle_estimate(counts, depths, epsilon: float = 0.001, noise: NoiseModel | None = None,
+                 *, last_only: bool = False) -> MlePass:
     """Maximum-likelihood angles of each trial after each entry of its counts.
 
     ``counts[t, j]`` holds the (good, bad, discarded) tallies of trial ``t``
@@ -217,19 +224,20 @@ def mle_estimate(counts, depths, epsilon: float = 0.001,
     whose counts rule out every grid angle, gets no estimate at any entry
     and the reason in ``reason``.
 
+    With ``last_only`` the pass gives the estimate after the last entry
+    alone: the other columns of ``theta`` are ``nan``, and ``theta[:, -1]``,
+    ``calls`` and ``reason`` are those of the full pass, bit for bit.  It
+    prunes on that argmax alone, so the broad posteriors of the first
+    depths keep no blocks in play.
+
     The likelihood rows of each entry are computed once and serve every
-    trial.  On a grid of fewer than :data:`PRUNE_MIN_GRID` points every
-    point of every trial is updated, in chunks of trials whose posteriors
-    and update scratch fit :data:`CHUNK_BYTES`.  On a finer grid the pass
-    updates only blocks of points that can still hold the argmax.  A
-    block's bound is the update of the block maxima of the rows,
-    ``bayesian_update(bound, (max log p1, max log p0), n_good, n_bad)``;
-    every step of the update is monotone under round-to-nearest for
-    counts >= 0, so the computed bound is never below the computed value of
-    any point in the block.  A block is pruned at an entry only when its
-    bound is strictly below the exact computed value of some real grid
-    point there, so the argmax, ties toward smaller angles included, is
-    the full pass's bit for bit (see :func:`_pruned_argmax`).
+    trial.  One exact engine serves every grid, in batches of trials whose
+    update scratch fits :data:`CHUNK_BYTES`: it updates the whole top level
+    of :func:`_levels` (on a grid of at most ``BRANCH**2`` points, every
+    point: the full pass), and below it only the blocks that can still hold
+    an argmax asked for; see the module docstring and :func:`_argmax` for
+    why the argmax, ties toward smaller angles included, is the full
+    pass's bit for bit.
     """
     thetas = np.pi * np.arange(_grid_size(epsilon)) * epsilon / 2.0
     depths = list(depths)
@@ -240,36 +248,18 @@ def mle_estimate(counts, depths, epsilon: float = 0.001,
     for j, depth in enumerate(depths):
         table[j] = log_likelihood_rows(thetas, depth, noise)
     calls = np.cumsum(counts.sum(axis=2) * (2 * np.array(depths, dtype=np.int64) + 1), axis=1)
-    started = np.logical_or.accumulate(counts[..., 0] + counts[..., 1] > 0, axis=1)
-    if thetas.size < PRUNE_MIN_GRID:
-        k, top = _full_argmax(counts, table)
-    else:
-        k, top = _pruned_argmax(counts, started, table)
+    # entries that get an argmax: from the first kept shot on, or the last alone
+    needed = np.logical_or.accumulate(counts[..., 0] + counts[..., 1] > 0, axis=1)
+    needed[:, :-1] &= not last_only
+    k, top = _argmax(counts, needed, table)
     # an underflowed posterior is -inf everywhere and stays so
-    underflow = started & (top == -np.inf)
+    underflow = needed & (top == -np.inf)
     failed = underflow[:, -1:].any(axis=1)
-    theta = np.where(started & ~underflow & ~failed[:, None], thetas[k], np.nan)
+    theta = np.where(needed & ~underflow & ~failed[:, None], thetas[k], np.nan)
     reason = np.full(len(counts), None, dtype=object)
-    reason[~started[:, -1:].any(axis=1)] = "no kept shots at any depth"
+    reason[~needed[:, -1:].any(axis=1)] = "no kept shots at any depth"
     reason[failed] = "posterior underflow: counts are inconsistent with the grid"
     return MlePass(theta, calls, reason)
-
-
-def _full_argmax(counts, table) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior argmax and maximum of each trial after each entry, over every grid point."""
-    k = np.zeros(counts.shape[:2], dtype=np.int64)
-    top = np.zeros(counts.shape[:2])
-    grid_size = table.shape[2]
-    size = max(1, CHUNK_BYTES // (3 * 8 * grid_size))
-    for start in range(0, len(counts), size):
-        chunk = slice(start, start + size)
-        log_post = np.zeros((len(counts[chunk]), grid_size))
-        trials = np.arange(len(log_post))
-        for j, rows in enumerate(table):
-            log_post = bayesian_update(log_post, rows, counts[chunk, j, 0], counts[chunk, j, 1])
-            k[chunk, j] = np.argmax(log_post, axis=1)
-            top[chunk, j] = log_post[trials, k[chunk, j]]
-    return k, top
 
 
 class _Level(NamedTuple):
@@ -288,9 +278,10 @@ class _Level(NamedTuple):
 
 
 def _levels(table) -> list[_Level]:
-    """The levels of the pruned pass, coarsest first, widths falling by :data:`BRANCH` to 1."""
+    """The levels of the pass, coarsest first: at most ``BRANCH**2`` blocks (the
+    points of a grid that small), then widths falling by :data:`BRANCH` to 1."""
     grid_size = table.shape[2]
-    width = BRANCH
+    width = 1
     while -(-grid_size // width) > BRANCH ** 2:
         width *= BRANCH
     levels, above = [], grid_size
@@ -304,8 +295,8 @@ def _levels(table) -> list[_Level]:
     return levels + [_Level(1, above, table)]
 
 
-def _pruned_argmax(counts, started, table) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_full_argmax` from the grid points that can hold the argmax.
+def _argmax(counts, needed, table) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior argmax and maximum of each trial after each ``needed`` entry.
 
     The grid is tiled by blocks at each of the :func:`_levels`, each block
     split into :data:`BRANCH` blocks of the next level, down to single
@@ -315,21 +306,41 @@ def _pruned_argmax(counts, started, table) -> tuple[np.ndarray, np.ndarray]:
     value of any point in the block (see :func:`mle_estimate`).  The lower
     bound after entry ``j`` is the largest value so far of a real grid
     point: the first point of every block swept.  A block survives entry
-    ``j`` unless its bound is strictly below the lower bound there; entries
-    before a trial's first kept shot need no argmax and keep no block.
-    Each block is swept only through the last entry its parent survives,
-    and only the blocks that survive some entry are split.  At the point
-    level the bound is the value itself, so the lower bound ends at each
-    trial's maximum and the smallest index attaining it is the argmax.
+    ``j`` unless its bound is strictly below the lower bound there; an
+    entry that is not needed has lower bound ``+inf`` and keeps no block.
+    Every block of the top level is swept through every entry, as one
+    (trials x blocks) array per batch of trials.  Below it each block is
+    swept only through the last entry its parent survives, and only the
+    blocks that survive some entry are split.  At the point level the bound
+    is the value itself, so the lower bound ends at each trial's maximum
+    and the smallest index attaining it is the argmax.
     """
-    n_entries, _, grid_size = table.shape
-    lower = np.where(started.T, -np.inf, np.inf)
-    best = np.full(lower.shape, grid_size - 1)
-    trial = np.flatnonzero(started[:, -1:].any(axis=1))
-    # (good, bad) counts of each trial by entry: pairs[j, :, t]
-    pairs = np.ascontiguousarray(counts[..., :2].transpose(1, 2, 0))
-    _descend(_levels(table), trial, np.zeros_like(trial), np.full_like(trial, n_entries - 1),
-             pairs, lower, best)
+    lower = np.where(needed.T, -np.inf, np.inf)
+    best = np.full(lower.shape, table.shape[2] - 1)
+    # (good, bad) counts of each trial by entry, as exact floats: pairs[j, :, t]
+    pairs = np.ascontiguousarray(counts[..., :2].transpose(1, 2, 0), dtype=float)
+    top, *levels = _levels(table)
+    # per trial, the value of every point, or the bound and first point's value of every block
+    cell = top.rows.shape[2:]
+    size = max(1, CHUNK_BYTES // (CELL_BYTES * math.prod(cell)))
+    for start in range(0, len(counts), size):
+        s = slice(start, start + size)
+        value = np.zeros((len(counts[s]),) + cell)
+        trials = np.arange(len(value))
+        last = np.full((len(value), cell[-1]), -1) if levels else None
+        for j, rows in enumerate(top.rows):
+            value = _add_counts(value, *rows, *pairs[j, :, s].reshape((2, -1) + (1,) * len(cell)))
+            first = value[:, 1] if levels else value
+            k = first.argmax(axis=1)
+            low = np.maximum(lower[j, s], first[trials, k], out=lower[j, s])
+            if levels:
+                last[value[:, 0] >= low[:, None]] = j
+            else:
+                best[j, s] = k
+        if levels:
+            value = first = None  # freed before the survivors' sweeps allocate theirs
+            keep, idx = np.nonzero(last >= 0)  # sorted by trial
+            _descend(levels, keep + start, idx, last[keep, idx], pairs, lower, best)
     return best.T, lower.T
 
 
@@ -365,7 +376,7 @@ def _sweep(level, trial, idx, reach, pairs, lower, best):
 
     Raises ``lower`` to the values of the blocks' first points and
     returns the blocks, reordered, with the last entry each survives (-1
-    if none); see :func:`_pruned_argmax`.  At the point level the bound is
+    if none); see :func:`_argmax`.  At the point level the bound is
     the value, and the smallest index that attains ``lower`` goes into
     ``best`` instead.
     """

@@ -73,17 +73,18 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        if isinstance(self.algorithms, str):
+            raise ValueError("algorithms must be a list of names")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
-                or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if min(self.n_trials, self.n_shots, self.calib_trials) < 1:
-            raise ValueError("trial and shot counts must be positive")
+        for name, least in [("seed", 0), ("n_trials", 1), ("n_shots", 1), ("max_depth", 0),
+                            ("calib_trials", 1)]:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
         _grid_size(self.epsilon)
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be nonnegative")
         if self.vector_mode not in VECTOR_MODES:
             raise ValueError(f"vector_mode must be one of {VECTOR_MODES}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -297,7 +298,7 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
             anchor, anchor_calls = mle.theta[:, 2].copy(), mle.calls[:, 2].copy()
         redo = np.flatnonzero(np.isnan(anchor))
         if redo.size:
-            again = mle_estimate(counts[redo, :3], range(3), config.epsilon)
+            again = mle_estimate(counts[redo, :3], range(3), config.epsilon, last_only=True)
             anchor[redo], anchor_calls[redo], anchor_why[redo] = \
                 again.theta[:, 2], again.calls[:, 2], again.reason
         d = np.arange(2, n_depths)
@@ -323,7 +324,8 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
             add("powerlaw", label, zeros, zeros, np.full(zeros.shape, plan, dtype=object))
         else:
             subsampled = np.array(subsampled, dtype=np.int64).reshape(-1, n_depths, 3)
-            powerlaw = mle_estimate(subsampled, depths, config.epsilon, config.noise)
+            powerlaw = mle_estimate(subsampled, depths, config.epsilon, config.noise,
+                                    last_only=True)
             add("powerlaw", label, powerlaw.theta[:, -1:], powerlaw.calls[:, -1:],
                 powerlaw.reason[:, None])
 

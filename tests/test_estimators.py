@@ -131,6 +131,39 @@ def test_update_of_a_stack_updates_each_row_with_its_own_counts():
         assert np.array_equal(updated[i], bayesian_update(stack[i], rows, good, bad))
 
 
+def masked_update(log_post, rows, n_good, n_bad):
+    """The update with every product masked by its count: the reference for the unmasked path."""
+    log_p1, log_p0 = rows
+    n_good, n_bad = np.asarray(n_good)[..., None], np.asarray(n_bad)[..., None]
+    logl = np.multiply(n_good, log_p1, out=np.zeros_like(log_post), where=n_good > 0)
+    logl += np.multiply(n_bad, log_p0, out=np.zeros_like(log_post), where=n_bad > 0)
+    return log_post + logl
+
+
+@settings(max_examples=100, deadline=None)
+@given(trials=st.integers(1, 5), epsilon=st.sampled_from([1.0, 0.1, 0.01]),
+       depth=st.integers(0, 7), noisy=st.booleans(), seed=st.integers(0, 2 ** 16),
+       zero=st.sampled_from([None, "good", "bad"]))
+def test_unmasked_update_equals_the_masked_one(trials, epsilon, depth, noisy, seed, zero):
+    # the plain rows are -inf at theta = 0 (and log(1 - p1) where p1 rounds
+    # to 1): a positive count sends the point to -inf, a zero count adds 0
+    rng = np.random.default_rng(seed)
+    thetas = grid(epsilon)
+    rows = log_likelihood_rows(thetas, depth, NoiseModel.linear_ramp(7) if noisy else None)
+    log_post = -rng.exponential(50.0, size=(trials, thetas.size))
+    n_good, n_bad = rng.integers(1, 500, size=(2, trials))
+    if zero is not None:
+        (n_good if zero == "good" else n_bad)[0] = 0
+    expected = masked_update(log_post, rows, n_good, n_bad)
+    assert np.array_equal(bayesian_update(log_post, rows, n_good, n_bad), expected)
+    if zero is None:
+        with np.errstate(invalid="ignore"):
+            plain = log_post + (n_good[:, None] * rows[0] + n_bad[:, None] * rows[1])
+        assert np.array_equal(expected, plain)
+    elif not noisy:
+        assert (expected[0, 0] == -np.inf) == (zero == "bad")  # 0 x log 0 adds 0
+
+
 def test_update_underflow_raises():
     # epsilon = 1: the grid is theta = 0 alone, where a good shot is impossible
     with pytest.raises(EstimationError):
@@ -283,7 +316,7 @@ def test_chunked_engine_equals_a_scalar_pass_per_trial(pools, epsilon, noisy, ch
     # chunks of `chunk` trials, so most batches cross a chunk boundary; at
     # epsilon 1 and 1/2 a good count at theta = 0 underflows the posterior
     noise = NoiseModel.linear_ramp(7) if noisy else None
-    budget = chunk * 3 * 8 * round(1 / epsilon)
+    budget = chunk * estimators.CELL_BYTES * round(1 / epsilon)
     depths = [c.depth for c in pools[0]]
     with mock.patch.object(estimators, "CHUNK_BYTES", budget):
         result = mle_estimate(tallies(pools, depths), depths, epsilon, noise)
@@ -318,33 +351,54 @@ def peaked_batches(draw):
     return pools
 
 
+# 1009 points leave a short last block at every level; 37 points are the top level
+ENGINE_EPSILONS = [1e-3, 1e-4, 1 / 1009, 1 / 37, 0.5, 1.0]
+
+
 @settings(deadline=None)
-@given(pools=peaked_batches(), epsilon=st.sampled_from([1e-3, 1e-4, 1 / 1009, 0.5, 1.0]),
+@given(pools=peaked_batches(), epsilon=st.sampled_from(ENGINE_EPSILONS),
        noise=st.sampled_from(sorted(ENGINE_NOISES)), chunk=st.integers(1, 3))
 def test_pruned_engine_equals_a_scalar_pass_per_trial(pools, epsilon, noise, chunk):
-    # pruning on at every grid size, 1009 points leave a short last block at
-    # every level, and batches of a few blocks per trial split every level
+    # batches of a few blocks per trial split every level below the top, and
+    # batches of one to a few trials split the top level
     depths = [c.depth for c in pools[0]]
     budget = chunk * estimators.BLOCK_BYTES * estimators.BRANCH
-    with mock.patch.object(estimators, "PRUNE_MIN_GRID", 1), \
-            mock.patch.object(estimators, "CHUNK_BYTES", budget):
+    with mock.patch.object(estimators, "CHUNK_BYTES", budget):
         result = mle_estimate(tallies(pools, depths), depths, epsilon, ENGINE_NOISES[noise])
     assert per_trial(result, depths) == [scalar_mle(p, epsilon, ENGINE_NOISES[noise])
                                          for p in pools]
 
 
+@settings(deadline=None)
+@given(pools=peaked_batches(), epsilon=st.sampled_from(ENGINE_EPSILONS),
+       noise=st.sampled_from(sorted(ENGINE_NOISES)), chunk=st.integers(1, 3))
+def test_a_last_only_pass_equals_the_last_entry_of_a_full_pass(pools, epsilon, noise, chunk):
+    # leading depths without a kept shot, underflow at epsilon 1 and 1/2,
+    # -inf columns at theta = 0, ties under the flat noises, split batches
+    depths = [c.depth for c in pools[0]]
+    data = tallies(pools, depths)
+    with mock.patch.object(estimators, "CHUNK_BYTES",
+                           chunk * estimators.BLOCK_BYTES * estimators.BRANCH):
+        full = mle_estimate(data, depths, epsilon, ENGINE_NOISES[noise])
+        last = mle_estimate(data, depths, epsilon, ENGINE_NOISES[noise], last_only=True)
+    assert np.array_equal(last.theta[:, -1], full.theta[:, -1], equal_nan=True)
+    assert np.isnan(last.theta[:, :-1]).all()
+    assert np.array_equal(last.calls, full.calls)
+    assert last.reason.tolist() == full.reason.tolist()
+
+
 @pytest.mark.parametrize("noise", ["plain", "flat"])
-def test_pruned_engine_runs_on_grids_from_the_cutoff(noise):
-    # the default cutoff: 1,000 points take the full pass, 2,000 the pruned one
+def test_one_engine_runs_on_grids_around_the_point_top_level(noise):
+    # up to BRANCH**2 points the top level is the points, one dense pass;
+    # above it the top level is blocks, and short last blocks at 101 and 1,009
     rng = np.random.default_rng(7)
     depths = list(range(8))
     pools = [[exact_counts(theta, d, 500) for d in depths] for theta in rng.uniform(0, 1.5, 5)]
-    for epsilon, pruned in [(1e-3, False), (1 / estimators.PRUNE_MIN_GRID, True)]:
-        with mock.patch.object(estimators, "_pruned_argmax",
-                               wraps=estimators._pruned_argmax) as engine:
-            result = mle_estimate(tallies(pools, depths), depths, epsilon, ENGINE_NOISES[noise])
-        assert engine.called == pruned
-        assert per_trial(result, depths) == [scalar_mle(p, epsilon, ENGINE_NOISES[noise])
+    for size, top in [(100, 1), (101, 10), (1009, 100), (2003, 100)]:
+        table = np.stack([log_likelihood_rows(grid(1 / size), d) for d in depths])
+        assert estimators._levels(table)[0].width == top
+        result = mle_estimate(tallies(pools, depths), depths, 1 / size, ENGINE_NOISES[noise])
+        assert per_trial(result, depths) == [scalar_mle(p, 1 / size, ENGINE_NOISES[noise])
                                              for p in pools]
 
 
@@ -388,7 +442,7 @@ def test_likelihood_rows_are_built_once_per_depth_per_call(chunk, noisy):
     noise = NoiseModel.linear_ramp(7) if noisy else None
     pools = [[counts(d, *map(int, rng.integers(0, 20, 3))) for d in depths] for _ in range(9)]
     expected = [scalar_mle(p, epsilon, noise) for p in pools]
-    with mock.patch.object(estimators, "CHUNK_BYTES", chunk * 3 * 8 * 100), \
+    with mock.patch.object(estimators, "CHUNK_BYTES", chunk * estimators.CELL_BYTES * 100), \
             mock.patch.object(estimators, "log_likelihood_rows",
                               wraps=log_likelihood_rows) as rows:
         result = mle_estimate(tallies(pools, depths), depths, epsilon, noise)

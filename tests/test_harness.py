@@ -258,6 +258,29 @@ def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
     assert ExperimentConfig.from_dict({"seed": 0}).seed == 0
 
 
+@pytest.mark.parametrize("name,value", [
+    ("n_trials", 2.5), ("n_trials", 2.0), ("n_trials", True), ("n_trials", 0),
+    ("n_shots", True), ("n_shots", "500"), ("n_shots", -1),
+    ("max_depth", 3.0), ("max_depth", False), ("max_depth", -1),
+    ("calib_trials", 2.5), ("calib_trials", None), ("calib_trials", 0)])
+def test_config_rejects_a_count_that_is_not_an_integer_in_range(name, value, tmp_path):
+    # accepted before: 2.5 and 3.0 died in numpy without naming the field,
+    # and n_shots=true ran a 1-shot experiment
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig.from_dict({name: value})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**quiet_config().to_dict(), name: value}), encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert ExperimentConfig.from_dict({name: np.int64(3)}) == ExperimentConfig(**{name: 3})
+
+
+def test_config_rejects_algorithms_given_as_one_string():
+    # accepted as its letters before, and rejected as unknown algorithms
+    with pytest.raises(ValueError, match="algorithms must be a list of names"):
+        ExperimentConfig.from_dict({"algorithms": "mle"})
+    assert ExperimentConfig.from_dict({"algorithms": ["mle"]}).algorithms == ("mle",)
+
+
 def test_config_rejects_a_nonpositive_powerlaw_target():
     # accepted before, the run died after calibration and every trial
     with pytest.raises(ValueError, match="powerlaw_target_eps"):
@@ -376,7 +399,7 @@ def test_a_row_drops_only_when_its_own_inputs_kept_no_shot(tmp_path):
 def test_batched_trials_equal_trials_run_one_by_one(mle_noise_aware, monkeypatch):
     # every estimator, leaky pools with empty depths, MLE passes in chunks
     # of seven trials
-    monkeypatch.setattr(estimators, "CHUNK_BYTES", 7 * 3 * 8 * 100)
+    monkeypatch.setattr(estimators, "CHUNK_BYTES", 7 * estimators.CELL_BYTES * 100)
     config = leaky_config(algorithms=ALGORITHMS, mle_noise_aware=mle_noise_aware)
     cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
     streams = list(run_streams(config.seed, config.n_trials))[1:]
@@ -440,9 +463,9 @@ def test_an_mle_pass_that_fails_after_depth_2_keeps_the_crt_anchor(monkeypatch):
     # loses trial 0, whose anchor then comes from its own pass over depths 0..2
     calls = []
 
-    def failing_after_depth_2(counts, depths, epsilon, noise=None):
+    def failing_after_depth_2(counts, depths, epsilon, noise=None, *, last_only=False):
         calls.append(len(counts))
-        result = mle_estimate(counts, depths, epsilon, noise)
+        result = mle_estimate(counts, depths, epsilon, noise, last_only=last_only)
         if len(depths) > 3:
             result.theta[0] = np.nan
             result.reason[0] = "posterior underflow: counts are inconsistent with the grid"
@@ -468,6 +491,17 @@ def test_no_anchor_pass_runs_over_zero_trials():
         table = run_trials(config, rngs)
     assert not np.isnan(table.anchor).any()
     assert [len(c.args[0]) for c in engine.call_args_list] == [config.n_trials]
+
+
+def test_the_anchor_and_power_law_passes_ask_for_their_last_depth_alone():
+    # the noise-aware MLE pass reads every depth; the anchor pass over
+    # depths 0..2 and the power-law pass read only their last column
+    config = quiet_config(algorithms=ALGORITHMS, mle_noise_aware=True)
+    rngs = list(run_streams(config.seed, config.n_trials))[1:]
+    with mock.patch.object(harness, "mle_estimate", wraps=mle_estimate) as engine:
+        run_trials(config, rngs)
+    assert [(c.args[1], c.kwargs) for c in engine.call_args_list] == [
+        (range(4), {}), (range(3), {"last_only": True}), (range(4), {"last_only": True})]
 
 
 def test_a_run_solves_the_power_law_schedule_once(tmp_path, monkeypatch):
@@ -621,8 +655,9 @@ def test_shot_pools_are_shared_across_estimators(tmp_path):
 
 @st.composite
 def small_configs(draw):
-    """Small configs that ``ExperimentConfig`` accepts, with epsilon on both
-    sides of the grid size from which the MLE engine prunes."""
+    """Small configs that ``ExperimentConfig`` accepts, with MLE grids whose
+    top level is the points (100) or blocks, the last one short (101, 1,009
+    and 2,003 points)."""
     max_depth = draw(st.integers(0, 4))
     names = ALGORITHMS if max_depth >= 2 else ("direct", "mle", "powerlaw")
     gammas = sorted(draw(st.lists(st.floats(0.0, 2.0), min_size=max_depth + 1,
@@ -632,10 +667,9 @@ def small_configs(draw):
     noise = NoiseModel(gamma_by_depth=gammas,
                        beta_readout=draw(st.sampled_from([0.0, 0.05, 0.3])),
                        leak_prob=draw(st.sampled_from([0.0, 0.3, 0.9])), correlation=correlation)
-    cutoff = estimators.PRUNE_MIN_GRID
     return ExperimentConfig(
         n_trials=draw(st.integers(1, 4)), n_shots=draw(st.integers(1, 40)), max_depth=max_depth,
-        epsilon=1 / draw(st.sampled_from([100, cutoff - 1, cutoff, cutoff + 3])),
+        epsilon=1 / draw(st.sampled_from([100, 101, 1009, 2003])),
         seed=draw(st.integers(0, 2 ** 16)), vector_mode=draw(st.sampled_from(VECTOR_MODES)),
         algorithms=draw(st.lists(st.sampled_from(names), min_size=1, unique=True)),
         noise=noise, mle_noise_aware=draw(st.booleans()),
