@@ -445,10 +445,24 @@ def crt_reconstruct(p_d: float, p_dm1: float, theta_ref: float,
     return theta, CrtReadings(theta, math.sin(theta) ** 2, l, h, s1, s2)
 
 
+def _per_distinct(fn, values: np.ndarray, dtype) -> np.ndarray:
+    """``fn`` of every element of ``values``, an array of ``dtype`` in its shape.
+
+    ``fn`` gets each distinct element once, as a Python number, and its
+    result is taken back to every place the element holds.  Floats are told
+    apart by their bits, so ``0.0`` and ``-0.0``, and NaNs of different
+    payloads, are distinct.
+    """
+    flat = values.ravel()  # a flat input gives a flat inverse on every numpy
+    keys = flat.view(np.int64) if flat.dtype.kind == "f" else flat
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    results = np.array(list(map(fn, distinct.view(flat.dtype).tolist())), dtype=dtype)
+    return results[inverse].reshape(values.shape)
+
+
 def _elementwise(fn, values) -> np.ndarray:
     """``fn`` of every element of ``values`` as a Python float, in an array of its shape."""
-    values = np.asarray(values, dtype=float)
-    return np.array(list(map(fn, values.ravel().tolist())), dtype=float).reshape(values.shape)
+    return _per_distinct(fn, np.asarray(values, dtype=float), float)
 
 
 def sin_squared(thetas) -> np.ndarray:

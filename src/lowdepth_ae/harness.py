@@ -31,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .estimators import (CrtReadings, EstimationError, HybridCalibration,
-                         _elementwise, _grid_size, crt_columns, mle_estimate,
-                         sin_squared)
+                         _elementwise, _grid_size, _per_distinct, crt_columns,
+                         mle_estimate, sin_squared)
 from .noise import CorrelatedNoise, NoiseModel, sample_noisy_shots
 from .schedules import (InfeasibleScheduleError, PowerLawConfig, Schedule,
                         optimize_exponent, power_law_schedule,
@@ -482,27 +482,26 @@ def fit_depolarizing(counts, true_thetas) -> list[float]:
     return gammas
 
 
-def _strings(values: np.ndarray) -> list[str]:
-    """``repr`` of each float and ``str`` of each int, as written to the CSVs.
+def _strings(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each element, as written to the CSVs; an int's is its ``str``.
 
-    Each distinct float, told apart by its bits, is formatted once: the
-    estimates repeat a few grid angles over many rows.
+    Each distinct value is formatted once: the estimates repeat a few grid
+    angles over many rows.  Returns an object array of ``values``' shape.
     """
-    if values.dtype.kind != "f":
-        return list(map(str, values.tolist()))
-    memo: dict[int, str] = {}
-    return [memo.get(bits) or memo.setdefault(bits, repr(value))
-            for bits, value in zip(values.view(np.int64).tolist(), values.tolist())]
+    return _per_distinct(repr, values, object)
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    """Write a header and rows of strings as comma-separated lines.
+def _write_csv(path: Path, header, columns) -> None:
+    """Write a header and equal-length columns of strings as comma-separated lines.
 
     The fields are names, labels and numbers, none of which ``csv`` would
-    quote, so the lines are what ``csv.writer`` writes, only faster.
+    quote, so the lines are what ``csv.writer`` writes, only faster.  The
+    last column carries each line's newline.
     """
+    *head, last = columns
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(",".join(row) + "\n" for row in itertools.chain([columns], rows))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(",".join, zip(*head, np.asarray(last, dtype=object) + "\n")))
 
 
 def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
@@ -513,6 +512,8 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
     ``trials.csv`` has one line per kept row of ``table``, trial by trial
     and slot by slot.  Each (algorithm, label) slot aggregates its kept
     rows in trial order, slots in the order their first row is written.
+    The histogram bins each CRT depth's ``abs_err_p`` over [0, 0.5) in
+    steps of 0.02, and the last bin holds [0.5, 1.0].
     """
     if len(table.theta_true) == 0:
         raise ValueError("no trials to aggregate")
@@ -526,33 +527,40 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
     paths = {"trials": out / "trials.csv", "aggregate": out / "aggregate.csv",
              "crt_histogram": out / "crt_error_histogram.csv",
              "manifest": out / "manifest.json"}
-    per_trial = [np.array(_strings(column), dtype=object)[t]
+    per_trial = [_strings(column)[t]
                  for column in (np.arange(len(kept)), table.theta_true, table.p_true)]
     per_slot = [np.array(column, dtype=object)[k]
                 for column in (table.algorithm, [str(label) for label in table.label])]
     cells = [_strings(column[t, k]) for column in (table.oracle_calls, table.theta_hat,
                                                    table.p_hat, err_p, err_t)]
     _write_csv(paths["trials"], TRIAL_COLUMNS,
-               zip(*per_slot, cells[0], *per_trial, *cells[1:], table.branch[t, k]))
+               [*per_slot, cells[0], *per_trial, *cells[1:], table.branch[t, k]])
 
     n_slots = kept.shape[1]
     first_row = kept.argmax(axis=0) * n_slots + np.arange(n_slots)
     slots = [s for s in sorted(range(n_slots), key=first_row.__getitem__) if kept[:, s].any()]
-    agg_rows, hist_rows = [], []
-    edges = np.linspace(0.0, 0.5, 26)
-    for s in slots:
+    labels = [str(table.label[s]) for s in slots]
+    calls, stats, crt_labels, hist_counts = [], [], [], []
+    edges = np.append(np.linspace(0.0, 0.5, 26), 1.0)
+    for s, label in zip(slots, labels):
         rows = kept[:, s]
         errs_p, errs_t = err_p[rows, s], err_t[rows, s]
-        alg, label = table.algorithm[s], str(table.label[s])
-        agg_rows.append([alg, label, str(table.oracle_calls[rows, s].sum()),
-                         *_strings(np.array([errs_p.mean(), errs_p.std(), errs_t.mean()]))])
-        if alg == "crt":
-            counts, _ = np.histogram(errs_p, bins=edges)
-            hist_rows += [[label, *_strings(np.array([lo, hi])), str(n)]
-                          for lo, hi, n in zip(edges[:-1], edges[1:], counts)]
-            hist_rows.append([label, "0.5", "1.0", str(np.sum(errs_p >= 0.5))])
-    _write_csv(paths["aggregate"], AGGREGATE_COLUMNS, agg_rows)
-    _write_csv(paths["crt_histogram"], ("depth", "bin_lo", "bin_hi", "count"), hist_rows)
+        calls.append(table.oracle_calls[rows, s].sum())
+        stats.append([errs_p.mean(), errs_p.std(), errs_t.mean()])
+        if table.algorithm[s] == "crt":
+            crt_labels.append(label)
+            hist_counts.append(np.histogram(errs_p, bins=edges)[0])
+    stats = _strings(np.array(stats, dtype=float).reshape(-1, 3))
+    _write_csv(paths["aggregate"], AGGREGATE_COLUMNS,
+               [[table.algorithm[s] for s in slots], labels,
+                _strings(np.array(calls, dtype=np.int64)), *stats.T])
+    bins = len(edges) - 1
+    edge_strings = _strings(edges)
+    _write_csv(paths["crt_histogram"], ("depth", "bin_lo", "bin_hi", "count"),
+               [np.repeat(np.array(crt_labels, dtype=object), bins),
+                np.tile(edge_strings[:-1], len(crt_labels)),
+                np.tile(edge_strings[1:], len(crt_labels)),
+                _strings(np.array(hist_counts, dtype=np.int64).reshape(-1))])
 
     config_record = config.to_dict()
     config_record.pop("out_dir")  # volatile; identical runs stay byte-identical

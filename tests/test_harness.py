@@ -616,6 +616,84 @@ def test_emit_rejects_empty_trials(tmp_path):
         aggregate_and_emit(direct_table([]), quiet_config(), tmp_path)
 
 
+def test_crt_histogram_counts_an_error_of_one_half_once(tmp_path):
+    # p_true = sin(1e-8)^2 = 1e-16 and p_hat = sin^2 of the float above pi/4
+    # = 0.5 + 2^-53: their difference rounds to 0.5 exactly
+    theta_true = np.array([1e-8, 0.3, 1.1])
+    theta_hat = np.array([[0.7853981633974484, 0.1], [0.3, np.nan], [1.0, 1.2]])
+    table = RunTable(theta_true=theta_true, counts=np.zeros((3, 4, 3), dtype=np.int64),
+                     algorithm=("crt", "crt"), label=(2, 3), theta_hat=theta_hat,
+                     oracle_calls=np.full((3, 2), 700), branch=np.full((3, 2), ""),
+                     reason=np.where(np.isnan(theta_hat), "no kept shots at depth 3", None))
+    assert table.err_p("crt", 2)[0] == 0.5
+    paths = aggregate_and_emit(table, quiet_config(algorithms=("crt",)), tmp_path)
+    with open(paths["crt_histogram"], encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for depth, kept, top in (("2", 3, ["0", "1"]), ("3", 2, ["0", "0"])):
+        bins = [row for row in rows if row["depth"] == depth]
+        assert len(bins) == 26
+        assert sum(int(row["count"]) for row in bins) == kept
+        assert [(row["bin_lo"], row["bin_hi"], row["count"]) for row in bins[-2:]] \
+            == [("0.48", "0.5", top[0]), ("0.5", "1.0", top[1])]
+
+
+def distinct_probe_values():
+    """Floats where formatting and bit identity are easy to get wrong."""
+    payload_nan = float(np.array([0x7FF8_0000_0000_0001]).view(np.float64)[0])
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, math.nan, -math.nan, payload_nan, math.inf, -math.inf,
+                         5e-324, -5e-324, 2.2250738585072014e-308 / 3, 0.1, 1.0]),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@st.composite
+def distinct_probe_arrays(draw):
+    """Float64 or int64 arrays of 0-2 dimensions, with repeats, some empty and
+    some non-contiguous (a transposed or strided view)."""
+    if draw(st.booleans()):
+        pool = draw(st.lists(distinct_probe_values(), min_size=1, max_size=6))
+        dtype = np.float64
+    else:
+        pool = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=6))
+        dtype = np.int64
+    shape = tuple(draw(st.lists(st.integers(0, 6), max_size=2)))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=math.prod(shape),
+                          max_size=math.prod(shape)))
+    values = np.array(picks, dtype=dtype).reshape(shape)
+    view = draw(st.sampled_from(["as is", "transposed", "strided"]))
+    if view == "transposed":
+        values = values.T
+    elif view == "strided" and values.ndim:
+        values = values[..., ::2]
+    return values
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=distinct_probe_arrays())
+def test_each_distinct_value_is_formatted_as_the_element_by_element_reference(values):
+    strings = harness._strings(values)
+    reference = [repr(v) if isinstance(v, float) else str(v) for v in values.ravel().tolist()]
+    assert strings.shape == values.shape and strings.dtype == object
+    assert strings.ravel().tolist() == reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=distinct_probe_arrays(),
+       fn=st.sampled_from([lambda x: x, lambda x: math.copysign(1.0, x),
+                           lambda x: x * 3.0 - 1.0, lambda x: float(len(repr(x)))]))
+def test_elementwise_calls_fn_once_per_distinct_value_as_the_per_element_reference(values, fn):
+    seen = []
+    result = estimators._elementwise(lambda x: seen.append(x) or fn(x), values)
+    reference = [fn(v) for v in values.astype(float).ravel().tolist()]
+    assert result.shape == values.shape and result.dtype == np.float64
+    assert bits(result).ravel().tolist() == bits(reference).tolist()
+    assert len(seen) == len(set(bits(values).ravel().tolist()))
+
+
 # ------------------------------------------------------------------ end to end
 
 def test_run_experiment_emits_consistent_accounting(tmp_path):
