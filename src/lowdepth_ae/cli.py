@@ -103,13 +103,11 @@ def _cmd_sweep(args) -> int:
             depth = int(raw)
             sub = dataclasses.replace(
                 config, max_depth=depth, out_dir=str(base_out / f"max_depth_{depth}"))
-        elif args.param == "target-eps":
+        else:  # target-eps, the only other choice argparse admits
             eps = float(raw)
             sub = dataclasses.replace(
                 config, powerlaw_target_eps=eps,
                 out_dir=str(base_out / f"target_eps_{raw}"))
-        else:
-            raise ValueError(f"unknown sweep parameter {args.param!r}")
         _, paths = run_experiment(sub)
         print(f"{args.param}={raw}: {paths['aggregate']}")
     return 0

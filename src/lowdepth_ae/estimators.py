@@ -2,10 +2,10 @@
 
 Every estimate ties its probability to its angle by ``p_hat =
 sin^2(theta_hat)`` and charges ``2d+1`` oracle calls per shot taken at
-depth ``d`` (discarded shots included: the oracle ran for them too).  The
-scalar estimators return one :class:`Estimate`; :func:`mle_estimate` and
-:func:`crt_columns` fill arrays for many trials at once, equal element by
-element to the scalar arithmetic.
+depth ``d`` (discarded shots included: the oracle ran for them too).
+:func:`direct_estimate` alone returns one :class:`Estimate`;
+:func:`mle_estimate` and :func:`crt_columns` fill arrays for many trials
+at once, the latter equal element by element to :func:`crt_reconstruct`.
 
 The maximum-likelihood engine keeps an unnormalized log-posterior over the
 angles ``theta_k = pi k eps / 2`` and adds per-depth binomial
@@ -86,14 +86,11 @@ class Estimate:
     p_hat: float
     oracle_calls: int
     algorithm: str
-    diagnostics: dict | None = None
 
     @classmethod
-    def from_theta(cls, theta: float, oracle_calls: int, algorithm: str,
-                   diagnostics: dict | None = None) -> "Estimate":
+    def from_theta(cls, theta: float, oracle_calls: int, algorithm: str) -> "Estimate":
         return cls(theta_hat=theta, p_hat=math.sin(theta) ** 2,
-                   oracle_calls=oracle_calls, algorithm=algorithm,
-                   diagnostics=diagnostics)
+                   oracle_calls=oracle_calls, algorithm=algorithm)
 
 
 def _grid_size(epsilon: float) -> int:
@@ -140,6 +137,11 @@ class HybridCalibration:
     @property
     def threshold(self) -> float:
         return self.beta_hybrid * abs(self.mle_avg_depth2 - self.crt_exact_at_d)
+
+
+def hybrid_fallback(anchor_p, crt_p, threshold) -> np.ndarray:
+    """Where the hybrid takes its anchor over CRT: the two differ by more than the threshold."""
+    return np.abs(anchor_p - crt_p) > threshold
 
 
 def direct_estimate(counts: DepthCounts) -> Estimate:
@@ -509,44 +511,3 @@ def crt_columns(p_d, p_dm1, theta_ref, d_max) -> CrtReadings:
     # the smallest error, ties toward the smaller folded value
     best = np.where(err == err.min(axis=-1, keepdims=True), folded, modulus_).min(axis=-1)
     return CrtReadings(best * math.pi / modulus, folded_p[d_max, best], l, h, s1, s2)
-
-
-def crt_estimate(counts_at_d: DepthCounts, counts_at_dm1: DepthCounts,
-                 mle_low_depth: Estimate, d_max: int) -> Estimate:
-    """Two-depth CRT estimate seeded by a low-depth MLE angle.
-
-    Success probabilities at depths D and D-1 are the kept good fractions;
-    the low-depth estimate supplies the fold signs, the selection anchor
-    and its own oracle-call bill.  The readings are kept in the diagnostics
-    as ``context``.
-    """
-    for counts in (counts_at_d, counts_at_dm1):
-        if counts.kept == 0:
-            raise EstimationError(f"no kept shots at depth {counts.depth}")
-    p_d = counts_at_d.n_good / counts_at_d.kept
-    p_dm1 = counts_at_dm1.n_good / counts_at_dm1.kept
-    theta, context = crt_reconstruct(p_d, p_dm1, mle_low_depth.theta_hat, d_max)
-    calls = (mle_low_depth.oracle_calls
-             + counts_at_d.shots * (2 * d_max + 1)
-             + counts_at_dm1.shots * (2 * d_max - 1))
-    return Estimate.from_theta(theta, oracle_calls=calls, algorithm="crt",
-                               diagnostics={"context": context})
-
-
-def hybrid_estimate(mle_low_depth: Estimate, crt: Estimate,
-                    calibration: HybridCalibration) -> Estimate:
-    """Pick the CRT estimate unless it strays too far from the low-depth MLE.
-
-    The acceptance window is ``beta * |MLE_avg(2) - CRT_exact(D)|``; outside
-    it the estimator falls back to the low-depth MLE value.  The chosen
-    branch is recorded in the diagnostics.
-    """
-    disagreement = abs(mle_low_depth.p_hat - crt.p_hat)
-    if disagreement > calibration.threshold:
-        winner, branch = mle_low_depth, "mle"
-    else:
-        winner, branch = crt, "crt"
-    return Estimate.from_theta(winner.theta_hat, oracle_calls=crt.oracle_calls,
-                               algorithm="hybrid",
-                               diagnostics={"branch": branch, "disagreement": disagreement,
-                                            "threshold": calibration.threshold})

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .estimators import (CrtReadings, EstimationError, HybridCalibration,
                          _elementwise, _grid_size, _per_distinct, crt_columns,
-                         mle_estimate, sin_squared)
+                         hybrid_fallback, mle_estimate, sin_squared)
 from .noise import CorrelatedNoise, NoiseModel, sample_noisy_shots
 from .schedules import (InfeasibleScheduleError, PowerLawConfig, Schedule,
                         optimize_exponent, power_law_schedule,
@@ -96,10 +96,10 @@ class ExperimentConfig:
             raise ValueError("noise model does not cover max_depth")
         if ("crt" in self.algorithms or "hybrid" in self.algorithms) and self.max_depth < 2:
             raise ValueError("crt/hybrid need max_depth >= 2")
-        if self.beta_hybrid < 0:
-            raise ValueError("beta_hybrid must be nonnegative")
-        if self.powerlaw_target_eps <= 0:
-            raise ValueError("powerlaw_target_eps must be positive")
+        if not (math.isfinite(self.beta_hybrid) and self.beta_hybrid >= 0):
+            raise ValueError("beta_hybrid must be finite and nonnegative")
+        if not (math.isfinite(self.powerlaw_target_eps) and self.powerlaw_target_eps > 0):
+            raise ValueError("powerlaw_target_eps must be finite and positive")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -312,7 +312,7 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
         if "hybrid" in config.algorithms:
             cal = calibrations or {}
             threshold = np.array([cal[x].threshold if x in cal else np.nan for x in d.tolist()])
-            fallback = np.abs(sin_squared(anchor)[:, None] - crt.p_hat) > threshold
+            fallback = hybrid_fallback(sin_squared(anchor)[:, None], crt.p_hat, threshold)
             add("hybrid", d.tolist(), np.where(fallback, anchor[:, None], crt.theta), calls,
                 *drops, np.where(np.isnan(threshold), "no calibration", None),
                 branch=np.where(fallback, "mle", "crt"))
@@ -417,7 +417,7 @@ def calibrate_hybrid(config: ExperimentConfig,
         for candidate in BETA_TUNING_GRID:
             cal = calibrations(candidate)
             hybrid_means = {
-                d: mean_err(np.where(np.abs(anchor_p - crt_p[:, j]) > cal[d].threshold,
+                d: mean_err(np.where(hybrid_fallback(anchor_p, crt_p[:, j], cal[d].threshold),
                                      anchor_p, crt_p[:, j]))
                 for j, d in enumerate(depths)}
             if any(hybrid_means[d] > crt_means[d] + 1e-12 for d in depths):

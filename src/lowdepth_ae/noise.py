@@ -43,8 +43,8 @@ class CorrelatedNoise:
     def __post_init__(self):
         if not 0.0 < self.p_switch <= 1.0:
             raise ValueError("p_switch must be in (0, 1]")
-        if self.burst_scale < 0.0:
-            raise ValueError("burst_scale must be nonnegative")
+        if not (math.isfinite(self.burst_scale) and self.burst_scale >= 0.0):
+            raise ValueError("burst_scale must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class NoiseModel:
         if len(self.gamma_by_depth) == 0:
             raise ValueError("gamma_by_depth must not be empty")
         gs = self.gamma_by_depth
-        if any(g < 0 for g in gs):
-            raise ValueError("gamma rates must be nonnegative")
+        if not all(math.isfinite(g) and g >= 0 for g in gs):
+            raise ValueError("gamma_by_depth rates must be finite and nonnegative")
         if any(b < a - 1e-12 for a, b in zip(gs, gs[1:])):
             raise ValueError("gamma rates must be nondecreasing in depth")
         # each depth's effective_eta; not a field, so eq, hash and asdict ignore it

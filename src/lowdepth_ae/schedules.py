@@ -21,6 +21,7 @@ import numpy as np
 from .simulator import DepthCounts
 
 NU_RANGE = (-6.0, 6.0)
+NU_TOL = 1e-4
 
 
 class InfeasibleScheduleError(RuntimeError):
@@ -91,19 +92,18 @@ def fisher_noisy(nu: float, n_shots: int, max_depth: int, gamma_by_depth) -> flo
 
 
 def optimize_exponent(target_eps: float, n_shots: int, max_depth: int,
-                      gamma_by_depth, nu_range: tuple[float, float] = NU_RANGE,
-                      tol: float = 1e-4) -> float:
+                      gamma_by_depth) -> float:
     """Smallest exponent whose schedule reaches the target precision.
 
     ``F_noisy`` is nondecreasing in ``nu``, so the oracle-cost constraint
-    binds and bisection suffices.  Returns the range floor when even it is
-    feasible; raises :class:`InfeasibleScheduleError` when the range top
-    cannot reach ``1/eps^2``.
+    binds and bisection of :data:`NU_RANGE` suffices.  Returns the range
+    floor when even it is feasible; raises :class:`InfeasibleScheduleError`
+    when the range top cannot reach ``1/eps^2``.
     """
     if target_eps <= 0:
         raise ValueError("target_eps must be positive")
     required = target_eps ** -2
-    lo, hi = nu_range
+    lo, hi = NU_RANGE
 
     def feasible(nu: float) -> bool:
         return fisher_noisy(nu, n_shots, max_depth, gamma_by_depth) >= required
@@ -114,7 +114,7 @@ def optimize_exponent(target_eps: float, n_shots: int, max_depth: int,
             f"{fisher_noisy(hi, n_shots, max_depth, gamma_by_depth):.4g}")
     if feasible(lo):
         return lo
-    while hi - lo > tol:
+    while hi - lo > NU_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid

@@ -1,4 +1,4 @@
-"""Exact statevector execution on four qubits with unary postselection.
+"""Exact statevector execution on four qubits, and the shot tallies of one depth.
 
 Basis convention: qubit 0 is the most significant bit, so the good state
 |1000> sits at index 8 and the remaining unary states at 4, 2, 1.  Shots
@@ -107,27 +107,3 @@ def analytic_success_prob(theta: float, t: int) -> float:
     if t < 0:
         raise ValueError("depth t must be nonnegative")
     return math.sin((2 * t + 1) * theta) ** 2
-
-
-def sample_and_postselect(distribution, n_shots: int, rng: np.random.Generator,
-                          depth: int = 0) -> DepthCounts:
-    """Draw shots from a 16-outcome distribution and tally unary outcomes.
-
-    |1000> counts as good, the other three unary strings as bad, everything
-    else is discarded.  Deterministic for a given generator state.
-    """
-    probs = np.asarray(distribution, dtype=float)
-    if probs.shape != (DIM,):
-        raise ValueError("distribution must have 16 entries")
-    if np.any(probs < -1e-12):
-        raise ValueError("distribution has negative entries")
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {total}, expected 1")
-    if n_shots < 0:
-        raise ValueError("n_shots must be nonnegative")
-    counts = rng.multinomial(n_shots, np.clip(probs, 0.0, None) / total)
-    n_good = int(counts[GOOD_INDEX])
-    n_bad = int(sum(counts[i] for i in BAD_INDICES))
-    return DepthCounts(depth=depth, n_good=n_good, n_bad=n_bad,
-                       n_discarded=n_shots - n_good - n_bad)

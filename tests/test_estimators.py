@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from lowdepth_ae import estimators
 from lowdepth_ae.estimators import (EXTENDED_OFFSETS, Estimate,
                                     EstimationError, HybridCalibration,
-                                    bayesian_update, crt_columns, crt_estimate,
+                                    bayesian_update, crt_columns,
                                     crt_reconstruct, crt_solve,
-                                    direct_estimate, hybrid_estimate,
+                                    direct_estimate, hybrid_fallback,
                                     log_likelihood_rows, mle_estimate)
 from lowdepth_ae.noise import NoiseModel, effective_eta
 from lowdepth_ae.simulator import DepthCounts
@@ -75,7 +75,7 @@ def tallies(pools, depths):
 
 def per_trial(result, depths):
     """An MLE pass as one {depth: Estimate} dict per trial, or the trial's failure reason."""
-    return [reason or {d: Estimate.from_theta(float(th), int(c), "mle", {"label": d})
+    return [reason or {d: Estimate.from_theta(float(th), int(c), "mle")
                        for d, th, c in zip(depths, theta, calls) if not math.isnan(th)}
             for theta, calls, reason in zip(result.theta, result.calls, result.reason)]
 
@@ -289,8 +289,7 @@ def scalar_mle(counts_by_depth, epsilon, noise):
             k = int(np.argmax(log_post))
             if log_post[k] == -np.inf:
                 return "posterior underflow: counts are inconsistent with the grid"
-            estimates[c.depth] = Estimate.from_theta(float(thetas[k]), calls, "mle",
-                                                     {"label": c.depth})
+            estimates[c.depth] = Estimate.from_theta(float(thetas[k]), calls, "mle")
     return estimates or "no kept shots at any depth"
 
 
@@ -552,24 +551,6 @@ def test_crt_columns_reject_small_depth():
         crt_columns([0.5, 0.5], [0.5, 0.5], [0.3, 0.3], [2, 1])
 
 
-def test_crt_estimate_from_counts_and_oracle_bill():
-    theta = 2 * math.pi / 15
-    mle_low = Estimate.from_theta(theta, oracle_calls=500 * (1 + 3 + 5), algorithm="mle")
-    c_d = exact_counts(theta, 2, 500)
-    c_dm1 = exact_counts(theta, 1, 500)
-    est = crt_estimate(c_d, c_dm1, mle_low, 2)
-    assert est.oracle_calls == 500 * 9 + 500 * 5 + 500 * 3
-    assert est.algorithm == "crt"
-    assert abs(est.p_hat - math.sin(est.theta_hat) ** 2) < 1e-12
-    assert est.diagnostics["context"].theta == est.theta_hat
-
-
-def test_crt_estimate_requires_kept_shots():
-    mle_low = Estimate.from_theta(0.3, oracle_calls=100, algorithm="mle")
-    with pytest.raises(EstimationError):
-        crt_estimate(counts(2, 0, 0, 500), counts(1, 10, 10), mle_low, 2)
-
-
 def test_crt_rejects_small_depth():
     with pytest.raises(ValueError):
         crt_reconstruct(0.5, 0.5, 0.3, 1)
@@ -577,34 +558,24 @@ def test_crt_rejects_small_depth():
 
 # --------------------------------------------------------------------- hybrid
 
-def hybrid_from_values(p0, q0, threshold_gap, beta=1.0):
-    mle_low = Estimate.from_theta(math.asin(math.sqrt(p0)), 100, "mle")
-    crt = Estimate.from_theta(math.asin(math.sqrt(q0)), 300, "crt")
+def falls_back(p0, q0, threshold_gap, beta=1.0):
+    """Whether the hybrid drops CRT probability ``q0`` for anchor probability ``p0``."""
     cal = HybridCalibration(mle_avg_depth2=threshold_gap, crt_exact_at_d=0.0,
                             beta_hybrid=beta)
-    return hybrid_estimate(mle_low, crt, cal)
+    return hybrid_fallback(p0, q0, cal.threshold)
 
 
 def test_hybrid_keeps_crt_when_close():
-    est = hybrid_from_values(0.30, 0.31, threshold_gap=0.05)
-    assert est.diagnostics["branch"] == "crt"
-    assert abs(est.p_hat - 0.31) < 1e-12
+    assert not falls_back(0.30, 0.31, threshold_gap=0.05)
+    assert not falls_back(0.25, 0.5, threshold_gap=0.25)  # a tie keeps CRT
 
 
 def test_hybrid_falls_back_when_far():
-    est = hybrid_from_values(0.30, 0.60, threshold_gap=0.05)
-    assert est.diagnostics["branch"] == "mle"
-    assert abs(est.p_hat - 0.30) < 1e-12
+    assert falls_back(0.30, 0.60, threshold_gap=0.05)
 
 
 def test_hybrid_zero_beta_always_falls_back():
-    est = hybrid_from_values(0.30, 0.300001, threshold_gap=0.05, beta=0.0)
-    assert est.diagnostics["branch"] == "mle"
-
-
-def test_hybrid_uses_crt_oracle_bill():
-    est = hybrid_from_values(0.30, 0.31, threshold_gap=0.05)
-    assert est.oracle_calls == 300
+    assert falls_back(0.30, 0.300001, threshold_gap=0.05, beta=0.0)
 
 
 def test_hybrid_dominates_crt_with_outlier_mixture():
@@ -612,20 +583,19 @@ def test_hybrid_dominates_crt_with_outlier_mixture():
     rng = np.random.default_rng(99)
     thetas = rng.uniform(0.0, math.pi / 2, 400)
     cal = HybridCalibration(mle_avg_depth2=0.01, crt_exact_at_d=0.002, beta_hybrid=4.0)
-    crt_errs, hybrid_errs = [], []
+    p_true, anchor_p, crt_p = [], [], []
     for theta in thetas:
-        p_true = math.sin(theta) ** 2
-        p0 = min(max(p_true + rng.normal(0, 0.01), 0.0), 1.0)
+        p_true.append(math.sin(theta) ** 2)
+        p0 = min(max(p_true[-1] + rng.normal(0, 0.01), 0.0), 1.0)
         if rng.random() < 0.3:
             q_theta = rng.uniform(0.0, math.pi / 2)
         else:
             q_theta = theta
-        mle_low = Estimate.from_theta(math.asin(math.sqrt(p0)), 100, "mle")
-        crt = Estimate.from_theta(q_theta, 300, "crt")
-        est = hybrid_estimate(mle_low, crt, cal)
-        crt_errs.append(abs(crt.p_hat - p_true))
-        hybrid_errs.append(abs(est.p_hat - p_true))
-    assert np.mean(hybrid_errs) <= np.mean(crt_errs)
+        anchor_p.append(math.sin(math.asin(math.sqrt(p0))) ** 2)
+        crt_p.append(math.sin(q_theta) ** 2)
+    p_true, anchor_p, crt_p = np.array(p_true), np.array(anchor_p), np.array(crt_p)
+    hybrid_p = np.where(hybrid_fallback(anchor_p, crt_p, cal.threshold), anchor_p, crt_p)
+    assert np.mean(np.abs(hybrid_p - p_true)) <= np.mean(np.abs(crt_p - p_true))
 
 
 def test_calibration_validation():

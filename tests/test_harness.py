@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowdepth_ae import estimators, harness
-from lowdepth_ae.estimators import (Estimate, EstimationError, HybridCalibration,
-                                    crt_estimate, hybrid_estimate, mle_estimate)
+from lowdepth_ae.estimators import (EstimationError, HybridCalibration, crt_reconstruct,
+                                    hybrid_fallback, mle_estimate)
 from lowdepth_ae.harness import (ALGORITHMS, VECTOR_MODES, ExperimentConfig, RunTable,
                                  UnidentifiableFitError, aggregate_and_emit,
                                  calibrate_hybrid, fit_depolarizing,
@@ -287,12 +287,20 @@ def test_config_rejects_a_nonpositive_powerlaw_target():
         quiet_config(powerlaw_target_eps=0.0)
     with pytest.raises(ValueError, match="powerlaw_target_eps"):
         quiet_config(powerlaw_target_eps=-0.01)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="powerlaw_target_eps"):
+            quiet_config(powerlaw_target_eps=value)
 
 
 def test_config_rejects_a_negative_hybrid_multiplier():
     # accepted before, the run died inside calibration
     with pytest.raises(ValueError, match="beta_hybrid"):
         quiet_config(beta_hybrid=-1.0)
+    # accepted before: NaN sent every hybrid row to CRT and wrote NaN into
+    # manifest.json, which strict JSON rejects
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="beta_hybrid"):
+            quiet_config(beta_hybrid=value)
     assert quiet_config(beta_hybrid=0.0).beta_hybrid == 0.0
 
 
@@ -411,23 +419,47 @@ def test_batched_trials_equal_trials_run_one_by_one(mle_noise_aware, monkeypatch
         == [trial_rows(one, 0) for one in one_by_one]
 
 
+def scalar_crt_and_hybrid(pool, d, theta, calls, cal):
+    """A trial's CRT and hybrid rows at depth ``d``, one reconstruction at a time.
+
+    ``theta`` is the trial's anchor angle, billed ``calls`` oracle calls.
+    Each row is (theta_hat, p_hat, oracle_calls, branch), or the reason it
+    drops; the CRT readings come third (``None`` when CRT drops).  Both
+    rows need kept shots at depths d and d-1, read each depth's kept good
+    fraction and bill the anchor's calls plus 2d+1 calls per shot at depth
+    d and 2d-1 per shot at depth d-1; the hybrid also needs a calibration
+    at depth d.
+    """
+    for counts in (pool[d], pool[d - 1]):
+        if counts.kept == 0:
+            reason = f"no kept shots at depth {counts.depth}"
+            return reason, reason, None
+    crt_theta, readings = crt_reconstruct(pool[d].n_good / pool[d].kept,
+                                          pool[d - 1].n_good / pool[d - 1].kept, theta, d)
+    bill = calls + pool[d].shots * (2 * d + 1) + pool[d - 1].shots * (2 * d - 1)
+    crt = (crt_theta, readings.p_hat, bill, "")
+    if d not in cal:
+        return crt, "no calibration", readings
+    fallback = hybrid_fallback(math.sin(theta) ** 2, readings.p_hat, cal[d].threshold)
+    chosen = theta if fallback else crt_theta
+    return crt, (chosen, math.sin(chosen) ** 2, bill, "mle" if fallback else "crt"), readings
+
+
 def rows_on_a_separate_anchor_pass(config, table, cal):
-    """Per trial, the CRT and hybrid rows by label, built by the scalar
-    estimators on the depth-2 estimate of the trial's own noise-unaware MLE
-    pass over depths 0..2."""
+    """Per trial, the kept CRT and hybrid rows by label, built one at a time
+    on the depth-2 estimate of the trial's own noise-unaware MLE pass over
+    depths 0..2."""
     anchors = mle_estimate(table.counts[:, :3], range(3), config.epsilon)
     expected = []
     for t, (theta, calls) in enumerate(zip(anchors.theta[:, 2], anchors.calls[:, 2])):
-        pool, crt, hybrid = pool_of(table, t), {}, {}
-        anchor = Estimate.from_theta(float(theta), int(calls), "mle")
-        for d in range(2, config.max_depth + 1):
-            if not math.isnan(theta) and pool[d].kept and pool[d - 1].kept:
-                est = crt_estimate(pool[d], pool[d - 1], anchor, d)
-                crt[d] = (est.theta_hat, est.p_hat, est.oracle_calls, "")
-                est = hybrid_estimate(anchor, est, cal[d])
-                hybrid[d] = (est.theta_hat, est.p_hat, est.oracle_calls,
-                             est.diagnostics["branch"])
-        expected.append({"crt": crt, "hybrid": hybrid})
+        rows = {"crt": {}, "hybrid": {}}
+        depths = () if math.isnan(theta) else range(2, config.max_depth + 1)
+        for d in depths:
+            by_alg = scalar_crt_and_hybrid(pool_of(table, t), d, float(theta), int(calls), cal)
+            for alg, row in zip(rows, by_alg):
+                if not isinstance(row, str):
+                    rows[alg][d] = row
+        expected.append(rows)
     return expected
 
 
@@ -826,6 +858,13 @@ def test_cli_fit_noise_and_sweep(tmp_path, capsys):
     assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(sweep_dir),
                      "--param", "max-depth", "--values", "2,3"]) == 0
     assert (sweep_dir / "max_depth_2" / "aggregate.csv").exists()
+    config = quiet_config(n_trials=6, algorithms=("direct", "powerlaw"))
+    cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(sweep_dir),
+                     "--param", "target-eps", "--values", "0.05,0.1"]) == 0
+    for eps in ("0.05", "0.1"):
+        aggregate = (sweep_dir / f"target_eps_{eps}" / "aggregate.csv").read_text()
+        assert f"\npowerlaw,eps={eps}," in aggregate
 
 
 def test_cli_fit_noise_prints_the_rate_the_fit_measures(tmp_path, capsys):
@@ -911,26 +950,15 @@ def test_columnar_crt_and_hybrid_equal_the_scalar_estimators_row_by_row(inputs):
     for t in range(config.n_trials):
         pool = pool_of(table, t)
         theta, calls = anchors.theta[t, 2], anchors.calls[t, 2]
-        anchor = Estimate.from_theta(float(theta), int(calls), "mle")
         for d in range(2, config.max_depth + 1):
             expected = {}
             if math.isnan(theta):
                 expected["crt"] = expected["hybrid"] = f"anchor: {anchors.reason[t]}"
             else:
-                try:
-                    crt = crt_estimate(pool[d], pool[d - 1], anchor, d)
-                except EstimationError as exc:
-                    expected["crt"] = expected["hybrid"] = str(exc)
-                else:
-                    expected["crt"] = (crt.theta_hat, crt.p_hat, crt.oracle_calls, "")
-                    assert tuple(column[t, d - 2] for column in table.crt) \
-                        == crt.diagnostics["context"]
-                    if d not in cal:
-                        expected["hybrid"] = "no calibration"
-                    else:
-                        est = hybrid_estimate(anchor, crt, cal[d])
-                        expected["hybrid"] = (est.theta_hat, est.p_hat, est.oracle_calls,
-                                              est.diagnostics["branch"])
+                expected["crt"], expected["hybrid"], readings = scalar_crt_and_hybrid(
+                    pool, d, float(theta), int(calls), cal)
+                if readings is not None:
+                    assert tuple(column[t, d - 2] for column in table.crt) == readings
             for alg in ("crt", "hybrid"):
                 k = table.slot(alg, d)
                 actual = table.reason[t, k] if not table.kept[t, k] else (

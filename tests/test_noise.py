@@ -146,6 +146,13 @@ def test_model_validation():
         NoiseModel(gamma_by_depth=(-0.1,))
     with pytest.raises(ValueError):
         CorrelatedNoise(p_switch=0.0, burst_scale=2.0)
+    # accepted before: a NaN burst_scale made every burst shot bad, and a
+    # NaN rate failed only in sampling, without naming the field
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="burst_scale"):
+            CorrelatedNoise(p_switch=0.5, burst_scale=value)
+        with pytest.raises(ValueError, match="gamma_by_depth"):
+            NoiseModel(gamma_by_depth=(0.1, value))
 
 
 def test_linear_ramp_rates():

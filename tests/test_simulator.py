@@ -1,13 +1,12 @@
-"""Statevector execution, analytic probabilities and shot postselection."""
+"""Statevector execution, analytic probabilities and shot tallies."""
 import math
 
 import numpy as np
 import pytest
 
 from lowdepth_ae.circuits import Circuit, Gate, build_iterated_circuit
-from lowdepth_ae.simulator import (BAD_INDICES, GOOD_INDEX, DepthCounts,
-                                   analytic_success_prob, outcome_distribution,
-                                   run_statevector, sample_and_postselect)
+from lowdepth_ae.simulator import (GOOD_INDEX, DepthCounts, analytic_success_prob,
+                                   outcome_distribution, run_statevector)
 
 RNG = np.random.default_rng(42)
 
@@ -67,52 +66,6 @@ def test_norm_preserved_over_random_circuits():
                 gates.append(Gate(kind, (int(RNG.integers(4)),), angle))
         state = run_statevector(Circuit(4, tuple(gates)))
         assert abs(np.linalg.norm(state) - 1.0) < 1e-9
-
-
-def test_postselect_concentrated_on_good():
-    probs = np.zeros(16)
-    probs[GOOD_INDEX] = 1.0
-    counts = sample_and_postselect(probs, 500, np.random.default_rng(0))
-    assert (counts.n_good, counts.n_bad, counts.n_discarded) == (500, 0, 0)
-
-
-def test_postselect_vacuum_is_discarded():
-    probs = np.zeros(16)
-    probs[0] = 1.0
-    counts = sample_and_postselect(probs, 500, np.random.default_rng(0))
-    assert (counts.n_good, counts.n_bad, counts.n_discarded) == (0, 0, 500)
-
-
-def test_postselect_uniform_within_binomial_bounds():
-    probs = np.full(16, 1.0 / 16)
-    counts = sample_and_postselect(probs, 16000, np.random.default_rng(7))
-    # 5 sigma binomial bounds around 1000 good / 3000 bad
-    assert abs(counts.n_good - 1000) <= 5 * math.sqrt(16000 * (1 / 16) * (15 / 16))
-    assert abs(counts.n_bad - 3000) <= 5 * math.sqrt(16000 * (3 / 16) * (13 / 16))
-    assert counts.shots == 16000
-
-
-def test_postselect_partition_is_exhaustive():
-    for _ in range(25):
-        probs = RNG.random(16)
-        probs /= probs.sum()
-        n = int(RNG.integers(0, 2000))
-        counts = sample_and_postselect(probs, n, np.random.default_rng(3))
-        assert counts.n_good + counts.n_bad + counts.n_discarded == n
-
-
-def test_postselect_deterministic_given_seed():
-    probs = np.full(16, 1.0 / 16)
-    a = sample_and_postselect(probs, 1000, np.random.default_rng(11))
-    b = sample_and_postselect(probs, 1000, np.random.default_rng(11))
-    assert a == b
-
-
-def test_postselect_rejects_bad_distribution():
-    with pytest.raises(ValueError):
-        sample_and_postselect(np.full(16, 0.1), 10, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        sample_and_postselect(np.full(8, 0.125), 10, np.random.default_rng(0))
 
 
 def test_depth_counts_validation():
