@@ -62,7 +62,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _load_config(args)
-    cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
+    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "calibration.json"
@@ -74,10 +74,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_fit_noise(args) -> int:
     config = _load_config(args)
     sampling = dataclasses.replace(config, algorithms=())
-    streams = run_streams(config.seed, config.n_trials)
-    next(streams)  # stream 0 calibrates; the trials are the run's
     counts, thetas = [], []
-    for rng in streams:
+    for rng in run_streams(config.seed, config.n_trials)[1]:
         trial = run_trial(sampling, sample_vector_pair(rng, config.vector_mode), rng)
         counts.append(trial.counts[0])
         thetas.append(trial.theta_true[0])

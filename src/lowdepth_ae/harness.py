@@ -7,10 +7,10 @@ fills its columns of one :class:`RunTable` for all trials at once: the
 MLE passes update chunks of trials together, CRT reconstructs every
 (trial, depth) pair in one call and the hybrid chooses with one mask.
 Emission formats each column once into per-trial and aggregate CSVs plus
-a JSON manifest.  All randomness flows from a single seed through the
-streams of :func:`run_streams`, so identical configs produce
-byte-identical output files, and ``calibrate`` and ``fit-noise`` see the
-very draws a run sees.
+a JSON manifest.  All randomness flows from a single seed through
+:func:`run_streams`, one calibration stream and one stream per trial, so
+identical configs produce byte-identical output files, and ``calibrate``
+and ``fit-noise`` see the very draws a run sees.
 
 Oracle-call accounting is cumulative for the MLE rows: the point at
 maximum depth d charges all shots taken at depths 0..d, each shot at
@@ -33,9 +33,8 @@ from . import __version__
 from .estimators import (CrtReadings, EstimationError, HybridCalibration,
                          _elementwise, _grid_size, _per_distinct, crt_columns,
                          hybrid_fallback, mle_estimate, sin_squared)
-from .noise import CorrelatedNoise, NoiseModel, sample_noisy_shots
-from .schedules import (InfeasibleScheduleError, PowerLawConfig, Schedule,
-                        optimize_exponent, power_law_schedule,
+from .noise import CorrelatedNoise, NoiseModel, check_real, sample_noisy_shots
+from .schedules import (InfeasibleScheduleError, optimize_exponent, power_law_schedule,
                         subsample_without_replacement)
 
 ALGORITHMS = ("direct", "mle", "crt", "hybrid", "powerlaw")
@@ -82,6 +81,11 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
                     or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("mle_noise_aware", "tune_beta"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in ("epsilon", "beta_hybrid", "powerlaw_target_eps"):
+            check_real(name, getattr(self, name))
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
         _grid_size(self.epsilon)
@@ -203,17 +207,19 @@ def sample_vector_pair(rng: np.random.Generator, mode: str = "haar"):
     raise ValueError(f"unknown vector mode {mode!r}")
 
 
-def run_streams(seed: int, n_trials: int) -> Iterator[np.random.Generator]:
-    """The random streams of a run: stream 0 calibrates, stream i + 1 feeds trial i.
+def run_streams(seed: int, n_trials: int
+                ) -> tuple[np.random.Generator, Iterator[np.random.Generator]]:
+    """The random streams of a run: ``(calibration_rng, trial_rngs)``.
 
-    Each generator is created only when the iterator reaches it.
+    Stream 0 calibrates and stream i + 1 feeds trial i.  Each trial
+    generator is created only when the iterator reaches it.
     """
-    return (np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(n_trials + 1))
+    calibration, *trials = np.random.SeedSequence(seed).spawn(n_trials + 1)
+    return np.random.default_rng(calibration), map(np.random.default_rng, trials)
 
 
-def _powerlaw_plan(config: ExperimentConfig) -> Schedule | str | None:
-    """The power-law schedule of a config, or why it has none.
+def _powerlaw_plan(config: ExperimentConfig) -> tuple[int, ...] | str | None:
+    """The power-law shots per depth of a config, or why it has none.
 
     ``None`` when the power-law estimator is off.  The schedule depends on
     the config alone, so a run solves for it once.
@@ -225,9 +231,7 @@ def _powerlaw_plan(config: ExperimentConfig) -> Schedule | str | None:
                                config.max_depth, config.noise.gamma_by_depth)
     except InfeasibleScheduleError as exc:
         return str(exc)
-    return power_law_schedule(PowerLawConfig(
-        nu=nu, n_shots=config.n_shots, max_depth=config.max_depth,
-        target_eps=config.powerlaw_target_eps))
+    return power_law_schedule(nu, config.n_shots, config.max_depth)
 
 
 def _draw(config: ExperimentConfig, pair, rng: np.random.Generator, plan):
@@ -243,8 +247,8 @@ def _draw(config: ExperimentConfig, pair, rng: np.random.Generator, plan):
     pool = [sample_noisy_shots(theta_true, d, n_shots, noise, rng)
             for d in range(config.max_depth + 1)]
     subsampled = None
-    if isinstance(plan, Schedule):
-        subsampled = [n for d, m in plan.entries for n in subsample_without_replacement(
+    if isinstance(plan, tuple):
+        subsampled = [n for d, m in enumerate(plan) for n in subsample_without_replacement(
             pool[d], min(m, pool[d].kept), rng)[1:]]
     return theta_true, [n for counts in pool for n in counts[1:]], subsampled
 
@@ -377,9 +381,9 @@ def calibrate_hybrid(config: ExperimentConfig,
                      rng: np.random.Generator) -> dict[int, HybridCalibration]:
     """Estimate the hybrid threshold inputs on ``config.calib_trials`` training draws.
 
-    Each draw is a trial of CRT alone on ``rng`` (stream 0 of the run),
-    run by :func:`run_trials`; draws without a CRT estimate at every depth
-    are left out.
+    Each draw is a trial of CRT alone on ``rng`` (the calibration stream
+    of :func:`run_streams`), run by :func:`run_trials`; draws without a
+    CRT estimate at every depth are left out.
     ``mle_avg_depth2`` is the mean error of the depth-2 MLE anchor under
     the configured noise and shot budget; ``crt_exact_at_d`` is the mean
     error of the CRT reconstruction fed exact (infinite-shot, noiseless)
@@ -585,12 +589,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     files.  The streams of :func:`run_streams` make the run reproducible
     bit for bit.
     """
-    streams = run_streams(config.seed, config.n_trials)
-    calib_rng = next(streams)
+    calib_rng, trial_rngs = run_streams(config.seed, config.n_trials)
     calibrations = None
     if "hybrid" in config.algorithms:
         calibrations = calibrate_hybrid(config, calib_rng)
-    table = run_trials(config, streams, calibrations)
+    table = run_trials(config, trial_rngs, calibrations)
 
     gamma_fit = None
     fit_error = None

@@ -14,11 +14,18 @@ which ``eta_d`` is multiplied by ``burst_scale``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .simulator import DepthCounts
+
+
+def check_real(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,8 @@ class CorrelatedNoise:
     burst_scale: float
 
     def __post_init__(self):
+        check_real("p_switch", self.p_switch)
+        check_real("burst_scale", self.burst_scale)
         if not 0.0 < self.p_switch <= 1.0:
             raise ValueError("p_switch must be in (0, 1]")
         if not (math.isfinite(self.burst_scale) and self.burst_scale >= 0.0):
@@ -57,6 +66,10 @@ class NoiseModel:
     correlation: CorrelatedNoise | None = None
 
     def __post_init__(self):
+        for name in ("beta_readout", "leak_prob"):
+            check_real(name, getattr(self, name))
+        for g in self.gamma_by_depth:
+            check_real("gamma_by_depth entry", g)
         object.__setattr__(self, "gamma_by_depth", tuple(float(g) for g in self.gamma_by_depth))
         if not 0.0 <= self.beta_readout < 1.0:
             raise ValueError("beta_readout must be in [0, 1)")
@@ -82,10 +95,9 @@ class NoiseModel:
         return cls(gamma_by_depth=(0.0,) * (max_depth + 1))
 
     @classmethod
-    def linear_ramp(cls, max_depth: int = 7, gamma0: float = 0.035,
-                    gamma_top: float = 0.35, **kwargs) -> "NoiseModel":
+    def linear_ramp(cls, max_depth: int = 7, **kwargs) -> "NoiseModel":
         """Rates interpolated linearly from 0.035 at depth zero to 0.35 at the top."""
-        gammas = tuple(np.linspace(gamma0, gamma_top, max_depth + 1))
+        gammas = tuple(np.linspace(0.035, 0.35, max_depth + 1))
         return cls(gamma_by_depth=gammas, **kwargs)
 
 
@@ -102,22 +114,16 @@ def noisy_prob(theta: float, depth: int, model: NoiseModel) -> float:
     return (1.0 - (1.0 - eta) * math.cos(2 * (2 * depth + 1) * theta)) / 2.0
 
 
-def noise_floor(model: NoiseModel, depth: int, prior_p, weights=None) -> float:
+def noise_floor(model: NoiseModel, depth: int, prior_p) -> float:
     """Residual mean error ``eta_d * E|1/2 - p|`` under a prior over p.
 
     ``prior_p`` is an array of probability values (grid or Monte Carlo
-    samples); ``weights`` optionally weight them.  The uniform prior on
-    [0, 1] gives ``eta_d / 4``.
+    samples).  The uniform prior on [0, 1] gives ``eta_d / 4``.
     """
     ps = np.asarray(prior_p, dtype=float)
     if ps.size == 0 or np.any(ps < 0) or np.any(ps > 1):
         raise ValueError("prior must be probability values in [0, 1]")
-    if weights is None:
-        expect = float(np.mean(np.abs(0.5 - ps)))
-    else:
-        w = np.asarray(weights, dtype=float)
-        expect = float(np.sum(w * np.abs(0.5 - ps)) / np.sum(w))
-    return effective_eta(model, depth) * expect
+    return effective_eta(model, depth) * float(np.mean(np.abs(0.5 - ps)))
 
 
 def _sample_correlated(theta: float, depth: int, n_shots: int, model: NoiseModel,

@@ -14,7 +14,6 @@ bisection on the binding constraint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,58 +27,16 @@ class InfeasibleScheduleError(RuntimeError):
     """Target error unreachable within the noise and depth budget."""
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Shot counts per circuit depth: entries of (depth, n_shots)."""
+def power_law_schedule(nu: float, n_shots: int, max_depth: int) -> tuple[int, ...]:
+    """Shots ``floor(n_shots (2d+1)^nu)`` at each depth ``d`` of 0..max_depth.
 
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple((int(d), int(n)) for d, n in self.entries))
-        depths = [d for d, _ in self.entries]
-        if len(set(depths)) != len(depths):
-            raise ValueError("schedule depths must be distinct")
-        if any(d < 0 for d in depths) or any(n < 0 for _, n in self.entries):
-            raise ValueError("depths and shot counts must be nonnegative")
-
-    @property
-    def total_oracle_calls(self) -> int:
-        return sum(n * (2 * d + 1) for d, n in self.entries)
-
-    @property
-    def total_shots(self) -> int:
-        return sum(n for _, n in self.entries)
-
-
-@dataclass(frozen=True)
-class PowerLawConfig:
-    """Exponent, base shot count, depth budget and target error."""
-
-    nu: float
-    n_shots: int
-    max_depth: int
-    target_eps: float
-
-    def __post_init__(self):
-        if self.n_shots < 1:
-            raise ValueError("n_shots must be >= 1")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if self.target_eps <= 0:
-            raise ValueError("target_eps must be positive")
-
-
-def power_law_schedule(config: PowerLawConfig) -> Schedule:
-    """Schedule with ``floor(N_shots (2d+1)^nu)`` shots at each depth 0..D.
-
-    Depths whose floor comes out to zero shots are kept as explicit
-    zero-shot entries.
+    Depths whose floor comes out to zero shots keep a zero entry.
     """
-    entries = tuple(
-        (d, math.floor(config.n_shots * (2 * d + 1) ** config.nu))
-        for d in range(config.max_depth + 1)
-    )
-    return Schedule(entries=entries)
+    if n_shots < 1:
+        raise ValueError("n_shots must be >= 1")
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    return tuple(math.floor(n_shots * (2 * d + 1) ** nu) for d in range(max_depth + 1))
 
 
 def fisher_noisy(nu: float, n_shots: int, max_depth: int, gamma_by_depth) -> float:

@@ -196,7 +196,7 @@ def powerlaw_calls_from_the_pool(config, table):
     """Per trial, the oracle calls of the schedule's shots drawn from the kept pool."""
     schedule = harness._powerlaw_plan(config)
     kept = table.counts[..., 0] + table.counts[..., 1]
-    return [sum(min(n, int(kept[t, d])) * (2 * d + 1) for d, n in schedule.entries)
+    return [sum(min(n, int(kept[t, d])) * (2 * d + 1) for d, n in enumerate(schedule))
             for t in range(len(kept))]
 
 
@@ -272,6 +272,26 @@ def test_config_rejects_a_count_that_is_not_an_integer_in_range(name, value, tmp
     cfg_path.write_text(json.dumps({**quiet_config().to_dict(), name: value}), encoding="utf-8")
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert ExperimentConfig.from_dict({name: np.int64(3)}) == ExperimentConfig(**{name: 3})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("tune_beta", "false"), ("tune_beta", 1), ("mle_noise_aware", "no"),
+    ("mle_noise_aware", None), ("epsilon", "0.01"), ("epsilon", True),
+    ("beta_hybrid", "1.0"), ("beta_hybrid", None), ("powerlaw_target_eps", True),
+    ("powerlaw_target_eps", "0.05")])
+def test_config_rejects_a_field_of_the_wrong_type(name, value, tmp_path):
+    # accepted before: "false" ran the beta search, "no" the noise-aware MLE
+    # and true a target of 1.0; "0.01" and "1.0" died in a comparison with a
+    # TypeError that named no field
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig.from_dict({name: value})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**quiet_config().to_dict(), name: value}), encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    config = ExperimentConfig.from_dict({"epsilon": np.float64(0.01), "beta_hybrid": 2,
+                                         "tune_beta": True, "powerlaw_target_eps": 1})
+    assert (config.epsilon, config.beta_hybrid, config.powerlaw_target_eps) == (0.01, 2, 1)
 
 
 def test_config_rejects_algorithms_given_as_one_string():
@@ -358,18 +378,18 @@ def leaky_config(**kwargs):
 
 
 def test_calibration_skips_failed_draws(tmp_path):
-    # Calibration is run_trial with CRT alone on stream 0.  With 8 shots and
-    # 60% leakage some draws keep no shot at a CRT depth; calibration
-    # averages over the draws with a CRT estimate at every depth.
+    # Calibration is run_trial with CRT alone on the calibration stream.
+    # With 8 shots and 60% leakage some draws keep no shot at a CRT depth;
+    # calibration averages over the draws with a CRT estimate at every depth.
     config = leaky_config(algorithms=("mle", "crt", "hybrid"))
     crt_only = leaky_config(algorithms=("crt",))
-    rng = next(run_streams(config.seed, 0))
+    rng = run_streams(config.seed, 0)[0]
     draws = [run_trial(crt_only, sample_vector_pair(rng, config.vector_mode), rng)
              for _ in range(config.calib_trials)]
     ok = [t for t in draws if t.kept.all()]
     assert 0 < len(ok) < len(draws)
     expected = float(np.mean([abs(math.sin(t.anchor[0]) ** 2 - t.p_true[0]) for t in ok]))
-    cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
+    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
     assert all(c.mle_avg_depth2 == expected for c in cal.values())
 
     with_hybrid, _ = run_experiment(config, out_dir=tmp_path / "hybrid")
@@ -409,11 +429,11 @@ def test_batched_trials_equal_trials_run_one_by_one(mle_noise_aware, monkeypatch
     # of seven trials
     monkeypatch.setattr(estimators, "CHUNK_BYTES", 7 * estimators.CELL_BYTES * 100)
     config = leaky_config(algorithms=ALGORITHMS, mle_noise_aware=mle_noise_aware)
-    cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
-    streams = list(run_streams(config.seed, config.n_trials))[1:]
+    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
+    streams = list(run_streams(config.seed, config.n_trials)[1])
     one_by_one = [run_trial(config, sample_vector_pair(rng, config.vector_mode), rng, cal)
                   for rng in streams]
-    batched = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
+    batched = run_trials(config, list(run_streams(config.seed, config.n_trials)[1]), cal)
     assert batched.errors()
     assert [trial_rows(batched, t) for t in range(config.n_trials)] \
         == [trial_rows(one, 0) for one in one_by_one]
@@ -480,8 +500,8 @@ def test_crt_and_hybrid_rows_equal_those_on_a_separate_anchor_pass(algorithms,
                                                                    mle_noise_aware):
     # leaky pools: some trials keep no shot at a depth the anchor or a CRT row needs
     config = leaky_config(algorithms=algorithms, mle_noise_aware=mle_noise_aware)
-    cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
-    table = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
+    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
+    table = run_trials(config, list(run_streams(config.seed, config.n_trials)[1]), cal)
     assert (table.counts[:, :3, :2].sum(axis=2) == 0).any()
     assert crt_and_hybrid_rows(table) == rows_on_a_separate_anchor_pass(config, table, cal)
     if algorithms[0] == "mle" and not mle_noise_aware:
@@ -504,9 +524,9 @@ def test_an_mle_pass_that_fails_after_depth_2_keeps_the_crt_anchor(monkeypatch):
         return result
 
     config = quiet_config(algorithms=("mle", "crt", "hybrid"))
-    cal = calibrate_hybrid(config, next(run_streams(config.seed, 0)))
+    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
     monkeypatch.setattr(harness, "mle_estimate", failing_after_depth_2)
-    table = run_trials(config, list(run_streams(config.seed, config.n_trials))[1:], cal)
+    table = run_trials(config, list(run_streams(config.seed, config.n_trials)[1]), cal)
     assert calls == [config.n_trials, 1]
     assert kept_labels(table, 0, "mle") == []
     assert table.errors()["0"]["mle"].startswith("depth 0: posterior underflow")
@@ -518,7 +538,7 @@ def test_no_anchor_pass_runs_over_zero_trials():
     # every trial has a depth-2 row from the noise-unaware MLE pass, so the
     # run makes that pass alone; it used to add a pass over no trials
     config = quiet_config(algorithms=("mle", "crt"))
-    rngs = list(run_streams(config.seed, config.n_trials))[1:]
+    rngs = list(run_streams(config.seed, config.n_trials)[1])
     with mock.patch.object(harness, "mle_estimate", wraps=mle_estimate) as engine:
         table = run_trials(config, rngs)
     assert not np.isnan(table.anchor).any()
@@ -529,7 +549,7 @@ def test_the_anchor_and_power_law_passes_ask_for_their_last_depth_alone():
     # the noise-aware MLE pass reads every depth; the anchor pass over
     # depths 0..2 and the power-law pass read only their last column
     config = quiet_config(algorithms=ALGORITHMS, mle_noise_aware=True)
-    rngs = list(run_streams(config.seed, config.n_trials))[1:]
+    rngs = list(run_streams(config.seed, config.n_trials)[1])
     with mock.patch.object(harness, "mle_estimate", wraps=mle_estimate) as engine:
         run_trials(config, rngs)
     assert [(c.args[1], c.kwargs) for c in engine.call_args_list] == [

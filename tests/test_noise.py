@@ -131,12 +131,6 @@ def test_noise_floor_point_prior_at_half_is_zero():
     assert noise_floor(model, 0, np.array([0.5])) == 0.0
 
 
-def test_noise_floor_weighted_prior():
-    model = model_with(eta0=0.4)
-    floor = noise_floor(model, 0, np.array([0.0, 0.5]), weights=np.array([1.0, 3.0]))
-    assert abs(floor - 0.4 * 0.125) < 1e-12
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(gamma_by_depth=(0.2, 0.1))  # decreasing
@@ -153,6 +147,22 @@ def test_model_validation():
             CorrelatedNoise(p_switch=0.5, burst_scale=value)
         with pytest.raises(ValueError, match="gamma_by_depth"):
             NoiseModel(gamma_by_depth=(0.1, value))
+    # accepted before: a string rate was parsed and a bool read as 0 or 1,
+    # and a string readout or switch rate died in a comparison with a
+    # TypeError that named no field
+    for field, value in [("beta_readout", "0.1"), ("beta_readout", None),
+                         ("leak_prob", True), ("leak_prob", "0")]:
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(gamma_by_depth=(0.1,), **{field: value})
+    for value in ("0.1", True, None):
+        with pytest.raises(ValueError, match="gamma_by_depth"):
+            NoiseModel(gamma_by_depth=(0.1, value))
+        with pytest.raises(ValueError, match="p_switch"):
+            CorrelatedNoise(p_switch=value, burst_scale=2.0)
+        with pytest.raises(ValueError, match="burst_scale"):
+            CorrelatedNoise(p_switch=0.5, burst_scale=value)
+    assert NoiseModel(gamma_by_depth=(np.float32(0.1), 1), leak_prob=np.float64(0.2)) \
+        .gamma_by_depth == (float(np.float32(0.1)), 1.0)
 
 
 def test_linear_ramp_rates():

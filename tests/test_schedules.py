@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from lowdepth_ae.schedules import (InfeasibleScheduleError, PowerLawConfig,
-                                   Schedule, fisher_noisy, optimize_exponent,
-                                   power_law_schedule,
+from lowdepth_ae.schedules import (InfeasibleScheduleError, fisher_noisy,
+                                   optimize_exponent, power_law_schedule,
                                    subsample_without_replacement)
 from lowdepth_ae.simulator import DepthCounts
 
@@ -15,42 +14,33 @@ ZERO_GAMMA = (0.0,) * 8
 
 
 def test_flat_schedule_at_nu_zero():
-    sched = power_law_schedule(PowerLawConfig(nu=0.0, n_shots=500, max_depth=7,
-                                              target_eps=0.01))
-    assert sched.entries == tuple((d, 500) for d in range(8))
-    assert sched.total_shots == 4000
+    sched = power_law_schedule(0.0, 500, 7)
+    assert sched == (500,) * 8
+    assert sum(sched) == 4000
 
 
 def test_schedule_values_at_other_exponents():
-    up = power_law_schedule(PowerLawConfig(nu=1.0, n_shots=500, max_depth=3,
-                                           target_eps=0.01))
-    assert dict(up.entries)[1] == 1500
-    down = power_law_schedule(PowerLawConfig(nu=-1.0, n_shots=500, max_depth=3,
-                                             target_eps=0.01))
-    assert dict(down.entries)[3] == 71  # floor(500 / 7)
+    assert power_law_schedule(1.0, 500, 3)[1] == 1500
+    assert power_law_schedule(-1.0, 500, 3)[3] == 71  # floor(500 / 7)
 
 
 def test_schedule_keeps_zero_shot_depths():
-    sched = power_law_schedule(PowerLawConfig(nu=-3.0, n_shots=5, max_depth=4,
-                                              target_eps=0.1))
-    assert len(sched.entries) == 5
-    assert dict(sched.entries)[4] == 0
+    sched = power_law_schedule(-3.0, 5, 4)
+    assert len(sched) == 5
+    assert sched[4] == 0
 
 
-def test_schedule_oracle_calls_match_weighting():
-    sched = power_law_schedule(PowerLawConfig(nu=-1.53, n_shots=500, max_depth=7,
-                                              target_eps=0.01))
-    expected = sum(math.floor(500 * (2 * d + 1) ** -1.53) * (2 * d + 1) for d in range(8))
-    assert sched.total_oracle_calls == expected
+def test_schedule_entries_equal_the_floor_formula():
+    sched = power_law_schedule(-1.53, 500, 7)
+    assert sched == tuple(math.floor(500 * (2 * d + 1) ** -1.53) for d in range(8))
+    assert all(type(n) is int for n in sched)
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        Schedule(entries=((0, 10), (0, 20)))
-    with pytest.raises(ValueError):
-        Schedule(entries=((-1, 10),))
-    with pytest.raises(ValueError):
-        PowerLawConfig(nu=0.0, n_shots=0, max_depth=7, target_eps=0.01)
+    with pytest.raises(ValueError, match="n_shots"):
+        power_law_schedule(0.0, 0, 7)
+    with pytest.raises(ValueError, match="max_depth"):
+        power_law_schedule(0.0, 500, -1)
 
 
 def test_fisher_small_cases():
