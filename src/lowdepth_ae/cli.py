@@ -94,17 +94,19 @@ def _cmd_fit_noise(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    raws = [v.strip() for v in args.values.split(",") if v.strip()]
+    try:  # every entry, before the first run
+        values = [(int if args.param == "max-depth" else float)(raw) for raw in raws]
+    except ValueError as exc:
+        raise ValueError(f"--values for --param {args.param}: {exc}") from None
     base_out = Path(config.out_dir)
-    for raw in values:
+    for raw, value in zip(raws, values):
         if args.param == "max-depth":
-            depth = int(raw)
             sub = dataclasses.replace(
-                config, max_depth=depth, out_dir=str(base_out / f"max_depth_{depth}"))
+                config, max_depth=value, out_dir=str(base_out / f"max_depth_{value}"))
         else:  # target-eps, the only other choice argparse admits
-            eps = float(raw)
             sub = dataclasses.replace(
-                config, powerlaw_target_eps=eps,
+                config, powerlaw_target_eps=value,
                 out_dir=str(base_out / f"target_eps_{raw}"))
         _, paths = run_experiment(sub)
         print(f"{args.param}={raw}: {paths['aggregate']}")

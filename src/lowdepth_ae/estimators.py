@@ -18,19 +18,19 @@ depth's update.  The log-likelihood rows depend only on the grid, the
 noise and the depth, so the engine computes them once per depth and call,
 and updates the posteriors of a chunk of trials together.
 
-The engine skips the points that provably cannot be the argmax.  It tiles
-the grid by blocks at a few levels, at most ``BRANCH**2`` blocks at the top
-(the points themselves on a grid of that many points or fewer), updates the
-whole top level of every trial as one dense array, and below it only the
-blocks that can still hold the argmax.  The bound of a block of points
-is the same update with each likelihood row replaced by its maximum over
-the block, computed with the same floating-point operations in the same
-order as a point's value.  For counts >= 0 every step is monotone under
-round-to-nearest, so the computed bound is never below the computed value
-of any point of the block.  A block is dropped at a depth only when its
-bound is strictly below the computed value of some real grid point there;
-ties still resolve toward the smaller index, and every output equals the
-full pass's bit for bit, also when a caller asks for the last one alone.
+The engine skips the points that provably cannot be the argmax.  It pads
+the grid with ``-inf`` to whole top-level blocks (at most ``BRANCH**2``,
+the points themselves on a grid that small), splits each block into
+``BRANCH`` blocks of the next level down to single points, and one sweep
+updates, level by level, only the blocks that can still hold the argmax.
+A block's bound is the same update with each likelihood row replaced by
+its maximum over the block, by the same floating-point operations in the
+same order as a point's value.  For counts >= 0 every step is monotone
+under round-to-nearest, so the bound is never below the value of any
+point of the block.  A block is dropped at a depth only when its bound is
+strictly below the value of some point there, so ties still resolve
+toward the smaller index and every output equals the full pass's bit for
+bit, also when a caller asks for the last one alone.
 
 The CRT estimator recovers the angle as ``v pi / (4 D^2 - 1)`` from folded
 low-precision residues of ``v`` modulo the coprime pair (2D-1, 2D+1).  The
@@ -56,21 +56,16 @@ from .simulator import DepthCounts
 
 EXTENDED_OFFSETS = tuple((d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1))
 # Bytes of update scratch that mle_estimate holds at a time: one batch of
-# whole trials of the dense top level, CELL_BYTES per value it holds (a
-# bound and a first point's value per block, 65 trials at 100 blocks; the
-# grid itself when the top level is points, 131 trials at epsilon=1e-2), or
-# one batch of about CHUNK_BYTES / BLOCK_BYTES blocks (3,276) of a level
-# below, made of whole trials, so a single trial whose posterior keeps most
-# of the grid in play can exceed it.  The likelihood table shared by all
-# batches, depths x 2 x grid float64 (1.28 MB for 8 depths at 1e-4), and
-# the block maxima (a fifth of that) sit outside it.
+# rows of whole trials, CELL_BYTES per value swept (65 trials of 100 top
+# blocks, 655 rows of ten blocks below, where gathers take about 50 B a
+# value; one trial keeping most of the grid in play can exceed it).  The
+# likelihood table, depths x 2 x padded grid float64 (1.28 MB for 8 depths
+# at 1e-4), and the block maxima (a fifth of that) sit outside it.
 CHUNK_BYTES = 1 << 19
 # Blocks split into BRANCH blocks each, from at most BRANCH**2 blocks over
 # the grid down to single points.
 BRANCH = 10
-# Peak scratch of one block swept below the top level, and of one value of
-# the dense top level, measured with tracemalloc.
-BLOCK_BYTES = 160
+# Peak scratch of one swept value of the top level, measured with tracemalloc.
 CELL_BYTES = 40
 
 
@@ -188,15 +183,18 @@ def bayesian_update(log_post: np.ndarray, rows: tuple[np.ndarray, np.ndarray],
                        np.asarray(n_bad)[..., None])
 
 
-def _add_counts(log_post, log_p1, log_p0, n_good, n_bad) -> np.ndarray:
-    """:func:`bayesian_update` on arguments that broadcast to ``log_post``'s shape."""
+def _add_counts(log_post, log_p1, log_p0, n_good, n_bad, out=None) -> np.ndarray:
+    """:func:`bayesian_update` on arguments that broadcast to ``log_post``'s shape.
+
+    The sum goes into ``out`` when given, which may be ``log_post`` itself.
+    """
     if (n_good > 0).all() and (n_bad > 0).all():  # the masks below would keep every element
         logl = np.multiply(n_good, log_p1, out=np.empty_like(log_post))
         logl += n_bad * log_p0
     else:
         logl = np.multiply(n_good, log_p1, out=np.zeros_like(log_post), where=n_good > 0)
         logl += np.multiply(n_bad, log_p0, out=np.zeros_like(log_post), where=n_bad > 0)
-    return np.add(log_post, logl, out=logl)
+    return np.add(log_post, logl, out=logl if out is None else out)
 
 
 class MlePass(NamedTuple):
@@ -232,23 +230,22 @@ def mle_estimate(counts, depths, epsilon: float = 0.001, noise: NoiseModel | Non
     prunes on that argmax alone, so the broad posteriors of the first
     depths keep no blocks in play.
 
-    The likelihood rows of each entry are computed once and serve every
-    trial.  One exact engine serves every grid, in batches of trials whose
-    update scratch fits :data:`CHUNK_BYTES`: it updates the whole top level
-    of :func:`_levels` (on a grid of at most ``BRANCH**2`` points, every
-    point: the full pass), and below it only the blocks that can still hold
-    an argmax asked for; see the module docstring and :func:`_argmax` for
-    why the argmax, ties toward smaller angles included, is the full
-    pass's bit for bit.
+    The likelihood rows of each entry are computed once, into one table
+    that serves every trial, padded with ``-inf`` to whole top-level
+    blocks.  A padded point's value is ``-inf`` from the first kept shot
+    on, so it is never the argmax of an entry that needs one.
     """
     thetas = np.pi * np.arange(_grid_size(epsilon)) * epsilon / 2.0
     depths = list(depths)
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 3 or counts.shape[1:] != (len(depths), 3):
         raise ValueError("counts need one (good, bad, discarded) entry per depth and trial")
-    table = np.empty((len(depths), 2, thetas.size))
+    width = 1  # of a top-level block
+    while width * BRANCH ** 2 < thetas.size:
+        width *= BRANCH
+    table = np.full((len(depths), 2, -(-thetas.size // width) * width), -np.inf)
     for j, depth in enumerate(depths):
-        table[j] = log_likelihood_rows(thetas, depth, noise)
+        table[j, :, :thetas.size] = log_likelihood_rows(thetas, depth, noise)
     calls = np.cumsum(counts.sum(axis=2) * (2 * np.array(depths, dtype=np.int64) + 1), axis=1)
     # entries that get an argmax: from the first kept shot on, or the last alone
     needed = np.logical_or.accumulate(counts[..., 0] + counts[..., 1] > 0, axis=1)
@@ -257,153 +254,116 @@ def mle_estimate(counts, depths, epsilon: float = 0.001, noise: NoiseModel | Non
     # an underflowed posterior is -inf everywhere and stays so
     underflow = needed & (top == -np.inf)
     failed = underflow[:, -1:].any(axis=1)
-    theta = np.where(needed & ~underflow & ~failed[:, None], thetas[k], np.nan)
+    theta = np.where(needed & ~underflow & ~failed[:, None], thetas.take(k, mode="clip"), np.nan)
     reason = np.full(len(counts), None, dtype=object)
     reason[~needed[:, -1:].any(axis=1)] = "no kept shots at any depth"
     reason[failed] = "posterior underflow: counts are inconsistent with the grid"
     return MlePass(theta, calls, reason)
 
 
-class _Level(NamedTuple):
-    """Blocks of ``width`` consecutive grid points, the last one possibly shorter.
+def _levels(table) -> list[np.ndarray]:
+    """The levels of the pass, coarsest first, each shaped ``(..., parents, children)``.
 
-    ``ratio`` blocks of this level tile one block of the level above.
-    For ``width > 1``, ``rows[j, :, :, b]`` holds the maxima of entry
-    ``j``'s likelihood rows over block ``b`` and the rows at the block's
-    first point, as ``[[max log p1, first log p1], [max log p0, first
-    log p0]]``; for single points ``rows`` is the likelihood table.
+    One parent holds the at most ``BRANCH**2`` top blocks, each block holds
+    :data:`BRANCH` blocks of the next level, and the points are the table.
+    ``[j, :, :, p, c]`` of a level of blocks is ``[[max log p1, first log
+    p1], [max log p0, first log p0]]``: entry ``j``'s likelihood rows over
+    child ``c`` of parent ``p``, and at its first point.
     """
-
-    width: int
-    ratio: int
-    rows: np.ndarray
-
-
-def _levels(table) -> list[_Level]:
-    """The levels of the pass, coarsest first: at most ``BRANCH**2`` blocks (the
-    points of a grid that small), then widths falling by :data:`BRANCH` to 1."""
-    grid_size = table.shape[2]
-    width = 1
-    while -(-grid_size // width) > BRANCH ** 2:
+    levels, width = [table], 1
+    while width * BRANCH ** 2 < table.shape[2]:
         width *= BRANCH
-    levels, above = [], grid_size
-    while width > 1:
-        starts = np.arange(0, grid_size, width)
-        rows = np.empty(table.shape[:2] + (2, starts.size))
-        np.maximum.reduceat(table, starts, axis=2, out=rows[:, :, 0])
+        blocks = table.shape[2] // width
+        rows = np.empty(table.shape[:2] + (2, blocks))
+        table.reshape(table.shape[:2] + (blocks, width)).max(axis=3, out=rows[:, :, 0])
         rows[:, :, 1] = table[..., ::width]
-        levels.append(_Level(width, -(-above // width), rows))
-        above, width = width, width // BRANCH
-    return levels + [_Level(1, above, table)]
+        levels.insert(0, rows)
+    parents = [1] + [level.shape[-1] for level in levels[:-1]]
+    return [level.reshape(level.shape[:-1] + (p, level.shape[-1] // p))
+            for level, p in zip(levels, parents)]
 
 
 def _argmax(counts, needed, table) -> tuple[np.ndarray, np.ndarray]:
     """Posterior argmax and maximum of each trial after each ``needed`` entry.
 
-    The grid is tiled by blocks at each of the :func:`_levels`, each block
-    split into :data:`BRANCH` blocks of the next level, down to single
-    points.  A block's bound after entry ``j`` is the update of entries
-    ``0..j`` applied to the block maxima of the likelihood rows, by
-    :func:`_add_counts` as a point's value is, so it is never below the
-    value of any point in the block (see :func:`mle_estimate`).  The lower
-    bound after entry ``j`` is the largest value so far of a real grid
-    point: the first point of every block swept.  A block survives entry
-    ``j`` unless its bound is strictly below the lower bound there; an
-    entry that is not needed has lower bound ``+inf`` and keeps no block.
-    Every block of the top level is swept through every entry, as one
-    (trials x blocks) array per batch of trials.  Below it each block is
-    swept only through the last entry its parent survives, and only the
-    blocks that survive some entry are split.  At the point level the bound
-    is the value itself, so the lower bound ends at each trial's maximum
-    and the smallest index attaining it is the argmax.
+    A block's bound after entry ``j`` is the update of entries ``0..j``
+    applied to its maxima in :func:`_levels`, by :func:`_add_counts` as a
+    point's value is, so it is never below the value of any point in the
+    block (see the module docstring).  The lower bound after entry ``j`` is
+    the largest value so far of a point: the first point of every block
+    swept.  A block survives entry ``j`` unless its bound is strictly below
+    the lower bound there; an entry that is not needed has lower bound
+    ``+inf`` and keeps no block.  Every trial sweeps the top level through
+    every entry, each block below only through the last entry its parent
+    survives.  At the point level the bound is the value, so the lower
+    bound ends at each trial's maximum and the smallest index attaining it
+    is the argmax; an entry without one keeps ``table.shape[2]``.
     """
     lower = np.where(needed.T, -np.inf, np.inf)
-    best = np.full(lower.shape, table.shape[2] - 1)
+    best = np.full(lower.shape, table.shape[2])
     # (good, bad) counts of each trial by entry, as exact floats: pairs[j, :, t]
     pairs = np.ascontiguousarray(counts[..., :2].transpose(1, 2, 0), dtype=float)
-    top, *levels = _levels(table)
-    # per trial, the value of every point, or the bound and first point's value of every block
-    cell = top.rows.shape[2:]
-    size = max(1, CHUNK_BYTES // (CELL_BYTES * math.prod(cell)))
-    for start in range(0, len(counts), size):
-        s = slice(start, start + size)
-        value = np.zeros((len(counts[s]),) + cell)
-        trials = np.arange(len(value))
-        last = np.full((len(value), cell[-1]), -1) if levels else None
-        for j, rows in enumerate(top.rows):
-            value = _add_counts(value, *rows, *pairs[j, :, s].reshape((2, -1) + (1,) * len(cell)))
-            first = value[:, 1] if levels else value
-            k = first.argmax(axis=1)
-            low = np.maximum(lower[j, s], first[trials, k], out=lower[j, s])
-            if levels:
-                last[value[:, 0] >= low[:, None]] = j
-            else:
-                best[j, s] = k
-        if levels:
-            value = first = None  # freed before the survivors' sweeps allocate theirs
-            keep, idx = np.nonzero(last >= 0)  # sorted by trial
-            _descend(levels, keep + start, idx, last[keep, idx], pairs, lower, best)
+    trials = np.arange(len(counts))
+    _descend(_levels(table), trials, np.zeros_like(trials), np.full_like(trials, len(table) - 1),
+             pairs, lower, best)
     return best.T, lower.T
 
 
 def _descend(levels, trial, idx, reach, pairs, lower, best) -> None:
-    """Sweep the blocks of ``levels[0]`` inside the blocks ``idx`` of the level above.
+    """Sweep the children in ``levels[0]`` of parents ``idx`` for ``trial`` through ``reach``.
 
-    The blocks inside block ``idx[r]`` of trial ``trial[r]`` (sorted by
-    trial) are swept through entry ``reach[r]``, in batches of whole
-    trials; the survivors of each batch descend to the next level.
+    Batches of whole trials (``trial`` is sorted) of about :data:`CHUNK_BYTES`
+    / :data:`CELL_BYTES` values each, their survivors descending a level.
     """
     level = levels[0]
-    for part in _batches(trial, max(1, CHUNK_BYTES // (BLOCK_BYTES * level.ratio))):
-        kids = (idx[part, None] * level.ratio + np.arange(level.ratio)).ravel()
-        real = kids < level.rows.shape[-1]
-        t, i, last = _sweep(level, np.repeat(trial[part], level.ratio)[real], kids[real],
-                            np.repeat(reach[part], level.ratio)[real], pairs, lower, best)
+    # values a row sweeps: its children's, or their bounds and first points' values
+    budget = max(1, CHUNK_BYTES // (CELL_BYTES * math.prod(level.shape[2:-2]) * level.shape[-1]))
+    # each batch starts at the first row of the trial at a budget-th row
+    cuts = list(dict.fromkeys(np.searchsorted(trial, trial[::budget]).tolist())) + [len(trial)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        last = _sweep(level, trial[a:b], idx[a:b], reach[a:b], pairs, lower, best)
         if len(levels) > 1:
-            keep = np.flatnonzero(last >= 0)
-            keep = keep[np.argsort(t[keep], kind="stable")]
-            _descend(levels[1:], t[keep], i[keep], last[keep], pairs, lower, best)
-
-
-def _batches(trial, budget) -> list[slice]:
-    """Slices of the sorted ``trial``, each about ``budget`` long, that split no trial."""
-    starts = np.flatnonzero(np.diff(trial, prepend=-1))
-    cuts = starts[np.searchsorted(starts, np.arange(0, len(trial), budget), side="right") - 1]
-    cuts = list(dict.fromkeys(cuts.tolist())) + [len(trial)]
-    return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+            r, c = np.nonzero(last >= 0)  # sorted by trial, as the rows are
+            _descend(levels[1:], trial[a:b][r], idx[a:b][r] * level.shape[-1] + c,
+                     last[r, c], pairs, lower, best)
 
 
 def _sweep(level, trial, idx, reach, pairs, lower, best):
-    """Bound blocks ``idx`` of ``level`` for ``trial`` through entry ``reach``.
+    """Bound the children of parents ``idx`` of ``level`` for ``trial`` through entry ``reach``.
 
-    Raises ``lower`` to the values of the blocks' first points and
-    returns the blocks, reordered, with the last entry each survives (-1
-    if none); see :func:`_argmax`.  At the point level the bound is
-    the value, and the smallest index that attains ``lower`` goes into
-    ``best`` instead.
+    Each entry updates one (rows x children) slab: row ``r`` gathers the
+    children of parent ``idx[r]``, or broadcasts those of a level's one
+    parent.  Each row's largest first point's value raises ``lower``;
+    returns the last entry each child of each row survives (-1 if none);
+    see :func:`_argmax`.  At the point level the bound is the value, and
+    each row's smallest index attaining ``lower`` goes into ``best``
+    instead, every other row giving the index past the points.
     """
     order = np.argsort(-reach, kind="stable")
     trial, idx, reach = trial[order], idx[order], reach[order]
-    # blocks still swept at entry j are the first active[j]
-    active = np.searchsorted(-reach, -np.arange(len(level.rows)), side="right").tolist()
-    points = level.width == 1
-    value = np.zeros(len(idx) if points else (2, len(idx)))  # bound, first point's value
-    last = np.full(len(idx), -1)
+    # rows still swept at entry j are the first active[j]
+    active = np.searchsorted(-reach, -np.arange(len(level)), side="right").tolist()
+    points, children = level.ndim == 4, level.shape[-1]
+    # each child's value, or its bound and its first point's value
+    value = np.zeros((() if points else (2,)) + (len(idx), children))
+    last = np.full((len(idx), 0 if points else children), -1)  # points have no children
     for j, a in enumerate(active):
         if not a:
             break
-        t, i = trial[:a], idx[:a]
-        value[..., :a] = _add_counts(value[..., :a], *level.rows[j].take(i, axis=-1),
-                                     *pairs[j].take(t, axis=1))
-        bound, first = (value[:a], value[:a]) if points else value[:, :a]
-        np.maximum.at(lower[j], t, first)
+        t, swept = trial[:a], value[..., :a, :]
+        slab = level[j] if level.shape[-2] == 1 else level[j].take(idx[:a], axis=-2)
+        _add_counts(swept, *slab, *pairs[j][:, t, None], out=swept)
+        bound, first = (swept, swept) if points else swept
+        k = first.argmax(axis=1)
+        top = first[np.arange(a), k]
+        np.maximum.at(lower[j], t, top)
+        low = lower[j].take(t)
         if points:
-            # the grid's last index is no smaller than any index attaining the maximum
-            hit = np.where(bound == lower[j].take(t), i, level.rows.shape[-1] - 1)
+            hit = np.where(top == low, idx[:a] * children + k, level[0, 0].size)
             np.minimum.at(best[j], t, hit)
         else:
-            last[:a][bound >= lower[j].take(t)] = j
-    return trial, idx, last
+            last[:a][bound >= low[:, None]] = j
+    return last[np.argsort(order)]  # in the rows' given order
 
 
 def crt_solve(r1: int, n1: int, r2: int, n2: int) -> int:

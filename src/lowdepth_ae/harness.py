@@ -22,6 +22,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -52,6 +53,13 @@ class UnidentifiableFitError(RuntimeError):
     """Depolarizing fit has no signal (all probabilities near 1/2)."""
 
 
+def _fields(name: str, value) -> dict:
+    """``value``, after raising a ``ValueError`` naming ``name`` unless it maps names to fields."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object of named fields, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; serializes to/from a JSON config file."""
@@ -72,8 +80,9 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if isinstance(self.algorithms, str):
-            raise ValueError("algorithms must be a list of names")
+        if not isinstance(self.algorithms, (list, tuple)) \
+                or not all(isinstance(a, str) for a in self.algorithms):
+            raise ValueError(f"algorithms must be a list of names, got {self.algorithms!r}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         for name, least in [("seed", 0), ("n_trials", 1), ("n_shots", 1), ("max_depth", 0),
                             ("calib_trials", 1)]:
@@ -104,18 +113,20 @@ class ExperimentConfig:
             raise ValueError("beta_hybrid must be finite and nonnegative")
         if not (math.isfinite(self.powerlaw_target_eps) and self.powerlaw_target_eps > 0):
             raise ValueError("powerlaw_target_eps must be finite and positive")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
+        data = dict(_fields("config", data))
         noise = data.pop("noise", None)
         if noise is not None:
-            corr = noise.get("correlation")
-            data["noise"] = NoiseModel(**{
-                **noise, "correlation": None if corr is None else CorrelatedNoise(**corr)})
+            corr = _fields("noise", noise).get("correlation")
+            data["noise"] = NoiseModel(**{**noise, "correlation": None if corr is None else
+                                          CorrelatedNoise(**_fields("noise correlation", corr))})
         return cls(**data)
 
     @classmethod

@@ -68,6 +68,8 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("beta_readout", "leak_prob"):
             check_real(name, getattr(self, name))
+        if not isinstance(self.gamma_by_depth, (list, tuple, np.ndarray)):
+            raise ValueError(f"gamma_by_depth must be a list, got {self.gamma_by_depth!r}")
         for g in self.gamma_by_depth:
             check_real("gamma_by_depth entry", g)
         object.__setattr__(self, "gamma_by_depth", tuple(float(g) for g in self.gamma_by_depth))

@@ -350,18 +350,19 @@ def peaked_batches(draw):
     return pools
 
 
-# 1009 points leave a short last block at every level; 37 points are the top level
-ENGINE_EPSILONS = [1e-3, 1e-4, 1 / 1009, 1 / 37, 0.5, 1.0]
+# 1009 and 101 points pad the top level with -inf points (to 1,100 and 110);
+# 37 points are the top level
+ENGINE_EPSILONS = [1e-3, 1e-4, 1 / 1009, 1 / 101, 1 / 37, 0.5, 1.0]
 
 
 @settings(deadline=None)
 @given(pools=peaked_batches(), epsilon=st.sampled_from(ENGINE_EPSILONS),
        noise=st.sampled_from(sorted(ENGINE_NOISES)), chunk=st.integers(1, 3))
 def test_pruned_engine_equals_a_scalar_pass_per_trial(pools, epsilon, noise, chunk):
-    # batches of a few blocks per trial split every level below the top, and
-    # batches of one to a few trials split the top level
+    # batches of a few rows split every level below the top, and batches of
+    # one to a few trials split the top level
     depths = [c.depth for c in pools[0]]
-    budget = chunk * estimators.BLOCK_BYTES * estimators.BRANCH
+    budget = chunk * estimators.CELL_BYTES * 2 * estimators.BRANCH
     with mock.patch.object(estimators, "CHUNK_BYTES", budget):
         result = mle_estimate(tallies(pools, depths), depths, epsilon, ENGINE_NOISES[noise])
     assert per_trial(result, depths) == [scalar_mle(p, epsilon, ENGINE_NOISES[noise])
@@ -377,7 +378,7 @@ def test_a_last_only_pass_equals_the_last_entry_of_a_full_pass(pools, epsilon, n
     depths = [c.depth for c in pools[0]]
     data = tallies(pools, depths)
     with mock.patch.object(estimators, "CHUNK_BYTES",
-                           chunk * estimators.BLOCK_BYTES * estimators.BRANCH):
+                           chunk * estimators.CELL_BYTES * 2 * estimators.BRANCH):
         full = mle_estimate(data, depths, epsilon, ENGINE_NOISES[noise])
         last = mle_estimate(data, depths, epsilon, ENGINE_NOISES[noise], last_only=True)
     assert np.array_equal(last.theta[:, -1], full.theta[:, -1], equal_nan=True)
@@ -388,15 +389,21 @@ def test_a_last_only_pass_equals_the_last_entry_of_a_full_pass(pools, epsilon, n
 
 @pytest.mark.parametrize("noise", ["plain", "flat"])
 def test_one_engine_runs_on_grids_around_the_point_top_level(noise):
-    # up to BRANCH**2 points the top level is the points, one dense pass;
-    # above it the top level is blocks, and short last blocks at 101 and 1,009
+    # up to BRANCH**2 points the top level is the points; above it the top
+    # level is blocks, and 101, 1,009 and 2,003 points pad the table with
+    # -inf to whole top-level blocks
     rng = np.random.default_rng(7)
     depths = list(range(8))
     pools = [[exact_counts(theta, d, 500) for d in depths] for theta in rng.uniform(0, 1.5, 5)]
-    for size, top in [(100, 1), (101, 10), (1009, 100), (2003, 100)]:
-        table = np.stack([log_likelihood_rows(grid(1 / size), d) for d in depths])
-        assert estimators._levels(table)[0].width == top
-        result = mle_estimate(tallies(pools, depths), depths, 1 / size, ENGINE_NOISES[noise])
+    for size, padded in [(100, 100), (101, 110), (1009, 1100), (2003, 2100)]:
+        with mock.patch.object(estimators, "_levels", wraps=estimators._levels) as levels:
+            result = mle_estimate(tallies(pools, depths), depths, 1 / size, ENGINE_NOISES[noise])
+        table = levels.call_args.args[0]
+        assert table.shape == (len(depths), 2, padded)
+        assert np.array_equal(table[..., :size],
+                              [log_likelihood_rows(grid(1 / size), d, ENGINE_NOISES[noise])
+                               for d in depths])
+        assert (table[..., size:] == -np.inf).all()
         assert per_trial(result, depths) == [scalar_mle(p, 1 / size, ENGINE_NOISES[noise])
                                              for p in pools]
 
@@ -408,7 +415,9 @@ def test_pruned_engine_keeps_no_point_in_play_before_the_first_kept_shot():
                                                      for d in range(2, 8)]
     with mock.patch.object(estimators, "_sweep", wraps=estimators._sweep) as sweep:
         assert mle(data, epsilon=1e-4) == scalar_mle(data, 1e-4, None)
-    points = sum(len(c.args[2]) for c in sweep.call_args_list if c.args[0].width == 1)
+    # rows x children of the point level, the table split as (..., parents, children)
+    points = sum(len(c.args[2]) * c.args[0].shape[-1] for c in sweep.call_args_list
+                 if c.args[0].ndim == 4)
     assert 0 < points < 1000
 
 

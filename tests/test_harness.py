@@ -294,6 +294,32 @@ def test_config_rejects_a_field_of_the_wrong_type(name, value, tmp_path):
     assert (config.epsilon, config.beta_hybrid, config.powerlaw_target_eps) == (0.01, 2, 1)
 
 
+def _wrong_shapes():
+    quiet = quiet_config().to_dict()
+    noise = quiet["noise"]
+    return [("noise", {**quiet, "noise": 0.1}),
+            ("gamma_by_depth", {**quiet, "noise": {**noise, "gamma_by_depth": 0.1}}),
+            ("noise correlation", {**quiet, "noise": {**noise, "correlation": 5}}),
+            ("algorithms", {**quiet, "algorithms": [["mle"]]}),
+            ("algorithms", {**quiet, "algorithms": 5}),
+            ("config", [quiet]),
+            ("out_dir", {**quiet, "out_dir": 5})]
+
+
+@pytest.mark.parametrize("name,data", _wrong_shapes())
+def test_config_rejects_a_field_of_the_wrong_shape(name, data, tmp_path, monkeypatch):
+    # these died before with an AttributeError or TypeError that named no
+    # field; out_dir=5 only once no --out overrode it
+    monkeypatch.chdir(tmp_path)  # where a run without --out would write
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig.from_dict(data)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    out = [] if name == "out_dir" else ["--out", str(tmp_path / "out")]
+    assert cli_main(["run", "--config", str(cfg_path)] + out) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_config_rejects_algorithms_given_as_one_string():
     # accepted as its letters before, and rejected as unknown algorithms
     with pytest.raises(ValueError, match="algorithms must be a list of names"):
@@ -885,6 +911,21 @@ def test_cli_fit_noise_and_sweep(tmp_path, capsys):
     for eps in ("0.05", "0.1"):
         aggregate = (sweep_dir / f"target_eps_{eps}" / "aggregate.csv").read_text()
         assert f"\npowerlaw,eps={eps}," in aggregate
+
+
+@pytest.mark.parametrize("param,values,bad", [("max-depth", "2,2.5", "'2.5'"),
+                                              ("max-depth", "two", "'two'"),
+                                              ("target-eps", "0.05,tenth", "'tenth'")])
+def test_cli_sweep_names_the_entry_it_cannot_parse(param, values, bad, tmp_path, capsys):
+    # "2.5" died with "invalid literal for int() with base 10", naming
+    # neither the flag nor the parameter, after the runs before it
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(quiet_config(n_trials=3).to_dict()), encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep"),
+                     "--param", param, "--values", values]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "--values" in message and bad in message and param in message
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_cli_fit_noise_prints_the_rate_the_fit_measures(tmp_path, capsys):
