@@ -41,6 +41,8 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_stats(args) -> int:
+    if args.max_depth < 0:
+        raise ValueError(f"--max-depth must be >= 0, got {args.max_depth}")
     rng = np.random.default_rng(args.seed or 0)
     x, y = sample_vector_pair(rng, "haar")
     print(f"{'t':>3} {'oracle calls':>13} {'rbs gates':>10} {'2q gates':>9} {'2q depth':>9}")
@@ -74,11 +76,12 @@ def _cmd_calibrate(args) -> int:
 def _cmd_fit_noise(args) -> int:
     config = _load_config(args)
     sampling = dataclasses.replace(config, algorithms=())
-    counts, thetas = [], []
-    for rng in run_streams(config.seed, config.n_trials)[1]:
+    # each trial's tallies are copied into one row, so no trial's table outlives it
+    counts = np.empty((config.n_trials, config.max_depth + 1, 3), dtype=np.int64)
+    thetas = np.empty(config.n_trials)
+    for t, rng in enumerate(run_streams(config.seed, config.n_trials)[1]):
         trial = run_trial(sampling, sample_vector_pair(rng, config.vector_mode), rng)
-        counts.append(trial.counts[0])
-        thetas.append(trial.theta_true[0])
+        counts[t], thetas[t] = trial.counts[0], trial.theta_true[0]
     gammas = fit_depolarizing(counts, thetas)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -94,20 +97,20 @@ def _cmd_fit_noise(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    raws = [v.strip() for v in args.values.split(",") if v.strip()]
-    try:  # every entry, before the first run
-        values = [(int if args.param == "max-depth" else float)(raw) for raw in raws]
-    except ValueError as exc:
-        raise ValueError(f"--values for --param {args.param}: {exc}") from None
     base_out = Path(config.out_dir)
-    for raw, value in zip(raws, values):
-        if args.param == "max-depth":
-            sub = dataclasses.replace(
-                config, max_depth=value, out_dir=str(base_out / f"max_depth_{value}"))
-        else:  # target-eps, the only other choice argparse admits
-            sub = dataclasses.replace(
-                config, powerlaw_target_eps=value,
-                out_dir=str(base_out / f"target_eps_{raw}"))
+    subs = []  # every entry's config, before the first run
+    for raw in filter(None, (v.strip() for v in args.values.split(","))):
+        try:
+            if args.param == "max-depth":
+                value = int(raw)
+                fields = {"max_depth": value, "out_dir": str(base_out / f"max_depth_{value}")}
+            else:  # target-eps, the only other choice argparse admits
+                fields = {"powerlaw_target_eps": float(raw),
+                          "out_dir": str(base_out / f"target_eps_{raw}")}
+            subs.append((raw, dataclasses.replace(config, **fields)))
+        except ValueError as exc:
+            raise ValueError(f"--values entry {raw!r} for --param {args.param}: {exc}") from None
+    for raw, sub in subs:
         _, paths = run_experiment(sub)
         print(f"{args.param}={raw}: {paths['aggregate']}")
     return 0

@@ -222,11 +222,16 @@ def run_streams(seed: int, n_trials: int
                 ) -> tuple[np.random.Generator, Iterator[np.random.Generator]]:
     """The random streams of a run: ``(calibration_rng, trial_rngs)``.
 
-    Stream 0 calibrates and stream i + 1 feeds trial i.  Each trial
-    generator is created only when the iterator reaches it.
+    Stream 0 calibrates and stream i + 1 feeds trial i.  Stream i is
+    ``SeedSequence(seed).spawn(n_trials + 1)[i]``, the child with the
+    seed's entropy and spawn key ``(i,)``; each trial's child and
+    generator are built only when the iterator reaches it, so no stream
+    is held before its trial starts.
     """
-    calibration, *trials = np.random.SeedSequence(seed).spawn(n_trials + 1)
-    return np.random.default_rng(calibration), map(np.random.default_rng, trials)
+    def stream(i: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+    return stream(0), map(stream, range(1, n_trials + 1))
 
 
 def _powerlaw_plan(config: ExperimentConfig) -> tuple[int, ...] | str | None:
@@ -477,8 +482,9 @@ def fit_depolarizing(counts, true_thetas) -> list[float]:
     if len(counts) < 2:
         raise ValueError("need counts from at least two trials per depth")
     thetas = np.asarray(true_thetas, dtype=float)
-    gammas = []
-    for d in range(counts.shape[1]):
+
+    def rate(d: int) -> float:
+        """Depth ``d``'s rate; its per-trial temporaries die when it returns."""
         good = counts[:, d, 0]
         kept = good + counts[:, d, 1]
         has_rate = kept > 0
@@ -493,8 +499,9 @@ def fit_depolarizing(counts, true_thetas) -> list[float]:
                 f"depth {d}: all probabilities near 1/2, damping unidentifiable")
         a = float(np.sum(c * z) / denom)
         a = min(max(a, 1e-12), 1.0)
-        gammas.append(-math.log(a))
-    return gammas
+        return -math.log(a)
+
+    return [rate(d) for d in range(counts.shape[1])]
 
 
 def _strings(values: np.ndarray) -> np.ndarray:

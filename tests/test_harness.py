@@ -3,12 +3,13 @@ import csv
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowdepth_ae import estimators, harness
@@ -122,6 +123,38 @@ def test_one_call_vector_pair_equals_the_vector_by_vector_draw(mode, seed):
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         sample_vector_pair(np.random.default_rng(0), "spherical")
+
+
+# -------------------------------------------------------------------- streams
+
+@settings(max_examples=200, deadline=None)
+@example(seed=0, n_trials=0)
+@example(seed=2**64, n_trials=3)
+@example(seed=2**64 + 1, n_trials=0)
+@given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**130)),
+       n_trials=st.integers(0, 6))
+def test_stream_i_draws_as_the_ith_spawned_child(seed, n_trials):
+    calibration, trials = run_streams(seed, n_trials)
+    streams = [calibration, *trials]
+    children = np.random.SeedSequence(seed).spawn(n_trials + 1)
+    assert len(streams) == len(children)
+    for stream, child in zip(streams, children):
+        spawned = np.random.default_rng(child)
+        assert stream.integers(2**63, size=4).tolist() == spawned.integers(2**63, size=4).tolist()
+        assert stream.random() == spawned.random()
+
+
+def test_run_streams_holds_no_trial_stream_before_its_trial_starts():
+    # spawning every child up front held about 35 MB at 10^5 trials
+    run_streams(0, 1)  # numpy.random is imported on first use
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        streams = run_streams(12345, 100_000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert streams and held < 100_000
 
 
 # ------------------------------------------------------------------ run_trial
@@ -857,6 +890,14 @@ def test_cli_stats_runs(capsys):
     assert " 44 " in out  # t=3 row
 
 
+def test_cli_stats_rejects_a_negative_max_depth(capsys):
+    # it printed an empty table and exited 0
+    assert cli_main(["stats", "--max-depth", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-depth" in json.loads(captured.err)["message"]
+
+
 def test_cli_run_and_calibrate(tmp_path, capsys):
     config = quiet_config(algorithms=("direct", "mle"))
     cfg_path = tmp_path / "config.json"
@@ -915,10 +956,13 @@ def test_cli_fit_noise_and_sweep(tmp_path, capsys):
 
 @pytest.mark.parametrize("param,values,bad", [("max-depth", "2,2.5", "'2.5'"),
                                               ("max-depth", "two", "'two'"),
-                                              ("target-eps", "0.05,tenth", "'tenth'")])
+                                              ("target-eps", "0.05,tenth", "'tenth'"),
+                                              ("max-depth", "3,9", "'9'"),
+                                              ("target-eps", "0.05,-1", "'-1'")])
 def test_cli_sweep_names_the_entry_it_cannot_parse(param, values, bad, tmp_path, capsys):
     # "2.5" died with "invalid literal for int() with base 10", naming
-    # neither the flag nor the parameter, after the runs before it
+    # neither the flag nor the parameter, after the runs before it; "9"
+    # (past the noise model) and "-1" failed only after the first run
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(quiet_config(n_trials=3).to_dict()), encoding="utf-8")
     assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep"),
@@ -944,6 +988,29 @@ def test_cli_fit_noise_prints_the_rate_the_fit_measures(tmp_path, capsys):
         assert int(depth) == d
         assert model == f"{-math.log(1.0 - effective_eta(noise, d)):.4f}"
         assert abs(float(model) - float(fit)) < 0.02
+
+
+def test_fit_noise_memory_grows_by_the_tallies_alone(tmp_path, capsys):
+    # 8 depths x 3 int64 tallies and one float64 angle take 200 B a trial;
+    # keeping every trial's table view and angle alive took about 850 B a trial
+    def fit_noise(n_trials):
+        config = quiet_config(n_trials=n_trials, n_shots=40, max_depth=7,
+                              noise=NoiseModel.linear_ramp(7), vector_mode="uniform-theta")
+        cfg_path = tmp_path / f"config{n_trials}.json"
+        cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+        assert cli_main(["fit-noise", "--config", str(cfg_path),
+                         "--out", str(tmp_path / f"fit{n_trials}")]) == 0
+
+    fit_noise(20)  # modules a first run imports are not the trials' memory
+    peaks = []
+    for n_trials in (500, 4000):
+        tracemalloc.start()
+        try:
+            fit_noise(n_trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (4000 - 500) <= 300
 
 
 def test_cli_calibrate_and_fit_noise_match_the_run(tmp_path):
