@@ -41,6 +41,9 @@ from .schedules import (InfeasibleScheduleError, optimize_exponent, power_law_sc
 ALGORITHMS = ("direct", "mle", "crt", "hybrid", "powerlaw")
 VECTOR_MODES = ("haar", "uniform-theta")
 BETA_TUNING_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
+# spawn keys whose seed words run_streams derives at once; a power of two,
+# so no block straddles key 2**32, where a key starts to take two words
+STREAM_BLOCK = 1024
 
 TRIAL_COLUMNS = ("algorithm", "depth", "oracle_calls", "trial_id", "theta_true",
                  "p_true", "theta_hat", "p_hat", "abs_err_p", "abs_err_theta",
@@ -218,20 +221,83 @@ def sample_vector_pair(rng: np.random.Generator, mode: str = "haar"):
     raise ValueError(f"unknown vector mode {mode!r}")
 
 
+def _hash_consts(init: int, mult: int, skip: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """What ``SeedSequence``'s hash calls ``skip`` to ``skip + n - 1`` xor in and multiply by.
+
+    Each call xors in the running constant, advances it by ``mult`` and
+    multiplies by the advanced one.
+    """
+    consts = np.array([init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(skip, skip + n + 1)],
+                      dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _spawned_seed_words(seed_seq, keys: range) -> np.ndarray:
+    """``SeedSequence(entropy, spawn_key=(k,)).generate_state(4, np.uint64)`` for each k, as rows.
+
+    ``seed_seq``, the seed's own ``SeedSequence``, holds the seed's words
+    mixed as every child first mixes them; only the keys' words are mixed
+    here, with numpy's arithmetic (fixed by NEP 19).  Every key must take
+    as many 32-bit words as the others, as in a power-of-two-aligned block.
+    """
+    # the hex constants are numpy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B, MULT_B
+    n_seed = max(4, -(-int(seed_seq.entropy).bit_length() // 32))
+    n_key = max(1, -(-(keys.stop - 1).bit_length() // 32))
+    xor, mul = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * n_seed, 4 * n_key)
+    pool = np.repeat(seed_seq.pool[:, None], len(keys), axis=1)
+    spawn_key = np.arange(keys.start, keys.stop, dtype=np.uint64)
+    for j in range(n_key):
+        word = (spawn_key >> np.uint64(32 * j)).astype(np.uint32)
+        hashed = (word ^ xor[4 * j:4 * j + 4]) * mul[4 * j:4 * j + 4]
+        hashed ^= hashed >> np.uint32(16)
+        pool = np.uint32(0xCA01F9DD) * pool - np.uint32(0x4973F715) * hashed
+        pool ^= pool >> np.uint32(16)
+    xor, mul = _hash_consts(0x8B51F9DD, 0x58F38DED, 0, 8)
+    state = (np.tile(pool, (2, 1)) ^ xor) * mul
+    state ^= state >> np.uint32(16)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords:
+    """A seed sequence that hands a bit generator precomputed seed words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 def run_streams(seed: int, n_trials: int
                 ) -> tuple[np.random.Generator, Iterator[np.random.Generator]]:
     """The random streams of a run: ``(calibration_rng, trial_rngs)``.
 
     Stream 0 calibrates and stream i + 1 feeds trial i.  Stream i is
     ``SeedSequence(seed).spawn(n_trials + 1)[i]``, the child with the
-    seed's entropy and spawn key ``(i,)``; each trial's child and
-    generator are built only when the iterator reaches it, so no stream
-    is held before its trial starts.
+    seed's entropy and spawn key ``(i,)``.  No child is spawned: the
+    PCG64 seed words of ``STREAM_BLOCK`` keys are derived at once when the
+    iterator reaches their block, with numpy's SeedSequence arithmetic
+    (the seed's words mixed once per run, each key's per row), so every
+    generator, built only when its trial starts, begins in the child's
+    state and draws what the child would.
     """
-    def stream(i: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+    if n_trials < 0:
+        raise ValueError(f"n_trials must be >= 0, got {n_trials}")
+    from numpy.random.bit_generator import ISeedSequence  # numpy.random loads on first use
+    ISeedSequence.register(_SeedWords)
+    seed_seq = np.random.SeedSequence(seed)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
 
-    return stream(0), map(stream, range(1, n_trials + 1))
+    def streams() -> Iterator[np.random.Generator]:
+        for start in range(0, n_trials + 1, STREAM_BLOCK):
+            keys = range(start, min(start + STREAM_BLOCK, n_trials + 1))
+            for words in _spawned_seed_words(seed_seq, keys):
+                yield generator(pcg64(_SeedWords(words)))
+
+    trial_rngs = streams()
+    return next(trial_rngs), trial_rngs
 
 
 def _powerlaw_plan(config: ExperimentConfig) -> tuple[int, ...] | str | None:

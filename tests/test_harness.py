@@ -2,6 +2,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -15,8 +18,8 @@ from hypothesis import strategies as st
 from lowdepth_ae import estimators, harness
 from lowdepth_ae.estimators import (EstimationError, HybridCalibration, crt_reconstruct,
                                     hybrid_fallback, mle_estimate)
-from lowdepth_ae.harness import (ALGORITHMS, VECTOR_MODES, ExperimentConfig, RunTable,
-                                 UnidentifiableFitError, aggregate_and_emit,
+from lowdepth_ae.harness import (ALGORITHMS, STREAM_BLOCK, VECTOR_MODES, ExperimentConfig,
+                                 RunTable, UnidentifiableFitError, aggregate_and_emit,
                                  calibrate_hybrid, fit_depolarizing,
                                  run_experiment, run_streams, run_trial,
                                  run_trials, sample_vector_pair)
@@ -131,6 +134,7 @@ def test_unknown_mode_rejected():
 @example(seed=0, n_trials=0)
 @example(seed=2**64, n_trials=3)
 @example(seed=2**64 + 1, n_trials=0)
+@example(seed=2**64 + 7, n_trials=2 * STREAM_BLOCK + 1)  # both sides of two block boundaries
 @given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**130)),
        n_trials=st.integers(0, 6))
 def test_stream_i_draws_as_the_ith_spawned_child(seed, n_trials):
@@ -144,6 +148,27 @@ def test_stream_i_draws_as_the_ith_spawned_child(seed, n_trials):
         assert stream.random() == spawned.random()
 
 
+@settings(deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**200)),
+       key=st.sampled_from([0, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1,
+                            2**32 - 1, 2**32]))
+def test_spawned_seed_words_give_numpys_child_states(seed, key):
+    run_streams(0, 0)  # registers the seed-word holder as an ISeedSequence
+    child = np.random.SeedSequence(seed, spawn_key=(key,))
+    words = harness._spawned_seed_words(np.random.SeedSequence(seed), range(key, key + 1))
+    assert words.dtype == np.uint64
+    assert words[0].tolist() == child.generate_state(4, np.uint64).tolist()
+    rng = np.random.Generator(np.random.PCG64(harness._SeedWords(words[0])))
+    assert rng.bit_generator.state == np.random.default_rng(child).bit_generator.state
+
+
+def test_run_streams_keeps_seed_sequence_argument_errors():
+    with pytest.raises(ValueError):
+        run_streams(-1, 3)
+    with pytest.raises(ValueError, match="n_trials"):
+        run_streams(0, -1)
+
+
 def test_run_streams_holds_no_trial_stream_before_its_trial_starts():
     # spawning every child up front held about 35 MB at 10^5 trials
     run_streams(0, 1)  # numpy.random is imported on first use
@@ -155,6 +180,17 @@ def test_run_streams_holds_no_trial_stream_before_its_trial_starts():
     finally:
         tracemalloc.stop()
     assert streams and held < 100_000
+
+
+def test_importing_the_package_leaves_numpy_random_to_its_first_use():
+    # numpy 2 imports numpy.random lazily (numpy 1 with numpy itself); pulling it
+    # into the package's import would move its cost from a run into set-up
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import lowdepth_ae.cli, lowdepth_ae.harness; "
+            "sys.exit(('numpy.random' in sys.modules) != before)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 # ------------------------------------------------------------------ run_trial
