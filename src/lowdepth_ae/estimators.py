@@ -25,8 +25,9 @@ the points themselves on a grid that small), splits each block into
 updates, level by level, only the blocks that can still hold the argmax.
 A block's bound is the same update with each likelihood row replaced by
 its maximum over the block, by the same floating-point operations in the
-same order as a point's value.  For counts >= 0 every step is monotone
-under round-to-nearest, so the bound is never below the value of any
+same order as a point's value.  For counts >= 0, which
+:func:`mle_estimate` requires, every step is monotone under
+round-to-nearest, so the bound is never below the value of any
 point of the block.  A block is dropped at a depth only when its bound is
 strictly below the value of some point there, so ties still resolve
 toward the smaller index and every output equals the full pass's bit for
@@ -178,17 +179,21 @@ def bayesian_update(log_post: np.ndarray, rows: tuple[np.ndarray, np.ndarray],
     an outcome that has probability zero at an angle sends that angle to
     ``-inf``.  The result is ``log_post + (n_good log p1 + n_bad log(1-p1))``.
     """
-    log_p1, log_p0 = rows
-    return _add_counts(log_post, log_p1, log_p0, np.asarray(n_good)[..., None],
-                       np.asarray(n_bad)[..., None])
+    n_good, n_bad = np.asarray(n_good)[..., None], np.asarray(n_bad)[..., None]
+    return _add_counts(log_post, *rows, n_good, n_bad, (n_good > 0).all() and (n_bad > 0).all())
 
 
-def _add_counts(log_post, log_p1, log_p0, n_good, n_bad, out=None) -> np.ndarray:
+def _add_counts(log_post, log_p1, log_p0, n_good, n_bad, positive, out=None) -> np.ndarray:
     """:func:`bayesian_update` on arguments that broadcast to ``log_post``'s shape.
 
-    The sum goes into ``out`` when given, which may be ``log_post`` itself.
+    ``positive`` says that every good and bad count is above zero, so that
+    the masks of the zero counts would keep every element and the product
+    needs none; the caller decides it, once for all the counts it passes
+    here at one depth.  Both paths give the same bits wherever the counts
+    are positive.  The sum goes into ``out`` when given, which may be
+    ``log_post`` itself.
     """
-    if (n_good > 0).all() and (n_bad > 0).all():  # the masks below would keep every element
+    if positive:
         logl = np.multiply(n_good, log_p1, out=np.empty_like(log_post))
         logl += n_bad * log_p0
     else:
@@ -240,10 +245,16 @@ def mle_estimate(counts, depths, epsilon: float = 0.001, noise: NoiseModel | Non
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 3 or counts.shape[1:] != (len(depths), 3):
         raise ValueError("counts need one (good, bad, discarded) entry per depth and trial")
+    # the pruning is exact for counts >= 0 alone (see the module docstring)
+    if (counts < 0).any():
+        raise ValueError("counts must be >= 0")
+    if min(depths, default=0) < 0:
+        raise ValueError("depths must be >= 0")
     width = 1  # of a top-level block
     while width * BRANCH ** 2 < thetas.size:
         width *= BRANCH
-    table = np.full((len(depths), 2, -(-thetas.size // width) * width), -np.inf)
+    table = np.empty((len(depths), 2, -(-thetas.size // width) * width))
+    table[..., thetas.size:] = -np.inf
     for j, depth in enumerate(depths):
         table[j, :, :thetas.size] = log_likelihood_rows(thetas, depth, noise)
     calls = np.cumsum(counts.sum(axis=2) * (2 * np.array(depths, dtype=np.int64) + 1), axis=1)
@@ -270,14 +281,17 @@ def _levels(table) -> list[np.ndarray]:
     p1], [max log p0, first log p0]]``: entry ``j``'s likelihood rows over
     child ``c`` of parent ``p``, and at its first point.
     """
-    levels, width = [table], 1
+    levels, width, below = [table], 1, table
     while width * BRANCH ** 2 < table.shape[2]:
         width *= BRANCH
-        blocks = table.shape[2] // width
-        rows = np.empty(table.shape[:2] + (2, blocks))
-        table.reshape(table.shape[:2] + (blocks, width)).max(axis=3, out=rows[:, :, 0])
+        rows = np.empty(table.shape[:2] + (2, table.shape[2] // width))
+        # a block's maximum is that of its children's, taken child by child
+        maxima = np.maximum(below[..., 0::BRANCH], below[..., 1::BRANCH], out=rows[:, :, 0])
+        for c in range(2, BRANCH):
+            np.maximum(maxima, below[..., c::BRANCH], out=maxima)
         rows[:, :, 1] = table[..., ::width]
         levels.insert(0, rows)
+        below = maxima
     parents = [1] + [level.shape[-1] for level in levels[:-1]]
     return [level.reshape(level.shape[:-1] + (p, level.shape[-1] // p))
             for level, p in zip(levels, parents)]
@@ -298,18 +312,28 @@ def _argmax(counts, needed, table) -> tuple[np.ndarray, np.ndarray]:
     survives.  At the point level the bound is the value, so the lower
     bound ends at each trial's maximum and the smallest index attaining it
     is the argmax; an entry without one keeps ``table.shape[2]``.
+
+    Two facts of each entry are decided once per pass, for every sweep.
+    Whether all its good and bad counts are positive picks the path of
+    :func:`_add_counts` there, so a block's bound and its points' values
+    take the same one.  Whether any trial needs it: at an entry that none
+    needs, ``lower`` is ``+inf`` for every trial and no value is ``+inf``,
+    so a sweep only updates there (the entries before the last of a
+    ``last_only`` pass).
     """
     lower = np.where(needed.T, -np.inf, np.inf)
     best = np.full(lower.shape, table.shape[2])
     # (good, bad) counts of each trial by entry, as exact floats: pairs[j, :, t]
     pairs = np.ascontiguousarray(counts[..., :2].transpose(1, 2, 0), dtype=float)
+    # per entry: whether all its counts are positive, and whether any trial needs it
+    entries = (pairs, (pairs > 0).all(axis=(1, 2)).tolist(), needed.any(axis=0).tolist())
     trials = np.arange(len(counts))
     _descend(_levels(table), trials, np.zeros_like(trials), np.full_like(trials, len(table) - 1),
-             pairs, lower, best)
+             entries, lower, best)
     return best.T, lower.T
 
 
-def _descend(levels, trial, idx, reach, pairs, lower, best) -> None:
+def _descend(levels, trial, idx, reach, entries, lower, best) -> None:
     """Sweep the children in ``levels[0]`` of parents ``idx`` for ``trial`` through ``reach``.
 
     Batches of whole trials (``trial`` is sorted) of about :data:`CHUNK_BYTES`
@@ -321,26 +345,30 @@ def _descend(levels, trial, idx, reach, pairs, lower, best) -> None:
     # each batch starts at the first row of the trial at a budget-th row
     cuts = list(dict.fromkeys(np.searchsorted(trial, trial[::budget]).tolist())) + [len(trial)]
     for a, b in zip(cuts[:-1], cuts[1:]):
-        last = _sweep(level, trial[a:b], idx[a:b], reach[a:b], pairs, lower, best)
+        last = _sweep(level, trial[a:b], idx[a:b], reach[a:b], entries, lower, best)
         if len(levels) > 1:
             r, c = np.nonzero(last >= 0)  # sorted by trial, as the rows are
             _descend(levels[1:], trial[a:b][r], idx[a:b][r] * level.shape[-1] + c,
-                     last[r, c], pairs, lower, best)
+                     last[r, c], entries, lower, best)
 
 
-def _sweep(level, trial, idx, reach, pairs, lower, best):
+def _sweep(level, trial, idx, reach, entries, lower, best):
     """Bound the children of parents ``idx`` of ``level`` for ``trial`` through entry ``reach``.
 
     Each entry updates one (rows x children) slab: row ``r`` gathers the
     children of parent ``idx[r]``, or broadcasts those of a level's one
-    parent.  Each row's largest first point's value raises ``lower``;
-    returns the last entry each child of each row survives (-1 if none);
-    see :func:`_argmax`.  At the point level the bound is the value, and
-    each row's smallest index attaining ``lower`` goes into ``best``
-    instead, every other row giving the index past the points.
+    parent.  At an entry that some trial needs, each row's largest first
+    point's value raises ``lower``; returns the last entry each child of
+    each row survives (-1 if none); see :func:`_argmax`.  At the point
+    level the bound is the value, and each row's smallest index attaining
+    ``lower`` goes into ``best`` instead, every other row giving the index
+    past the points.  At an entry that no trial needs the update is all:
+    no child survives it and no row attains ``+inf``.
     """
     order = np.argsort(-reach, kind="stable")
     trial, idx, reach = trial[order], idx[order], reach[order]
+    pairs, positive, wanted = entries
+    pairs = pairs.take(trial, axis=2)  # each row's counts: rows swept at entry j come first
     # rows still swept at entry j are the first active[j]
     active = np.searchsorted(-reach, -np.arange(len(level)), side="right").tolist()
     points, children = level.ndim == 4, level.shape[-1]
@@ -352,7 +380,9 @@ def _sweep(level, trial, idx, reach, pairs, lower, best):
             break
         t, swept = trial[:a], value[..., :a, :]
         slab = level[j] if level.shape[-2] == 1 else level[j].take(idx[:a], axis=-2)
-        _add_counts(swept, *slab, *pairs[j][:, t, None], out=swept)
+        _add_counts(swept, *slab, *pairs[j, :, :a, None], positive[j], out=swept)
+        if not wanted[j]:
+            continue  # lower is +inf for every trial: nothing raises it, survives or hits it
         bound, first = (swept, swept) if points else swept
         k = first.argmax(axis=1)
         top = first[np.arange(a), k]
@@ -362,7 +392,7 @@ def _sweep(level, trial, idx, reach, pairs, lower, best):
             hit = np.where(top == low, idx[:a] * children + k, level[0, 0].size)
             np.minimum.at(best[j], t, hit)
         else:
-            last[:a][bound >= low[:, None]] = j
+            np.putmask(last[:a], bound >= low[:, None], j)
     return last[np.argsort(order)]  # in the rows' given order
 
 
@@ -448,6 +478,8 @@ def crt_columns(p_d, p_dm1, theta_ref, d_max) -> CrtReadings:
         np.asarray(theta_ref, dtype=float), np.asarray(d_max, dtype=np.int64))
     if np.any(d_max < 2):
         raise ValueError("CRT needs maximum depth >= 2")
+    if not np.isfinite(theta_ref).all():
+        raise ValueError("theta_ref must be finite")
     n1, n2 = 2 * d_max - 1, 2 * d_max + 1
     modulus = n1 * n2
     l = (2 * n1 / math.pi) * _elementwise(math.asin, np.sqrt(np.clip(p_d, 0.0, 1.0)))

@@ -160,6 +160,10 @@ def test_unmasked_update_equals_the_masked_one(trials, epsilon, depth, noisy, se
         with np.errstate(invalid="ignore"):
             plain = log_post + (n_good[:, None] * rows[0] + n_bad[:, None] * rows[1])
         assert np.array_equal(expected, plain)
+        # positive counts give the same bits down either path of the engine's update
+        for positive in (False, True):
+            assert np.array_equal(estimators._add_counts(log_post, *rows, n_good[:, None],
+                                                         n_bad[:, None], positive), expected)
     elif not noisy:
         assert (expected[0, 0] == -np.inf) == (zero == "bad")  # 0 x log 0 adds 0
 
@@ -204,6 +208,22 @@ def test_mle_requires_kept_shots():
         mle([])
     empty = mle_estimate(np.zeros((0, 2, 3), dtype=np.int64), [0, 1])
     assert empty.theta.shape == empty.calls.shape == (0, 2) and empty.reason.shape == (0,)
+
+
+@pytest.mark.parametrize("entry", [(5, -3, 0), (-1, 4, 0), (5, 3, -2)])
+def test_mle_rejects_negative_counts(entry):
+    # the pruning is exact for counts >= 0 alone: a negative count times a
+    # -inf row is +inf, above every bound
+    with pytest.raises(ValueError, match="counts"):
+        mle_estimate([[entry]], [0], 0.01)
+
+
+def test_mle_rejects_negative_depths():
+    # depth -1 would bill -1 oracle calls per shot
+    with pytest.raises(ValueError, match="depths"):
+        mle_estimate([[(5, 3, 0)]], [-1], 0.01)
+    with pytest.raises(ValueError, match="depths"):
+        mle_estimate([[(5, 3, 0), (5, 3, 0)]], [0, -2], 0.01, last_only=True)
 
 
 def test_mle_needs_the_same_depths_for_every_trial():
@@ -408,6 +428,29 @@ def test_one_engine_runs_on_grids_around_the_point_top_level(noise):
                                              for p in pools]
 
 
+@pytest.mark.parametrize("noise", ["plain", "ramp"])
+@pytest.mark.parametrize("size, n_levels", [(101, 2), (1009, 3), (2003, 3), (10 ** 4, 3),
+                                            (10 ** 5, 4)])
+def test_level_maxima_are_the_block_maxima_and_first_points(size, n_levels, noise):
+    # the argmax properties cannot see a block maximum that is too high: it
+    # only keeps more blocks in play
+    depths = [0, 3, 7]
+    pools = [[exact_counts(0.7, d, 500) for d in depths]]
+    with mock.patch.object(estimators, "_levels", wraps=estimators._levels) as levels:
+        mle_estimate(tallies(pools, depths), depths, 1 / size, ENGINE_NOISES[noise])
+    table = levels.call_args.args[0]  # padded with -inf to whole top-level blocks
+    levels = estimators._levels(table)
+    assert len(levels) == n_levels
+    assert levels[0].shape[-2] == 1 and levels[0].shape[-1] <= estimators.BRANCH ** 2
+    assert np.array_equal(levels[-1].reshape(table.shape), table)
+    for level in levels[:-1]:
+        rows = level.reshape(level.shape[:3] + (-1,))  # [j, :, (max, first), block]
+        width = table.shape[2] // rows.shape[-1]
+        assert np.array_equal(rows[:, :, 0],
+                              table.reshape(table.shape[:2] + (-1, width)).max(-1))
+        assert np.array_equal(rows[:, :, 1], table[..., ::width])
+
+
 def test_pruned_engine_keeps_no_point_in_play_before_the_first_kept_shot():
     # two depths without a kept shot leave every angle at 0, tied: were they
     # held to the lower bound, all 10^4 points would be swept at depth 0
@@ -558,6 +601,12 @@ def test_crt_columns_equal_crt_reconstruct_row_by_row(rows):
 def test_crt_columns_reject_small_depth():
     with pytest.raises(ValueError):
         crt_columns([0.5, 0.5], [0.5, 0.5], [0.3, 0.3], [2, 1])
+
+
+@pytest.mark.parametrize("theta_ref", [np.nan, np.inf, -np.inf])
+def test_crt_columns_reject_a_non_finite_anchor(theta_ref):
+    with pytest.raises(ValueError, match="theta_ref"):
+        crt_columns([0.5, 0.5], [0.5, 0.5], [0.3, theta_ref], [2, 3])
 
 
 def test_crt_rejects_small_depth():
