@@ -18,7 +18,6 @@ from .circuits import build_iterated_circuit, compile_to_two_qubit, compiled_sta
 from .harness import (ExperimentConfig, calibrate_hybrid, calibration_record,
                       fit_depolarizing, run_experiment, run_streams, run_trial,
                       sample_vector_pair, write_json)
-from .noise import effective_eta
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -81,16 +80,18 @@ def _cmd_fit_noise(args) -> int:
     thetas = np.empty(config.n_trials)
     for t, rng in enumerate(run_streams(config.seed, config.n_trials)[1]):
         trial = run_trial(sampling, sample_vector_pair(rng, config.vector_mode), rng)
-        counts[t], thetas[t] = trial.counts[0], trial.theta_true[0]
+        counts[t], thetas[t] = trial.counts, trial.theta_true[0]  # (1, D, 3) into (D, 3)
     gammas = fit_depolarizing(counts, thetas)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "gamma_fit.json"
     write_json(path, {"gamma_by_depth": gammas})
-    # the fit measures -log(1 - eta_d), readout error included
+    # the fit measures -log(1 - eta_d) = gamma_d - log(1 - beta), readout error
+    # included; the right side stays finite where exp(-gamma_d) underflows
     print(f"{'depth':>6} {'gamma_model':>12} {'gamma_fit':>12}")
+    lost = math.log1p(-config.noise.beta_readout)
     for d, g in enumerate(gammas):
-        print(f"{d:>6} {-math.log(1.0 - effective_eta(config.noise, d)):>12.4f} {g:>12.4f}")
+        print(f"{d:>6} {config.noise.gamma_by_depth[d] - lost:>12.4f} {g:>12.4f}")
     print(f"gamma fit: {path}")
     return 0
 

@@ -35,8 +35,7 @@ from .estimators import (CrtReadings, EstimationError, HybridCalibration,
                          _elementwise, _grid_size, _per_distinct, crt_columns,
                          hybrid_fallback, mle_estimate, sin_squared)
 from .noise import CorrelatedNoise, NoiseModel, check_real, sample_noisy_shots
-from .schedules import (InfeasibleScheduleError, optimize_exponent, power_law_schedule,
-                        subsample_without_replacement)
+from .schedules import InfeasibleScheduleError, optimize_exponent, power_law_schedule
 
 ALGORITHMS = ("direct", "mle", "crt", "hybrid", "powerlaw")
 VECTOR_MODES = ("haar", "uniform-theta")
@@ -324,15 +323,20 @@ def _draw(config: ExperimentConfig, pair, rng: np.random.Generator, plan):
     are drawn from ``rng``, which has already drawn the trial's pair.
     """
     x, y = pair
-    theta_true = math.asin(min(abs(float(np.dot(x, y))), 1.0))
+    theta_true = math.asin(min(abs(float(x.dot(y))), 1.0))
     n_shots, noise = config.n_shots, config.noise
-    pool = [sample_noisy_shots(theta_true, d, n_shots, noise, rng)
-            for d in range(config.max_depth + 1)]
+    tallies = []
+    for d in range(config.max_depth + 1):
+        tallies += sample_noisy_shots(theta_true, d, n_shots, noise, rng)[1:]
     subsampled = None
     if isinstance(plan, tuple):
-        subsampled = [n for d, m in enumerate(plan) for n in subsample_without_replacement(
-            pool[d], min(m, pool[d].kept), rng)[1:]]
-    return theta_true, [n for counts in pool for n in counts[1:]], subsampled
+        # m of the depth's kept shots without replacement; m = 0 takes no draw
+        subsampled = []
+        for m, good, bad in zip(plan, tallies[::3], tallies[1::3]):
+            m = min(m, good + bad)
+            n_good = int(rng.hypergeometric(good, bad, m)) if m else 0
+            subsampled += (n_good, m - n_good, 0)
+    return theta_true, tallies, subsampled
 
 
 def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTable:
@@ -347,8 +351,9 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
     counts = np.array(pools, dtype=np.int64).reshape(-1, n_depths, 3)
     if not config.algorithms:  # sampling only: no estimate columns
         n = len(draws)
+        none = np.empty((n, 0), object)  # holds no cell, so branch and reason share it
         return RunTable(theta_true, counts, (), (), np.empty((n, 0)), np.empty((n, 0), np.int64),
-                        np.empty((n, 0), object), np.empty((n, 0), object))
+                        none, none)
     blocks = {}  # algorithm -> labels and (trials x labels) theta, reason, calls, branch
 
     def add(algorithm, labels, theta, calls, *drops, branch=""):

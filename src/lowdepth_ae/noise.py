@@ -129,8 +129,8 @@ def noise_floor(model: NoiseModel, depth: int, prior_p) -> float:
 
 
 def _sample_correlated(theta: float, depth: int, n_shots: int, model: NoiseModel,
-                       rng: np.random.Generator) -> DepthCounts:
-    """Burst-modulated shots from uniform draws taken up front.
+                       rng: np.random.Generator) -> tuple[int, int]:
+    """Good and discarded counts of burst-modulated shots from uniform draws taken up front.
 
     The draws, taken in one call, are one state draw per shot, then one
     leak draw per shot when the model leaks, then one outcome draw per
@@ -163,8 +163,7 @@ def _sample_correlated(theta: float, depth: int, n_shots: int, model: NoiseModel
         leaked = u[1] < model.leak_prob
         np.greater(good, leaked, out=good)  # good and not leaked
         n_disc = int(np.count_nonzero(leaked))
-    n_good = int(np.count_nonzero(good))
-    return DepthCounts(depth, n_good, n_shots - n_disc - n_good, n_disc)
+    return int(np.count_nonzero(good)), n_disc
 
 
 def sample_noisy_shots(theta: float, depth: int, n_shots: int, model: NoiseModel,
@@ -179,8 +178,11 @@ def sample_noisy_shots(theta: float, depth: int, n_shots: int, model: NoiseModel
     if n_shots < 0:
         raise ValueError("n_shots must be nonnegative")
     if model.correlation is not None:
-        return _sample_correlated(theta, depth, n_shots, model, rng)
-    p_bar = noisy_prob(theta, depth, model)
-    n_disc = int(rng.binomial(n_shots, model.leak_prob)) if model.leak_prob > 0 else 0
-    n_good = int(rng.binomial(n_shots - n_disc, p_bar))
-    return DepthCounts(depth, n_good, n_shots - n_disc - n_good, n_disc)
+        n_good, n_disc = _sample_correlated(theta, depth, n_shots, model, rng)
+    else:
+        p_bar = noisy_prob(theta, depth, model)
+        n_disc = int(rng.binomial(n_shots, model.leak_prob)) if model.leak_prob > 0 else 0
+        n_good = int(rng.binomial(n_shots - n_disc, p_bar))
+    # effective_eta has range-checked the depth and no count can be negative,
+    # so the validating DepthCounts constructor could not fail: skip it
+    return tuple.__new__(DepthCounts, (depth, n_good, n_shots - n_disc - n_good, n_disc))

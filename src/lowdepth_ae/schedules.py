@@ -9,15 +9,18 @@ parameter-agnostic Fisher proxy
 must reach ``1/eps^2`` for a target error ``eps``.  Oracle cost scales like
 ``sum_d (2d+1)^(nu+1)``, increasing in ``nu``, so the cheapest feasible
 exponent is the smallest one satisfying the constraint; it is found by
-bisection on the binding constraint.
+bisection on the binding constraint.  A target whose ``1/eps^2`` overflows
+a float is infeasible like any other out of reach.
+
+The module holds no sampler: a run takes each depth's scheduled shots from
+the pool it already recorded, without replacement, as one hypergeometric
+draw per depth in ``harness._draw``.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-from .simulator import DepthCounts
 
 NU_RANGE = (-6.0, 6.0)
 NU_TOL = 1e-4
@@ -59,7 +62,10 @@ def optimize_exponent(target_eps: float, n_shots: int, max_depth: int,
     """
     if target_eps <= 0:
         raise ValueError("target_eps must be positive")
-    required = target_eps ** -2
+    try:
+        required = target_eps ** -2
+    except OverflowError:  # target_eps below about 7.5e-155: no finite Fisher reaches it
+        required = math.inf
     lo, hi = NU_RANGE
 
     def feasible(nu: float) -> bool:
@@ -78,20 +84,3 @@ def optimize_exponent(target_eps: float, n_shots: int, max_depth: int,
         else:
             lo = mid
     return hi
-
-
-def subsample_without_replacement(counts: DepthCounts, n_target: int,
-                                  rng: np.random.Generator) -> DepthCounts:
-    """Hypergeometric draw of ``n_target`` shots from the kept pool.
-
-    The good/bad composition of the subsample follows the hypergeometric
-    law of drawing without replacement from the recorded measurements.
-    """
-    if n_target < 0:
-        raise ValueError("n_target must be nonnegative")
-    if n_target > counts.kept:
-        raise ValueError(f"cannot draw {n_target} shots from a pool of {counts.kept}")
-    if n_target == 0:
-        return DepthCounts(depth=counts.depth, n_good=0, n_bad=0)
-    n_good = int(rng.hypergeometric(counts.n_good, counts.n_bad, n_target))
-    return DepthCounts(depth=counts.depth, n_good=n_good, n_bad=n_target - n_good)

@@ -900,7 +900,7 @@ def small_configs(draw):
         noise=noise, mle_noise_aware=draw(st.booleans()),
         beta_hybrid=draw(st.sampled_from([0.0, 1.0, 4.0])), tune_beta=draw(st.booleans()),
         calib_trials=draw(st.integers(1, 8)),
-        powerlaw_target_eps=draw(st.sampled_from([1e-3, 0.05, 0.3])))
+        powerlaw_target_eps=draw(st.sampled_from([1e-300, 1e-3, 0.05, 0.3])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1024,6 +1024,34 @@ def test_cli_fit_noise_prints_the_rate_the_fit_measures(tmp_path, capsys):
         assert int(depth) == d
         assert model == f"{-math.log(1.0 - effective_eta(noise, d)):.4f}"
         assert abs(float(model) - float(fit)) < 0.02
+
+
+def test_cli_fit_noise_prints_a_model_rate_past_exp_underflow(tmp_path, capsys):
+    # exp(-gamma_d) underflows to 0, so -log(1 - eta_d) died with "math domain
+    # error" after gamma_fit.json and the header were written
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"n_trials": 3, "noise": {"gamma_by_depth": [1e6] * 8}}),
+                        encoding="utf-8")
+    assert cli_main(["fit-noise", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split() for line in captured.out.splitlines()[1:9]]
+    assert [(depth, model) for depth, model, _ in rows] == [(str(d), "1000000.0000")
+                                                            for d in range(8)]
+
+
+def test_cli_run_drops_only_the_powerlaw_rows_of_a_target_past_float_range(tmp_path, capsys):
+    # target_eps ** -2 overflowed, and the OverflowError ended the run with exit 2
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"n_trials": 3, "calib_trials": 3,
+                                    "powerlaw_target_eps": 1e-300}), encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "trials.csv", encoding="utf-8") as fh:
+        written = {row["algorithm"] for row in csv.DictReader(fh)}
+    assert written == {"direct", "mle", "crt", "hybrid"}
+    errors = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["trial_errors"]
+    assert sorted(errors) == ["0", "1", "2"]
+    assert all("needs Fisher inf" in errors[t]["powerlaw"] for t in errors)
 
 
 def test_fit_noise_memory_grows_by_the_tallies_alone(tmp_path, capsys):

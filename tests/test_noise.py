@@ -295,6 +295,25 @@ def test_sampler_equals_the_scalar_chain(correlation, leak, n_shots, theta, dept
     assert fast.random() == slow.random()  # the same number of draws
 
 
+@pytest.mark.parametrize("model", [
+    NoiseModel.linear_ramp(7), NoiseModel.linear_ramp(7, beta_readout=0.05, leak_prob=0.4),
+    NoiseModel.linear_ramp(7, correlation=CorrelatedNoise(0.05, 4.0)),
+    NoiseModel.linear_ramp(7, leak_prob=0.4, correlation=CorrelatedNoise(0.05, 4.0))],
+    ids=["independent", "leaky", "burst", "leaky-burst"])
+def test_sampled_counts_equal_their_validated_construction(model):
+    # the sampler builds its tuple without the validating constructor
+    rng = np.random.default_rng(17)
+    for depth in range(8):
+        counts = sample_noisy_shots(0.4, depth, 300, model, rng)
+        assert type(counts) is DepthCounts
+        assert counts == DepthCounts(*counts) and counts.shots == 300 and counts.depth == depth
+        assert min(counts) >= 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            counts._replace(n_good=-1)
+    with pytest.raises(ValueError, match="depth 8 outside"):
+        sample_noisy_shots(0.4, 8, 300, model, rng)
+
+
 @settings(max_examples=300, deadline=None)
 @given(p_switch=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
        burst_scale=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),

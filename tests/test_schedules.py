@@ -1,16 +1,37 @@
-"""Power-law schedules, the noisy Fisher proxy and the exponent optimizer."""
+"""Power-law schedules, the noisy Fisher proxy, the exponent optimizer and the subsample."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from lowdepth_ae.harness import ExperimentConfig, _draw
+from lowdepth_ae.noise import CorrelatedNoise, NoiseModel, sample_noisy_shots
 from lowdepth_ae.schedules import (InfeasibleScheduleError, fisher_noisy,
-                                   optimize_exponent, power_law_schedule,
-                                   subsample_without_replacement)
+                                   optimize_exponent, power_law_schedule)
 from lowdepth_ae.simulator import DepthCounts
 
 ZERO_GAMMA = (0.0,) * 8
+
+
+def subsample_without_replacement(counts: DepthCounts, n_target: int,
+                                  rng: np.random.Generator) -> DepthCounts:
+    """Hypergeometric draw of ``n_target`` shots from the kept pool.
+
+    The reference for the power-law subsample that ``harness._draw`` takes:
+    the good/bad composition follows the hypergeometric law of drawing
+    without replacement from the recorded measurements.
+    """
+    if n_target < 0:
+        raise ValueError("n_target must be nonnegative")
+    if n_target > counts.kept:
+        raise ValueError(f"cannot draw {n_target} shots from a pool of {counts.kept}")
+    if n_target == 0:
+        return DepthCounts(depth=counts.depth, n_good=0, n_bad=0)
+    n_good = int(rng.hypergeometric(counts.n_good, counts.n_bad, n_target))
+    return DepthCounts(depth=counts.depth, n_good=n_good, n_bad=n_target - n_good)
 
 
 def test_flat_schedule_at_nu_zero():
@@ -95,6 +116,13 @@ def test_optimizer_raises_when_infeasible():
         optimize_exponent(1e-9, 500, 7, ZERO_GAMMA)
 
 
+@pytest.mark.parametrize("target", [1e-300, 5e-324, 7e-155])
+def test_optimizer_calls_a_target_past_float_range_infeasible(target):
+    # target ** -2 overflowed: OverflowError killed the whole run
+    with pytest.raises(InfeasibleScheduleError, match="needs Fisher inf"):
+        optimize_exponent(target, 500, 7, ZERO_GAMMA)
+
+
 def test_optimizer_monotone_in_noise_scale():
     base = np.linspace(0.035, 0.35, 8)
     previous = None
@@ -139,3 +167,32 @@ def test_subsample_deterministic_given_seed():
     a = subsample_without_replacement(pool, 50, np.random.default_rng(5))
     b = subsample_without_replacement(pool, 50, np.random.default_rng(5))
     assert a == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_shots=st.integers(1, 60), max_depth=st.integers(0, 5),
+       leak=st.sampled_from([0.0, 0.3, 0.8]),
+       correlation=st.sampled_from([None, CorrelatedNoise(0.05, 4.0)]),
+       plan=st.lists(st.integers(0, 90), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_shots=40, max_depth=3, leak=0.8, correlation=None, plan=[0, 3, 90, 40, 0, 0], seed=1)
+@example(n_shots=40, max_depth=3, leak=0.8, correlation=CorrelatedNoise(0.05, 4.0),
+         plan=[0, 3, 90, 40, 0, 0], seed=2)
+def test_draw_subsamples_as_the_reference_chain(n_shots, max_depth, leak, correlation, plan,
+                                               seed):
+    # plan entries of 0, below the kept shots and at or above them (clipped)
+    noise = NoiseModel(gamma_by_depth=(0.1,) * 6, leak_prob=leak, correlation=correlation)
+    config = ExperimentConfig(n_shots=n_shots, max_depth=max_depth, noise=noise,
+                              algorithms=("powerlaw",))
+    plan = tuple(plan[:max_depth + 1])
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    y = np.array([0.6, 0.8, 0.0, 0.0])
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    theta, pool_tallies, subsampled = _draw(config, (x, y), fast, plan)
+    pool = [sample_noisy_shots(theta, d, n_shots, noise, slow) for d in range(max_depth + 1)]
+    reference = [subsample_without_replacement(counts, min(m, counts.kept), slow)
+                 for counts, m in zip(pool, plan)]
+    assert pool_tallies == [n for counts in pool for n in counts[1:]]
+    assert subsampled == [n for counts in reference for n in counts[1:]]
+    assert all(type(n) is int for n in subsampled)
+    assert fast.random() == slow.random()  # the same number of draws
