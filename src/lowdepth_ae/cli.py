@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import build_iterated_circuit, compile_to_two_qubit, compiled_stats
-from .harness import (ExperimentConfig, calibrate_hybrid, calibration_record,
+from .harness import (ExperimentConfig, _trial_pairs, calibrate_hybrid, calibration_record,
                       fit_depolarizing, run_experiment, run_streams, run_trial,
                       sample_vector_pair, write_json)
 
@@ -78,8 +78,9 @@ def _cmd_fit_noise(args) -> int:
     # each trial's tallies are copied into one row, so no trial's table outlives it
     counts = np.empty((config.n_trials, config.max_depth + 1, 3), dtype=np.int64)
     thetas = np.empty(config.n_trials)
-    for t, rng in enumerate(run_streams(config.seed, config.n_trials)[1]):
-        trial = run_trial(sampling, sample_vector_pair(rng, config.vector_mode), rng)
+    trial_rngs = run_streams(config.seed, config.n_trials)[1]
+    for t, (rng, pair) in enumerate(_trial_pairs(trial_rngs, config.vector_mode)):
+        trial = run_trial(sampling, pair, rng)
         counts[t], thetas[t] = trial.counts, trial.theta_true[0]  # (1, D, 3) into (D, 3)
     gammas = fit_depolarizing(counts, thetas)
     out = Path(config.out_dir)

@@ -43,6 +43,9 @@ BETA_TUNING_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 # spawn keys whose seed words run_streams derives at once; a power of two,
 # so no block straddles key 2**32, where a key starts to take two words
 STREAM_BLOCK = 1024
+# trials whose vector pairs one set of numpy calls draws; their generators
+# live together, so not STREAM_BLOCK of them (about 1 KB each)
+PAIR_BLOCK = 64
 
 TRIAL_COLUMNS = ("algorithm", "depth", "oracle_calls", "trial_id", "theta_true",
                  "p_true", "theta_hat", "p_hat", "abs_err_p", "abs_err_theta",
@@ -199,12 +202,24 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i].dot(b[i])`` of each row pair, as an (n, 1) column, bit for bit.
+
+    numpy runs a row-by-column matmul on ``ndarray.dot``'s loop; ``einsum``
+    and ``(a * b).sum(1)`` round differently.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
+
+
 def sample_vector_pair(rng: np.random.Generator, mode: str = "haar"):
     """Random 4-dimensional unit-vector pair.
 
     ``haar`` normalizes independent Gaussian draws; ``uniform-theta`` first
     draws the target angle uniformly on [0, pi/2] and builds a pair with
     ``x . y = sin(theta)``, spreading the estimated probability over [0, 1].
+    The run's trials draw theirs a block at a time with
+    :func:`sample_vector_pairs`; this is the draw of one pair from a stream
+    that feeds many trials, as calibration's does.
     """
     if mode == "haar":
         x, y = rng.standard_normal((2, 4))
@@ -218,6 +233,47 @@ def sample_vector_pair(rng: np.random.Generator, mode: str = "haar"):
         y = math.sin(theta) * x + math.cos(theta) * u
         return x, y / _norm(y)
     raise ValueError(f"unknown vector mode {mode!r}")
+
+
+def sample_vector_pairs(rngs, mode: str = "haar") -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_vector_pair` on each of a block of generators, as (n, 4) arrays ``x, y``.
+
+    Each generator makes the draws, and row i holds the bits, of
+    ``sample_vector_pair(rngs[i], mode)``; the arithmetic then runs once
+    over the block, with :func:`_dots`, ``np.sqrt`` (correctly rounded, as
+    ``math.sqrt`` is) and ``math.sin`` and ``math.cos`` per row.  A block
+    holds each generator once: one that feeds many trials must draw each
+    pair right before that trial's pools.
+    """
+    if mode not in VECTOR_MODES:
+        raise ValueError(f"unknown vector mode {mode!r}")
+    if len(set(map(id, rngs))) != len(rngs):
+        raise ValueError("a block of pairs holds a generator more than once")
+    # each generator draws its angle before its normals, as it would alone
+    thetas = [math.pi / 2 * rng.random() for rng in rngs] if mode == "uniform-theta" else None
+    normals = np.empty((len(rngs), 2, 4))
+    for rng, row in zip(rngs, normals):
+        rng.standard_normal(out=row)
+    x, u = normals[:, 0], normals[:, 1]
+    if mode == "haar":
+        return x / np.sqrt(_dots(x, x)), u / np.sqrt(_dots(u, u))
+    x /= np.sqrt(_dots(x, x))
+    u -= _dots(u, x) * x
+    u /= np.sqrt(_dots(u, u))
+    y = np.array([math.sin(t) for t in thetas])[:, None] * x \
+        + np.array([math.cos(t) for t in thetas])[:, None] * u
+    return x, y / np.sqrt(_dots(y, y))
+
+
+def _trial_pairs(rngs, mode: str) -> Iterator[tuple[np.random.Generator, tuple]]:
+    """Each generator of ``rngs`` with its vector pair, drawn ``PAIR_BLOCK`` trials at a time.
+
+    A block's generators are built, and draw their pairs, when the block
+    starts; each then draws the rest of its trial as it comes.
+    """
+    rngs = iter(rngs)
+    while block := list(itertools.islice(rngs, PAIR_BLOCK)):
+        yield from zip(block, zip(*sample_vector_pairs(block, mode)))
 
 
 def _hash_consts(init: int, mult: int, skip: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -454,13 +510,15 @@ def run_trials(config: ExperimentConfig, rngs,
                calibrations: dict[int, HybridCalibration] | None = None) -> RunTable:
     """:func:`run_trial` on a vector pair drawn from each generator, trial ids from 0.
 
-    Every trial's stream is consumed first, in the order pair, pool,
-    power-law subsample, and the power-law schedule is solved once; the
-    estimators then fill their columns for all trials at once.
+    The generators must be distinct.  Every trial's stream is consumed
+    first, in the order pair, pool, power-law subsample; the pairs of
+    ``PAIR_BLOCK`` trials are drawn together by :func:`sample_vector_pairs`,
+    and the power-law schedule is solved once.  The estimators then fill
+    their columns for all trials at once.
     """
     plan = _powerlaw_plan(config)
-    draws = [_draw(config, sample_vector_pair(rng, config.vector_mode), rng, plan)
-             for rng in rngs]
+    draws = [_draw(config, pair, rng, plan)
+             for rng, pair in _trial_pairs(rngs, config.vector_mode)]
     return _estimate(config, draws, plan, calibrations)
 
 
@@ -469,8 +527,10 @@ def calibrate_hybrid(config: ExperimentConfig,
     """Estimate the hybrid threshold inputs on ``config.calib_trials`` training draws.
 
     Each draw is a trial of CRT alone on ``rng`` (the calibration stream
-    of :func:`run_streams`), run by :func:`run_trials`; draws without a
-    CRT estimate at every depth are left out.
+    of :func:`run_streams`).  All draws share that one stream, so each
+    draws its pair with :func:`sample_vector_pair` right before its pools;
+    the estimators then run once over all of them.  Draws without a CRT
+    estimate at every depth are left out.
     ``mle_avg_depth2`` is the mean error of the depth-2 MLE anchor under
     the configured noise and shot budget; ``crt_exact_at_d`` is the mean
     error of the CRT reconstruction fed exact (infinite-shot, noiseless)
@@ -479,8 +539,10 @@ def calibrate_hybrid(config: ExperimentConfig,
     same draws: among multipliers whose hybrid never loses to plain CRT at
     any depth, the one with the best best-depth error wins.
     """
-    crt_config = dataclasses.replace(config, algorithms=("crt",))
-    table = run_trials(crt_config, itertools.repeat(rng, config.calib_trials))
+    crt_config = dataclasses.replace(config, algorithms=("crt",))  # no power-law plan
+    draws = [_draw(crt_config, sample_vector_pair(rng, config.vector_mode), rng, None)
+             for _ in range(config.calib_trials)]
+    table = _estimate(crt_config, draws, None)
     ok = table.kept.all(axis=1)
     if not ok.any():
         raise EstimationError("no calibration trial produced a CRT estimate at every depth")
@@ -570,7 +632,7 @@ def fit_depolarizing(counts, true_thetas) -> list[float]:
                 f"depth {d}: all probabilities near 1/2, damping unidentifiable")
         a = float(np.sum(c * z) / denom)
         a = min(max(a, 1e-12), 1.0)
-        return -math.log(a)
+        return -math.log(a) if a < 1.0 else 0.0  # -log(1.0) is -0.0
 
     return [rate(d) for d in range(counts.shape[1])]
 

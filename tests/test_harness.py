@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from lowdepth_ae import estimators, harness
 from lowdepth_ae.estimators import (EstimationError, HybridCalibration, crt_reconstruct,
                                     hybrid_fallback, mle_estimate)
-from lowdepth_ae.harness import (ALGORITHMS, STREAM_BLOCK, VECTOR_MODES, ExperimentConfig,
-                                 RunTable, UnidentifiableFitError, aggregate_and_emit,
-                                 calibrate_hybrid, fit_depolarizing,
+from lowdepth_ae.harness import (ALGORITHMS, PAIR_BLOCK, STREAM_BLOCK, VECTOR_MODES,
+                                 ExperimentConfig, RunTable, UnidentifiableFitError,
+                                 aggregate_and_emit, calibrate_hybrid, fit_depolarizing,
                                  run_experiment, run_streams, run_trial,
-                                 run_trials, sample_vector_pair)
+                                 run_trials, sample_vector_pair, sample_vector_pairs)
 from lowdepth_ae.noise import (CorrelatedNoise, NoiseModel, effective_eta, noise_floor,
                                sample_noisy_shots)
 from lowdepth_ae.schedules import InfeasibleScheduleError, optimize_exponent
@@ -126,6 +126,44 @@ def test_one_call_vector_pair_equals_the_vector_by_vector_draw(mode, seed):
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         sample_vector_pair(np.random.default_rng(0), "spherical")
+    with pytest.raises(ValueError):
+        sample_vector_pairs([np.random.default_rng(0)], "spherical")
+
+
+@pytest.mark.parametrize("n", [1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1])
+@pytest.mark.parametrize("mode", VECTOR_MODES)
+def test_a_block_of_pairs_equals_the_vector_by_vector_draw_row_by_row(mode, n):
+    children = np.random.SeedSequence(2024 + n).spawn(n)
+    block = [np.random.default_rng(child) for child in children]
+    alone = [np.random.default_rng(child) for child in children]
+    x, y = sample_vector_pairs(block, mode)
+    assert x.shape == y.shape == (n, 4)
+    for i, (fast, slow) in enumerate(zip(block, alone)):
+        ref_x, ref_y = scalar_vector_pair(slow, mode)
+        assert x[i].tobytes() == ref_x.tobytes() and y[i].tobytes() == ref_y.tobytes()
+        assert fast.random() == slow.random()  # the same number of draws
+
+
+def test_a_block_of_pairs_rejects_a_generator_held_twice():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="more than once"):
+        sample_vector_pairs([rng, np.random.default_rng(1), rng], "haar")
+
+
+def test_stacked_row_by_column_matmul_is_ndarray_dot_bit_for_bit():
+    # the block sampler's dots rest on this: numpy sends a (1, 4) @ (4, 1)
+    # matmul to the loop ndarray.dot runs; einsum and (a * b).sum(1) differ
+    rng = np.random.default_rng(11)
+    n = 20_000
+    rows = rng.standard_normal((n, 2, 4))
+    # half the rows spread their entries over magnitudes 1e-160..1e150, so
+    # products reach the subnormal range and the summation order shows
+    rows[n // 2:] *= 10.0 ** rng.uniform(-160, 150, size=(n - n // 2, 2, 4))
+    a, b = rows[:, 0], rows[:, 1]  # strided row views, as the sampler's
+    for left, right in ((a, b), (a, a), (b, b)):
+        dots = harness._dots(left, right)
+        assert dots.shape == (n, 1)
+        assert dots[:, 0].tobytes() == np.array([u.dot(v) for u, v in zip(left, right)]).tobytes()
 
 
 # -------------------------------------------------------------------- streams
@@ -693,6 +731,13 @@ def test_fit_noiseless_data_gives_zero():
     assert all(g < 0.01 for g in gammas)
 
 
+def test_fit_a_depth_clamped_to_no_damping_gives_positive_zero():
+    # every shot at theta = 0 fails, a = 1 exactly; -log(1.0) is -0.0
+    counts = np.array([[[0, 10, 0], [3, 7, 0]], [[0, 20, 0], [9, 11, 0]]])
+    gammas = fit_depolarizing(counts, [0.0, 0.0])
+    assert gammas[0] == 0.0 and math.copysign(1.0, gammas[0]) == 1.0
+
+
 def test_fit_degenerate_probabilities_unidentifiable():
     model = NoiseModel(gamma_by_depth=(0.1,) * 8)
     rng = np.random.default_rng(4)
@@ -869,6 +914,22 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
         assert first[name].read_bytes() == second[name].read_bytes(), name
 
 
+@pytest.mark.parametrize("vector_mode", VECTOR_MODES)
+def test_a_run_one_trial_past_a_pair_block_extends_the_shorter_run(vector_mode, tmp_path):
+    # trial i reads stream i + 1 however the trials fall into pair blocks
+    files = {}
+    for n_trials in (PAIR_BLOCK, PAIR_BLOCK + 1):
+        config = quiet_config(n_trials=n_trials, n_shots=20, calib_trials=8,
+                              vector_mode=vector_mode,
+                              algorithms=("direct", "mle", "crt", "hybrid"))
+        _, paths = run_experiment(config, out_dir=tmp_path / str(n_trials))
+        files[n_trials] = paths["trials"].read_text(encoding="utf-8")
+    shorter, longer = files[PAIR_BLOCK], files[PAIR_BLOCK + 1]
+    assert longer.startswith(shorter) and len(longer) > len(shorter)
+    assert {line.split(",")[3] for line in longer[len(shorter):].splitlines()} == {
+        str(PAIR_BLOCK)}
+
+
 def test_shot_pools_are_shared_across_estimators(tmp_path):
     config = quiet_config()
     table, _ = run_experiment(config, out_dir=tmp_path / "run")
@@ -1024,6 +1085,20 @@ def test_cli_fit_noise_prints_the_rate_the_fit_measures(tmp_path, capsys):
         assert int(depth) == d
         assert model == f"{-math.log(1.0 - effective_eta(noise, d)):.4f}"
         assert abs(float(model) - float(fit)) < 0.02
+
+
+def test_cli_fit_noise_writes_no_negative_zero_where_the_fit_clamps(tmp_path, capsys):
+    # without noise the fitted damping clamps to 1 at depths 0 and 3
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"n_trials": 50, "n_shots": 100, "max_depth": 3,
+                                    "noise": {"gamma_by_depth": [0, 0, 0, 0]}}),
+                        encoding="utf-8")
+    assert cli_main(["fit-noise", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    gammas = json.loads((tmp_path / "gamma_fit.json").read_text(encoding="utf-8"))
+    assert gammas["gamma_by_depth"][0] == gammas["gamma_by_depth"][3] == 0.0
+    assert all(math.copysign(1.0, g) == 1.0 for g in gammas["gamma_by_depth"])
+    assert "-0.0" not in out and "-0.0" not in (tmp_path / "gamma_fit.json").read_text()
 
 
 def test_cli_fit_noise_prints_a_model_rate_past_exp_underflow(tmp_path, capsys):
