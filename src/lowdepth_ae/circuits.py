@@ -1,13 +1,14 @@
 """Circuits for unary inner-product oracles and their amplified iterates.
 
 The evaluation oracle prepares ``(x . y)|1000> + |G>`` for two 4-dimensional
-unit vectors, using an X gate and four RBS gates arranged as a binary-tree
-loader for ``x`` followed by the inverted loader for ``y`` (adjacent RBS
-gates on the same wire pair merged).  Amplified circuits interleave the
-oracle with Z reflections on the flag qubit; a peephole pass merges RBS
-pairs across those reflections so the depth-t circuit uses 6t+4 RBS gates.
-Compiled to the {H, Ry, CZ} gate set, the two-qubit cost is 12t+8 gates at
-two-qubit depth 8t+6.
+unit vectors, using an X gate and four RBS gates: the binary-tree loader
+of ``x`` (angles from :func:`loader_angles`) followed by the inverted
+loader of ``y``, adjacent RBS gates on the same wire pair merged.
+Amplified circuits interleave the oracle and its adjoint with Z
+reflections on the flag qubit; a peephole pass merges RBS pairs across
+those reflections, and only that merged form is built: the depth-t
+circuit uses 6t+4 RBS gates.  Compiled to the {H, Ry, CZ} gate set, the
+two-qubit cost is 12t+8 gates at two-qubit depth 8t+6.
 """
 from __future__ import annotations
 
@@ -150,18 +151,6 @@ def loader_angles(x) -> LoaderAngles:
     return LoaderAngles(top=top, left=left, right=right)
 
 
-def loader_circuit(x) -> Circuit:
-    """Circuit preparing ``sum_i x_i |e_i>`` from |0000>: X flag + 3 RBS gates."""
-    a = loader_angles(x)
-    gates = [
-        Gate("x", (0,)),
-        Gate("rbs", (0, 2), a.top),
-        Gate("rbs", (0, 1), a.left),
-        Gate("rbs", (2, 3), a.right),
-    ]
-    return Circuit(4, tuple(gates))
-
-
 def adjoint_circuit(circuit: Circuit) -> Circuit:
     """Reverse the gate order and negate rotation angles."""
     out = []
@@ -226,15 +215,14 @@ def _merge_rbs_across_z(gates: list[Gate]) -> list[Gate]:
     return out
 
 
-def build_iterated_circuit(x, y, t: int, merged: bool = True) -> Circuit:
+def build_iterated_circuit(x, y, t: int) -> Circuit:
     """Amplified oracle circuit with ``t`` reflection rounds (2t+1 oracle calls).
 
     The success probability on |1000> is ``sin^2((2t+1) theta)`` with
     ``sin(theta) = x . y``.  Both reflections reduce to Z gates on the flag
-    qubit in the unary encoding.  With ``merged=True`` (the form meant for
-    hardware) RBS pairs straddling those Z gates are combined, leaving
-    6t+4 RBS gates; ``merged=False`` keeps the literal oracle/adjoint
-    alternation for cross-checking.
+    qubit in the unary encoding, between which the oracle and its adjoint
+    alternate.  RBS pairs straddling those Z gates are combined, leaving
+    the 6t+4 RBS gates of the form meant for hardware.
     """
     if t < 0:
         raise ValueError("depth t must be nonnegative")
@@ -246,9 +234,7 @@ def build_iterated_circuit(x, y, t: int, merged: bool = True) -> Circuit:
         gates.extend(adj)
         gates.append(Gate("z", (0,)))
         gates.extend(oracle.gates)
-    if merged:
-        gates = _merge_rbs_across_z(_cancel_x_z_x(gates))
-    return Circuit(4, tuple(gates))
+    return Circuit(4, tuple(_merge_rbs_across_z(_cancel_x_z_x(gates))))
 
 
 def compile_to_two_qubit(circuit: Circuit) -> Circuit:

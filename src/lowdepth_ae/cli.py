@@ -112,6 +112,8 @@ def _cmd_sweep(args) -> int:
             subs.append((raw, dataclasses.replace(config, **fields)))
         except ValueError as exc:
             raise ValueError(f"--values entry {raw!r} for --param {args.param}: {exc}") from None
+    if not subs:
+        raise ValueError(f"--values {args.values!r} for --param {args.param} has no entry")
     for raw, sub in subs:
         _, paths = run_experiment(sub)
         print(f"{args.param}={raw}: {paths['aggregate']}")

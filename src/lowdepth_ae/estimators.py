@@ -5,7 +5,8 @@ sin^2(theta_hat)`` and charges ``2d+1`` oracle calls per shot taken at
 depth ``d`` (discarded shots included: the oracle ran for them too).
 :func:`direct_estimate` alone returns one :class:`Estimate`;
 :func:`mle_estimate` and :func:`crt_columns` fill arrays for many trials
-at once, the latter equal element by element to :func:`crt_reconstruct`.
+at once.  :func:`crt_columns` is the one CRT implementation, and
+:func:`crt_reconstruct` is one row of it.
 
 The maximum-likelihood engine keeps an unnormalized log-posterior over the
 angles ``theta_k = pi k eps / 2`` and adds per-depth binomial
@@ -405,10 +406,6 @@ def crt_solve(r1: int, n1: int, r2: int, n2: int) -> int:
     return (r1 % n1 + n1 * k) % (n1 * n2)
 
 
-def _sign(x: float) -> int:
-    return 1 if x >= 0 else -1
-
-
 def crt_reconstruct(p_d: float, p_dm1: float, theta_ref: float,
                     d_max: int) -> tuple[float, CrtReadings]:
     """Algebraic core of the CRT estimator, on probabilities directly.
@@ -416,25 +413,11 @@ def crt_reconstruct(p_d: float, p_dm1: float, theta_ref: float,
     ``p_d`` and ``p_dm1`` estimate ``sin^2((2D+1) theta)`` and
     ``sin^2((2D-1) theta)``; ``theta_ref`` is the low-depth angle that fixes
     the fold signs and anchors the candidate selection.  Returns the angle
-    estimate together with its readings.
+    estimate together with its readings, as Python numbers: one row of
+    :func:`crt_columns`.
     """
-    if d_max < 2:
-        raise ValueError("CRT needs maximum depth >= 2")
-    n1, n2 = 2 * d_max - 1, 2 * d_max + 1
-    modulus = n1 * n2
-    l = (2 * n1 / math.pi) * math.asin(math.sqrt(min(max(p_d, 0.0), 1.0)))
-    h = (2 * n2 / math.pi) * math.asin(math.sqrt(min(max(p_dm1, 0.0), 1.0)))
-    s1 = _sign(math.sin(2 * n1 * theta_ref))
-    s2 = _sign(math.sin(2 * n2 * theta_ref))
-    base1, base2 = round(s2 * l / 2), round(s1 * h / 2)
-    inverse = pow(n1, -1, n2)  # crt_solve of each offset pair, sharing one inverse
-    candidates = [r1 + n1 * ((r2 - r1) * inverse % n2) for r1, r2 in
-                  [((base1 + d1) % n1, (base2 + d2) % n2) for d1, d2 in EXTENDED_OFFSETS]]
-    p0 = math.sin(theta_ref) ** 2
-    folded = [min(v, modulus - v) for v in candidates]  # sin^2 cannot tell v from modulus - v
-    best = min([(abs(math.sin(f * math.pi / modulus) ** 2 - p0), f) for f in folded])
-    theta = best[1] * math.pi / modulus
-    return theta, CrtReadings(theta, math.sin(theta) ** 2, l, h, s1, s2)
+    readings = CrtReadings(*(x.item() for x in crt_columns(p_d, p_dm1, theta_ref, d_max)))
+    return readings.theta, readings
 
 
 def _per_distinct(fn, values: np.ndarray, dtype) -> np.ndarray:
@@ -466,40 +449,43 @@ def sin_squared(thetas) -> np.ndarray:
 
 
 def crt_columns(p_d, p_dm1, theta_ref, d_max) -> CrtReadings:
-    """:func:`crt_reconstruct` over arrays, equal to it element by element.
+    """The CRT estimator over arrays: one reconstruction per element.
 
-    The arguments broadcast together, one reconstruction per element;
-    ``theta_ref`` must be finite.  The readings, fold signs and squared
-    sines go through :mod:`math` as in the scalar version, because numpy's
-    ``arcsin`` rounds differently on some inputs.
+    The arguments broadcast together and must be finite.  The readings,
+    fold signs and squared sines go through :mod:`math`, because numpy's
+    ``arcsin`` rounds differently on some inputs.  Of the 3x3 offset grid's
+    candidates, the one whose squared sine is nearest that of
+    ``theta_ref`` wins, ties toward the smaller folded value.
     """
     p_d, p_dm1, theta_ref, d_max = np.broadcast_arrays(
         np.asarray(p_d, dtype=float), np.asarray(p_dm1, dtype=float),
         np.asarray(theta_ref, dtype=float), np.asarray(d_max, dtype=np.int64))
     if np.any(d_max < 2):
         raise ValueError("CRT needs maximum depth >= 2")
-    if not np.isfinite(theta_ref).all():
-        raise ValueError("theta_ref must be finite")
+    for name, values in (("p_d", p_d), ("p_dm1", p_dm1), ("theta_ref", theta_ref)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
     n1, n2 = 2 * d_max - 1, 2 * d_max + 1
     modulus = n1 * n2
     l = (2 * n1 / math.pi) * _elementwise(math.asin, np.sqrt(np.clip(p_d, 0.0, 1.0)))
     h = (2 * n2 / math.pi) * _elementwise(math.asin, np.sqrt(np.clip(p_dm1, 0.0, 1.0)))
     s1 = np.where(_elementwise(math.sin, 2 * n1 * theta_ref) >= 0, 1, -1)
     s2 = np.where(_elementwise(math.sin, 2 * n2 * theta_ref) >= 0, 1, -1)
-    # sin^2(f pi / modulus) of every folded candidate f at each depth
-    top = int(d_max.max(initial=2))
-    folded_p = np.zeros((top + 1, 2 * top * top))
-    for d in set(d_max.ravel().tolist()):
+    # sin^2(f pi / modulus) of every folded candidate f, one row per distinct depth
+    depths, row = np.unique(d_max.ravel(), return_inverse=True)
+    row = row.reshape(d_max.shape)
+    folded_p = np.zeros((len(depths), 2 * int(depths.max(initial=2)) ** 2))
+    for i, d in enumerate(depths.tolist()):
         m = 4 * d * d - 1
-        folded_p[d, :m // 2 + 1] = [math.sin(f * math.pi / m) ** 2 for f in range(m // 2 + 1)]
+        folded_p[i, :m // 2 + 1] = [math.sin(f * math.pi / m) ** 2 for f in range(m // 2 + 1)]
     offsets = np.array(EXTENDED_OFFSETS)
     n1_, n2_, modulus_, d_ = n1[..., None], n2[..., None], modulus[..., None], d_max[..., None]
     r1 = (np.rint(s2 * l / 2).astype(np.int64)[..., None] + offsets[:, 0]) % n1_
     r2 = (np.rint(s1 * h / 2).astype(np.int64)[..., None] + offsets[:, 1]) % n2_
     # n1 D = D (2D + 1) - 2D = 1 (mod n2): D is the inverse of n1 modulo n2
     candidates = r1 + n1_ * ((r2 - r1) * d_ % n2_)
-    folded = np.minimum(candidates, modulus_ - candidates)
-    err = np.abs(folded_p[d_, folded] - sin_squared(theta_ref)[..., None])
+    folded = np.minimum(candidates, modulus_ - candidates)  # sin^2 cannot tell v from modulus - v
+    err = np.abs(folded_p[row[..., None], folded] - sin_squared(theta_ref)[..., None])
     # the smallest error, ties toward the smaller folded value
     best = np.where(err == err.min(axis=-1, keepdims=True), folded, modulus_).min(axis=-1)
-    return CrtReadings(best * math.pi / modulus, folded_p[d_max, best], l, h, s1, s2)
+    return CrtReadings(best * math.pi / modulus, folded_p[row, best], l, h, s1, s2)

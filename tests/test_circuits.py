@@ -7,8 +7,7 @@ import pytest
 from lowdepth_ae.circuits import (Circuit, Gate, adjoint_circuit,
                                   build_iterated_circuit, build_oracle_circuit,
                                   compile_to_two_qubit, compiled_stats,
-                                  decompose_rbs, loader_angles, loader_circuit,
-                                  rbs_unitary)
+                                  decompose_rbs, loader_angles, rbs_unitary)
 from lowdepth_ae.simulator import (GOOD_INDEX, UNARY_INDICES, run_statevector)
 
 RNG = np.random.default_rng(20240817)
@@ -20,6 +19,23 @@ CZ4 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 def ry2(angle):
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def loader_circuit(x):
+    """Circuit preparing ``sum_i x_i |e_i>`` from |0000>: X flag + 3 RBS gates."""
+    a = loader_angles(x)
+    return Circuit(4, (Gate("x", (0,)), Gate("rbs", (0, 2), a.top),
+                       Gate("rbs", (0, 1), a.left), Gate("rbs", (2, 3), a.right)))
+
+
+def literal_iterated_circuit(x, y, t):
+    """The oracle and its adjoint alternating between Z gates on the flag,
+    unmerged: what build_iterated_circuit merges."""
+    oracle = build_oracle_circuit(x, y)
+    gates = list(oracle.gates)
+    for _ in range(t):
+        gates += [Gate("z", (0,)), *adjoint_circuit(oracle).gates, Gate("z", (0,)), *oracle.gates]
+    return Circuit(4, tuple(gates))
 
 
 def gate_matrix(gate):
@@ -192,8 +208,8 @@ def test_rbs_count_is_6t_plus_4(t):
 @pytest.mark.parametrize("t", range(8))
 def test_merged_matches_unmerged_statevector(t):
     x, y = random_unit(), random_unit()
-    merged = run_statevector(build_iterated_circuit(x, y, t, merged=True))
-    literal = run_statevector(build_iterated_circuit(x, y, t, merged=False))
+    merged = run_statevector(build_iterated_circuit(x, y, t))
+    literal = run_statevector(literal_iterated_circuit(x, y, t))
     assert abs(abs(np.vdot(merged, literal)) - 1.0) < 1e-12
 
 

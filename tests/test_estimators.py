@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowdepth_ae import estimators
-from lowdepth_ae.estimators import (EXTENDED_OFFSETS, Estimate,
+from lowdepth_ae.estimators import (EXTENDED_OFFSETS, CrtReadings, Estimate,
                                     EstimationError, HybridCalibration,
                                     bayesian_update, crt_columns,
                                     crt_reconstruct, crt_solve,
@@ -527,6 +527,44 @@ def test_crt_solve_rejects_non_coprime():
 
 # -------------------------------------------------------------- crt estimator
 
+def _sign(x: float) -> int:
+    return 1 if x >= 0 else -1
+
+
+def scalar_crt_reconstruct(p_d, p_dm1, theta_ref, d_max):
+    """The CRT estimator one row at a time, in plain Python: the reference for
+    :func:`crt_columns` and :func:`crt_reconstruct`."""
+    if d_max < 2:
+        raise ValueError("CRT needs maximum depth >= 2")
+    n1, n2 = 2 * d_max - 1, 2 * d_max + 1
+    modulus = n1 * n2
+    l = (2 * n1 / math.pi) * math.asin(math.sqrt(min(max(p_d, 0.0), 1.0)))
+    h = (2 * n2 / math.pi) * math.asin(math.sqrt(min(max(p_dm1, 0.0), 1.0)))
+    s1 = _sign(math.sin(2 * n1 * theta_ref))
+    s2 = _sign(math.sin(2 * n2 * theta_ref))
+    base1, base2 = round(s2 * l / 2), round(s1 * h / 2)
+    inverse = pow(n1, -1, n2)  # crt_solve of each offset pair, sharing one inverse
+    candidates = [r1 + n1 * ((r2 - r1) * inverse % n2) for r1, r2 in
+                  [((base1 + d1) % n1, (base2 + d2) % n2) for d1, d2 in EXTENDED_OFFSETS]]
+    p0 = math.sin(theta_ref) ** 2
+    folded = [min(v, modulus - v) for v in candidates]  # sin^2 cannot tell v from modulus - v
+    best = min([(abs(math.sin(f * math.pi / modulus) ** 2 - p0), f) for f in folded])
+    theta = best[1] * math.pi / modulus
+    return theta, CrtReadings(theta, math.sin(theta) ** 2, l, h, s1, s2)
+
+
+def assert_rows_match_the_reference(rows):
+    """crt_columns over ``rows`` and crt_reconstruct of each row equal the
+    reference bit for bit, crt_reconstruct with its Python types."""
+    columns = crt_columns(*(np.array(column) for column in zip(*rows)))
+    for i, row in enumerate(rows):
+        expected = scalar_crt_reconstruct(*row)
+        got = crt_reconstruct(*row)
+        assert got == expected
+        assert [type(x) for x in got[1]] == [float, float, float, float, int, int]
+        assert tuple(column[i] for column in columns) == expected[1]
+
+
 def test_crt_worked_example_d2():
     theta = 2 * math.pi / 15
     p_d = math.sin(2 * math.pi / 3) ** 2
@@ -558,8 +596,9 @@ def test_crt_exact_recovery_on_every_grid_angle(d_max):
         theta = v * math.pi / modulus
         p_d = math.sin((2 * d_max + 1) * theta) ** 2
         p_dm1 = math.sin((2 * d_max - 1) * theta) ** 2
-        est_theta, _ = crt_reconstruct(p_d, p_dm1, theta, d_max)
+        est_theta, readings = crt_reconstruct(p_d, p_dm1, theta, d_max)
         assert abs(est_theta - theta) < 1e-9, (d_max, v)
+        assert (est_theta, readings) == scalar_crt_reconstruct(p_d, p_dm1, theta, d_max)
 
 
 @pytest.mark.parametrize("d_max", range(2, 8))
@@ -592,10 +631,35 @@ def crt_rows(draw):
 @settings(max_examples=100, deadline=None)
 @given(rows=crt_rows())
 def test_crt_columns_equal_crt_reconstruct_row_by_row(rows):
-    columns = crt_columns(*(np.array(column) for column in zip(*rows)))
-    for i, row in enumerate(rows):
-        _, readings = crt_reconstruct(*row)
-        assert tuple(column[i] for column in columns) == readings
+    assert_rows_match_the_reference(rows)
+
+
+@pytest.mark.parametrize("d_max", [50, 300])
+def test_crt_at_large_depth_equals_the_reference(d_max):
+    # shot-grid probabilities with random anchors, and exact probabilities
+    # of random grid angles anchored at themselves
+    rng = np.random.default_rng(d_max)
+    modulus = 4 * d_max * d_max - 1
+    rows = [(int(g) / 500, int(b) / 500, float(theta), d_max) for g, b, theta in
+            zip(rng.integers(0, 501, 10), rng.integers(0, 501, 10),
+                rng.uniform(0.0, math.pi / 2, 10))]
+    for v in rng.integers(0, (modulus + 1) // 2, 10).tolist():
+        theta = v * math.pi / modulus
+        rows.append((math.sin((2 * d_max + 1) * theta) ** 2,
+                     math.sin((2 * d_max - 1) * theta) ** 2, theta, d_max))
+    assert_rows_match_the_reference(rows)
+    assert all(abs(scalar_crt_reconstruct(*row)[0] - row[2]) < 1e-9 for row in rows[10:])
+
+
+def test_crt_columns_table_grows_with_the_depths_present():
+    # a table of (D + 1) x 2 D^2 floats, a row for every depth up to D, peaked at 56 MB
+    tracemalloc.start()
+    try:
+        crt_columns([0.3], [0.4], [0.5], [150])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_crt_columns_reject_small_depth():
@@ -607,6 +671,20 @@ def test_crt_columns_reject_small_depth():
 def test_crt_columns_reject_a_non_finite_anchor(theta_ref):
     with pytest.raises(ValueError, match="theta_ref"):
         crt_columns([0.5, 0.5], [0.5, 0.5], [0.3, theta_ref], [2, 3])
+    with pytest.raises(ValueError, match="theta_ref"):
+        crt_reconstruct(0.5, 0.5, theta_ref, 3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["p_d", "p_dm1"])
+def test_crt_rejects_a_non_finite_probability(name, value):
+    # a NaN p_d went through an invalid int cast and came out as an estimate
+    fine = {"p_d": 0.3, "p_dm1": 0.3, "theta_ref": 0.4, "d_max": 3}
+    row = {**fine, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        crt_columns(**{k: [fine[k], row[k]] for k in fine})
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        crt_reconstruct(**row)
 
 
 def test_crt_rejects_small_depth():

@@ -1069,6 +1069,18 @@ def test_cli_sweep_names_the_entry_it_cannot_parse(param, values, bad, tmp_path,
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("values", [",", "", " , "])
+def test_cli_sweep_without_entries_fails(values, tmp_path, capsys):
+    # "," ran nothing, printed nothing and exited 0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(quiet_config(n_trials=3).to_dict()), encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep"),
+                     "--param", "max-depth", "--values", values]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError" and "--values" in record["message"]
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_cli_fit_noise_prints_the_rate_the_fit_measures(tmp_path, capsys):
     # the fit measures -log(1 - eta_d) = gamma_d - log(1 - beta); the model
     # column printed gamma_d, 0.035 against a fit of 0.088 at depth 0
