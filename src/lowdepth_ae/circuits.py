@@ -5,10 +5,11 @@ unit vectors, using an X gate and four RBS gates: the binary-tree loader
 of ``x`` (angles from :func:`loader_angles`) followed by the inverted
 loader of ``y``, adjacent RBS gates on the same wire pair merged.
 Amplified circuits interleave the oracle and its adjoint with Z
-reflections on the flag qubit; a peephole pass merges RBS pairs across
-those reflections, and only that merged form is built: the depth-t
-circuit uses 6t+4 RBS gates.  Compiled to the {H, Ry, CZ} gate set, the
-two-qubit cost is 12t+8 gates at two-qubit depth 8t+6.
+reflections on the flag qubit.  Only the merged form meant for hardware
+is built, in closed form: the X gates meeting at each reflection cancel,
+and each RBS pair straddling a reflection combines into one gate, so the
+depth-t circuit uses 6t+4 RBS gates.  Compiled to the {H, Ry, CZ} gate
+set, the two-qubit cost is 12t+8 gates at two-qubit depth 8t+6.
 """
 from __future__ import annotations
 
@@ -181,60 +182,27 @@ def build_oracle_circuit(x, y) -> Circuit:
     return Circuit(4, tuple(gates))
 
 
-def _cancel_x_z_x(gates: list[Gate]) -> list[Gate]:
-    """Collapse X.Z.X on one qubit to Z (global phase dropped)."""
-    out = list(gates)
-    i = 0
-    while i + 2 < len(out):
-        a, b, c = out[i], out[i + 1], out[i + 2]
-        if (a.kind == "x" and b.kind == "z" and c.kind == "x"
-                and a.targets == b.targets == c.targets):
-            out[i:i + 3] = [Gate("z", a.targets)]
-            i = max(i - 2, 0)
-        else:
-            i += 1
-    return out
-
-
-def _merge_rbs_across_z(gates: list[Gate]) -> list[Gate]:
-    """Collapse RBS(a).Z.RBS(b) on a shared pair to RBS(a-b).Z.
-
-    A Z on one wire of the pair conjugates the planar rotation into its
-    inverse, so the pair of rotations combines with a subtracted angle.
-    """
-    out = list(gates)
-    i = 0
-    while i + 2 < len(out):
-        a, b, c = out[i], out[i + 1], out[i + 2]
-        if (a.kind == "rbs" and c.kind == "rbs" and b.kind == "z"
-                and a.targets == c.targets and b.targets[0] in a.targets):
-            out[i:i + 3] = [Gate("rbs", a.targets, a.angle - c.angle), b]
-            i = max(i - 2, 0)
-        else:
-            i += 1
-    return out
-
-
 def build_iterated_circuit(x, y, t: int) -> Circuit:
     """Amplified oracle circuit with ``t`` reflection rounds (2t+1 oracle calls).
 
     The success probability on |1000> is ``sin^2((2t+1) theta)`` with
     ``sin(theta) = x . y``.  Both reflections reduce to Z gates on the flag
-    qubit in the unary encoding, between which the oracle and its adjoint
-    alternate.  RBS pairs straddling those Z gates are combined, leaving
-    the 6t+4 RBS gates of the form meant for hardware.
+    qubit, so the literal circuit is the oracle ``X, RBS02(a), RBS01(b),
+    RBS23(c), RBS02(u)`` then ``t`` rounds of ``Z, adjoint, Z, oracle``.
+    ``X.Z.X`` is ``Z`` up to global phase, and a Z on one wire of an RBS
+    pair turns the rotation into its inverse, so ``RBS(p).Z.RBS(q)`` is
+    ``RBS(p - q).Z``.  Merged by both, each round is ``RBS02(u - -u), Z,
+    RBS23(-c), RBS01(-b), RBS02(-a - a), Z, RBS01(b), RBS23(c)`` and
+    ``RBS02(u)`` ends the circuit: 6t+4 RBS gates, the form for hardware.
     """
     if t < 0:
         raise ValueError("depth t must be nonnegative")
-    oracle = build_oracle_circuit(x, y)
-    gates = list(oracle.gates)
-    adj = adjoint_circuit(oracle).gates
-    for _ in range(t):
-        gates.append(Gate("z", (0,)))
-        gates.extend(adj)
-        gates.append(Gate("z", (0,)))
-        gates.extend(oracle.gates)
-    return Circuit(4, tuple(_merge_rbs_across_z(_cancel_x_z_x(gates))))
+    flip, top, left, right, untop = build_oracle_circuit(x, y).gates
+    a, b, c, u = top.angle, left.angle, right.angle, untop.angle
+    z = Gate("z", (0,))
+    one_round = (Gate("rbs", (0, 2), u - -u), z, Gate("rbs", (2, 3), -c), Gate("rbs", (0, 1), -b),
+                 Gate("rbs", (0, 2), -a - a), z, left, right)
+    return Circuit(4, (flip, top, left, right, *one_round * t, untop))
 
 
 def compile_to_two_qubit(circuit: Circuit) -> Circuit:

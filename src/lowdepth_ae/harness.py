@@ -34,7 +34,8 @@ from . import __version__
 from .estimators import (CrtReadings, EstimationError, HybridCalibration,
                          _elementwise, _grid_size, _per_distinct, crt_columns,
                          hybrid_fallback, mle_estimate, sin_squared)
-from .noise import CorrelatedNoise, NoiseModel, check_real, sample_noisy_shots
+from .noise import (CorrelatedNoise, NoiseModel, _python_scalars, check_real,
+                    sample_noisy_shots)
 from .schedules import InfeasibleScheduleError, optimize_exponent, power_law_schedule
 
 ALGORITHMS = ("direct", "mle", "crt", "hybrid", "powerlaw")
@@ -89,10 +90,12 @@ class ExperimentConfig:
                 or not all(isinstance(a, str) for a in self.algorithms):
             raise ValueError(f"algorithms must be a list of names, got {self.algorithms!r}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        _python_scalars(self, ("seed", "n_trials", "n_shots", "max_depth", "calib_trials",
+                               "epsilon", "beta_hybrid", "powerlaw_target_eps"))
         for name, least in [("seed", 0), ("n_trials", 1), ("n_shots", 1), ("max_depth", 0),
                             ("calib_trials", 1)]:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            if isinstance(value, bool) or not isinstance(value, int) \
                     or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("mle_noise_aware", "tune_beta"):

@@ -22,6 +22,17 @@ import numpy as np
 from .simulator import DepthCounts
 
 
+def _python_scalars(obj, names) -> None:
+    """Store each numpy number among ``obj``'s fields ``names`` as the Python
+    int or float that ``json`` writes (``float``: ``item`` keeps a longdouble)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, np.integer):
+            object.__setattr__(obj, name, int(value))
+        elif isinstance(value, np.floating):
+            object.__setattr__(obj, name, float(value))
+
+
 def check_real(name: str, value) -> None:
     """Raise a ``ValueError`` naming ``name`` unless ``value`` is a real number, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -48,6 +59,7 @@ class CorrelatedNoise:
     burst_scale: float
 
     def __post_init__(self):
+        _python_scalars(self, ("p_switch", "burst_scale"))
         check_real("p_switch", self.p_switch)
         check_real("burst_scale", self.burst_scale)
         if not 0.0 < self.p_switch <= 1.0:
@@ -66,6 +78,7 @@ class NoiseModel:
     correlation: CorrelatedNoise | None = None
 
     def __post_init__(self):
+        _python_scalars(self, ("beta_readout", "leak_prob"))
         for name in ("beta_readout", "leak_prob"):
             check_real(name, getattr(self, name))
         if not isinstance(self.gamma_by_depth, (list, tuple, np.ndarray)):

@@ -3,6 +3,9 @@
 Basis convention: qubit 0 is the most significant bit, so the good state
 |1000> sits at index 8 and the remaining unary states at 4, 2, 1.  Shots
 landing outside the unary code space are detected errors and discarded.
+Every gate runs through one kernel: the state is viewed as a 2x2x2x2
+tensor, the gate's targets are moved to the front axes, and its 2x2 or
+4x4 matrix multiplies them.
 """
 from __future__ import annotations
 
@@ -28,6 +31,11 @@ _CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 def _ry(angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+# each gate kind's matrix: a constant, or a function of the gate's angle
+_FIXED = {"x": _X, "z": _Z, "h": _H, "cz": _CZ}
+_ROTATIONS = {"ry": _ry, "rbs": rbs_unitary}
 
 
 class DepthCounts(namedtuple("DepthCounts", "depth n_good n_bad n_discarded")):
@@ -59,18 +67,12 @@ class DepthCounts(namedtuple("DepthCounts", "depth n_good n_bad n_discarded")):
         return self.n_good + self.n_bad
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
-    st = state.reshape([2] * NUM_QUBITS)
-    st = np.moveaxis(st, q, 0)
-    st = (mat @ st.reshape(2, -1)).reshape([2] * NUM_QUBITS)
-    return np.moveaxis(st, 0, q).reshape(DIM)
-
-
-def _apply_2q(state: np.ndarray, mat: np.ndarray, q1: int, q2: int) -> np.ndarray:
-    st = state.reshape([2] * NUM_QUBITS)
-    st = np.moveaxis(st, (q1, q2), (0, 1))
-    st = (mat @ st.reshape(4, -1)).reshape([2] * NUM_QUBITS)
-    return np.moveaxis(st, (0, 1), (q1, q2)).reshape(DIM)
+def _apply(state: np.ndarray, mat: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """``mat`` on the ``targets`` qubits of ``state``, the first target most significant."""
+    front = tuple(range(len(targets)))
+    st = np.moveaxis(state.reshape([2] * NUM_QUBITS), targets, front)
+    st = (mat @ st.reshape(2 ** len(targets), -1)).reshape([2] * NUM_QUBITS)
+    return np.moveaxis(st, front, targets).reshape(DIM)
 
 
 def run_statevector(circuit: Circuit) -> np.ndarray:
@@ -80,20 +82,8 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
     state = np.zeros(DIM, dtype=complex)
     state[0] = 1.0
     for g in circuit.gates:
-        if g.kind == "x":
-            state = _apply_1q(state, _X, g.targets[0])
-        elif g.kind == "z":
-            state = _apply_1q(state, _Z, g.targets[0])
-        elif g.kind == "h":
-            state = _apply_1q(state, _H, g.targets[0])
-        elif g.kind == "ry":
-            state = _apply_1q(state, _ry(g.angle), g.targets[0])
-        elif g.kind == "cz":
-            state = _apply_2q(state, _CZ, *g.targets)
-        elif g.kind == "rbs":
-            state = _apply_2q(state, rbs_unitary(g.angle), *g.targets)
-        else:
-            raise ValueError(f"unsupported gate kind {g.kind!r}")
+        mat = _FIXED[g.kind] if g.angle is None else _ROTATIONS[g.kind](g.angle)
+        state = _apply(state, mat, g.targets)
     return state
 
 

@@ -213,6 +213,34 @@ def test_merged_matches_unmerged_statevector(t):
     assert abs(abs(np.vdot(merged, literal)) - 1.0) < 1e-12
 
 
+def merged_shape(t):
+    """The (kind, targets) sequence of the depth-t merged circuit."""
+    one_round = [("rbs", (0, 2)), ("z", (0,)), ("rbs", (2, 3)), ("rbs", (0, 1)),
+                 ("rbs", (0, 2)), ("z", (0,)), ("rbs", (0, 1)), ("rbs", (2, 3))]
+    return ([("x", (0,)), ("rbs", (0, 2)), ("rbs", (0, 1)), ("rbs", (2, 3))]
+            + one_round * t + [("rbs", (0, 2))])
+
+
+def mergeable_triples(gates):
+    """X.Z.X on one qubit, or RBS.Z.RBS on one pair with the Z on one of its wires."""
+    return [(a, b, c) for a, b, c in zip(gates, gates[1:], gates[2:])
+            if b.kind == "z" and a.kind == c.kind and a.targets == c.targets
+            and (a.kind == "x" and a.targets == b.targets
+                 or a.kind == "rbs" and b.targets[0] in a.targets)]
+
+
+@pytest.mark.parametrize("t", range(8))
+def test_iterated_circuit_has_the_fully_merged_shape(t):
+    for _ in range(5):
+        x, y = random_unit(), random_unit()
+        gates = build_iterated_circuit(x, y, t).gates
+        assert [(g.kind, g.targets) for g in gates] == merged_shape(t)
+        assert mergeable_triples(gates) == []
+        # a round of the literal circuit holds one X.Z.X and one RBS.Z.RBS;
+        # a second RBS.Z.RBS shows once the X.Z.X collapses to Z
+        assert len(mergeable_triples(literal_iterated_circuit(x, y, t).gates)) == 2 * t
+
+
 def test_identical_vectors_succeed_with_certainty():
     x = random_unit()
     for t in (0, 3):

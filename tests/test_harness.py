@@ -401,6 +401,34 @@ def test_config_rejects_a_field_of_the_wrong_type(name, value, tmp_path):
     assert (config.epsilon, config.beta_hybrid, config.powerlaw_target_eps) == (0.01, 2, 1)
 
 
+def _config_of(scalar):
+    """A config whose every scalar field is ``scalar`` of an int64 or float32."""
+    f32 = lambda v: scalar(np.float32(v))  # noqa: E731
+    corr = CorrelatedNoise(p_switch=f32(0.25), burst_scale=f32(2.0))
+    noise = NoiseModel(gamma_by_depth=(0.035, 0.08, 0.125, 0.17), beta_readout=f32(0.1),
+                       leak_prob=f32(0.05), correlation=corr)
+    counts = dict(seed=7, n_trials=3, n_shots=40, max_depth=3, calib_trials=4)
+    return ExperimentConfig(**{k: scalar(np.int64(v)) for k, v in counts.items()},
+                            epsilon=f32(0.0625), beta_hybrid=f32(2.0),
+                            powerlaw_target_eps=f32(0.05), noise=noise)
+
+
+def test_a_config_of_numpy_scalars_writes_the_files_of_its_python_twin(tmp_path):
+    # admitted before, the run did all its work and then json.dump raised on
+    # the first int64 or float32, leaving manifest.json truncated
+    config = _config_of(lambda v: v)
+    twin = _config_of(lambda v: v.item())
+    _, paths = run_experiment(config, out_dir=tmp_path / "numpy")
+    _, twin_paths = run_experiment(twin, out_dir=tmp_path / "python")
+    assert sorted(p.name for p in paths.values()) == sorted(p.name for p in twin_paths.values())
+    for name, path in paths.items():
+        assert path.read_bytes() == twin_paths[name].read_bytes(), name
+    assert config == twin
+    assert all(type(v) in (int, float) for v in (config.seed, config.epsilon,
+                                                 config.noise.leak_prob,
+                                                 config.noise.correlation.p_switch))
+
+
 def _wrong_shapes():
     quiet = quiet_config().to_dict()
     noise = quiet["noise"]

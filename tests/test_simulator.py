@@ -1,4 +1,5 @@
 """Statevector execution, analytic probabilities and shot tallies."""
+import itertools
 import math
 
 import numpy as np
@@ -66,6 +67,68 @@ def test_norm_preserved_over_random_circuits():
                 gates.append(Gate(kind, (int(RNG.integers(4)),), angle))
         state = run_statevector(Circuit(4, tuple(gates)))
         assert abs(np.linalg.norm(state) - 1.0) < 1e-9
+
+
+def _ry(angle):
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return np.array([[c, -s], [s, c]])
+
+
+def _rbs(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1, 0, 0, 0], [0, c, s, 0], [0, -s, c, 0], [0, 0, 0, 1]])
+
+
+# each kind's matrix on its targets, the first target the most significant bit
+REFERENCE = {"x": lambda a: np.array([[0, 1], [1, 0]]), "z": lambda a: np.diag([1, -1]),
+             "h": lambda a: np.array([[1, 1], [1, -1]]) / math.sqrt(2), "ry": _ry,
+             "cz": lambda a: np.diag([1, 1, 1, -1]), "rbs": _rbs}
+TARGETED_KINDS = ([(k, q) for k in ("x", "z", "h", "ry") for q in itertools.permutations(range(4), 1)]
+                  + [(k, q) for k in ("cz", "rbs") for q in itertools.permutations(range(4), 2)])
+
+
+def dense_operator(mat, targets):
+    """The 16x16 operator of ``mat`` on ``targets``: ``mat`` kron the identity
+    acts on the qubits in the order targets first, then the rest ascending;
+    a permutation of the basis takes that order back to qubits 0..3."""
+    order = list(targets) + [q for q in range(4) if q not in targets]
+    full = np.kron(mat, np.eye(2 ** (4 - len(targets))))
+    perm = [sum(((b >> (3 - q)) & 1) << (3 - i) for i, q in enumerate(order)) for b in range(16)]
+    return full[np.ix_(perm, perm)]
+
+
+def generic_gates(rng):
+    """Gates taking |0000> to a state with no structure the kernel could rely on."""
+    gates = [Gate("h", (q,)) for q in range(4)]
+    for _ in range(2):
+        gates += [Gate("ry", (q,), float(rng.uniform(-math.pi, math.pi))) for q in range(4)]
+        gates += [Gate("cz", (0, 1)), Gate("cz", (2, 3)),
+                  Gate("rbs", (1, 2), float(rng.uniform(-math.pi, math.pi))),
+                  Gate("rbs", (3, 0), float(rng.uniform(-math.pi, math.pi)))]
+    return tuple(gates)
+
+
+def test_dense_operator_places_the_first_target_as_the_most_significant_bit():
+    # X on qubit 1 flips the bit of value 4; CZ on (3, 1) signs indices with bits 4 and 1 set
+    assert np.array_equal(dense_operator(REFERENCE["x"](None), (1,)) @ np.eye(16)[0],
+                          np.eye(16)[4])
+    assert [i for i in range(16) if dense_operator(REFERENCE["cz"](None), (3, 1))[i, i] < 0] \
+        == [5, 7, 13, 15]
+
+
+@pytest.mark.parametrize("kind,targets", TARGETED_KINDS,
+                         ids=[f"{k}{''.join(map(str, q))}" for k, q in TARGETED_KINDS])
+def test_each_gate_acts_as_its_dense_operator(kind, targets):
+    rng = np.random.default_rng(list(targets))
+    angle = float(rng.uniform(-math.pi, math.pi)) if kind in ("ry", "rbs") else None
+    gate = Gate(kind, targets, angle)
+    operator = dense_operator(REFERENCE[kind](angle), targets)
+    # sixteen generic states span the register, so the gate's whole matrix is checked
+    preps = [generic_gates(rng) for _ in range(16)]
+    before = np.column_stack([run_statevector(Circuit(4, p)) for p in preps])
+    after = np.column_stack([run_statevector(Circuit(4, p + (gate,))) for p in preps])
+    assert np.linalg.matrix_rank(before) == 16
+    assert np.max(np.abs(after - operator @ before)) < 1e-14
 
 
 def test_depth_counts_validation():
