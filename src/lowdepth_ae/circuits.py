@@ -152,17 +152,6 @@ def loader_angles(x) -> LoaderAngles:
     return LoaderAngles(top=top, left=left, right=right)
 
 
-def adjoint_circuit(circuit: Circuit) -> Circuit:
-    """Reverse the gate order and negate rotation angles."""
-    out = []
-    for g in reversed(circuit.gates):
-        if g.kind in PARAMETRIC_KINDS:
-            out.append(Gate(g.kind, g.targets, -g.angle))
-        else:
-            out.append(g)
-    return Circuit(circuit.num_qubits, tuple(out))
-
-
 def build_oracle_circuit(x, y) -> Circuit:
     """Inner-product evaluation oracle: X flag + four RBS gates, depth three.
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from .circuits import build_iterated_circuit, compile_to_two_qubit, compiled_sta
 from .harness import (ExperimentConfig, _trial_pairs, calibrate_hybrid, calibration_record,
                       fit_depolarizing, run_experiment, run_streams, run_trial,
                       sample_vector_pair, write_json)
+from .noise import neg_log_damping
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -87,12 +87,10 @@ def _cmd_fit_noise(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "gamma_fit.json"
     write_json(path, {"gamma_by_depth": gammas})
-    # the fit measures -log(1 - eta_d) = gamma_d - log(1 - beta), readout error
-    # included; the right side stays finite where exp(-gamma_d) underflows
+    # the fit measures -log a_d = gamma_d - log(1 - beta), readout error included
     print(f"{'depth':>6} {'gamma_model':>12} {'gamma_fit':>12}")
-    lost = math.log1p(-config.noise.beta_readout)
     for d, g in enumerate(gammas):
-        print(f"{d:>6} {config.noise.gamma_by_depth[d] - lost:>12.4f} {g:>12.4f}")
+        print(f"{d:>6} {neg_log_damping(config.noise, d):>12.4f} {g:>12.4f}")
     print(f"gamma fit: {path}")
     return 0
 

@@ -9,10 +9,9 @@ at once.  :func:`crt_columns` is the one CRT implementation, and
 :func:`crt_reconstruct` is one row of it.
 
 The maximum-likelihood engine keeps an unnormalized log-posterior over the
-angles ``theta_k = pi k eps / 2`` and adds per-depth binomial
-log-likelihoods, ``sin^2((2d+1) theta)`` for good counts and ``cos^2`` for
-bad ones, or their depolarized counterparts when a noise model is
-supplied; 500-shot exponents would overflow outside log space.  The
+angles ``theta_k = pi k eps / 2`` and adds per-depth binomial log-likelihoods
+(500-shot exponents would overflow outside log space) of ``sin^2((2d+1) theta)``
+for good counts and ``cos^2`` for bad ones, or of :mod:`noise`'s outcome law.  The
 estimate at maximum depth D uses the shots at depths 0..D, so one pass
 over the depths gives the estimate at every D: the argmax after each
 depth's update.  The log-likelihood rows depend only on the grid, the
@@ -53,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import NoiseModel, effective_eta
+from .noise import NoiseModel, noisy_prob
 from .simulator import DepthCounts
 
 EXTENDED_OFFSETS = tuple((d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1))
@@ -155,16 +154,13 @@ def log_likelihood_rows(thetas: np.ndarray, depth: int,
                         noise: NoiseModel | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``log p1`` and ``log(1 - p1)`` over the grid at one depth.
 
-    ``p1`` is the good-outcome probability ``sin^2((2d+1) theta)``, or its
-    depolarized form when a noise model is given; an outcome of probability
-    zero has log-likelihood ``-inf``.
+    ``p1`` is ``sin^2((2d+1) theta)``, or the outcome law :func:`noise.noisy_prob` given
+    a noise model; an outcome of probability zero has log-likelihood ``-inf``.
     """
-    m = 2 * depth + 1
     if noise is None:
-        p1 = np.sin(m * thetas) ** 2
+        p1 = np.sin((2 * depth + 1) * thetas) ** 2
     else:
-        eta = effective_eta(noise, depth)
-        p1 = (1.0 - (1.0 - eta) * np.cos(2 * m * thetas)) / 2.0
+        p1 = noisy_prob(thetas, depth, noise, np.cos)
     with np.errstate(divide="ignore"):
         return np.log(p1), np.log(1.0 - p1)
 

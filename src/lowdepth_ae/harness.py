@@ -35,7 +35,7 @@ from .estimators import (CrtReadings, EstimationError, HybridCalibration,
                          _elementwise, _grid_size, _per_distinct, crt_columns,
                          hybrid_fallback, mle_estimate, sin_squared)
 from .noise import (CorrelatedNoise, NoiseModel, _python_scalars, check_real,
-                    sample_noisy_shots)
+                    damped_cosine, sample_noisy_shots)
 from .schedules import InfeasibleScheduleError, optimize_exponent, power_law_schedule
 
 ALGORITHMS = ("direct", "mle", "crt", "hybrid", "powerlaw")
@@ -56,7 +56,7 @@ AGGREGATE_COLUMNS = ("algorithm", "depth", "total_oracle_calls", "mean_abs_err_p
 
 
 class UnidentifiableFitError(RuntimeError):
-    """Depolarizing fit has no signal (all probabilities near 1/2)."""
+    """Depolarizing fit measured no rate at a depth; the message says which and why."""
 
 
 def _fields(name: str, value) -> dict:
@@ -601,18 +601,15 @@ def write_json(path: Path, record) -> None:
 def fit_depolarizing(counts, true_thetas) -> list[float]:
     """Least-squares depolarizing rates from observed good fractions.
 
-    ``counts[t, d]`` holds the (good, bad, discarded) tallies of trial
-    ``t`` at depth ``d``, as in :attr:`RunTable.counts`.  Per depth the
-    model ``g = (1 - a cos(2 (2d+1) theta)) / 2`` is solved for ``a`` in
-    closed form and clamped into (0, 1], and ``-log a`` is returned.  Since
-    ``a = 1 - eta_d = (1 - beta) exp(-gamma_d)``, that is
-    ``gamma_d - log(1 - beta)``, not ``gamma_d``: the readout error and the
-    damping cannot be told apart from the counts.  A
-    trial that kept no shot at a depth has no good fraction there and is
-    left out of that depth's regression.  Raises
-    :class:`UnidentifiableFitError` when fewer than two trials kept a shot
-    at a depth, or when every probability sits at 1/2 (no cosine signal to
-    regress on).
+    ``counts[t, d]`` holds trial ``t``'s (good, bad, discarded) tallies at
+    depth ``d``, as in :attr:`RunTable.counts`; trials that kept no shot
+    at a depth are left out there.  Per depth the law's inverse
+    :func:`noise.damped_cosine` is regressed on the cosine through the
+    origin for ``a = 1 - eta_d``, and ``-log a = gamma_d - log(1 - beta)``
+    is returned (0 for ``a >= 1``): counts cannot tell readout error from
+    damping.  Raises :class:`UnidentifiableFitError` naming the depth when
+    fewer than two trials kept a shot, when every probability sits at 1/2,
+    or when the fitted damping is not positive.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if len(counts) < 2:
@@ -626,15 +623,15 @@ def fit_depolarizing(counts, true_thetas) -> list[float]:
         has_rate = kept > 0
         if np.count_nonzero(has_rate) < 2:
             raise UnidentifiableFitError(f"depth {d}: fewer than two trials kept a shot")
-        rates = good[has_rate] / kept[has_rate]
         c = np.cos(2 * (2 * d + 1) * thetas[has_rate])
-        z = 1.0 - 2.0 * rates
+        z = damped_cosine(good[has_rate] / kept[has_rate])
         denom = float(np.sum(c * c))
         if denom < 1e-9:
             raise UnidentifiableFitError(
                 f"depth {d}: all probabilities near 1/2, damping unidentifiable")
         a = float(np.sum(c * z) / denom)
-        a = min(max(a, 1e-12), 1.0)
+        if a <= 0.0:
+            raise UnidentifiableFitError(f"depth {d}: fitted damping {a:.6g} <= 0, no rate")
         return -math.log(a) if a < 1.0 else 0.0  # -log(1.0) is -0.0
 
     return [rate(d) for d in range(counts.shape[1])]

@@ -1,15 +1,19 @@
-"""Effective depolarizing + readout noise over circuit depths.
+"""Effective depolarizing + readout noise over circuit depths: the outcome law's one home.
 
-One model unifies two common parameterizations: a depth-independent
-readout/preparation error ``beta`` and per-depth exponential damping rates
-``gamma_d`` combine as ``1 - eta_d = (1 - beta) exp(-gamma_d)``.  For small
-rates ``eta_d ~ beta + gamma_d``.  Noise acts at the outcome-probability
-level: the good-outcome probability is pulled toward 1/2,
+Readout error ``beta`` and per-depth damping rates ``gamma_d`` combine as
+``a_d = 1 - eta_d = (1 - beta) exp(-gamma_d)``, so ``eta_d ~ beta + gamma_d``
+for small rates.  The outcome law, the noise-aware likelihood of Tanaka et
+al. (arXiv:2006.16223), damps depth d's ideal ``p = sin^2((2d+1) theta)``
+toward the fixed point 1/2 by ``a_d``:
 
-    p_bar = p (1 - eta) + eta / 2 = (1 - (1 - eta) cos(2 (2d+1) theta)) / 2.
+    g = p a_d + eta_d / 2 = (1 - a_d cos(2 (2d+1) theta)) / 2.
 
-An optional two-state Markov modulator produces time-correlated bursts in
-which ``eta_d`` is multiplied by ``burst_scale``.
+Other modules read it from here: :data:`FIXED_POINT`; ``a_d`` as
+``NoiseModel.damping_by_depth`` and :func:`neg_log_damping`; the cosine form
+:func:`noisy_prob` (``math.cos`` per pool, ``np.cos`` on the MLE grid); the
+sin^2 form :func:`depolarize` (a burst pool's rates); the inverse
+:func:`damped_cosine` the fit regresses.  The forms round differently, so
+each caller keeps its own; the schedules' Fisher proxy is the stated exception.
 """
 from __future__ import annotations
 
@@ -20,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulator import DepthCounts
+
+FIXED_POINT = 0.5  # the good fraction of a fully depolarized shot
 
 
 def _python_scalars(obj, names) -> None:
@@ -49,10 +55,9 @@ class CorrelatedNoise:
     nothing, so either limit reduces exactly to independent shots; small
     ``p_switch`` gives long correlated bursts.
 
-    The entry probability never exceeds the exit probability, so one
-    uniform draw per shot decides the transition from either state: below
-    ``p_switch * (1 - p_switch)`` it toggles the state, below ``p_switch``
-    it resets the chain to quiet, otherwise it holds the state.
+    Entry never exceeds exit, so one uniform draw per shot decides the
+    transition from either state: below ``p_switch * (1 - p_switch)`` it
+    toggles the state, below ``p_switch`` it resets to quiet, else it holds.
     """
 
     p_switch: float
@@ -97,9 +102,10 @@ class NoiseModel:
             raise ValueError("gamma_by_depth rates must be finite and nonnegative")
         if any(b < a - 1e-12 for a, b in zip(gs, gs[1:])):
             raise ValueError("gamma rates must be nondecreasing in depth")
-        # each depth's effective_eta; not a field, so eq, hash and asdict ignore it
-        object.__setattr__(self, "eta_by_depth", tuple(
-            1.0 - (1.0 - self.beta_readout) * math.exp(-g) for g in gs))
+        # each depth's eta_d and a_d = 1 - eta_d; not fields, so eq, hash and asdict ignore them
+        etas = tuple(1.0 - (1.0 - self.beta_readout) * math.exp(-g) for g in gs)
+        object.__setattr__(self, "eta_by_depth", etas)
+        object.__setattr__(self, "damping_by_depth", tuple(1.0 - eta for eta in etas))
 
     @property
     def max_depth(self) -> int:
@@ -123,22 +129,36 @@ def effective_eta(model: NoiseModel, depth: int) -> float:
     return model.eta_by_depth[depth]
 
 
-def noisy_prob(theta: float, depth: int, model: NoiseModel) -> float:
-    """Good-outcome probability at ``depth`` under the depolarizing map."""
-    eta = effective_eta(model, depth)
-    return (1.0 - (1.0 - eta) * math.cos(2 * (2 * depth + 1) * theta)) / 2.0
+def neg_log_damping(model: NoiseModel, depth: int) -> float:
+    """``-log a_d = gamma_d - log(1 - beta)``, finite where ``a_d`` underflows to 0."""
+    return model.gamma_by_depth[depth] - math.log1p(-model.beta_readout)
+
+
+def noisy_prob(theta, depth: int, model: NoiseModel, cos=math.cos):
+    """The law's cosine form ``(1 - a_d cos(2 (2d+1) theta)) / 2``; ``cos=np.cos`` for an array."""
+    if not 0 <= depth < len(model.damping_by_depth):
+        raise ValueError(f"depth {depth} outside model range 0..{model.max_depth}")
+    return (1.0 - model.damping_by_depth[depth] * cos(2 * (2 * depth + 1) * theta)) / 2.0
+
+
+def depolarize(p: float, eta: float) -> float:
+    """The law's sin^2 form: ideal probability ``p`` damped by ``a = 1 - eta`` toward 1/2."""
+    return p * (1 - eta) + eta * FIXED_POINT
+
+
+def damped_cosine(good_fraction):
+    """The law solved for its signal: ``1 - 2 g = a_d cos(2 (2d+1) theta)``."""
+    return 1.0 - good_fraction / FIXED_POINT
 
 
 def noise_floor(model: NoiseModel, depth: int, prior_p) -> float:
-    """Residual mean error ``eta_d * E|1/2 - p|`` under a prior over p.
-
-    ``prior_p`` is an array of probability values (grid or Monte Carlo
-    samples).  The uniform prior on [0, 1] gives ``eta_d / 4``.
-    """
+    """Residual mean error ``eta_d * E|1/2 - p|`` over ``prior_p``, probability values
+    (grid or Monte Carlo samples) of which a NaN or one outside [0, 1] is rejected;
+    the uniform prior on [0, 1] gives ``eta_d / 4``."""
     ps = np.asarray(prior_p, dtype=float)
-    if ps.size == 0 or np.any(ps < 0) or np.any(ps > 1):
+    if ps.size == 0 or not (ps.min() >= 0 and ps.max() <= 1):  # a NaN fails both tests
         raise ValueError("prior must be probability values in [0, 1]")
-    return effective_eta(model, depth) * float(np.mean(np.abs(0.5 - ps)))
+    return effective_eta(model, depth) * float(np.mean(np.abs(FIXED_POINT - ps)))
 
 
 def _sample_correlated(theta: float, depth: int, n_shots: int, model: NoiseModel,
@@ -147,20 +167,16 @@ def _sample_correlated(theta: float, depth: int, n_shots: int, model: NoiseModel
 
     The draws, taken in one call, are one state draw per shot, then one
     leak draw per shot when the model leaks, then one outcome draw per
-    shot.  Because ``p_enter = p (1 - p)`` never exceeds ``p_leave = p``,
-    each state draw does one of three things whatever the current state:
-    it toggles the state (``u < p_enter``), resets it to quiet
-    (``p_enter <= u < p_leave``) or holds it.  The chain starts quiet, so
-    a shot is in a burst exactly when the number of toggles since the last
-    reset is odd: a cumulative toggle count minus its value at the last
-    reset, which is the running maximum of that count sampled at the
-    resets.
+    shot.  Each state draw toggles, resets or holds the chain, as
+    :class:`CorrelatedNoise` has it.  The chain starts quiet, so a shot is
+    in a burst exactly when the number of toggles since the last reset is
+    odd: a cumulative toggle count minus the running maximum of that count
+    sampled at the resets.
     """
     corr = model.correlation
     eta = effective_eta(model, depth)
     p_t = math.sin((2 * depth + 1) * theta) ** 2
-    eta_burst = min(eta * corr.burst_scale, 1.0)
-    p_good = np.array([p_t * (1 - eta) + eta / 2, p_t * (1 - eta_burst) + eta_burst / 2])
+    p_good = np.array([depolarize(p_t, eta), depolarize(p_t, min(eta * corr.burst_scale, 1.0))])
     leaky = model.leak_prob > 0
     rows = 3 if leaky else 2
     u = rng.random(rows * n_shots).reshape(rows, n_shots)
@@ -196,6 +212,6 @@ def sample_noisy_shots(theta: float, depth: int, n_shots: int, model: NoiseModel
         p_bar = noisy_prob(theta, depth, model)
         n_disc = int(rng.binomial(n_shots, model.leak_prob)) if model.leak_prob > 0 else 0
         n_good = int(rng.binomial(n_shots - n_disc, p_bar))
-    # effective_eta has range-checked the depth and no count can be negative,
+    # noisy_prob or effective_eta has range-checked the depth and no count can be negative,
     # so the validating DepthCounts constructor could not fail: skip it
     return tuple.__new__(DepthCounts, (depth, n_good, n_shots - n_disc - n_good, n_disc))

@@ -43,7 +43,11 @@ def power_law_schedule(nu: float, n_shots: int, max_depth: int) -> tuple[int, ..
 
 
 def fisher_noisy(nu: float, n_shots: int, max_depth: int, gamma_by_depth) -> float:
-    """Noise-damped Fisher proxy ``N_shots sum_d (2d+1)^(nu+2) exp(-2 gamma_d)``."""
+    """Noise-damped Fisher proxy ``N_shots sum_d (2d+1)^(nu+2) exp(-2 gamma_d)``.
+
+    A proxy over the gammas alone: ``exp(-2 gamma_d)`` is ``a_d^2`` of :mod:`noise`'s
+    outcome law with ``beta_readout`` left out, the law's one statement outside it.
+    """
     gammas = np.asarray(gamma_by_depth, dtype=float)
     if gammas.size < max_depth + 1:
         raise ValueError("gamma_by_depth must cover depths 0..max_depth")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lowdepth_ae.circuits import (Circuit, Gate, adjoint_circuit,
+from lowdepth_ae.circuits import (PARAMETRIC_KINDS, Circuit, Gate,
                                   build_iterated_circuit, build_oracle_circuit,
                                   compile_to_two_qubit, compiled_stats,
                                   decompose_rbs, loader_angles, rbs_unitary)
@@ -19,6 +19,13 @@ CZ4 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 def ry2(angle):
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def adjoint_circuit(circuit):
+    """Reverse the gate order and negate rotation angles."""
+    return Circuit(circuit.num_qubits, tuple(
+        Gate(g.kind, g.targets, -g.angle) if g.kind in PARAMETRIC_KINDS else g
+        for g in reversed(circuit.gates)))
 
 
 def loader_circuit(x):

@@ -23,8 +23,8 @@ from lowdepth_ae.harness import (ALGORITHMS, PAIR_BLOCK, STREAM_BLOCK, VECTOR_MO
                                  aggregate_and_emit, calibrate_hybrid, fit_depolarizing,
                                  run_experiment, run_streams, run_trial,
                                  run_trials, sample_vector_pair, sample_vector_pairs)
-from lowdepth_ae.noise import (CorrelatedNoise, NoiseModel, effective_eta, noise_floor,
-                               sample_noisy_shots)
+from lowdepth_ae.noise import (CorrelatedNoise, NoiseModel, effective_eta, neg_log_damping,
+                               noise_floor, noisy_prob, sample_noisy_shots)
 from lowdepth_ae.schedules import InfeasibleScheduleError, optimize_exponent
 from lowdepth_ae.simulator import DepthCounts
 from lowdepth_ae.cli import main as cli_main
@@ -766,6 +766,53 @@ def test_fit_a_depth_clamped_to_no_damping_gives_positive_zero():
     assert gammas[0] == 0.0 and math.copysign(1.0, gammas[0]) == 1.0
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.05])
+def test_fit_inverts_the_outcome_law(beta):
+    # good fractions at the law's own values, to 1/shots, give back -log a_d:
+    # each fraction is off by at most 1/(2 shots), so a_d by about 1e-9
+    shots = 10**9
+    model = NoiseModel.linear_ramp(7, beta_readout=beta)
+    thetas = np.linspace(0.01, math.pi / 2 - 0.01, 60)
+    good = np.array([[round(shots * noisy_prob(theta, d, model)) for d in range(8)]
+                     for theta in thetas])
+    counts = np.stack([good, shots - good, np.zeros_like(good)], axis=-1)
+    fitted = fit_depolarizing(counts, thetas)
+    expected = [gamma - math.log1p(-beta) for gamma in model.gamma_by_depth]
+    assert fitted == pytest.approx(expected, abs=1e-7)
+    assert [neg_log_damping(model, d) for d in range(8)] == expected
+
+
+@pytest.mark.parametrize("rows, damping", [
+    ([[9, 1, 0], [1, 9, 0]], "-0.8"),  # good fractions against the cosine
+    ([[5, 5, 0], [5, 5, 0]], "0")])    # every fraction at 1/2, the cosine spread
+def test_fit_a_damping_not_positive_is_unidentified(rows, damping):
+    # a fitted damping <= 0 was clamped to 1e-12 and written as rate 27.631
+    counts = np.array(rows)[:, None, :]
+    with pytest.raises(UnidentifiableFitError,
+                       match=rf"^depth 0: fitted damping {damping} <= 0, no rate$"):
+        fit_depolarizing(counts, [0.0, math.pi / 2])
+
+
+NO_SIGNAL = {"n_trials": 5, "n_shots": 20, "max_depth": 3, "seed": 0,
+             "noise": {"gamma_by_depth": [800, 800, 800, 800]}}
+
+
+def test_run_and_fit_noise_report_a_depth_without_signal(tmp_path, capsys):
+    # the no-signal depths 1 and 2 were written as gamma_fit 27.631
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(NO_SIGNAL), encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["gamma_fit"] is None
+    assert manifest["gamma_fit_error"].startswith("depth 1: fitted damping -")
+    capsys.readouterr()
+    assert cli_main(["fit-noise", "--config", str(cfg_path), "--out", str(tmp_path / "fit")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "fit").exists()
+    record = json.loads(captured.err)
+    assert record == {"error": "UnidentifiableFitError", "message": manifest["gamma_fit_error"]}
+
+
 def test_fit_degenerate_probabilities_unidentifiable():
     model = NoiseModel(gamma_by_depth=(0.1,) * 8)
     rng = np.random.default_rng(4)
@@ -1143,11 +1190,14 @@ def test_cli_fit_noise_writes_no_negative_zero_where_the_fit_clamps(tmp_path, ca
 
 def test_cli_fit_noise_prints_a_model_rate_past_exp_underflow(tmp_path, capsys):
     # exp(-gamma_d) underflows to 0, so -log(1 - eta_d) died with "math domain
-    # error" after gamma_fit.json and the header were written
+    # error" after gamma_fit.json and the header were written.  Such counts
+    # hold no signal, and the fit rejects them at a depth whose fitted
+    # damping is not positive, so the fit is replaced to reach the model column
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"n_trials": 3, "noise": {"gamma_by_depth": [1e6] * 8}}),
                         encoding="utf-8")
-    assert cli_main(["fit-noise", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    with mock.patch("lowdepth_ae.cli.fit_depolarizing", return_value=[30.0] * 8):
+        assert cli_main(["fit-noise", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     rows = [line.split() for line in captured.out.splitlines()[1:9]]

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowdepth_ae.noise import (CorrelatedNoise, NoiseModel, effective_eta,
-                               noise_floor, noisy_prob, sample_noisy_shots)
+from lowdepth_ae.noise import (FIXED_POINT, CorrelatedNoise, NoiseModel, damped_cosine,
+                               depolarize, effective_eta, neg_log_damping, noise_floor,
+                               noisy_prob, sample_noisy_shots)
 from lowdepth_ae.simulator import DepthCounts
 
 CHI2_CRIT_2DOF = 13.816  # p = 0.999 critical value, 2 degrees of freedom
@@ -110,6 +111,54 @@ def test_linear_and_cosine_forms_agree():
             assert abs(noisy_prob(theta, d, model) - linear) < 1e-12
 
 
+# the two phases, 2 (2d+1) theta and (2d+1) theta, differ by an exact doubling,
+# so the forms differ only by the rounding of their last few steps
+LAW_ULPS = 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2), depth=st.integers(0, 7), gammas=rates,
+       beta=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+       burst_scale=st.one_of(st.just(1.0), st.floats(0.0, 50.0)))
+def test_cosine_and_sin2_forms_of_the_law_agree(theta, depth, gammas, beta, burst_scale):
+    model = NoiseModel(gamma_by_depth=gammas, beta_readout=beta)
+    depth = min(depth, model.max_depth)
+    p = math.sin((2 * depth + 1) * theta) ** 2
+    tol = LAW_ULPS * math.ulp(1.0)
+    eta = effective_eta(model, depth)
+    assert abs(noisy_prob(theta, depth, model) - depolarize(p, eta)) <= tol
+    assert model.damping_by_depth[depth] == 1.0 - eta
+    # a_d >= 0.001 exp(-5) here, so its rounding near 1 moves its log by under 1e-10
+    assert math.isclose(neg_log_damping(model, depth), -math.log(model.damping_by_depth[depth]),
+                        rel_tol=1e-9, abs_tol=1e-12)
+    # a burst's eta, as the burst sampler forms it, through a model holding it as beta
+    eta_burst = min(eta * burst_scale, 1.0)
+    held = (NoiseModel(gamma_by_depth=(0.0,) * 8, beta_readout=eta_burst) if eta_burst < 1.0
+            else NoiseModel(gamma_by_depth=(800.0,) * 8))  # exp(-800) underflows: eta is 1
+    assert abs(noisy_prob(theta, depth, held) - depolarize(p, eta_burst)) <= tol
+    # and the inverse recovers the damped cosine from the good fraction
+    assert abs(damped_cosine(noisy_prob(theta, depth, model))
+               - model.damping_by_depth[depth] * math.cos(2 * (2 * depth + 1) * theta)) <= 2 * tol
+
+
+def test_the_fixed_point_of_the_law_is_one_half():
+    model = NoiseModel.linear_ramp(7, beta_readout=0.05)
+    assert FIXED_POINT == 0.5 and depolarize(0.3, 1.0) == 0.5 and damped_cosine(0.5) == 0.0
+    # sin^2((2d+1) theta) = 1/2 at theta = pi / (4 (2d+1)): the law leaves 1/2 fixed
+    assert abs(noisy_prob(math.pi / 28, 3, model) - 0.5) < 1e-15
+
+
+def test_grid_cosine_form_is_the_scalar_expression_elementwise():
+    model = NoiseModel.linear_ramp(7, beta_readout=0.05)
+    thetas = np.linspace(0.0, math.pi / 2, 101)
+    for depth in range(8):
+        grid = noisy_prob(thetas, depth, model, np.cos)
+        a = model.damping_by_depth[depth]
+        assert np.array_equal(grid, (1.0 - a * np.cos(2 * (2 * depth + 1) * thetas)) / 2.0)
+    with pytest.raises(ValueError, match="depth 8 outside"):
+        noisy_prob(thetas, 8, model, np.cos)
+
+
 def test_depolarizing_map_contracts_toward_half():
     model = NoiseModel(gamma_by_depth=tuple(np.linspace(0.035, 0.35, 8)))
     rng = np.random.default_rng(5)
@@ -129,6 +178,14 @@ def test_noise_floor_uniform_prior_is_eta_over_four():
 def test_noise_floor_point_prior_at_half_is_zero():
     model = model_with(eta0=0.3)
     assert noise_floor(model, 0, np.array([0.5])) == 0.0
+
+
+@pytest.mark.parametrize("prior", [[math.nan], [0.2, math.nan], [0.2, math.inf], [-math.inf],
+                                   [], [1.5], [-0.1]])
+def test_noise_floor_rejects_a_prior_that_is_not_probabilities(prior):
+    # a NaN in the prior made the floor nan rather than an error
+    with pytest.raises(ValueError, match=r"prior must be probability values in \[0, 1\]"):
+        noise_floor(NoiseModel.linear_ramp(), 0, prior)
 
 
 def test_model_validation():
