@@ -52,8 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import NoiseModel, noisy_prob
-from .simulator import DepthCounts
+from .noise import NONNEGATIVE, DepthCounts, NoiseModel, check_fields, noisy_prob
 
 EXTENDED_OFFSETS = tuple((d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1))
 # Bytes of update scratch that mle_estimate holds at a time: one batch of
@@ -127,8 +126,8 @@ class HybridCalibration:
     beta_hybrid: float = 1.0
 
     def __post_init__(self):
-        if self.mle_avg_depth2 < 0 or self.crt_exact_at_d < 0 or self.beta_hybrid < 0:
-            raise ValueError("calibration values must be nonnegative")
+        check_fields(self, {"mle_avg_depth2": NONNEGATIVE, "crt_exact_at_d": NONNEGATIVE,
+                            "beta_hybrid": NONNEGATIVE})
 
     @property
     def threshold(self) -> float:

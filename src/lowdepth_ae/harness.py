@@ -34,8 +34,9 @@ from . import __version__
 from .estimators import (CrtReadings, EstimationError, HybridCalibration,
                          _elementwise, _grid_size, _per_distinct, crt_columns,
                          hybrid_fallback, mle_estimate, sin_squared)
-from .noise import (CorrelatedNoise, NoiseModel, _python_scalars, check_real,
-                    damped_cosine, sample_noisy_shots)
+from .noise import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, REAL,
+                    CorrelatedNoise, NoiseModel, check_fields, checked, damped_cosine,
+                    sample_noisy_shots)
 from .schedules import InfeasibleScheduleError, optimize_exponent, power_law_schedule
 
 ALGORITHMS = ("direct", "mle", "crt", "hybrid", "powerlaw")
@@ -55,15 +56,11 @@ AGGREGATE_COLUMNS = ("algorithm", "depth", "total_oracle_calls", "mean_abs_err_p
                      "std_err_p", "mean_abs_err_theta")
 
 
+JSON_OBJECT = (dict, "an object of named fields")  # the rule of a config and its noise
+
+
 class UnidentifiableFitError(RuntimeError):
     """Depolarizing fit measured no rate at a depth; the message says which and why."""
-
-
-def _fields(name: str, value) -> dict:
-    """``value``, after raising a ``ValueError`` naming ``name`` unless it maps names to fields."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be an object of named fields, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -86,28 +83,19 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if not isinstance(self.algorithms, (list, tuple)) \
-                or not all(isinstance(a, str) for a in self.algorithms):
-            raise ValueError(f"algorithms must be a list of names, got {self.algorithms!r}")
+        check_fields(self, {
+            "n_trials": POSITIVE_INT, "n_shots": POSITIVE_INT, "max_depth": NONNEGATIVE_INT,
+            "epsilon": (REAL, "a number in (0, 1)", lambda v: 0 < v < 1),
+            "seed": NONNEGATIVE_INT,
+            "vector_mode": (str, f"one of {VECTOR_MODES}", VECTOR_MODES.__contains__),
+            "algorithms": ((list, tuple), "a list of names",
+                           lambda v: all(isinstance(a, str) for a in v)),
+            "noise": (NoiseModel, "a noise model"), "mle_noise_aware": (bool, "true or false"),
+            "beta_hybrid": NONNEGATIVE, "tune_beta": (bool, "true or false"),
+            "calib_trials": POSITIVE_INT, "powerlaw_target_eps": POSITIVE,
+            "out_dir": ((str, os.PathLike), "a path")})
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        _python_scalars(self, ("seed", "n_trials", "n_shots", "max_depth", "calib_trials",
-                               "epsilon", "beta_hybrid", "powerlaw_target_eps"))
-        for name, least in [("seed", 0), ("n_trials", 1), ("n_shots", 1), ("max_depth", 0),
-                            ("calib_trials", 1)]:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        for name in ("mle_noise_aware", "tune_beta"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in ("epsilon", "beta_hybrid", "powerlaw_target_eps"):
-            check_real(name, getattr(self, name))
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
         _grid_size(self.epsilon)
-        if self.vector_mode not in VECTOR_MODES:
-            raise ValueError(f"vector_mode must be one of {VECTOR_MODES}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
@@ -117,24 +105,19 @@ class ExperimentConfig:
             raise ValueError("noise model does not cover max_depth")
         if ("crt" in self.algorithms or "hybrid" in self.algorithms) and self.max_depth < 2:
             raise ValueError("crt/hybrid need max_depth >= 2")
-        if not (math.isfinite(self.beta_hybrid) and self.beta_hybrid >= 0):
-            raise ValueError("beta_hybrid must be finite and nonnegative")
-        if not (math.isfinite(self.powerlaw_target_eps) and self.powerlaw_target_eps > 0):
-            raise ValueError("powerlaw_target_eps must be finite and positive")
-        if not isinstance(self.out_dir, (str, os.PathLike)):
-            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(_fields("config", data))
+        data = dict(checked("config", data, *JSON_OBJECT))
         noise = data.pop("noise", None)
         if noise is not None:
-            corr = _fields("noise", noise).get("correlation")
+            corr = checked("noise", noise, *JSON_OBJECT).get("correlation")
             data["noise"] = NoiseModel(**{**noise, "correlation": None if corr is None else
-                                          CorrelatedNoise(**_fields("noise correlation", corr))})
+                                          CorrelatedNoise(**checked("noise correlation", corr,
+                                                                    *JSON_OBJECT))})
         return cls(**data)
 
     @classmethod

@@ -14,35 +14,82 @@ Other modules read it from here: :data:`FIXED_POINT`; ``a_d`` as
 sin^2 form :func:`depolarize` (a burst pool's rates); the inverse
 :func:`damped_cosine` the fit regresses.  The forms round differently, so
 each caller keeps its own; the schedules' Fisher proxy is the stated exception.
+
+Every validated record (the noise records and shot tallies here, the run
+config and the hybrid calibration) stores each field through
+:func:`checked`, by one rule per field: the kinds it accepts, what it
+accepts in words and its range.  Only rules that tie fields together are
+written out by hand.
 """
 from __future__ import annotations
 
 import math
-import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import DepthCounts
-
 FIXED_POINT = 0.5  # the good fraction of a fully depolarized shot
 
-
-def _python_scalars(obj, names) -> None:
-    """Store each numpy number among ``obj``'s fields ``names`` as the Python
-    int or float that ``json`` writes (``float``: ``item`` keeps a longdouble)."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, np.integer):
-            object.__setattr__(obj, name, int(value))
-        elif isinstance(value, np.floating):
-            object.__setattr__(obj, name, float(value))
+REAL = (int, float)  # the kinds of a number once numpy's are stored as Python's
+# field rules shared by several fields: (kinds, accepts, ok) as checked takes them
+NONNEGATIVE_INT = (int, "a nonnegative integer", lambda v: v >= 0)
+POSITIVE_INT = (int, "a positive integer", lambda v: v > 0)
+NONNEGATIVE = (REAL, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
+POSITIVE = (REAL, "a finite positive number", lambda v: 0 < v < math.inf)
+BELOW_ONE = (REAL, "a number in [0, 1)", lambda v: 0 <= v < 1)
 
 
-def check_real(name: str, value) -> None:
-    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+def checked(name: str, value, kinds, accepts: str, ok=None):
+    """``value`` of the field ``name`` as its record stores it, once it passes the field's rule.
+
+    A numpy integer or float becomes the Python ``int`` or ``float`` that
+    ``json`` writes (``float``: ``item`` keeps a longdouble); any other
+    value is kept as it is.  Raises a ``ValueError`` that names the field
+    and says it must be ``accepts`` unless the value is of ``kinds`` (a
+    bool only where ``kinds`` is ``bool``: a bool is no number) and, given
+    ``ok``, ``ok(value)`` is true.
+    """
+    if isinstance(value, np.integer):
+        value = int(value)
+    elif isinstance(value, np.floating):
+        value = float(value)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool) \
+            or not (ok is None or ok(value)):
+        raise ValueError(f"{name} must be {accepts}, got {value!r}")
+    return value
+
+
+def check_fields(record, rules: dict) -> None:
+    """Store each field of a frozen ``record`` as :func:`checked` by its rule in ``rules``."""
+    for name, rule in rules.items():
+        object.__setattr__(record, name, checked(name, getattr(record, name), *rule))
+
+
+class DepthCounts(namedtuple("DepthCounts", "depth n_good n_bad n_discarded")):
+    """Postselected measurement tallies at one circuit depth, an immutable tuple.
+
+    Equal to the plain tuple of its four fields, each a nonnegative
+    integer.  ``_make`` and ``_replace`` validate through the constructor too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> "DepthCounts":
+        return cls(*iterable)
+
+    def __new__(cls, depth: int, n_good: int, n_bad: int, n_discarded: int = 0):
+        return tuple.__new__(cls, [checked(name, value, *NONNEGATIVE_INT) for name, value
+                                   in zip(cls._fields, (depth, n_good, n_bad, n_discarded))])
+
+    @property
+    def shots(self) -> int:
+        return self.n_good + self.n_bad + self.n_discarded
+
+    @property
+    def kept(self) -> int:
+        return self.n_good + self.n_bad
 
 
 @dataclass(frozen=True)
@@ -64,13 +111,8 @@ class CorrelatedNoise:
     burst_scale: float
 
     def __post_init__(self):
-        _python_scalars(self, ("p_switch", "burst_scale"))
-        check_real("p_switch", self.p_switch)
-        check_real("burst_scale", self.burst_scale)
-        if not 0.0 < self.p_switch <= 1.0:
-            raise ValueError("p_switch must be in (0, 1]")
-        if not (math.isfinite(self.burst_scale) and self.burst_scale >= 0.0):
-            raise ValueError("burst_scale must be finite and nonnegative")
+        check_fields(self, {"p_switch": (REAL, "a number in (0, 1]", lambda v: 0 < v <= 1),
+                            "burst_scale": NONNEGATIVE})
 
 
 @dataclass(frozen=True)
@@ -83,23 +125,13 @@ class NoiseModel:
     correlation: CorrelatedNoise | None = None
 
     def __post_init__(self):
-        _python_scalars(self, ("beta_readout", "leak_prob"))
-        for name in ("beta_readout", "leak_prob"):
-            check_real(name, getattr(self, name))
-        if not isinstance(self.gamma_by_depth, (list, tuple, np.ndarray)):
-            raise ValueError(f"gamma_by_depth must be a list, got {self.gamma_by_depth!r}")
-        for g in self.gamma_by_depth:
-            check_real("gamma_by_depth entry", g)
-        object.__setattr__(self, "gamma_by_depth", tuple(float(g) for g in self.gamma_by_depth))
-        if not 0.0 <= self.beta_readout < 1.0:
-            raise ValueError("beta_readout must be in [0, 1)")
-        if not 0.0 <= self.leak_prob < 1.0:
-            raise ValueError("leak_prob must be in [0, 1)")
-        if len(self.gamma_by_depth) == 0:
-            raise ValueError("gamma_by_depth must not be empty")
-        gs = self.gamma_by_depth
-        if not all(math.isfinite(g) and g >= 0 for g in gs):
-            raise ValueError("gamma_by_depth rates must be finite and nonnegative")
+        check_fields(self, {
+            "gamma_by_depth": ((list, tuple, np.ndarray), "a nonempty list of rates", len),
+            "beta_readout": BELOW_ONE, "leak_prob": BELOW_ONE,
+            "correlation": ((CorrelatedNoise, type(None)), "burst parameters or null")})
+        gs = tuple(float(checked(f"gamma_by_depth[{d}]", g, *NONNEGATIVE))
+                   for d, g in enumerate(self.gamma_by_depth))
+        object.__setattr__(self, "gamma_by_depth", gs)
         if any(b < a - 1e-12 for a, b in zip(gs, gs[1:])):
             raise ValueError("gamma rates must be nondecreasing in depth")
         # each depth's eta_d and a_d = 1 - eta_d; not fields, so eq, hash and asdict ignore them
@@ -212,6 +244,6 @@ def sample_noisy_shots(theta: float, depth: int, n_shots: int, model: NoiseModel
         p_bar = noisy_prob(theta, depth, model)
         n_disc = int(rng.binomial(n_shots, model.leak_prob)) if model.leak_prob > 0 else 0
         n_good = int(rng.binomial(n_shots - n_disc, p_bar))
-    # noisy_prob or effective_eta has range-checked the depth and no count can be negative,
-    # so the validating DepthCounts constructor could not fail: skip it
+    # noisy_prob or effective_eta has range-checked the depth and every count is an int >= 0,
+    # so the validating DepthCounts constructor could fail only on a depth that is no int: skip it
     return tuple.__new__(DepthCounts, (depth, n_good, n_shots - n_disc - n_good, n_disc))

@@ -1,4 +1,4 @@
-"""Exact statevector execution on four qubits, and the shot tallies of one depth.
+"""Exact statevector execution on four qubits.
 
 Basis convention: qubit 0 is the most significant bit, so the good state
 |1000> sits at index 8 and the remaining unary states at 4, 2, 1.  Shots
@@ -10,7 +10,6 @@ tensor, the gate's targets are moved to the front axes, and its 2x2 or
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -36,35 +35,6 @@ def _ry(angle: float) -> np.ndarray:
 # each gate kind's matrix: a constant, or a function of the gate's angle
 _FIXED = {"x": _X, "z": _Z, "h": _H, "cz": _CZ}
 _ROTATIONS = {"ry": _ry, "rbs": rbs_unitary}
-
-
-class DepthCounts(namedtuple("DepthCounts", "depth n_good n_bad n_discarded")):
-    """Postselected measurement tallies at one circuit depth, an immutable tuple.
-
-    Equal to the plain tuple of its four fields.  ``_make`` and ``_replace``
-    validate through the constructor too.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable) -> "DepthCounts":
-        return cls(*iterable)
-
-    def __new__(cls, depth: int, n_good: int, n_bad: int, n_discarded: int = 0):
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        if n_good < 0 or n_bad < 0 or n_discarded < 0:
-            raise ValueError("counts must be nonnegative")
-        return tuple.__new__(cls, (depth, n_good, n_bad, n_discarded))
-
-    @property
-    def shots(self) -> int:
-        return self.n_good + self.n_bad + self.n_discarded
-
-    @property
-    def kept(self) -> int:
-        return self.n_good + self.n_bad
 
 
 def _apply(state: np.ndarray, mat: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:

@@ -15,8 +15,7 @@ from lowdepth_ae.estimators import (EXTENDED_OFFSETS, CrtReadings, Estimate,
                                     crt_reconstruct, crt_solve,
                                     direct_estimate, hybrid_fallback,
                                     log_likelihood_rows, mle_estimate)
-from lowdepth_ae.noise import NoiseModel, effective_eta
-from lowdepth_ae.simulator import DepthCounts
+from lowdepth_ae.noise import DepthCounts, NoiseModel, effective_eta
 
 RNG = np.random.default_rng(1234)
 
@@ -732,6 +731,15 @@ def test_hybrid_dominates_crt_with_outlier_mixture():
     p_true, anchor_p, crt_p = np.array(p_true), np.array(anchor_p), np.array(crt_p)
     hybrid_p = np.where(hybrid_fallback(anchor_p, crt_p, cal.threshold), anchor_p, crt_p)
     assert np.mean(np.abs(hybrid_p - p_true)) <= np.mean(np.abs(crt_p - p_true))
+
+
+@pytest.mark.parametrize("field", ["mle_avg_depth2", "crt_exact_at_d", "beta_hybrid"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.1", None, True])
+def test_calibration_rejects_a_value_that_is_not_a_finite_nonnegative_number(field, value):
+    # a NaN or infinite value was accepted before: a NaN threshold never falls back
+    values = dict(mle_avg_depth2=0.02, crt_exact_at_d=0.005, beta_hybrid=2.0)
+    with pytest.raises(ValueError, match=f"^{field} must be a finite nonnegative number"):
+        HybridCalibration(**{**values, field: value})
 
 
 def test_calibration_validation():

@@ -1,5 +1,6 @@
 """Experiment driver: trials, calibration, noise fitting, emission, CLI."""
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -20,13 +21,12 @@ from lowdepth_ae.estimators import (EstimationError, HybridCalibration, crt_reco
                                     hybrid_fallback, mle_estimate)
 from lowdepth_ae.harness import (ALGORITHMS, PAIR_BLOCK, STREAM_BLOCK, VECTOR_MODES,
                                  ExperimentConfig, RunTable, UnidentifiableFitError,
-                                 aggregate_and_emit, calibrate_hybrid, fit_depolarizing,
-                                 run_experiment, run_streams, run_trial,
+                                 aggregate_and_emit, calibrate_hybrid, calibration_record,
+                                 fit_depolarizing, run_experiment, run_streams, run_trial,
                                  run_trials, sample_vector_pair, sample_vector_pairs)
-from lowdepth_ae.noise import (CorrelatedNoise, NoiseModel, effective_eta, neg_log_damping,
-                               noise_floor, noisy_prob, sample_noisy_shots)
+from lowdepth_ae.noise import (CorrelatedNoise, DepthCounts, NoiseModel, effective_eta,
+                               neg_log_damping, noise_floor, noisy_prob, sample_noisy_shots)
 from lowdepth_ae.schedules import InfeasibleScheduleError, optimize_exponent
-from lowdepth_ae.simulator import DepthCounts
 from lowdepth_ae.cli import main as cli_main
 
 
@@ -402,31 +402,77 @@ def test_config_rejects_a_field_of_the_wrong_type(name, value, tmp_path):
 
 
 def _config_of(scalar):
-    """A config whose every scalar field is ``scalar`` of an int64 or float32."""
+    """A config and a calibration, every scalar field ``scalar`` of an int64 or float32."""
     f32 = lambda v: scalar(np.float32(v))  # noqa: E731
     corr = CorrelatedNoise(p_switch=f32(0.25), burst_scale=f32(2.0))
-    noise = NoiseModel(gamma_by_depth=(0.035, 0.08, 0.125, 0.17), beta_readout=f32(0.1),
-                       leak_prob=f32(0.05), correlation=corr)
+    noise = NoiseModel(gamma_by_depth=tuple(map(f32, (0.035, 0.08, 0.125, 0.17))),
+                       beta_readout=f32(0.1), leak_prob=f32(0.05), correlation=corr)
     counts = dict(seed=7, n_trials=3, n_shots=40, max_depth=3, calib_trials=4)
-    return ExperimentConfig(**{k: scalar(np.int64(v)) for k, v in counts.items()},
-                            epsilon=f32(0.0625), beta_hybrid=f32(2.0),
-                            powerlaw_target_eps=f32(0.05), noise=noise)
+    config = ExperimentConfig(**{k: scalar(np.int64(v)) for k, v in counts.items()},
+                              epsilon=f32(0.0625), beta_hybrid=f32(2.0),
+                              powerlaw_target_eps=f32(0.05), noise=noise)
+    return config, HybridCalibration(mle_avg_depth2=f32(0.01), crt_exact_at_d=f32(0.002),
+                                     beta_hybrid=scalar(np.int64(4)))
 
 
 def test_a_config_of_numpy_scalars_writes_the_files_of_its_python_twin(tmp_path):
     # admitted before, the run did all its work and then json.dump raised on
     # the first int64 or float32, leaving manifest.json truncated
-    config = _config_of(lambda v: v)
-    twin = _config_of(lambda v: v.item())
+    config, calibration = _config_of(lambda v: v)
+    twin, twin_calibration = _config_of(lambda v: v.item())
     _, paths = run_experiment(config, out_dir=tmp_path / "numpy")
     _, twin_paths = run_experiment(twin, out_dir=tmp_path / "python")
     assert sorted(p.name for p in paths.values()) == sorted(p.name for p in twin_paths.values())
     for name, path in paths.items():
         assert path.read_bytes() == twin_paths[name].read_bytes(), name
     assert config == twin
+    # json.dumps raised on a float32 calibration before
+    assert calibration == twin_calibration
+    assert json.dumps(calibration_record({2: calibration})) \
+        == json.dumps(calibration_record({2: twin_calibration}))
     assert all(type(v) in (int, float) for v in (config.seed, config.epsilon,
                                                  config.noise.leak_prob,
-                                                 config.noise.correlation.p_switch))
+                                                 config.noise.correlation.p_switch,
+                                                 *config.noise.gamma_by_depth))
+
+
+def _validated_records():
+    """One valid instance of each validated record, every numeric field a Python scalar."""
+    config, calibration = _config_of(lambda v: v.item())
+    return [config, config.noise, config.noise.correlation, calibration, DepthCounts(2, 3, 4, 1)]
+
+
+def _with(record, **fields):
+    if isinstance(record, DepthCounts):
+        return record._replace(**fields)
+    return dataclasses.replace(record, **fields)
+
+
+def _field_names(record):
+    if isinstance(record, DepthCounts):
+        return record._fields
+    return [f.name for f in dataclasses.fields(record)]
+
+
+@pytest.mark.parametrize("record", _validated_records(), ids=lambda r: type(r).__name__)
+def test_every_field_of_a_validated_record_is_checked(record):
+    # a field added without a rule fails here: a value of no kind any field
+    # accepts is rejected with an error that names the field
+    for name in _field_names(record):
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            _with(record, **{name: object()})
+
+
+@pytest.mark.parametrize("record", _validated_records(), ids=lambda r: type(r).__name__)
+def test_every_numeric_field_stores_a_numpy_number_as_its_python_twin(record):
+    numeric = [name for name in _field_names(record)
+               if type(getattr(record, name)) in (int, float)]
+    assert numeric
+    for name in numeric:
+        value = getattr(record, name)
+        numpy_value = np.int64(value) if type(value) is int else np.float32(value)
+        stored = getattr(_with(record, **{name: numpy_value}), name)
+        assert type(stored) is type(value) and stored == value, name
 
 
 def _wrong_shapes():
@@ -453,6 +499,13 @@ def test_config_rejects_a_field_of_the_wrong_shape(name, data, tmp_path, monkeyp
     out = [] if name == "out_dir" else ["--out", str(tmp_path / "out")]
     assert cli_main(["run", "--config", str(cfg_path)] + out) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("noise", [None, "x", 0.1, {"gamma_by_depth": [0.1] * 8}])
+def test_config_rejects_a_noise_model_that_is_not_a_record(noise):
+    # died before with an AttributeError on max_depth that named no field
+    with pytest.raises(ValueError, match="^noise must be a noise model"):
+        ExperimentConfig(noise=noise)
 
 
 def test_config_rejects_algorithms_given_as_one_string():

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowdepth_ae.noise import (FIXED_POINT, CorrelatedNoise, NoiseModel, damped_cosine,
-                               depolarize, effective_eta, neg_log_damping, noise_floor,
-                               noisy_prob, sample_noisy_shots)
-from lowdepth_ae.simulator import DepthCounts
+from lowdepth_ae.noise import (FIXED_POINT, CorrelatedNoise, DepthCounts, NoiseModel,
+                               damped_cosine, depolarize, effective_eta, neg_log_damping,
+                               noise_floor, noisy_prob, sample_noisy_shots)
 
 CHI2_CRIT_2DOF = 13.816  # p = 0.999 critical value, 2 degrees of freedom
 
@@ -220,6 +219,16 @@ def test_model_validation():
             CorrelatedNoise(p_switch=0.5, burst_scale=value)
     assert NoiseModel(gamma_by_depth=(np.float32(0.1), 1), leak_prob=np.float64(0.2)) \
         .gamma_by_depth == (float(np.float32(0.1)), 1.0)
+
+
+def test_model_rejects_burst_parameters_that_are_not_a_record():
+    # accepted before, sampling then died with an AttributeError: 'dict' object
+    # has no attribute 'burst_scale'
+    for corr in ({"p_switch": 0.1, "burst_scale": 2.0}, (0.1, 2.0), 0.1):
+        with pytest.raises(ValueError, match="^correlation must be "):
+            NoiseModel(gamma_by_depth=[0.1] * 8, correlation=corr)
+    corr = CorrelatedNoise(p_switch=0.1, burst_scale=2.0)
+    assert NoiseModel(gamma_by_depth=[0.1] * 8, correlation=corr).correlation is corr
 
 
 def test_linear_ramp_rates():

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from lowdepth_ae.harness import ExperimentConfig, _draw
-from lowdepth_ae.noise import CorrelatedNoise, NoiseModel, sample_noisy_shots
+from lowdepth_ae.noise import CorrelatedNoise, DepthCounts, NoiseModel, sample_noisy_shots
 from lowdepth_ae.schedules import (InfeasibleScheduleError, fisher_noisy,
                                    optimize_exponent, power_law_schedule)
-from lowdepth_ae.simulator import DepthCounts
 
 ZERO_GAMMA = (0.0,) * 8
 

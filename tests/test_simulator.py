@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from lowdepth_ae.circuits import Circuit, Gate, build_iterated_circuit
-from lowdepth_ae.simulator import (GOOD_INDEX, DepthCounts, analytic_success_prob,
-                                   outcome_distribution, run_statevector)
+from lowdepth_ae.noise import DepthCounts
+from lowdepth_ae.simulator import (GOOD_INDEX, analytic_success_prob, outcome_distribution,
+                                   run_statevector)
 
 RNG = np.random.default_rng(42)
 
@@ -145,6 +146,19 @@ def test_depth_counts_validation():
 def test_depth_counts_rejects_any_negative_field(fields):
     with pytest.raises(ValueError):
         DepthCounts(*fields)
+
+
+@pytest.mark.parametrize("fields,name", [
+    ((0, 2.5, 1), "n_good"), ((0, True, 2), "n_good"), ((0, math.nan, 1), "n_good"),
+    ((1.5, 3, 4), "depth"), ((0, "1", 1), "n_good"), ((0, 1, 1, 0.5), "n_discarded"),
+    ((0, 1, None), "n_bad")])
+def test_depth_counts_rejects_a_field_that_is_not_an_integer(fields, name):
+    # accepted before, direct_estimate then returned 3.5 oracle calls or a NaN
+    # estimate, and "1" died in a TypeError that named no field
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer"):
+        DepthCounts(*fields)
+    counts = DepthCounts(np.int64(2), np.int64(3), 4)
+    assert counts == (2, 3, 4, 0) and type(counts.depth) is type(counts.n_good) is int
 
 
 def test_depth_counts_is_an_immutable_tuple():
