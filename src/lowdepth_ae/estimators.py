@@ -67,6 +67,10 @@ CHUNK_BYTES = 1 << 19
 BRANCH = 10
 # Peak scratch of one swept value of the top level, measured with tracemalloc.
 CELL_BYTES = 40
+# Elements that crt_columns reconstructs at a time, CHUNK_BYTES of scratch: a
+# slice peaks at about 800 B an element (measured with tracemalloc), mostly
+# arrays of ten 8-byte values, the nine candidates' and the anchor's.
+CRT_CHUNK = CHUNK_BYTES // 800
 
 
 class EstimationError(RuntimeError):
@@ -424,10 +428,14 @@ def _per_distinct(fn, values: np.ndarray, dtype) -> np.ndarray:
     payloads, are distinct.
     """
     flat = values.ravel()  # a flat input gives a flat inverse on every numpy
-    keys = flat.view(np.int64) if flat.dtype.kind == "f" else flat
-    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct, inverse = np.unique(_bits(flat), return_inverse=True)
     results = np.array(list(map(fn, distinct.view(flat.dtype).tolist())), dtype=dtype)
     return results[inverse].reshape(values.shape)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """``values`` as keys that tell elements apart: a float array's bits as int64, else itself."""
+    return values.view(np.int64) if values.dtype.kind == "f" else values
 
 
 def _elementwise(fn, values) -> np.ndarray:
@@ -450,37 +458,56 @@ def crt_columns(p_d, p_dm1, theta_ref, d_max) -> CrtReadings:
     fold signs and squared sines go through :mod:`math`, because numpy's
     ``arcsin`` rounds differently on some inputs.  Of the 3x3 offset grid's
     candidates, the one whose squared sine is nearest that of
-    ``theta_ref`` wins, ties toward the smaller folded value.
+    ``theta_ref`` wins, ties toward the smaller folded value.  The elements
+    go through :func:`_crt_slice` :data:`CRT_CHUNK` at a time, so the
+    scratch of their candidates does not grow with the element count.
     """
-    p_d, p_dm1, theta_ref, d_max = np.broadcast_arrays(
+    args = np.broadcast_arrays(
         np.asarray(p_d, dtype=float), np.asarray(p_dm1, dtype=float),
         np.asarray(theta_ref, dtype=float), np.asarray(d_max, dtype=np.int64))
-    if np.any(d_max < 2):
+    if np.any(args[3] < 2):
         raise ValueError("CRT needs maximum depth >= 2")
-    for name, values in (("p_d", p_d), ("p_dm1", p_dm1), ("theta_ref", theta_ref)):
+    for name, values in zip(("p_d", "p_dm1", "theta_ref"), args):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite")
+    out = CrtReadings(*(np.empty(args[0].shape, dtype) for dtype in (float,) * 4 + (int,) * 2))
+    flat = [column.reshape(-1) for column in out]  # views: the outputs are fresh
+    args = [np.atleast_1d(x) for x in args]  # views, indexed in the flat order of the outputs
+    for a in range(0, args[0].size, CRT_CHUNK):
+        elements = np.unravel_index(np.arange(a, min(a + CRT_CHUNK, args[0].size)), args[0].shape)
+        for column, values in zip(flat, _crt_slice(*(x[elements] for x in args))):
+            column[a:a + len(values)] = values
+    return out
+
+
+def _crt_slice(p_d, p_dm1, theta_ref, d_max) -> tuple[np.ndarray, ...]:
+    """:func:`crt_columns` of flat arrays, as its six columns in :class:`CrtReadings` order.
+
+    Each of ``math.asin``, ``math.sin`` and the squared sine sees each
+    distinct argument of the slice once.
+    """
+    n = len(d_max)
     n1, n2 = 2 * d_max - 1, 2 * d_max + 1
     modulus = n1 * n2
-    l = (2 * n1 / math.pi) * _elementwise(math.asin, np.sqrt(np.clip(p_d, 0.0, 1.0)))
-    h = (2 * n2 / math.pi) * _elementwise(math.asin, np.sqrt(np.clip(p_dm1, 0.0, 1.0)))
-    s1 = np.where(_elementwise(math.sin, 2 * n1 * theta_ref) >= 0, 1, -1)
-    s2 = np.where(_elementwise(math.sin, 2 * n2 * theta_ref) >= 0, 1, -1)
-    # sin^2(f pi / modulus) of every folded candidate f, one row per distinct depth
-    depths, row = np.unique(d_max.ravel(), return_inverse=True)
-    row = row.reshape(d_max.shape)
-    folded_p = np.zeros((len(depths), 2 * int(depths.max(initial=2)) ** 2))
-    for i, d in enumerate(depths.tolist()):
-        m = 4 * d * d - 1
-        folded_p[i, :m // 2 + 1] = [math.sin(f * math.pi / m) ** 2 for f in range(m // 2 + 1)]
+    folds = _elementwise(math.asin, np.sqrt(np.clip(np.concatenate([p_d, p_dm1]), 0.0, 1.0)))
+    l, h = (2 * n1 / math.pi) * folds[:n], (2 * n2 / math.pi) * folds[n:]
+    signs = np.where(_elementwise(math.sin, np.concatenate([2 * n1 * theta_ref,
+                                                            2 * n2 * theta_ref])) >= 0, 1, -1)
+    s1, s2 = signs[:n], signs[n:]
     offsets = np.array(EXTENDED_OFFSETS)
-    n1_, n2_, modulus_, d_ = n1[..., None], n2[..., None], modulus[..., None], d_max[..., None]
-    r1 = (np.rint(s2 * l / 2).astype(np.int64)[..., None] + offsets[:, 0]) % n1_
-    r2 = (np.rint(s1 * h / 2).astype(np.int64)[..., None] + offsets[:, 1]) % n2_
+    n1_, n2_, modulus_ = n1[:, None], n2[:, None], modulus[:, None]
+    r1 = (np.rint(s2 * l / 2).astype(np.int64)[:, None] + offsets[:, 0]) % n1_
+    r2 = (np.rint(s1 * h / 2).astype(np.int64)[:, None] + offsets[:, 1]) % n2_
     # n1 D = D (2D + 1) - 2D = 1 (mod n2): D is the inverse of n1 modulo n2
-    candidates = r1 + n1_ * ((r2 - r1) * d_ % n2_)
+    candidates = r1 + n1_ * ((r2 - r1) * d_max[:, None] % n2_)
     folded = np.minimum(candidates, modulus_ - candidates)  # sin^2 cannot tell v from modulus - v
-    err = np.abs(folded_p[row[..., None], folded] - sin_squared(theta_ref)[..., None])
+    # math.sin(f * math.pi / modulus) ** 2 of each folded candidate f, and the anchor's
+    angles = np.empty((n, 10))
+    np.divide(folded * math.pi, modulus_, out=angles[:, :9])
+    angles[:, 9] = theta_ref
+    folded_p = sin_squared(angles)
+    err = np.abs(folded_p[:, :9] - folded_p[:, 9:])
     # the smallest error, ties toward the smaller folded value
-    best = np.where(err == err.min(axis=-1, keepdims=True), folded, modulus_).min(axis=-1)
-    return CrtReadings(best * math.pi / modulus, folded_p[row, best], l, h, s1, s2)
+    pick = np.where(err == err.min(axis=1, keepdims=True), folded, modulus_).argmin(axis=1)
+    rows = np.arange(n)
+    return folded[rows, pick] * math.pi / modulus, folded_p[rows, pick], l, h, s1, s2

@@ -6,8 +6,8 @@ array of good, bad and discarded counts.  Each enabled estimator then
 fills its columns of one :class:`RunTable` for all trials at once: the
 MLE passes update chunks of trials together, CRT reconstructs every
 (trial, depth) pair in one call and the hybrid chooses with one mask.
-Emission formats each column once into per-trial and aggregate CSVs plus
-a JSON manifest.  All randomness flows from a single seed through
+Emission writes per-trial and aggregate CSVs plus a JSON manifest, the
+per-trial rows a fixed-size chunk at a time.  All randomness flows from a single seed through
 :func:`run_streams`, one calibration stream and one stream per trial, so
 identical configs produce byte-identical output files, and ``calibrate``
 and ``fit-noise`` see the very draws a run sees.
@@ -31,8 +31,8 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .estimators import (CrtReadings, EstimationError, HybridCalibration,
-                         _elementwise, _grid_size, _per_distinct, crt_columns,
+from .estimators import (CHUNK_BYTES, CrtReadings, EstimationError, HybridCalibration,
+                         _bits, _elementwise, _grid_size, _per_distinct, crt_columns,
                          hybrid_fallback, mle_estimate, sin_squared)
 from .noise import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, REAL,
                     CorrelatedNoise, NoiseModel, check_fields, checked, damped_cosine,
@@ -48,6 +48,10 @@ STREAM_BLOCK = 1024
 # trials whose vector pairs one set of numpy calls draws; their generators
 # live together, so not STREAM_BLOCK of them (about 1 KB each)
 PAIR_BLOCK = 64
+# (trial, slot) cells whose trials.csv rows aggregate_and_emit formats and
+# writes at a time, CHUNK_BYTES of scratch: a chunk peaks at about 512 B a
+# row (measured with tracemalloc), its lines and its cells' strings.
+ROW_CHUNK = CHUNK_BYTES // 512
 
 TRIAL_COLUMNS = ("algorithm", "depth", "oracle_calls", "trial_id", "theta_true",
                  "p_true", "theta_hat", "p_hat", "abs_err_p", "abs_err_theta",
@@ -465,7 +469,7 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
     labels, thetas, reasons, calls, branches = zip(*(blocks[alg] for alg in config.algorithms))
 
     def join(parts, dtype):
-        return np.concatenate(parts, axis=1).astype(dtype)
+        return np.concatenate(parts, axis=1, dtype=dtype)
 
     return RunTable(
         theta_true=theta_true, counts=counts,
@@ -629,17 +633,59 @@ def _strings(values: np.ndarray) -> np.ndarray:
     return _per_distinct(repr, values, object)
 
 
-def _write_csv(path: Path, header, columns) -> None:
-    """Write a header and equal-length columns of strings as comma-separated lines.
+def _distinct(column: np.ndarray) -> np.ndarray:
+    """Sorted distinct :func:`_bits` of ``column``'s cells, merged :data:`ROW_CHUNK` at a time."""
+    flat = _bits(column.reshape(-1))
+    keys = flat[:0]
+    for a in range(0, flat.size, ROW_CHUNK):
+        # asked for no inverse, np.unique (numpy >= 2.3) first imports numpy.ma, a cost per run
+        keys = np.unique(np.concatenate([keys, flat[a:a + ROW_CHUNK]]), return_inverse=True)[0]
+    return keys
+
+
+def _write_csv(path: Path, header, chunks) -> None:
+    """Write a header and, chunk by chunk, equal-length columns of strings as lines.
 
     The fields are names, labels and numbers, none of which ``csv`` would
     quote, so the lines are what ``csv.writer`` writes, only faster.  The
     last column carries each line's newline.
     """
-    *head, last = columns
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(",".join, zip(*head, np.asarray(last, dtype=object) + "\n")))
+        for *head, last in chunks:
+            fh.writelines(map(",".join, zip(*head, np.asarray(last, dtype=object) + "\n")))
+
+
+def _trial_rows(table: RunTable, theta_keys: np.ndarray, p_keys: np.ndarray):
+    """The columns of ``trials.csv``'s rows, one chunk of :data:`ROW_CHUNK` cells at a time.
+
+    A chunk is that many (trial, slot) cells in row order, and its rows are
+    the kept ones.  It formats its own error cells and trials; the other
+    columns are looked up in strings formatted once per run: ``theta_hat``
+    and ``p_hat`` by the index of ``theta_hat``'s bits in ``theta_keys``
+    (``p_keys`` holds the squared sine of each), the oracle calls by value.
+    """
+    kept = table.kept.reshape(-1)
+    algorithm = np.array(table.algorithm, dtype=object)
+    label = np.array([str(label) for label in table.label], dtype=object)
+    calls = _distinct(table.oracle_calls)
+    calls_strings, theta_strings, p_strings = map(_strings, (calls, theta_keys.view(float), p_keys))
+    for a in range(0, kept.size, ROW_CHUNK):
+        t, k = np.divmod(np.flatnonzero(kept[a:a + ROW_CHUNK]) + a, len(table.label))
+        if not t.size:
+            continue
+        theta = table.theta_hat[t, k]
+        key = np.searchsorted(theta_keys, _bits(theta))
+        # the chunk's trials, each formatted once, then its error cells
+        lo, hi = t[0], t[-1] + 1
+        floats = _strings(np.concatenate([table.theta_true[lo:hi], table.p_true[lo:hi],
+                                          np.abs(p_keys[key] - table.p_true[t]),
+                                          np.abs(theta - table.theta_true[t])]))
+        truth = floats[:2 * (hi - lo)].reshape(2, -1)[:, t - lo]
+        calls_key = np.searchsorted(calls, table.oracle_calls[t, k])
+        yield [algorithm[k], label[k], calls_strings[calls_key],
+               _strings(np.arange(lo, hi))[t - lo], *truth, theta_strings[key], p_strings[key],
+               *floats[2 * (hi - lo):].reshape(2, -1), table.branch[t, k]]
 
 
 def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
@@ -648,10 +694,13 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
     """Write per-trial and aggregate CSVs, CRT error histograms and a manifest.
 
     ``trials.csv`` has one line per kept row of ``table``, trial by trial
-    and slot by slot.  Each (algorithm, label) slot aggregates its kept
-    rows in trial order, slots in the order their first row is written.
-    The histogram bins each CRT depth's ``abs_err_p`` over [0, 0.5) in
-    steps of 0.02, and the last bin holds [0.5, 1.0].
+    and slot by slot, written :data:`ROW_CHUNK` cells at a time.  Each
+    (algorithm, label) slot aggregates its kept rows in trial order, slots
+    in the order their first row is written.  The histogram bins each CRT
+    depth's ``abs_err_p`` over [0, 0.5) in steps of 0.02, and the last bin
+    holds [0.5, 1.0].  No array of a cell per row is held: the errors are
+    computed a chunk, or a slot, at a time, with each ``p_hat`` looked up
+    from the distinct estimates.
     """
     if len(table.theta_true) == 0:
         raise ValueError("no trials to aggregate")
@@ -659,20 +708,12 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
     out.mkdir(parents=True, exist_ok=True)
 
     kept = table.kept
-    err_p = np.abs(table.p_hat - table.p_true[:, None])
-    err_t = np.abs(table.theta_hat - table.theta_true[:, None])
-    t, k = np.nonzero(kept)
+    theta_keys = _distinct(table.theta_hat)
+    p_keys = sin_squared(theta_keys.view(float))
     paths = {"trials": out / "trials.csv", "aggregate": out / "aggregate.csv",
              "crt_histogram": out / "crt_error_histogram.csv",
              "manifest": out / "manifest.json"}
-    per_trial = [_strings(column)[t]
-                 for column in (np.arange(len(kept)), table.theta_true, table.p_true)]
-    per_slot = [np.array(column, dtype=object)[k]
-                for column in (table.algorithm, [str(label) for label in table.label])]
-    cells = [_strings(column[t, k]) for column in (table.oracle_calls, table.theta_hat,
-                                                   table.p_hat, err_p, err_t)]
-    _write_csv(paths["trials"], TRIAL_COLUMNS,
-               [*per_slot, cells[0], *per_trial, *cells[1:], table.branch[t, k]])
+    _write_csv(paths["trials"], TRIAL_COLUMNS, _trial_rows(table, theta_keys, p_keys))
 
     n_slots = kept.shape[1]
     first_row = kept.argmax(axis=0) * n_slots + np.arange(n_slots)
@@ -682,7 +723,9 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
     edges = np.append(np.linspace(0.0, 0.5, 26), 1.0)
     for s, label in zip(slots, labels):
         rows = kept[:, s]
-        errs_p, errs_t = err_p[rows, s], err_t[rows, s]
+        theta = table.theta_hat[rows, s]
+        errs_p = np.abs(p_keys[np.searchsorted(theta_keys, _bits(theta))] - table.p_true[rows])
+        errs_t = np.abs(theta - table.theta_true[rows])
         calls.append(table.oracle_calls[rows, s].sum())
         stats.append([errs_p.mean(), errs_p.std(), errs_t.mean()])
         if table.algorithm[s] == "crt":
@@ -690,15 +733,15 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
             hist_counts.append(np.histogram(errs_p, bins=edges)[0])
     stats = _strings(np.array(stats, dtype=float).reshape(-1, 3))
     _write_csv(paths["aggregate"], AGGREGATE_COLUMNS,
-               [[table.algorithm[s] for s in slots], labels,
-                _strings(np.array(calls, dtype=np.int64)), *stats.T])
+               [[[table.algorithm[s] for s in slots], labels,
+                 _strings(np.array(calls, dtype=np.int64)), *stats.T]])
     bins = len(edges) - 1
     edge_strings = _strings(edges)
     _write_csv(paths["crt_histogram"], ("depth", "bin_lo", "bin_hi", "count"),
-               [np.repeat(np.array(crt_labels, dtype=object), bins),
-                np.tile(edge_strings[:-1], len(crt_labels)),
-                np.tile(edge_strings[1:], len(crt_labels)),
-                _strings(np.array(hist_counts, dtype=np.int64).reshape(-1))])
+               [[np.repeat(np.array(crt_labels, dtype=object), bins),
+                 np.tile(edge_strings[:-1], len(crt_labels)),
+                 np.tile(edge_strings[1:], len(crt_labels)),
+                 _strings(np.array(hist_counts, dtype=np.int64).reshape(-1))]])
 
     config_record = config.to_dict()
     config_record.pop("out_dir")  # volatile; identical runs stay byte-identical

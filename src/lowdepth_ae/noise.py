@@ -155,7 +155,13 @@ class NoiseModel:
 
 
 def effective_eta(model: NoiseModel, depth: int) -> float:
-    """Combined depolarizing probability ``eta_d = 1 - (1-beta) exp(-gamma_d)``."""
+    """Combined depolarizing probability ``eta_d = 1 - (1-beta) exp(-gamma_d)``.
+
+    A depth that is not a Python ``int`` goes through :func:`checked`, so a
+    bool or a float is rejected by name; an ``int`` skips that test.
+    """
+    if type(depth) is not int:
+        depth = checked("depth", depth, *NONNEGATIVE_INT)
     if not 0 <= depth < len(model.eta_by_depth):
         raise ValueError(f"depth {depth} outside model range 0..{model.max_depth}")
     return model.eta_by_depth[depth]
@@ -167,7 +173,12 @@ def neg_log_damping(model: NoiseModel, depth: int) -> float:
 
 
 def noisy_prob(theta, depth: int, model: NoiseModel, cos=math.cos):
-    """The law's cosine form ``(1 - a_d cos(2 (2d+1) theta)) / 2``; ``cos=np.cos`` for an array."""
+    """The law's cosine form ``(1 - a_d cos(2 (2d+1) theta)) / 2``; ``cos=np.cos`` for an array.
+
+    The depth is checked as :func:`effective_eta` checks it.
+    """
+    if type(depth) is not int:
+        depth = checked("depth", depth, *NONNEGATIVE_INT)
     if not 0 <= depth < len(model.damping_by_depth):
         raise ValueError(f"depth {depth} outside model range 0..{model.max_depth}")
     return (1.0 - model.damping_by_depth[depth] * cos(2 * (2 * depth + 1) * theta)) / 2.0
@@ -238,12 +249,14 @@ def sample_noisy_shots(theta: float, depth: int, n_shots: int, model: NoiseModel
     """
     if n_shots < 0:
         raise ValueError("n_shots must be nonnegative")
+    if type(depth) is not int:  # the depth goes into the tallies as noisy_prob takes it
+        depth = checked("depth", depth, *NONNEGATIVE_INT)
     if model.correlation is not None:
         n_good, n_disc = _sample_correlated(theta, depth, n_shots, model, rng)
     else:
         p_bar = noisy_prob(theta, depth, model)
         n_disc = int(rng.binomial(n_shots, model.leak_prob)) if model.leak_prob > 0 else 0
         n_good = int(rng.binomial(n_shots - n_disc, p_bar))
-    # noisy_prob or effective_eta has range-checked the depth and every count is an int >= 0,
-    # so the validating DepthCounts constructor could fail only on a depth that is no int: skip it
+    # the depth is an int that noisy_prob or effective_eta has range-checked and every
+    # count is an int >= 0, so the validating DepthCounts constructor cannot fail: skip it
     return tuple.__new__(DepthCounts, (depth, n_good, n_shots - n_disc - n_good, n_disc))

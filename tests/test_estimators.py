@@ -1,5 +1,6 @@
 """Direct, MLE, CRT and hybrid estimators against independent oracles."""
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -659,6 +660,51 @@ def test_crt_columns_table_grows_with_the_depths_present():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def test_crt_at_depth_3000_evaluates_only_the_candidates_present():
+    # a table of 2 D^2 squared sines per depth would hold 18 million values here
+    row = (0.3, 0.4, 0.5, 3000)
+    start = time.perf_counter()
+    got = crt_reconstruct(*row)
+    assert time.perf_counter() - start < 1.0
+    assert got == scalar_crt_reconstruct(*row)
+
+
+def shot_grid_rows(n, seed):
+    """``n`` CRT rows of probabilities on a 40-shot grid, anchors and depths 2..9."""
+    rng = np.random.default_rng(seed)
+    return [(int(g) / 40, int(b) / 40, float(theta), int(d)) for g, b, theta, d in
+            zip(rng.integers(0, 41, n), rng.integers(0, 41, n),
+                rng.uniform(0.0, math.pi / 2, n), rng.integers(2, 10, n))]
+
+
+@pytest.mark.parametrize("size", [1, 7, 39, 40, 41])
+def test_crt_slices_of_any_size_equal_the_reference(size, monkeypatch):
+    # 40 elements in slices of 1, 7, one short of all, all, and one past all
+    monkeypatch.setattr(estimators, "CRT_CHUNK", size)
+    assert_rows_match_the_reference(shot_grid_rows(40, 6))
+
+
+def test_crt_columns_scratch_does_not_grow_with_the_elements():
+    # the scratch above the outputs: a slice's candidates, not every element's
+    # (about 460 B an element at once, 22 MB at 8,000 trials of six depths)
+    rng = np.random.default_rng(4)
+    scratch = []
+    for n_trials in (2000, 8000):
+        rates = rng.integers(0, 501, (n_trials, 8)) / 500
+        args = (rates[:, 2:], rates[:, 1:-1], rng.uniform(0.0, math.pi / 2, (n_trials, 1)),
+                np.arange(2, 8))
+        tracemalloc.start()
+        try:
+            columns = crt_columns(*args)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert columns.theta.shape == (n_trials, 6)
+        scratch.append(peak - current)
+    assert max(scratch) < 2 * estimators.CHUNK_BYTES
+    assert scratch[1] - scratch[0] < estimators.CHUNK_BYTES // 4
 
 
 def test_crt_columns_reject_small_depth():

@@ -1042,6 +1042,61 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
         assert first[name].read_bytes() == second[name].read_bytes(), name
 
 
+def chunk_config(**kwargs):
+    """The shape of the many-trials benchmark (every estimator, depths 0..7, a
+    100-point grid), with leaky pools so that some rows drop between kept ones."""
+    return quiet_config(**{"n_trials": 12, "n_shots": 6, "max_depth": 7,
+                           "vector_mode": "uniform-theta",
+                           "noise": NoiseModel.linear_ramp(7, leak_prob=0.6), **kwargs})
+
+
+@pytest.fixture(scope="module")
+def default_chunk_run(tmp_path_factory):
+    """The default chunks' output bytes, trials.csv rows, table cells and CRT elements."""
+    table, paths = run_experiment(chunk_config(), tmp_path_factory.mktemp("default"))
+    files = {name: path.read_bytes() for name, path in paths.items()}
+    return files, files["trials"].count(b"\n") - 1, table.kept.size, table.crt.theta.size
+
+
+@pytest.mark.parametrize("count, offset", [(None, 1), (None, 7), ("rows", -1), ("rows", 0),
+                                           ("rows", 1), ("cells", -1), ("cells", 0)])
+def test_row_and_crt_chunks_leave_every_output_byte(count, offset, default_chunk_run, tmp_path,
+                                                    monkeypatch):
+    # rows and CRT elements in chunks of 1, of 7, and of one short of, all of
+    # and one past the run's rows and elements; trials.csv's chunks count
+    # cells, so also one short of all the cells, and all of them
+    files, rows, cells, elements = default_chunk_run
+    assert rows < cells - 1  # some rows drop: a chunk of cells holds fewer rows
+    row_chunk = crt_chunk = offset
+    if count is not None:
+        row_chunk, crt_chunk = {"rows": rows, "cells": cells}[count] + offset, elements + offset
+    monkeypatch.setattr(harness, "ROW_CHUNK", row_chunk)
+    monkeypatch.setattr(estimators, "CRT_CHUNK", crt_chunk)
+    _, paths = run_experiment(chunk_config(), tmp_path)
+    assert {name: path.read_bytes() for name, path in paths.items()} == files
+
+
+def test_emission_scratch_does_not_grow_with_trials(tmp_path):
+    # every trials.csv cell formatted at once took about 4.9 KB a trial on
+    # this grid, 39 MB at 8,000 trials; the table's columns, its cached kept mask and true
+    # probabilities among them, are the input
+    scratch = []
+    for n_trials in (2000, 8000):
+        config = chunk_config(n_trials=n_trials, n_shots=50, noise=NoiseModel.linear_ramp(7))
+        calib_rng, trial_rngs = run_streams(config.seed, n_trials)
+        table = run_trials(config, trial_rngs, calibrate_hybrid(config, calib_rng))
+        aggregate_and_emit(table, config, tmp_path / "warm")  # imports, caches and columns
+        tracemalloc.start()
+        try:
+            aggregate_and_emit(table, config, tmp_path / str(n_trials))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch.append(peak - current)
+    assert max(scratch) < 2 * estimators.CHUNK_BYTES
+    assert scratch[1] - scratch[0] < estimators.CHUNK_BYTES // 4
+
+
 @pytest.mark.parametrize("vector_mode", VECTOR_MODES)
 def test_a_run_one_trial_past_a_pair_block_extends_the_shorter_run(vector_mode, tmp_path):
     # trial i reads stream i + 1 however the trials fall into pair blocks

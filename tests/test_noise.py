@@ -265,6 +265,23 @@ def test_sample_leak_channel_discards():
     assert abs(counts.n_discarded - 5000) <= 5 * math.sqrt(100_000 * 0.05 * 0.95)
 
 
+@pytest.mark.parametrize("correlation", [None, CorrelatedNoise(p_switch=0.3, burst_scale=2.0)])
+def test_sampler_stores_an_int_depth_and_names_the_depth_it_rejects(correlation):
+    # the tallies came back with depth True or a numpy integer, and 2.0 died
+    # in a TypeError that named no argument
+    model = model_with(eta0=0.1, correlation=correlation)
+    counts = sample_noisy_shots(0.4, np.int64(2), 10, model, np.random.default_rng(5))
+    assert type(counts.depth) is int and counts.depth == 2
+    assert DepthCounts(*counts) == counts
+    for depth in (True, 2.0, np.float64(2.0), np.int64(-1)):
+        with pytest.raises(ValueError, match="^depth must be a nonnegative integer"):
+            sample_noisy_shots(0.4, depth, 10, model, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="^depth must be a nonnegative integer"):
+            noisy_prob(0.4, depth, model)
+        with pytest.raises(ValueError, match="^depth must be a nonnegative integer"):
+            effective_eta(model, depth)
+
+
 def test_sample_deterministic_given_seed():
     model = model_with(eta0=0.2, correlation=CorrelatedNoise(p_switch=0.3, burst_scale=2.0))
     a = sample_noisy_shots(0.5, 2, 2000, model, np.random.default_rng(9))
