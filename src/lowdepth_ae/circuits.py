@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import NONNEGATIVE_INT, checked
+
 TWO_QUBIT_KINDS = ("cz", "rbs")
 ONE_QUBIT_KINDS = ("x", "z", "h", "ry")
 PARAMETRIC_KINDS = ("ry", "rbs")
@@ -184,8 +186,7 @@ def build_iterated_circuit(x, y, t: int) -> Circuit:
     RBS23(-c), RBS01(-b), RBS02(-a - a), Z, RBS01(b), RBS23(c)`` and
     ``RBS02(u)`` ends the circuit: 6t+4 RBS gates, the form for hardware.
     """
-    if t < 0:
-        raise ValueError("depth t must be nonnegative")
+    t = checked("t", t, *NONNEGATIVE_INT)
     flip, top, left, right, untop = build_oracle_circuit(x, y).gates
     a, b, c, u = top.angle, left.angle, right.angle, untop.angle
     z = Gate("z", (0,))

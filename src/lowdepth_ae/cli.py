@@ -17,35 +17,24 @@ from .circuits import build_iterated_circuit, compile_to_two_qubit, compiled_sta
 from .harness import (ExperimentConfig, _trial_pairs, calibrate_hybrid, calibration_record,
                       fit_depolarizing, run_experiment, run_streams, run_trial,
                       sample_vector_pair, write_json)
-from .noise import neg_log_damping
+from .noise import NONNEGATIVE_INT, checked, neg_log_damping
+
+CONFIG_FIELDS = {field.name for field in dataclasses.fields(ExperimentConfig)}
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        config = ExperimentConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = str(args.out)
-    if getattr(args, "algorithms", None):
-        overrides["algorithms"] = tuple(args.algorithms.split(","))
-    if getattr(args, "trials", None) is not None:
-        overrides["calib_trials"] = args.trials
-    if getattr(args, "tune_beta", False):
-        overrides["tune_beta"] = True
-    return dataclasses.replace(config, **overrides) if overrides else config
+    """The config file's config, or the default, with each field that a flag gave replaced."""
+    config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    return dataclasses.replace(config, **{name: value for name, value in vars(args).items()
+                                          if name in CONFIG_FIELDS and value is not None})
 
 
 def _cmd_stats(args) -> int:
-    if args.max_depth < 0:
-        raise ValueError(f"--max-depth must be >= 0, got {args.max_depth}")
+    max_depth = checked("--max-depth", args.max_depth, *NONNEGATIVE_INT)
     rng = np.random.default_rng(args.seed or 0)
     x, y = sample_vector_pair(rng, "haar")
     print(f"{'t':>3} {'oracle calls':>13} {'rbs gates':>10} {'2q gates':>9} {'2q depth':>9}")
-    for t in range(args.max_depth + 1):
+    for t in range(max_depth + 1):
         circuit = build_iterated_circuit(x, y, t)
         stats = compiled_stats(compile_to_two_qubit(circuit))
         print(f"{t:>3} {2 * t + 1:>13} {circuit.count('rbs'):>10} "
@@ -137,13 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
             ("sweep", _cmd_sweep, "repeat the run over a parameter range")):
         p = sub.add_parser(name, help=extra)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
+        # a flag that overrides a config field stores its value under the field's name
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--algorithms", type=str, default=None,
+        p.add_argument("--out", dest="out_dir", type=str, default=None)
+        p.add_argument("--algorithms", type=lambda names: tuple(names.split(",")), default=None,
                        help="comma-separated subset of direct,mle,crt,hybrid,powerlaw")
         if name == "calibrate":
-            p.add_argument("--trials", type=int, default=None)
-            p.add_argument("--tune-beta", action="store_true")
+            p.add_argument("--trials", dest="calib_trials", type=int, default=None)
+            p.add_argument("--tune-beta", action="store_true", default=None)
         if name == "sweep":
             p.add_argument("--param", choices=("max-depth", "target-eps"), required=True)
             p.add_argument("--values", type=str, required=True)

@@ -52,7 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import NONNEGATIVE, DepthCounts, NoiseModel, check_fields, noisy_prob
+from .noise import (NONNEGATIVE, NONNEGATIVE_INT, REAL, DepthCounts, NoiseModel, check_fields,
+                    checked, noisy_prob)
 
 EXTENDED_OFFSETS = tuple((d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1))
 # Bytes of update scratch that mle_estimate holds at a time: one batch of
@@ -99,8 +100,7 @@ def _grid_size(epsilon: float) -> int:
     points of spacing ``pi epsilon / 2`` span [0, pi/2) to 1e-9; any other
     epsilon would cut the grid short of pi/2 (at 0.3 it ends at 54 degrees).
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must be in (0, 1]")
+    epsilon = checked("epsilon", epsilon, REAL, "a number in (0, 1]", lambda v: 0 < v <= 1)
     n = round(1.0 / epsilon)
     if abs(n * epsilon - 1.0) > 1e-9:
         raise ValueError(f"epsilon {epsilon!r} is not 1/n for an integer n")
@@ -144,13 +144,12 @@ def hybrid_fallback(anchor_p, crt_p, threshold) -> np.ndarray:
 
 
 def direct_estimate(counts: DepthCounts) -> Estimate:
-    """Baseline estimate from depth-0 sampling: the kept good fraction."""
+    """Baseline estimate from depth-0 counts; a deeper circuit's counts give its amplified angle."""
+    checked("counts.depth", counts.depth, int, "0", lambda depth: depth == 0)
     if counts.kept == 0:
         raise EstimationError("all shots were discarded")
-    p_hat = counts.n_good / counts.kept
-    theta = math.asin(math.sqrt(p_hat))
-    return Estimate.from_theta(theta, oracle_calls=counts.shots * (2 * counts.depth + 1),
-                               algorithm="direct")
+    theta = math.asin(math.sqrt(counts.n_good / counts.kept))
+    return Estimate.from_theta(theta, oracle_calls=counts.shots, algorithm="direct")
 
 
 def log_likelihood_rows(thetas: np.ndarray, depth: int,
@@ -160,6 +159,7 @@ def log_likelihood_rows(thetas: np.ndarray, depth: int,
     ``p1`` is ``sin^2((2d+1) theta)``, or the outcome law :func:`noise.noisy_prob` given
     a noise model; an outcome of probability zero has log-likelihood ``-inf``.
     """
+    depth = checked("depth", depth, *NONNEGATIVE_INT)
     if noise is None:
         p1 = np.sin((2 * depth + 1) * thetas) ** 2
     else:
@@ -241,15 +241,13 @@ def mle_estimate(counts, depths, epsilon: float = 0.001, noise: NoiseModel | Non
     on, so it is never the argmax of an entry that needs one.
     """
     thetas = np.pi * np.arange(_grid_size(epsilon)) * epsilon / 2.0
-    depths = list(depths)
+    depths = [checked(f"depths[{j}]", d, *NONNEGATIVE_INT) for j, d in enumerate(depths)]
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 3 or counts.shape[1:] != (len(depths), 3):
         raise ValueError("counts need one (good, bad, discarded) entry per depth and trial")
     # the pruning is exact for counts >= 0 alone (see the module docstring)
     if (counts < 0).any():
         raise ValueError("counts must be >= 0")
-    if min(depths, default=0) < 0:
-        raise ValueError("depths must be >= 0")
     width = 1  # of a top-level block
     while width * BRANCH ** 2 < thetas.size:
         width *= BRANCH
@@ -454,7 +452,8 @@ def sin_squared(thetas) -> np.ndarray:
 def crt_columns(p_d, p_dm1, theta_ref, d_max) -> CrtReadings:
     """The CRT estimator over arrays: one reconstruction per element.
 
-    The arguments broadcast together and must be finite.  The readings,
+    The arguments broadcast together; the probabilities and the anchor
+    must be finite, and ``d_max`` must be integers >= 2.  The readings,
     fold signs and squared sines go through :mod:`math`, because numpy's
     ``arcsin`` rounds differently on some inputs.  Of the 3x3 offset grid's
     candidates, the one whose squared sine is nearest that of
@@ -462,11 +461,11 @@ def crt_columns(p_d, p_dm1, theta_ref, d_max) -> CrtReadings:
     go through :func:`_crt_slice` :data:`CRT_CHUNK` at a time, so the
     scratch of their candidates does not grow with the element count.
     """
+    d_max = checked("d_max", d_max, object, "an integer >= 2 or an array of them",
+                    lambda v: np.asarray(v).dtype.kind in "iu" and np.all(np.asarray(v) >= 2))
     args = np.broadcast_arrays(
         np.asarray(p_d, dtype=float), np.asarray(p_dm1, dtype=float),
         np.asarray(theta_ref, dtype=float), np.asarray(d_max, dtype=np.int64))
-    if np.any(args[3] < 2):
-        raise ValueError("CRT needs maximum depth >= 2")
     for name, values in zip(("p_d", "p_dm1", "theta_ref"), args):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite")

@@ -328,11 +328,10 @@ def run_streams(seed: int, n_trials: int
     generator, built only when its trial starts, begins in the child's
     state and draws what the child would.
     """
-    if n_trials < 0:
-        raise ValueError(f"n_trials must be >= 0, got {n_trials}")
+    n_trials = checked("n_trials", n_trials, *NONNEGATIVE_INT)
     from numpy.random.bit_generator import ISeedSequence  # numpy.random loads on first use
     ISeedSequence.register(_SeedWords)
-    seed_seq = np.random.SeedSequence(seed)
+    seed_seq = np.random.SeedSequence(checked("seed", seed, *NONNEGATIVE_INT))
     generator, pcg64 = np.random.Generator, np.random.PCG64
 
     def streams() -> Iterator[np.random.Generator]:
@@ -602,6 +601,8 @@ def fit_depolarizing(counts, true_thetas) -> list[float]:
     if len(counts) < 2:
         raise ValueError("need counts from at least two trials per depth")
     thetas = np.asarray(true_thetas, dtype=float)
+    if thetas.shape != (len(counts),):
+        raise ValueError(f"true_thetas holds {thetas.size} angles, counts {len(counts)} trials")
 
     def rate(d: int) -> float:
         """Depth ``d``'s rate; its per-trial temporaries die when it returns."""

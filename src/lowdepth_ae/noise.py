@@ -18,7 +18,8 @@ each caller keeps its own; the schedules' Fisher proxy is the stated exception.
 Every validated record (the noise records and shot tallies here, the run
 config and the hybrid calibration) stores each field through
 :func:`checked`, by one rule per field: the kinds it accepts, what it
-accepts in words and its range.  Only rules that tie fields together are
+accepts in words and its range; so do the public functions' count, depth
+and bounded-number arguments.  Only rules that tie several together are
 written out by hand.
 """
 from __future__ import annotations
@@ -32,12 +33,13 @@ import numpy as np
 FIXED_POINT = 0.5  # the good fraction of a fully depolarized shot
 
 REAL = (int, float)  # the kinds of a number once numpy's are stored as Python's
-# field rules shared by several fields: (kinds, accepts, ok) as checked takes them
+# rules shared by several fields and arguments: (kinds, accepts, ok) as checked takes them
 NONNEGATIVE_INT = (int, "a nonnegative integer", lambda v: v >= 0)
 POSITIVE_INT = (int, "a positive integer", lambda v: v > 0)
 NONNEGATIVE = (REAL, "a finite nonnegative number", lambda v: 0 <= v < math.inf)
 POSITIVE = (REAL, "a finite positive number", lambda v: 0 < v < math.inf)
 BELOW_ONE = (REAL, "a number in [0, 1)", lambda v: 0 <= v < 1)
+FINITE = (REAL, "a finite number", math.isfinite)
 
 
 def checked(name: str, value, kinds, accepts: str, ok=None):
@@ -145,13 +147,13 @@ class NoiseModel:
 
     @classmethod
     def noiseless(cls, max_depth: int = 7) -> "NoiseModel":
-        return cls(gamma_by_depth=(0.0,) * (max_depth + 1))
+        return cls(gamma_by_depth=(0.0,) * (checked("max_depth", max_depth, *NONNEGATIVE_INT) + 1))
 
     @classmethod
     def linear_ramp(cls, max_depth: int = 7, **kwargs) -> "NoiseModel":
         """Rates interpolated linearly from 0.035 at depth zero to 0.35 at the top."""
-        gammas = tuple(np.linspace(0.035, 0.35, max_depth + 1))
-        return cls(gamma_by_depth=gammas, **kwargs)
+        top = checked("max_depth", max_depth, *NONNEGATIVE_INT)
+        return cls(gamma_by_depth=tuple(np.linspace(0.035, 0.35, top + 1)), **kwargs)
 
 
 def effective_eta(model: NoiseModel, depth: int) -> float:
@@ -247,8 +249,8 @@ def sample_noisy_shots(theta: float, depth: int, n_shots: int, model: NoiseModel
     the burst modulator over the shots in order.  Deterministic given the
     generator.
     """
-    if n_shots < 0:
-        raise ValueError("n_shots must be nonnegative")
+    if type(n_shots) is not int or n_shots < 0:  # a Python int >= 0 skips the call
+        n_shots = checked("n_shots", n_shots, *NONNEGATIVE_INT)
     if type(depth) is not int:  # the depth goes into the tallies as noisy_prob takes it
         depth = checked("depth", depth, *NONNEGATIVE_INT)
     if model.correlation is not None:

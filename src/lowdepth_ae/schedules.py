@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from .noise import FINITE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, checked
+
 NU_RANGE = (-6.0, 6.0)
 NU_TOL = 1e-4
 
@@ -35,11 +37,14 @@ def power_law_schedule(nu: float, n_shots: int, max_depth: int) -> tuple[int, ..
 
     Depths whose floor comes out to zero shots keep a zero entry.
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+    nu, n_shots, max_depth = _checked_schedule(nu, n_shots, max_depth)
     return tuple(math.floor(n_shots * (2 * d + 1) ** nu) for d in range(max_depth + 1))
+
+
+def _checked_schedule(nu, n_shots, max_depth) -> tuple[float, int, int]:
+    """The exponent, shots and top depth a schedule takes, each by its rule."""
+    return (checked("nu", nu, *FINITE), checked("n_shots", n_shots, *POSITIVE_INT),
+            checked("max_depth", max_depth, *NONNEGATIVE_INT))
 
 
 def fisher_noisy(nu: float, n_shots: int, max_depth: int, gamma_by_depth) -> float:
@@ -48,6 +53,7 @@ def fisher_noisy(nu: float, n_shots: int, max_depth: int, gamma_by_depth) -> flo
     A proxy over the gammas alone: ``exp(-2 gamma_d)`` is ``a_d^2`` of :mod:`noise`'s
     outcome law with ``beta_readout`` left out, the law's one statement outside it.
     """
+    nu, n_shots, max_depth = _checked_schedule(nu, n_shots, max_depth)
     gammas = np.asarray(gamma_by_depth, dtype=float)
     if gammas.size < max_depth + 1:
         raise ValueError("gamma_by_depth must cover depths 0..max_depth")
@@ -64,8 +70,7 @@ def optimize_exponent(target_eps: float, n_shots: int, max_depth: int,
     floor when even it is feasible; raises :class:`InfeasibleScheduleError`
     when the range top cannot reach ``1/eps^2``.
     """
-    if target_eps <= 0:
-        raise ValueError("target_eps must be positive")
+    target_eps = checked("target_eps", target_eps, *POSITIVE)
     try:
         required = target_eps ** -2
     except OverflowError:  # target_eps below about 7.5e-155: no finite Fisher reaches it

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .circuits import Circuit, rbs_unitary
+from .noise import NONNEGATIVE_INT, checked
 
 NUM_QUBITS = 4
 DIM = 16
@@ -64,6 +65,4 @@ def outcome_distribution(state: np.ndarray) -> np.ndarray:
 
 def analytic_success_prob(theta: float, t: int) -> float:
     """sin^2((2t+1) theta): the amplified good-outcome probability."""
-    if t < 0:
-        raise ValueError("depth t must be nonnegative")
-    return math.sin((2 * t + 1) * theta) ** 2
+    return math.sin((2 * checked("t", t, *NONNEGATIVE_INT) + 1) * theta) ** 2

@@ -61,6 +61,13 @@ def test_direct_rejects_empty_kept_pool():
         direct_estimate(counts(0, 0, 0, discarded=500))
 
 
+def test_direct_rejects_counts_of_an_amplified_circuit():
+    # depth-3 counts gave theta = pi/4, the amplified circuit's angle, and 140 calls
+    with pytest.raises(ValueError, match="^counts.depth must be 0, got 3"):
+        direct_estimate(counts(3, 10, 10))
+    assert direct_estimate(counts(0, 10, 10)).oracle_calls == 20
+
+
 # ----------------------------------------------------------------- posterior
 
 def grid(epsilon):
@@ -216,6 +223,31 @@ def test_mle_rejects_negative_counts(entry):
     # -inf row is +inf, above every bound
     with pytest.raises(ValueError, match="counts"):
         mle_estimate([[entry]], [0], 0.01)
+
+
+def test_estimators_reject_a_depth_that_is_not_an_integer():
+    # each ran at a truncated or rounded depth: 1.5 used the rows of
+    # multiplier 4, and depth 0.5 gave theta 0.4398 billed as depth 0
+    with pytest.raises(ValueError, match="^depth must be a nonnegative integer, got 1.5"):
+        log_likelihood_rows(grid(0.01), 1.5)
+    for depth in (0.5, True):
+        with pytest.raises(ValueError, match=r"^depths\[0\] must be a nonnegative integer"):
+            mle_estimate([[[30, 20, 0]]], [depth], 0.01)
+    same = mle_estimate([[[30, 20, 0]]], [np.int64(0)], 0.01)
+    assert same.theta.tolist() == mle_estimate([[[30, 20, 0]]], [0], 0.01).theta.tolist()
+
+
+@pytest.mark.parametrize("d_max", [2.5, 3.9, True, np.float64(3.0), [3.0], np.array([True])])
+def test_crt_rejects_a_maximum_depth_that_is_not_an_integer(d_max):
+    # 2.5 and 3.9 were cast to the d_max = 2 and 3 results, True to 1
+    with pytest.raises(ValueError, match="^d_max must be an integer >= 2"):
+        crt_columns([0.3], [0.4], [0.5], d_max)
+    if np.ndim(d_max) == 0:
+        with pytest.raises(ValueError, match="^d_max must be an integer >= 2"):
+            crt_reconstruct(0.3, 0.4, 0.5, d_max)
+    assert crt_reconstruct(0.3, 0.4, 0.5, np.int64(3)) == crt_reconstruct(0.3, 0.4, 0.5, 3)
+    columns = [crt_columns([0.3], [0.4], [0.5], d).theta.tolist() for d in ([3], np.uint8([3]))]
+    assert columns[0] == columns[1]
 
 
 def test_mle_rejects_negative_depths():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,8 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowdepth_ae import estimators, harness
-from lowdepth_ae.estimators import (EstimationError, HybridCalibration, crt_reconstruct,
-                                    hybrid_fallback, mle_estimate)
+from lowdepth_ae.circuits import build_iterated_circuit
+from lowdepth_ae.estimators import (EstimationError, HybridCalibration, crt_columns,
+                                    crt_reconstruct, hybrid_fallback, log_likelihood_rows,
+                                    mle_estimate)
 from lowdepth_ae.harness import (ALGORITHMS, PAIR_BLOCK, STREAM_BLOCK, VECTOR_MODES,
                                  ExperimentConfig, RunTable, UnidentifiableFitError,
                                  aggregate_and_emit, calibrate_hybrid, calibration_record,
@@ -26,7 +29,9 @@ from lowdepth_ae.harness import (ALGORITHMS, PAIR_BLOCK, STREAM_BLOCK, VECTOR_MO
                                  run_trials, sample_vector_pair, sample_vector_pairs)
 from lowdepth_ae.noise import (CorrelatedNoise, DepthCounts, NoiseModel, effective_eta,
                                neg_log_damping, noise_floor, noisy_prob, sample_noisy_shots)
-from lowdepth_ae.schedules import InfeasibleScheduleError, optimize_exponent
+from lowdepth_ae.schedules import (InfeasibleScheduleError, fisher_noisy, optimize_exponent,
+                                   power_law_schedule)
+from lowdepth_ae.simulator import analytic_success_prob
 from lowdepth_ae.cli import main as cli_main
 
 
@@ -463,6 +468,70 @@ def test_every_field_of_a_validated_record_is_checked(record):
             _with(record, **{name: object()})
 
 
+def _stream_draws(streams):
+    """The first draw of the calibration stream and of each trial stream of :func:`run_streams`."""
+    calib_rng, trial_rngs = streams
+    return [calib_rng.random()] + [rng.random() for rng in trial_rngs]
+
+
+def _argument_calls():
+    """``(function, argument, call, valid)``: each count, depth and top-depth argument of
+    the public functions, ``call(value)`` the function with that argument set to ``value``."""
+    x, y = sample_vector_pair(np.random.default_rng(0))
+    grid = np.linspace(0.0, 1.5, 7)
+    gammas = NoiseModel.linear_ramp(7).gamma_by_depth
+    calls = [
+        ("build_iterated_circuit", "t", lambda v: build_iterated_circuit(x, y, v), 2),
+        ("analytic_success_prob", "t", lambda v: analytic_success_prob(0.3, v), 2),
+        ("log_likelihood_rows", "depth", lambda v: log_likelihood_rows(grid, v), 2),
+        ("log_likelihood_rows noisy", "depth",
+         lambda v: log_likelihood_rows(grid, v, NoiseModel.linear_ramp(7)), 2),
+        ("mle_estimate", "depths", lambda v: mle_estimate([[(30, 20, 0)]], [v], 0.01), 2),
+        ("crt_columns", "d_max", lambda v: crt_columns([0.3], [0.4], [0.5], v), 3),
+        ("crt_reconstruct", "d_max", lambda v: crt_reconstruct(0.3, 0.4, 0.5, v), 3),
+        ("power_law_schedule", "n_shots", lambda v: power_law_schedule(-1.5, v, 7), 500),
+        ("power_law_schedule", "max_depth", lambda v: power_law_schedule(-1.5, 500, v), 7),
+        ("fisher_noisy", "n_shots", lambda v: fisher_noisy(-1.5, v, 7, gammas), 500),
+        ("fisher_noisy", "max_depth", lambda v: fisher_noisy(-1.5, 500, v, gammas), 7),
+        ("optimize_exponent", "n_shots", lambda v: optimize_exponent(0.01, v, 7, gammas), 500),
+        ("optimize_exponent", "max_depth", lambda v: optimize_exponent(0.01, 500, v, gammas), 7),
+        ("run_streams", "seed", lambda v: _stream_draws(run_streams(v, 2)), 2),
+        ("run_streams", "n_trials", lambda v: _stream_draws(run_streams(0, v)), 2),
+        ("NoiseModel.noiseless", "max_depth", NoiseModel.noiseless, 2),
+        ("NoiseModel.linear_ramp", "max_depth", NoiseModel.linear_ramp, 2)]
+    burst = CorrelatedNoise(0.05, 4.0)
+    for mode, model in (("independent", NoiseModel.linear_ramp(7, leak_prob=0.1)),
+                        ("burst", NoiseModel.linear_ramp(7, correlation=burst))):
+        calls += [(f"sample_noisy_shots {mode}", "n_shots", lambda v, m=model: sample_noisy_shots(
+                       0.4, 2, v, m, np.random.default_rng(5)), 40),
+                  (f"sample_noisy_shots {mode}", "depth", lambda v, m=model: sample_noisy_shots(
+                       0.4, v, 40, m, np.random.default_rng(5)), 2)]
+    return calls
+
+
+def _same(a, b) -> bool:
+    """Whether ``a`` and ``b`` are equal values of the same types, all the way down."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"))
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+@pytest.mark.parametrize("function,name,call,valid", _argument_calls(),
+                         ids=[f"{f}-{n}" for f, n, _, _ in _argument_calls()])
+def test_every_count_and_depth_argument_is_checked(function, name, call, valid):
+    # the argument-side twin of the record test above: a float, a bool, a
+    # negative or a numpy float is rejected with an error that starts with
+    # the argument's name; 2.5 ran at depth 2 or gave 1.5 bad shots, True
+    # ran at 1, and a numpy integer came back in the tallies
+    for value in (2.5, True, -1, np.float64(2.0)):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}(\[0\])? "):
+            call(value)
+    assert _same(call(np.int64(valid)), call(valid))
+
+
 @pytest.mark.parametrize("record", _validated_records(), ids=lambda r: type(r).__name__)
 def test_every_numeric_field_stores_a_numpy_number_as_its_python_twin(record):
     numeric = [name for name in _field_names(record)
@@ -895,6 +964,15 @@ def test_fit_leaves_out_trials_that_kept_no_shot():
         fit_depolarizing(tallies([counts[0], empty, empty]), thetas[:3])
 
 
+@pytest.mark.parametrize("n_trials,n_angles", [(5, 4), (4, 5)])
+def test_fit_names_both_lengths_when_counts_and_angles_differ(n_trials, n_angles):
+    # died in numpy's IndexError on the boolean mask
+    counts = np.full((n_trials, 3, 3), 10, dtype=np.int64)
+    with pytest.raises(ValueError, match=f"^true_thetas holds {n_angles} angles, "
+                                         f"counts {n_trials} trials"):
+        fit_depolarizing(counts, np.linspace(0.1, 1.2, n_angles))
+
+
 def test_fit_needs_two_trials():
     counts, thetas = make_fit_data(0.1, n_trials=1)
     with pytest.raises(ValueError):
@@ -1202,6 +1280,43 @@ def test_cli_algorithms_override(tmp_path, capsys):
     assert rows and all(row.startswith("direct,") for row in rows)
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"]["seed"] == 3
+
+
+def test_cli_flags_land_on_their_config_fields(tmp_path, capsys):
+    # each flag stores its value under its field's name and the field's rule checks it
+    config = quiet_config()
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                     "--seed", "3", "--algorithms", "direct,mle"]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["config"]["seed"], manifest["config"]["algorithms"]) == (3, ["direct", "mle"])
+    assert cli_main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "cal"),
+                     "--seed", "3", "--trials", "6", "--tune-beta"]) == 0
+    written = json.loads((tmp_path / "cal" / "calibration.json").read_text(encoding="utf-8"))
+
+    def expected(**fields):
+        flagged = dataclasses.replace(config, **fields)
+        return calibration_record(calibrate_hybrid(flagged, run_streams(flagged.seed, 0)[0]))
+
+    assert written == expected(seed=3, calib_trials=6, tune_beta=True)
+    # leaving out any one flag gives another calibration
+    for left_out in ({"seed": 0}, {"calib_trials": config.calib_trials}, {"tune_beta": False}):
+        assert written != expected(**{"seed": 3, "calib_trials": 6, "tune_beta": True,
+                                      **left_out}), left_out
+
+
+def test_cli_rejects_an_empty_algorithm_list(tmp_path, capsys):
+    # --algorithms "" was ignored, and the run went on with every algorithm
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(quiet_config().to_dict()), encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                     "--algorithms", ""]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == "unknown algorithms ['']"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    assert cli_main(["stats", "--max-depth", "-1"]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] \
+        == "--max-depth must be a nonnegative integer, got -1"
 
 
 def test_cli_failure_emits_json_error(tmp_path, capsys):

@@ -282,6 +282,19 @@ def test_sampler_stores_an_int_depth_and_names_the_depth_it_rejects(correlation)
             effective_eta(model, depth)
 
 
+@pytest.mark.parametrize("correlation", [None, CorrelatedNoise(0.05, 4.0)],
+                         ids=["independent", "burst"])
+def test_sample_takes_a_whole_shot_count(correlation):
+    # 2.5 gave n_bad=1.5, True drew one shot, and np.int64(5) came back as n_bad=np.int64(0)
+    model = model_with(eta0=0.1, correlation=correlation)
+    for n_shots in (2.5, True, -1, np.float64(5.0)):
+        with pytest.raises(ValueError, match="^n_shots must be a nonnegative integer"):
+            sample_noisy_shots(0.4, 2, n_shots, model, np.random.default_rng(5))
+    counts = sample_noisy_shots(0.4, 2, np.int64(5), model, np.random.default_rng(5))
+    assert counts == sample_noisy_shots(0.4, 2, 5, model, np.random.default_rng(5))
+    assert [type(c) for c in counts] == [int] * 4 and counts.shots == 5
+
+
 def test_sample_deterministic_given_seed():
     model = model_with(eta0=0.2, correlation=CorrelatedNoise(p_switch=0.3, burst_scale=2.0))
     a = sample_noisy_shots(0.5, 2, 2000, model, np.random.default_rng(9))

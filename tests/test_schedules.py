@@ -110,6 +110,15 @@ def test_optimizer_returns_range_floor_when_everything_is_feasible():
     assert optimize_exponent(10.0, 500, 7, ZERO_GAMMA) == -6.0
 
 
+def test_a_nan_target_or_exponent_is_rejected_by_name():
+    # the target came back as infeasible "eps=nan", and the exponent died in
+    # "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="^target_eps must be a finite positive number"):
+        optimize_exponent(math.nan, 500, 7, ZERO_GAMMA)
+    with pytest.raises(ValueError, match="^nu must be a finite number"):
+        power_law_schedule(math.nan, 10, 2)
+
+
 def test_optimizer_raises_when_infeasible():
     with pytest.raises(InfeasibleScheduleError):
         optimize_exponent(1e-9, 500, 7, ZERO_GAMMA)

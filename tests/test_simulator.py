@@ -43,6 +43,16 @@ def test_iterated_circuit_matches_analytic_probability():
             assert abs(probs[GOOD_INDEX] - analytic_success_prob(theta, t)) < 1e-9
 
 
+def test_analytic_success_prob_rejects_a_depth_that_is_not_an_integer():
+    # 1.5 gave sin^2(4 theta) = 0.8687, and True ran at depth 1 here and in the circuit
+    for t in (1.5, True):
+        with pytest.raises(ValueError, match="^t must be a nonnegative integer"):
+            analytic_success_prob(0.3, t)
+    with pytest.raises(ValueError, match="^t must be a nonnegative integer"):
+        build_iterated_circuit(random_unit(), random_unit(), True)
+    assert analytic_success_prob(0.3, np.int64(2)) == analytic_success_prob(0.3, 2)
+
+
 def test_analytic_success_prob_values():
     assert abs(analytic_success_prob(math.pi / 6, 1) - 1.0) < 1e-15
     theta = 0.37
