@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +50,6 @@ class Gate:
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
-    @property
-    def is_two_qubit(self) -> bool:
-        return self.kind in TWO_QUBIT_KINDS
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -71,22 +68,14 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind == kind)
 
 
-@dataclass(frozen=True)
-class CompiledStats:
+class CompiledStats(NamedTuple):
     """Two-qubit resource counts of a compiled circuit."""
 
     two_qubit_count: int
     two_qubit_depth: int
 
-    def __post_init__(self):
-        if self.two_qubit_count < 0 or self.two_qubit_depth < 0:
-            raise ValueError("counts must be nonnegative")
-        if self.two_qubit_depth > self.two_qubit_count:
-            raise ValueError("depth cannot exceed gate count")
 
-
-@dataclass(frozen=True)
-class LoaderAngles:
+class LoaderAngles(NamedTuple):
     """Binary-tree angles of the 4-dimensional unary loader."""
 
     top: float
@@ -117,9 +106,7 @@ def decompose_rbs(angle: float, targets: tuple[int, int]) -> list[Gate]:
     The returned sequence composes to ``rbs_unitary(angle)`` on the two
     targets (up to global phase):  H H . CZ . Ry(+a) Ry(-a) . CZ . H H.
     """
-    q1, q2 = targets
-    if q1 == q2:
-        raise ValueError("rbs targets must be distinct")
+    q1, q2 = targets  # equal targets fail the first CZ's check
     return [
         Gate("h", (q1,)),
         Gate("h", (q2,)),
@@ -211,7 +198,7 @@ def compiled_stats(circuit: Circuit) -> CompiledStats:
     count = 0
     level = [0] * circuit.num_qubits
     for g in circuit.gates:
-        if g.is_two_qubit:
+        if g.kind in TWO_QUBIT_KINDS:
             count += 1
             d = max(level[q] for q in g.targets) + 1
             for q in g.targets:

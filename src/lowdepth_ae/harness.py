@@ -31,9 +31,9 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .estimators import (CHUNK_BYTES, CrtReadings, EstimationError, HybridCalibration,
-                         _bits, _elementwise, _grid_size, _per_distinct, crt_columns,
-                         hybrid_fallback, mle_estimate, sin_squared)
+from .estimators import (CHUNK_BYTES, CrtReadings, HybridCalibration, _bits, _elementwise,
+                         _grid_size, _per_distinct, crt_columns, hybrid_fallback, mle_estimate,
+                         sin_squared)
 from .noise import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, REAL,
                     CorrelatedNoise, NoiseModel, check_fields, checked, damped_cosine,
                     sample_noisy_shots)
@@ -446,8 +446,8 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
                  np.where(empty[:, 1:-1], [f"no kept shots at depth {x - 1}" for x in d], None))
         add("crt", d.tolist(), crt.theta, calls, *drops)
         if "hybrid" in config.algorithms:
-            cal = calibrations or {}
-            threshold = np.array([cal[x].threshold if x in cal else np.nan for x in d.tolist()])
+            cal = calibrations or {}  # a depth's calibration, or why it has none
+            threshold = np.array([getattr(cal.get(x), "threshold", np.nan) for x in d.tolist()])
             fallback = hybrid_fallback(sin_squared(anchor)[:, None], crt.p_hat, threshold)
             add("hybrid", d.tolist(), np.where(fallback, anchor[:, None], crt.theta), calls,
                 *drops, np.where(np.isnan(threshold), "no calibration", None),
@@ -478,7 +478,7 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
 
 
 def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
-              calibrations: dict[int, HybridCalibration] | None = None) -> RunTable:
+              calibrations: dict[int, HybridCalibration | str] | None = None) -> RunTable:
     """Simulate one shot pool and run every enabled estimator on it.
 
     The true angle is ``asin(min(|x . y|, 1))``, the angle whose squared
@@ -496,7 +496,7 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
 
 
 def run_trials(config: ExperimentConfig, rngs,
-               calibrations: dict[int, HybridCalibration] | None = None) -> RunTable:
+               calibrations: dict[int, HybridCalibration | str] | None = None) -> RunTable:
     """:func:`run_trial` on a vector pair drawn from each generator, trial ids from 0.
 
     The generators must be distinct.  Every trial's stream is consumed
@@ -512,57 +512,60 @@ def run_trials(config: ExperimentConfig, rngs,
 
 
 def calibrate_hybrid(config: ExperimentConfig,
-                     rng: np.random.Generator) -> dict[int, HybridCalibration]:
-    """Estimate the hybrid threshold inputs on ``config.calib_trials`` training draws.
+                     rng: np.random.Generator) -> dict[int, HybridCalibration | str]:
+    """Estimate each CRT depth's hybrid threshold inputs on ``config.calib_trials`` draws.
 
     Each draw is a trial of CRT alone on ``rng`` (the calibration stream
     of :func:`run_streams`).  All draws share that one stream, so each
     draws its pair with :func:`sample_vector_pair` right before its pools;
-    the estimators then run once over all of them.  Draws without a CRT
-    estimate at every depth are left out.
-    ``mle_avg_depth2`` is the mean error of the depth-2 MLE anchor under
-    the configured noise and shot budget; ``crt_exact_at_d`` is the mean
-    error of the CRT reconstruction fed exact (infinite-shot, noiseless)
-    probabilities.  With
-    ``config.tune_beta`` the threshold multiplier is grid-searched on the
-    same draws: among multipliers whose hybrid never loses to plain CRT at
-    any depth, the one with the best best-depth error wins.
+    the estimators then run once over all of them.  Depth d is calibrated
+    on the draws that kept its CRT row (the anchor and depths d - 1 and
+    d), as every estimator drops a row alone: ``mle_avg_depth2`` is their
+    mean error of the depth-2 MLE anchor under the configured noise and
+    shot budget; ``crt_exact_at_d`` their mean error of the CRT
+    reconstruction fed exact (infinite-shot, noiseless) probabilities.  A
+    depth that no draw kept maps to the reason it has no calibration, and
+    the hybrid drops its rows there.  With ``config.tune_beta`` the
+    threshold multiplier is grid-searched on the same draws: among
+    multipliers whose hybrid never loses to plain CRT at any calibrated
+    depth, the one with the best best-depth error wins.
     """
     crt_config = dataclasses.replace(config, algorithms=("crt",))  # no power-law plan
     draws = [_draw(crt_config, sample_vector_pair(rng, config.vector_mode), rng, None)
              for _ in range(config.calib_trials)]
     table = _estimate(crt_config, draws, None)
-    ok = table.kept.all(axis=1)
-    if not ok.any():
-        raise EstimationError("no calibration trial produced a CRT estimate at every depth")
-    depths = list(table.label)
-    theta, p_true = table.theta_true[ok, None], table.p_true[ok]
-    anchor_p, crt_p = sin_squared(table.anchor[ok]), table.p_hat[ok]
-
-    def mean_err(p_hats) -> float:
-        return float(np.mean(np.abs(p_hats - p_true)))
-
-    mle_avg2 = mean_err(anchor_p)
-    d_max = np.array(depths)
+    d_max = np.array(table.label)
+    theta = table.theta_true[:, None]
     exact = crt_columns(sin_squared((2 * d_max + 1) * theta),
                         sin_squared((2 * d_max - 1) * theta), theta, d_max)
-    crt_exact = {d: mean_err(exact.p_hat[:, j]) for j, d in enumerate(depths)}
+    # per depth some draw kept: the true, anchor, CRT and exact-input CRT
+    # probabilities of the draws that kept it
+    fed = {d: (table.p_true[rows], sin_squared(table.anchor[rows]), table.p_hat[rows, j],
+               exact.p_hat[rows, j])
+           for j, (d, rows) in enumerate(zip(table.label, table.kept.T)) if rows.any()}
+    unkept = {d: f"no calibration trial of {len(draws)} kept a CRT row at depth {d}"
+              for d in table.label if d not in fed}
 
-    def calibrations(beta) -> dict[int, HybridCalibration]:
-        return {d: HybridCalibration(mle_avg_depth2=mle_avg2, crt_exact_at_d=crt_exact[d],
-                                     beta_hybrid=beta) for d in depths}
+    def mean_err(p_hats, p_true) -> float:
+        return float(np.mean(np.abs(p_hats - p_true)))
+
+    def calibrations(beta) -> dict[int, HybridCalibration | str]:
+        return unkept | {d: HybridCalibration(mle_avg_depth2=mean_err(anchor_p, p_true),
+                                              crt_exact_at_d=mean_err(exact_p, p_true),
+                                              beta_hybrid=beta)
+                         for d, (p_true, anchor_p, _, exact_p) in fed.items()}
 
     beta = config.beta_hybrid
-    if config.tune_beta:
-        crt_means = {d: mean_err(crt_p[:, j]) for j, d in enumerate(depths)}
+    if config.tune_beta and fed:
+        crt_means = {d: mean_err(crt_p, p_true) for d, (p_true, _, crt_p, _) in fed.items()}
         best = None
         for candidate in BETA_TUNING_GRID:
             cal = calibrations(candidate)
             hybrid_means = {
-                d: mean_err(np.where(hybrid_fallback(anchor_p, crt_p[:, j], cal[d].threshold),
-                                     anchor_p, crt_p[:, j]))
-                for j, d in enumerate(depths)}
-            if any(hybrid_means[d] > crt_means[d] + 1e-12 for d in depths):
+                d: mean_err(np.where(hybrid_fallback(anchor_p, crt_p, cal[d].threshold),
+                                     anchor_p, crt_p), p_true)
+                for d, (p_true, anchor_p, crt_p, _) in fed.items()}
+            if any(hybrid_means[d] > crt_means[d] + 1e-12 for d in fed):
                 continue
             score = min(hybrid_means.values())
             if best is None or score < best[0]:
@@ -572,9 +575,13 @@ def calibrate_hybrid(config: ExperimentConfig,
     return calibrations(beta)
 
 
-def calibration_record(calibrations: dict[int, HybridCalibration]) -> dict:
-    """JSON form of per-depth calibrations, as ``calibrate`` and the manifest write it."""
-    return {str(d): dataclasses.asdict(c) for d, c in sorted(calibrations.items())}
+def calibration_record(calibrations: dict[int, HybridCalibration | str]) -> dict:
+    """JSON form of per-depth calibrations, as ``calibrate`` and the manifest write it.
+
+    A depth without calibration holds the reason in place of its values.
+    """
+    return {str(d): c if isinstance(c, str) else dataclasses.asdict(c)
+            for d, c in sorted(calibrations.items())}
 
 
 def write_json(path: Path, record) -> None:

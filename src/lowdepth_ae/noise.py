@@ -156,33 +156,34 @@ class NoiseModel:
         return cls(gamma_by_depth=tuple(np.linspace(0.035, 0.35, top + 1)), **kwargs)
 
 
-def effective_eta(model: NoiseModel, depth: int) -> float:
-    """Combined depolarizing probability ``eta_d = 1 - (1-beta) exp(-gamma_d)``.
+def _model_depth(model: NoiseModel, depth: int) -> int:
+    """``depth`` once it passes the depth rule of every per-depth lookup in a model.
 
     A depth that is not a Python ``int`` goes through :func:`checked`, so a
-    bool or a float is rejected by name; an ``int`` skips that test.
+    bool or a float is rejected by name; an ``int`` skips that test.  A
+    depth outside ``0..model.max_depth`` raises a ``ValueError`` naming it.
     """
     if type(depth) is not int:
         depth = checked("depth", depth, *NONNEGATIVE_INT)
     if not 0 <= depth < len(model.eta_by_depth):
         raise ValueError(f"depth {depth} outside model range 0..{model.max_depth}")
-    return model.eta_by_depth[depth]
+    return depth
+
+
+def effective_eta(model: NoiseModel, depth: int) -> float:
+    """Combined depolarizing probability ``eta_d = 1 - (1-beta) exp(-gamma_d)``."""
+    return model.eta_by_depth[_model_depth(model, depth)]
 
 
 def neg_log_damping(model: NoiseModel, depth: int) -> float:
     """``-log a_d = gamma_d - log(1 - beta)``, finite where ``a_d`` underflows to 0."""
-    return model.gamma_by_depth[depth] - math.log1p(-model.beta_readout)
+    return model.gamma_by_depth[_model_depth(model, depth)] - math.log1p(-model.beta_readout)
 
 
 def noisy_prob(theta, depth: int, model: NoiseModel, cos=math.cos):
-    """The law's cosine form ``(1 - a_d cos(2 (2d+1) theta)) / 2``; ``cos=np.cos`` for an array.
-
-    The depth is checked as :func:`effective_eta` checks it.
-    """
-    if type(depth) is not int:
-        depth = checked("depth", depth, *NONNEGATIVE_INT)
-    if not 0 <= depth < len(model.damping_by_depth):
-        raise ValueError(f"depth {depth} outside model range 0..{model.max_depth}")
+    """The law's cosine form ``(1 - a_d cos(2 (2d+1) theta)) / 2``; ``cos=np.cos`` for an array."""
+    if type(depth) is not int or not 0 <= depth < len(model.damping_by_depth):
+        depth = _model_depth(model, depth)  # an in-range int, every pool's, skips the call
     return (1.0 - model.damping_by_depth[depth] * cos(2 * (2 * depth + 1) * theta)) / 2.0
 
 

@@ -1,6 +1,8 @@
 """Experiment driver: trials, calibration, noise fitting, emission, CLI."""
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -19,9 +21,8 @@ from hypothesis import strategies as st
 
 from lowdepth_ae import estimators, harness
 from lowdepth_ae.circuits import build_iterated_circuit
-from lowdepth_ae.estimators import (EstimationError, HybridCalibration, crt_columns,
-                                    crt_reconstruct, hybrid_fallback, log_likelihood_rows,
-                                    mle_estimate)
+from lowdepth_ae.estimators import (HybridCalibration, crt_columns, crt_reconstruct,
+                                    hybrid_fallback, log_likelihood_rows, mle_estimate)
 from lowdepth_ae.harness import (ALGORITHMS, PAIR_BLOCK, STREAM_BLOCK, VECTOR_MODES,
                                  ExperimentConfig, RunTable, UnidentifiableFitError,
                                  aggregate_and_emit, calibrate_hybrid, calibration_record,
@@ -663,17 +664,28 @@ def leaky_config(**kwargs):
 def test_calibration_skips_failed_draws(tmp_path):
     # Calibration is run_trial with CRT alone on the calibration stream.
     # With 8 shots and 60% leakage some draws keep no shot at a CRT depth;
-    # calibration averages over the draws with a CRT estimate at every depth.
+    # each depth averages over the draws that kept its CRT row, and depths
+    # 2 and 3 keep different draws.
     config = leaky_config(algorithms=("mle", "crt", "hybrid"))
     crt_only = leaky_config(algorithms=("crt",))
     rng = run_streams(config.seed, 0)[0]
     draws = [run_trial(crt_only, sample_vector_pair(rng, config.vector_mode), rng)
              for _ in range(config.calib_trials)]
-    ok = [t for t in draws if t.kept.all()]
-    assert 0 < len(ok) < len(draws)
-    expected = float(np.mean([abs(math.sin(t.anchor[0]) ** 2 - t.p_true[0]) for t in ok]))
     cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
-    assert all(c.mle_avg_depth2 == expected for c in cal.values())
+    assert sorted(cal) == [2, 3]
+    kept_by_depth = []
+    for d in cal:
+        ok = [t for t in draws if t.kept[0, t.slot("crt", d)]]
+        assert 0 < len(ok) < len(draws)
+        kept_by_depth.append(ok)
+        theta = [float(t.theta_true[0]) for t in ok]
+        exact = [crt_reconstruct(math.sin((2 * d + 1) * th) ** 2, math.sin((2 * d - 1) * th) ** 2,
+                                 th, d)[1].p_hat for th in theta]
+        assert cal[d].mle_avg_depth2 == float(np.mean(
+            [abs(math.sin(t.anchor[0]) ** 2 - t.p_true[0]) for t in ok]))
+        assert cal[d].crt_exact_at_d == float(np.mean(
+            [abs(p - t.p_true[0]) for p, t in zip(exact, ok)]))
+    assert kept_by_depth[0] != kept_by_depth[1]
 
     with_hybrid, _ = run_experiment(config, out_dir=tmp_path / "hybrid")
     without, _ = run_experiment(leaky_config(algorithms=("mle", "crt")),
@@ -1225,18 +1237,68 @@ def small_configs(draw):
         powerlaw_target_eps=draw(st.sampled_from([1e-300, 1e-3, 0.05, 0.3])))
 
 
+def unkept_calibration_config(leak_prob, n_shots, calib_trials):
+    """A config whose calibration trials keep no CRT row, so no depth gets a calibration."""
+    return ExperimentConfig(n_trials=20, n_shots=n_shots, max_depth=3, seed=1,
+                            algorithms=("direct", "mle", "hybrid"), calib_trials=calib_trials,
+                            noise=NoiseModel(gamma_by_depth=[0.05] * 4, leak_prob=leak_prob))
+
+
+RUN_FILES = ("aggregate.csv", "crt_error_histogram.csv", "manifest.json", "trials.csv")
+# the named errors with which ``run`` may refuse an accepted config: none is known
+RUN_ERRORS = ()
+
+
 @settings(max_examples=60, deadline=None)
 @given(config=small_configs())
+@example(config=unkept_calibration_config(0.999, 10, 3))
+@example(config=unkept_calibration_config(0.9, 2, 3))
+@example(config=unkept_calibration_config(0.9, 1, 20))
+@example(config=unkept_calibration_config(0.999, 100, 1))
 def test_an_accepted_config_gives_valid_rows_or_an_estimation_error(config):
-    with tempfile.TemporaryDirectory() as out:
-        try:
-            table, _ = run_experiment(config, out)
-        except EstimationError:
+    # ``run`` exits 0 and writes its four files, or exits 2 with an error of
+    # RUN_ERRORS.  Each trials.csv row recomputes from its own angles with
+    # math.sin, bit for bit, and each aggregate.csv row from its trials.csv
+    # rows.  A depth without a hybrid calibration, which the calibration
+    # record names with its reason, has no hybrid row.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        if status == 2 and json.loads(err.getvalue())["error"] in RUN_ERRORS:
             return
-    assert np.all((table.p_hat[table.kept] >= 0.0) & (table.p_hat[table.kept] <= 1.0))
-    for k, (algorithm, depth) in enumerate(zip(table.algorithm, table.label)):
-        if algorithm == "mle":
-            assert np.all(table.oracle_calls[:, k] == config.n_shots * (depth + 1) ** 2)
+        assert status == 0, err.getvalue()
+        assert sorted(path.name for path in out.iterdir()) == list(RUN_FILES)
+        with open(out / "trials.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(out / "aggregate.csv", encoding="utf-8", newline="") as fh:
+            aggregate = list(csv.DictReader(fh))
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    slots = {}
+    for row in rows:
+        theta_true, theta_hat = float(row["theta_true"]), float(row["theta_hat"])
+        p_true, p_hat = math.sin(theta_true) ** 2, math.sin(theta_hat) ** 2
+        assert [float(row[c]) for c in ("p_true", "p_hat", "abs_err_p", "abs_err_theta")] \
+            == [p_true, p_hat, abs(p_hat - p_true), abs(theta_hat - theta_true)]
+        if row["algorithm"] == "mle":
+            assert int(row["oracle_calls"]) == config.n_shots * (int(row["depth"]) + 1) ** 2
+        slots.setdefault((row["algorithm"], row["depth"]), []).append(row)
+    assert [(row["algorithm"], row["depth"]) for row in aggregate] == list(slots)
+    for row in aggregate:
+        slot = slots[row["algorithm"], row["depth"]]
+        assert int(row["total_oracle_calls"]) == sum(int(r["oracle_calls"]) for r in slot)
+        for mean, cell in (("mean_abs_err_p", "abs_err_p"), ("mean_abs_err_theta", "abs_err_theta")):
+            assert math.isclose(float(row[mean]), math.fsum(float(r[cell]) for r in slot) / len(slot),
+                                rel_tol=1e-12, abs_tol=0.0)
+    calibration = manifest["calibration"]
+    if "hybrid" in config.algorithms:
+        assert list(calibration) == [str(d) for d in range(2, config.max_depth + 1)]
+        uncalibrated = {d for d, c in calibration.items() if isinstance(c, str)}
+        assert not uncalibrated & {d for alg, d in slots if alg == "hybrid"}
+    else:
+        assert calibration is None
 
 
 # ------------------------------------------------------------------------ cli

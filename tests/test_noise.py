@@ -43,6 +43,16 @@ def test_effective_eta_depth_out_of_range():
         effective_eta(model_with(gamma=(0.1, 0.2)), -1)
 
 
+def test_neg_log_damping_rejects_a_depth_outside_the_model():
+    # depth -1 read the top depth's rate, 0.35, and depth 4 raised a bare IndexError
+    model = NoiseModel.linear_ramp(3)
+    for depth in (-1, 4):
+        with pytest.raises(ValueError, match=f"^depth {depth} outside model range 0..3$"):
+            neg_log_damping(model, depth)
+    with pytest.raises(ValueError, match="^depth must be a nonnegative integer"):
+        neg_log_damping(model, 1.0)
+
+
 rates = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=9).map(sorted)
 
 
