@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuits import build_iterated_circuit, compile_to_two_qubit, compiled_stats
 from .harness import (ExperimentConfig, _trial_pairs, calibrate_hybrid, calibration_record,
-                      fit_depolarizing, run_experiment, run_streams, run_trial,
+                      fit_depolarizing, fit_record, run_experiment, run_streams, run_trial,
                       sample_vector_pair, write_json)
 from .noise import NONNEGATIVE_INT, checked, neg_log_damping
 
@@ -71,15 +71,16 @@ def _cmd_fit_noise(args) -> int:
     for t, (rng, pair) in enumerate(_trial_pairs(trial_rngs, config.vector_mode)):
         trial = run_trial(sampling, pair, rng)
         counts[t], thetas[t] = trial.counts, trial.theta_true[0]  # (1, D, 3) into (D, 3)
-    gammas = fit_depolarizing(counts, thetas)
+    fit = fit_depolarizing(counts, thetas)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "gamma_fit.json"
-    write_json(path, {"gamma_by_depth": gammas})
+    write_json(path, fit_record(fit))
     # the fit measures -log a_d = gamma_d - log(1 - beta), readout error included
     print(f"{'depth':>6} {'gamma_model':>12} {'gamma_fit':>12}")
-    for d, g in enumerate(gammas):
-        print(f"{d:>6} {neg_log_damping(config.noise, d):>12.4f} {g:>12.4f}")
+    for d, g in enumerate(fit):
+        cell = g if isinstance(g, str) else f"{g:.4f}"  # a depth without a rate prints its reason
+        print(f"{d:>6} {neg_log_damping(config.noise, d):>12.4f} {cell:>12}")
     print(f"gamma fit: {path}")
     return 0
 

@@ -63,10 +63,6 @@ AGGREGATE_COLUMNS = ("algorithm", "depth", "total_oracle_calls", "mean_abs_err_p
 JSON_OBJECT = (dict, "an object of named fields")  # the rule of a config and its noise
 
 
-class UnidentifiableFitError(RuntimeError):
-    """Depolarizing fit measured no rate at a depth; the message says which and why."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; serializes to/from a JSON config file."""
@@ -591,45 +587,59 @@ def write_json(path: Path, record) -> None:
         fh.write("\n")
 
 
-def fit_depolarizing(counts, true_thetas) -> list[float]:
-    """Least-squares depolarizing rates from observed good fractions.
+def fit_depolarizing(counts, true_thetas) -> list[float | str]:
+    """Least-squares depolarizing rates from observed good fractions, one entry per depth.
 
     ``counts[t, d]`` holds trial ``t``'s (good, bad, discarded) tallies at
     depth ``d``, as in :attr:`RunTable.counts`; trials that kept no shot
     at a depth are left out there.  Per depth the law's inverse
     :func:`noise.damped_cosine` is regressed on the cosine through the
-    origin for ``a = 1 - eta_d``, and ``-log a = gamma_d - log(1 - beta)``
-    is returned (0 for ``a >= 1``): counts cannot tell readout error from
-    damping.  Raises :class:`UnidentifiableFitError` naming the depth when
-    fewer than two trials kept a shot, when every probability sits at 1/2,
-    or when the fitted damping is not positive.
+    origin for ``a = 1 - eta_d``, and the entry is ``-log a = gamma_d -
+    log(1 - beta)`` (0 for ``a >= 1``): counts cannot tell readout error
+    from damping.  A depth's entry is instead the reason it has no rate
+    when fewer than two trials kept a shot, when every probability sits at
+    1/2, or when the fitted damping is not positive or lies within two
+    standard errors of 0; every other depth keeps its rate.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    if len(counts) < 2:
-        raise ValueError("need counts from at least two trials per depth")
     thetas = np.asarray(true_thetas, dtype=float)
     if thetas.shape != (len(counts),):
         raise ValueError(f"true_thetas holds {thetas.size} angles, counts {len(counts)} trials")
 
-    def rate(d: int) -> float:
-        """Depth ``d``'s rate; its per-trial temporaries die when it returns."""
+    def rate(d: int) -> float | str:
+        """Depth ``d``'s rate or reason; its per-trial temporaries die when it returns."""
         good = counts[:, d, 0]
         kept = good + counts[:, d, 1]
         has_rate = kept > 0
-        if np.count_nonzero(has_rate) < 2:
-            raise UnidentifiableFitError(f"depth {d}: fewer than two trials kept a shot")
+        n = np.count_nonzero(has_rate)
+        if n < 2:
+            return "fewer than two trials kept a shot"
         c = np.cos(2 * (2 * d + 1) * thetas[has_rate])
         z = damped_cosine(good[has_rate] / kept[has_rate])
         denom = float(np.sum(c * c))
         if denom < 1e-9:
-            raise UnidentifiableFitError(
-                f"depth {d}: all probabilities near 1/2, damping unidentifiable")
+            return "all probabilities near 1/2, damping unidentifiable"
         a = float(np.sum(c * z) / denom)
         if a <= 0.0:
-            raise UnidentifiableFitError(f"depth {d}: fitted damping {a:.6g} <= 0, no rate")
+            return f"fitted damping {a:.6g} <= 0, no rate"
+        se = math.sqrt(float(np.sum((z - a * c) ** 2)) / (n - 1) / denom)
+        if a <= 2.0 * se:
+            return f"fitted damping {a:.6g} within two standard errors ({se:.6g}) of 0, no rate"
         return -math.log(a) if a < 1.0 else 0.0  # -log(1.0) is -0.0
 
     return [rate(d) for d in range(counts.shape[1])]
+
+
+def fit_record(fit) -> dict:
+    """The record of :func:`fit_depolarizing`'s entries that ``gamma_fit.json`` holds.
+
+    ``gamma_by_depth`` holds each depth's rate, ``None`` at a depth without
+    one; only then is there a ``gamma_fit_error``, the ``"depth <d>:
+    <reason>"`` of each such depth joined by ``"; "``.
+    """
+    reasons = "; ".join(f"depth {d}: {g}" for d, g in enumerate(fit) if isinstance(g, str))
+    rates = {"gamma_by_depth": [None if isinstance(g, str) else g for g in fit]}
+    return rates | {"gamma_fit_error": reasons} if reasons else rates
 
 
 def _strings(values: np.ndarray) -> np.ndarray:
@@ -655,13 +665,13 @@ def _write_csv(path: Path, header, chunks) -> None:
     """Write a header and, chunk by chunk, equal-length columns of strings as lines.
 
     The fields are names, labels and numbers, none of which ``csv`` would
-    quote, so the lines are what ``csv.writer`` writes, only faster.  The
-    last column carries each line's newline.
+    quote, so the lines are what ``csv.writer`` writes, only faster.  Each
+    chunk's lines are joined from its columns' lists and written as one string.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for *head, last in chunks:
-            fh.writelines(map(",".join, zip(*head, np.asarray(last, dtype=object) + "\n")))
+        for chunk in chunks:  # the empty last line ends the others; a chunk of none writes ""
+            fh.write("\n".join([*map(",".join, zip(*(np.asarray(c).tolist() for c in chunk))), ""]))
 
 
 def _trial_rows(table: RunTable, theta_keys: np.ndarray, p_keys: np.ndarray):
@@ -697,8 +707,7 @@ def _trial_rows(table: RunTable, theta_keys: np.ndarray, p_keys: np.ndarray):
 
 
 def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
-                       calibrations=None, gamma_fit=None,
-                       gamma_fit_error: str | None = None) -> dict[str, Path]:
+                       calibrations=None, gamma_fit=None) -> dict[str, Path]:
     """Write per-trial and aggregate CSVs, CRT error histograms and a manifest.
 
     ``trials.csv`` has one line per kept row of ``table``, trial by trial
@@ -708,7 +717,9 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
     depth's ``abs_err_p`` over [0, 0.5) in steps of 0.02, and the last bin
     holds [0.5, 1.0].  No array of a cell per row is held: the errors are
     computed a chunk, or a slot, at a time, with each ``p_hat`` looked up
-    from the distinct estimates.
+    from the distinct estimates.  The manifest's ``gamma_fit`` and
+    ``gamma_fit_error`` are the :func:`fit_record` of ``gamma_fit``, the
+    entries of :func:`fit_depolarizing` (both ``None`` without them).
     """
     if len(table.theta_true) == 0:
         raise ValueError("no trials to aggregate")
@@ -751,6 +762,7 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
                  np.tile(edge_strings[1:], len(crt_labels)),
                  _strings(np.array(hist_counts, dtype=np.int64).reshape(-1))]])
 
+    fit = {"gamma_by_depth": None} if gamma_fit is None else fit_record(gamma_fit)
     config_record = config.to_dict()
     config_record.pop("out_dir")  # volatile; identical runs stay byte-identical
     manifest = {
@@ -758,8 +770,8 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
         "config": config_record,
         "oracle_call_convention": "cumulative over depths 0..d for MLE rows; "
                                   "2d+1 calls per shot, discarded shots included",
-        "gamma_fit": None if gamma_fit is None else [float(g) for g in gamma_fit],
-        "gamma_fit_error": gamma_fit_error,
+        "gamma_fit": fit["gamma_by_depth"],
+        "gamma_fit_error": fit.get("gamma_fit_error"),
         "calibration": calibration_record(calibrations) if calibrations else None,
         "trial_errors": table.errors(),
     }
@@ -779,15 +791,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     if "hybrid" in config.algorithms:
         calibrations = calibrate_hybrid(config, calib_rng)
     table = run_trials(config, trial_rngs, calibrations)
-
-    gamma_fit = None
-    fit_error = None
-    try:
-        gamma_fit = fit_depolarizing(table.counts, table.theta_true)
-    except (UnidentifiableFitError, ValueError) as exc:
-        fit_error = str(exc)
-
     paths = aggregate_and_emit(table, config, out_dir or config.out_dir,
-                               calibrations=calibrations, gamma_fit=gamma_fit,
-                               gamma_fit_error=fit_error)
+                               calibrations=calibrations,
+                               gamma_fit=fit_depolarizing(table.counts, table.theta_true))
     return table, paths

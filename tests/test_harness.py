@@ -24,7 +24,7 @@ from lowdepth_ae.circuits import build_iterated_circuit
 from lowdepth_ae.estimators import (HybridCalibration, crt_columns, crt_reconstruct,
                                     hybrid_fallback, log_likelihood_rows, mle_estimate)
 from lowdepth_ae.harness import (ALGORITHMS, PAIR_BLOCK, STREAM_BLOCK, VECTOR_MODES,
-                                 ExperimentConfig, RunTable, UnidentifiableFitError,
+                                 ExperimentConfig, RunTable,
                                  aggregate_and_emit, calibrate_hybrid, calibration_record,
                                  fit_depolarizing, run_experiment, run_streams, run_trial,
                                  run_trials, sample_vector_pair, sample_vector_pairs)
@@ -922,29 +922,69 @@ def test_fit_inverts_the_outcome_law(beta):
 def test_fit_a_damping_not_positive_is_unidentified(rows, damping):
     # a fitted damping <= 0 was clamped to 1e-12 and written as rate 27.631
     counts = np.array(rows)[:, None, :]
-    with pytest.raises(UnidentifiableFitError,
-                       match=rf"^depth 0: fitted damping {damping} <= 0, no rate$"):
-        fit_depolarizing(counts, [0.0, math.pi / 2])
+    assert fit_depolarizing(counts, [0.0, math.pi / 2]) \
+        == [f"fitted damping {damping} <= 0, no rate"]
 
 
-NO_SIGNAL = {"n_trials": 5, "n_shots": 20, "max_depth": 3, "seed": 0,
-             "noise": {"gamma_by_depth": [800, 800, 800, 800]}}
+def no_signal(seed):
+    """At gamma 800 the counts hold no signal at any depth."""
+    return {"n_trials": 5, "n_shots": 20, "max_depth": 3, "seed": seed,
+            "noise": {"gamma_by_depth": [800, 800, 800, 800]}}
 
 
-def test_run_and_fit_noise_report_a_depth_without_signal(tmp_path, capsys):
-    # the no-signal depths 1 and 2 were written as gamma_fit 27.631
+# depths 0 and 1 measure their rates; at gamma 8 depths 2 and 3 hold no signal
+MIXED = {"n_trials": 40, "n_shots": 50, "max_depth": 3, "seed": 3,
+         "noise": {"gamma_by_depth": [0.05, 0.1, 8, 8]}}
+
+
+@pytest.mark.parametrize("config, rates, reasons", [
+    # every depth was lost with the whole fit, the no-signal depths 1 and 2
+    # having been written as gamma_fit 27.631 before that
+    (no_signal(0), [None] * 4,
+     ["fitted damping 0.0393958 within two standard errors (0.111295) of 0, no rate",
+      "fitted damping -0.421935 <= 0, no rate",
+      "fitted damping -0.209197 <= 0, no rate",
+      "fitted damping 0.045518 within two standard errors (0.0907015) of 0, no rate"]),
+    # a positive damping inside its own noise was written as a rate: at seed
+    # 30 fit-noise printed 3.3048, 1.1600, 2.0452 and 1.7422 beside the model's 800
+    (no_signal(30), [None] * 4,
+     ["fitted damping 0.036708 within two standard errors (0.0770036) of 0, no rate",
+      "fitted damping 0.31349 within two standard errors (0.182545) of 0, no rate",
+      "fitted damping 0.129352 within two standard errors (0.123202) of 0, no rate",
+      "fitted damping 0.175143 within two standard errors (0.129675) of 0, no rate"]),
+    (no_signal(42), [None] * 4,
+     ["fitted damping 0.0731186 within two standard errors (0.0908619) of 0, no rate",
+      "fitted damping 0.0808877 within two standard errors (0.164222) of 0, no rate",
+      "fitted damping 0.0958462 within two standard errors (0.107501) of 0, no rate",
+      "fitted damping 0.0547025 within two standard errors (0.121237) of 0, no rate"]),
+    (no_signal(60), [None] * 4,
+     ["fitted damping 0.0140346 within two standard errors (0.0650923) of 0, no rate",
+      "fitted damping 0.0117958 within two standard errors (0.184441) of 0, no rate",
+      "fitted damping 0.209829 within two standard errors (0.162688) of 0, no rate",
+      "fitted damping 0.00529966 within two standard errors (0.143272) of 0, no rate"]),
+    # the whole fit was null here, losing the rates of depths 0 and 1
+    (MIXED, [0.014349426517004528, 0.08557799990456973, None, None],
+     [None, None,
+      "fitted damping -0.00037567 <= 0, no rate",
+      "fitted damping -0.018298 <= 0, no rate"])],
+    ids=["no-signal-0", "no-signal-30", "no-signal-42", "no-signal-60", "mixed"])
+def test_run_and_fit_noise_report_a_depth_without_signal(config, rates, reasons, tmp_path,
+                                                         capsys):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(NO_SIGNAL), encoding="utf-8")
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["gamma_fit"] is None
-    assert manifest["gamma_fit_error"].startswith("depth 1: fitted damping -")
     capsys.readouterr()
-    assert cli_main(["fit-noise", "--config", str(cfg_path), "--out", str(tmp_path / "fit")]) == 2
+    assert cli_main(["fit-noise", "--config", str(cfg_path), "--out", str(tmp_path / "fit")]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "" and not (tmp_path / "fit").exists()
-    record = json.loads(captured.err)
-    assert record == {"error": "UnidentifiableFitError", "message": manifest["gamma_fit_error"]}
+    fitted = json.loads((tmp_path / "fit" / "gamma_fit.json").read_text(encoding="utf-8"))
+    error = "; ".join(f"depth {d}: {r}" for d, r in enumerate(reasons) if r is not None)
+    assert manifest["gamma_fit"] == rates and manifest["gamma_fit_error"] == error
+    assert fitted == {"gamma_by_depth": rates, "gamma_fit_error": error}
+    noise = ExperimentConfig.from_dict(config).noise
+    assert captured.err == "" and captured.out.splitlines()[1:5] == [
+        f"{d:>6} {neg_log_damping(noise, d):>12.4f} {r if r is not None else f'{g:.4f}':>12}"
+        for d, (g, r) in enumerate(zip(rates, reasons))]
 
 
 def test_fit_degenerate_probabilities_unidentifiable():
@@ -953,8 +993,8 @@ def test_fit_degenerate_probabilities_unidentifiable():
     theta = math.pi / 4  # every odd multiple gives p = 1/2
     counts = [[sample_noisy_shots(theta, d, 1000, model, rng) for d in range(8)]
               for _ in range(5)]
-    with pytest.raises(UnidentifiableFitError):
-        fit_depolarizing(tallies(counts), [theta] * 5)
+    assert fit_depolarizing(tallies(counts), [theta] * 5) \
+        == ["all probabilities near 1/2, damping unidentifiable"] * 8
 
 
 def test_fit_leaves_out_trials_that_kept_no_shot():
@@ -972,8 +1012,8 @@ def test_fit_leaves_out_trials_that_kept_no_shot():
     thetas_with_empty = np.concatenate([thetas[:100], np.full(50, 0.3), thetas[100:]])
     assert fit_depolarizing(tallies(with_empty), thetas_with_empty) \
         == fit_depolarizing(tallies(counts), thetas)
-    with pytest.raises(UnidentifiableFitError, match="fewer than two"):
-        fit_depolarizing(tallies([counts[0], empty, empty]), thetas[:3])
+    assert fit_depolarizing(tallies([counts[0], empty, empty]), thetas[:3]) \
+        == ["fewer than two trials kept a shot"] * 8
 
 
 @pytest.mark.parametrize("n_trials,n_angles", [(5, 4), (4, 5)])
@@ -987,8 +1027,7 @@ def test_fit_names_both_lengths_when_counts_and_angles_differ(n_trials, n_angles
 
 def test_fit_needs_two_trials():
     counts, thetas = make_fit_data(0.1, n_trials=1)
-    with pytest.raises(ValueError):
-        fit_depolarizing(counts, thetas)
+    assert fit_depolarizing(counts, thetas) == ["fewer than two trials kept a shot"] * 8
 
 
 # ------------------------------------------------------------------- emission
@@ -1255,12 +1294,15 @@ RUN_ERRORS = ()
 @example(config=unkept_calibration_config(0.9, 2, 3))
 @example(config=unkept_calibration_config(0.9, 1, 20))
 @example(config=unkept_calibration_config(0.999, 100, 1))
+@example(config=ExperimentConfig.from_dict(MIXED))
 def test_an_accepted_config_gives_valid_rows_or_an_estimation_error(config):
     # ``run`` exits 0 and writes its four files, or exits 2 with an error of
     # RUN_ERRORS.  Each trials.csv row recomputes from its own angles with
     # math.sin, bit for bit, and each aggregate.csv row from its trials.csv
     # rows.  A depth without a hybrid calibration, which the calibration
-    # record names with its reason, has no hybrid row.
+    # record names with its reason, has no hybrid row.  Each depth's fitted
+    # rate is a finite float >= 0, or null where gamma_fit_error names the
+    # depth with its reason.
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
@@ -1299,6 +1341,11 @@ def test_an_accepted_config_gives_valid_rows_or_an_estimation_error(config):
         assert not uncalibrated & {d for alg, d in slots if alg == "hybrid"}
     else:
         assert calibration is None
+    gamma_fit = manifest["gamma_fit"]
+    assert len(gamma_fit) == config.max_depth + 1
+    assert all(g is None or (type(g) is float and math.isfinite(g) and g >= 0) for g in gamma_fit)
+    named = re.findall(r"(?:^|; )depth (\d+): ", manifest["gamma_fit_error"] or "")
+    assert named == [str(d) for d, g in enumerate(gamma_fit) if g is None]
 
 
 # ------------------------------------------------------------------------ cli
@@ -1476,8 +1523,8 @@ def test_cli_fit_noise_writes_no_negative_zero_where_the_fit_clamps(tmp_path, ca
 def test_cli_fit_noise_prints_a_model_rate_past_exp_underflow(tmp_path, capsys):
     # exp(-gamma_d) underflows to 0, so -log(1 - eta_d) died with "math domain
     # error" after gamma_fit.json and the header were written.  Such counts
-    # hold no signal, and the fit rejects them at a depth whose fitted
-    # damping is not positive, so the fit is replaced to reach the model column
+    # hold no signal, so each depth's fit column would hold its reason; the
+    # fit is replaced to read each row as three fields
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"n_trials": 3, "noise": {"gamma_by_depth": [1e6] * 8}}),
                         encoding="utf-8")
