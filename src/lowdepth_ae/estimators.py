@@ -52,8 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import (NONNEGATIVE, NONNEGATIVE_INT, REAL, DepthCounts, NoiseModel, check_fields,
-                    checked, noisy_prob)
+from .noise import (NONNEGATIVE, NONNEGATIVE_INT, REAL, DepthCounts, NoiseModel, _checked_counts,
+                    check_fields, checked, noisy_prob)
 
 EXTENDED_OFFSETS = tuple((d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1))
 # Bytes of update scratch that mle_estimate holds at a time: one batch of
@@ -141,6 +141,11 @@ class HybridCalibration:
 def hybrid_fallback(anchor_p, crt_p, threshold) -> np.ndarray:
     """Where the hybrid takes its anchor over CRT: the two differ by more than the threshold."""
     return np.abs(anchor_p - crt_p) > threshold
+
+
+def _oracle_calls(counts: np.ndarray, depths) -> np.ndarray:
+    """Oracle calls per (trial, entry): ``2d+1`` a shot at entry j's depth d, discards included."""
+    return counts.sum(axis=2) * (2 * np.asarray(depths, dtype=np.int64) + 1)
 
 
 def direct_estimate(counts: DepthCounts) -> Estimate:
@@ -242,12 +247,8 @@ def mle_estimate(counts, depths, epsilon: float = 0.001, noise: NoiseModel | Non
     """
     thetas = np.pi * np.arange(_grid_size(epsilon)) * epsilon / 2.0
     depths = [checked(f"depths[{j}]", d, *NONNEGATIVE_INT) for j, d in enumerate(depths)]
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 3 or counts.shape[1:] != (len(depths), 3):
-        raise ValueError("counts need one (good, bad, discarded) entry per depth and trial")
     # the pruning is exact for counts >= 0 alone (see the module docstring)
-    if (counts < 0).any():
-        raise ValueError("counts must be >= 0")
+    counts = _checked_counts(counts, len(depths))
     width = 1  # of a top-level block
     while width * BRANCH ** 2 < thetas.size:
         width *= BRANCH
@@ -255,7 +256,7 @@ def mle_estimate(counts, depths, epsilon: float = 0.001, noise: NoiseModel | Non
     table[..., thetas.size:] = -np.inf
     for j, depth in enumerate(depths):
         table[j, :, :thetas.size] = log_likelihood_rows(thetas, depth, noise)
-    calls = np.cumsum(counts.sum(axis=2) * (2 * np.array(depths, dtype=np.int64) + 1), axis=1)
+    calls = np.cumsum(_oracle_calls(counts, depths), axis=1)
     # entries that get an argmax: from the first kept shot on, or the last alone
     needed = np.logical_or.accumulate(counts[..., 0] + counts[..., 1] > 0, axis=1)
     needed[:, :-1] &= not last_only

@@ -7,10 +7,10 @@ fills its columns of one :class:`RunTable` for all trials at once: the
 MLE passes update chunks of trials together, CRT reconstructs every
 (trial, depth) pair in one call and the hybrid chooses with one mask.
 Emission writes per-trial and aggregate CSVs plus a JSON manifest, the
-per-trial rows a fixed-size chunk at a time.  All randomness flows from a single seed through
-:func:`run_streams`, one calibration stream and one stream per trial, so
-identical configs produce byte-identical output files, and ``calibrate``
-and ``fit-noise`` see the very draws a run sees.
+per-trial rows a fixed-size chunk at a time.  All randomness flows from
+a single seed through :func:`run_streams`, one calibration stream and
+one stream per trial, so identical configs produce byte-identical output
+files, and ``calibrate`` and ``fit-noise`` see the very draws a run sees.
 
 Oracle-call accounting is cumulative for the MLE rows: the point at
 maximum depth d charges all shots taken at depths 0..d, each shot at
@@ -19,7 +19,6 @@ depth d' costing 2d'+1 calls.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -32,11 +31,11 @@ import numpy as np
 
 from . import __version__
 from .estimators import (CHUNK_BYTES, CrtReadings, HybridCalibration, _bits, _elementwise,
-                         _grid_size, _per_distinct, crt_columns, hybrid_fallback, mle_estimate,
-                         sin_squared)
+                         _grid_size, _oracle_calls, _per_distinct, crt_columns, hybrid_fallback,
+                         mle_estimate, sin_squared)
 from .noise import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, REAL,
-                    CorrelatedNoise, NoiseModel, check_fields, checked, damped_cosine,
-                    sample_noisy_shots)
+                    CorrelatedNoise, NoiseModel, _checked_counts, check_fields, checked,
+                    damped_cosine, sample_noisy_shots)
 from .schedules import InfeasibleScheduleError, optimize_exponent, power_law_schedule
 
 ALGORITHMS = ("direct", "mle", "crt", "hybrid", "powerlaw")
@@ -183,11 +182,6 @@ class RunTable:
                 for t, by_alg in dropped.items()}
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a real vector, ``sqrt(v . v)``, without its dispatch."""
-    return math.sqrt(v.dot(v))
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a[i].dot(b[i])`` of each row pair, as an (n, 1) column, bit for bit.
 
@@ -198,44 +192,28 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sample_vector_pair(rng: np.random.Generator, mode: str = "haar"):
-    """Random 4-dimensional unit-vector pair.
+    """Random 4-dimensional unit-vector pair: row 0 of :func:`sample_vector_pairs` on ``[rng]``."""
+    x, y = sample_vector_pairs([rng], mode)
+    return x[0], y[0]
+
+
+def sample_vector_pairs(rngs, mode: str = "haar") -> tuple[np.ndarray, np.ndarray]:
+    """A random 4-dimensional unit-vector pair from each of a block of generators, as (n, 4) arrays.
 
     ``haar`` normalizes independent Gaussian draws; ``uniform-theta`` first
     draws the target angle uniformly on [0, pi/2] and builds a pair with
     ``x . y = sin(theta)``, spreading the estimated probability over [0, 1].
-    The run's trials draw theirs a block at a time with
-    :func:`sample_vector_pairs`; this is the draw of one pair from a stream
-    that feeds many trials, as calibration's does.
-    """
-    if mode == "haar":
-        x, y = rng.standard_normal((2, 4))
-        return x / _norm(x), y / _norm(y)
-    if mode == "uniform-theta":
-        theta = math.pi / 2 * rng.random()  # rng.uniform(0, pi / 2), bit for bit
-        x, u = rng.standard_normal((2, 4))
-        x /= _norm(x)
-        u -= u.dot(x) * x
-        u /= _norm(u)
-        y = math.sin(theta) * x + math.cos(theta) * u
-        return x, y / _norm(y)
-    raise ValueError(f"unknown vector mode {mode!r}")
-
-
-def sample_vector_pairs(rngs, mode: str = "haar") -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_vector_pair` on each of a block of generators, as (n, 4) arrays ``x, y``.
-
-    Each generator makes the draws, and row i holds the bits, of
-    ``sample_vector_pair(rngs[i], mode)``; the arithmetic then runs once
-    over the block, with :func:`_dots`, ``np.sqrt`` (correctly rounded, as
-    ``math.sqrt`` is) and ``math.sin`` and ``math.cos`` per row.  A block
-    holds each generator once: one that feeds many trials must draw each
-    pair right before that trial's pools.
+    Each generator draws its angle, then its eight normals into its row;
+    the arithmetic then runs once over the block, with :func:`_dots`,
+    ``np.sqrt`` (correctly rounded, as ``math.sqrt`` is) and ``math.sin``
+    and ``math.cos`` per row, so row i is the pair that generator would
+    make alone.  A block holds each generator once.
     """
     if mode not in VECTOR_MODES:
         raise ValueError(f"unknown vector mode {mode!r}")
     if len(set(map(id, rngs))) != len(rngs):
         raise ValueError("a block of pairs holds a generator more than once")
-    # each generator draws its angle before its normals, as it would alone
+    # rng.uniform(0, pi / 2), bit for bit, before the normals
     thetas = [math.pi / 2 * rng.random() for rng in rngs] if mode == "uniform-theta" else None
     normals = np.empty((len(rngs), 2, 4))
     for rng, row in zip(rngs, normals):
@@ -252,14 +230,27 @@ def sample_vector_pairs(rngs, mode: str = "haar") -> tuple[np.ndarray, np.ndarra
 
 
 def _trial_pairs(rngs, mode: str) -> Iterator[tuple[np.random.Generator, tuple]]:
-    """Each generator of ``rngs`` with its vector pair, drawn ``PAIR_BLOCK`` trials at a time.
+    """Each generator of ``rngs`` with its vector pair, drawn a block of trials at a time.
 
-    A block's generators are built, and draw their pairs, when the block
-    starts; each then draws the rest of its trial as it comes.
+    A block ends at ``PAIR_BLOCK`` generators, or just before one it
+    already holds, so a generator that feeds many trials draws each pair
+    right before that trial's pools.  A block's generators are pulled, and
+    draw their pairs, when it starts (none past a full block); each then
+    draws the rest of its trial as it comes.
     """
-    rngs = iter(rngs)
-    while block := list(itertools.islice(rngs, PAIR_BLOCK)):
-        yield from zip(block, zip(*sample_vector_pairs(block, mode)))
+    def drawn(block):
+        return zip(block.values(), zip(*sample_vector_pairs(block.values(), mode)))
+
+    block = {}  # the block's generators by id, in order
+    for rng in rngs:
+        if id(rng) in block:
+            yield from drawn(block)
+            block = {}
+        block[id(rng)] = rng
+        if len(block) == PAIR_BLOCK:
+            yield from drawn(block)
+            block = {}
+    yield from drawn(block)
 
 
 def _hash_consts(init: int, mult: int, skip: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -408,9 +399,9 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
     # kept good fraction and no-kept-shot flag per (trial, depth)
     empty = counts[..., 0] + counts[..., 1] == 0
     rate = counts[..., 0] / np.maximum(counts[..., 0] + counts[..., 1], 1)
-    shots = counts.sum(axis=2)
+    shot_calls = _oracle_calls(counts, depths)
     if "direct" in config.algorithms:
-        add("direct", (0,), _elementwise(math.asin, np.sqrt(rate[:, :1])), shots[:, :1],
+        add("direct", (0,), _elementwise(math.asin, np.sqrt(rate[:, :1])), shot_calls[:, :1],
             np.where(empty[:, :1], "all shots were discarded", None))
     mle_noise = config.noise if config.mle_noise_aware else None
     if "mle" in config.algorithms:
@@ -435,7 +426,7 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
                 again.theta[:, 2], again.calls[:, 2], again.reason
         d = np.arange(2, n_depths)
         crt = crt_columns(rate[:, 2:], rate[:, 1:-1], np.nan_to_num(anchor)[:, None], d)
-        calls = anchor_calls[:, None] + shots[:, 2:] * (2 * d + 1) + shots[:, 1:-1] * (2 * d - 1)
+        calls = anchor_calls[:, None] + shot_calls[:, 2:] + shot_calls[:, 1:-1]
         drops = (np.where(np.isnan(anchor), [f"anchor: {why}" for why in anchor_why],
                           None)[:, None],
                  np.where(empty[:, 2:], [f"no kept shots at depth {x}" for x in d], None),
@@ -495,11 +486,11 @@ def run_trials(config: ExperimentConfig, rngs,
                calibrations: dict[int, HybridCalibration | str] | None = None) -> RunTable:
     """:func:`run_trial` on a vector pair drawn from each generator, trial ids from 0.
 
-    The generators must be distinct.  Every trial's stream is consumed
-    first, in the order pair, pool, power-law subsample; the pairs of
-    ``PAIR_BLOCK`` trials are drawn together by :func:`sample_vector_pairs`,
-    and the power-law schedule is solved once.  The estimators then fill
-    their columns for all trials at once.
+    Every trial's stream is consumed first, in the order pair, pool,
+    power-law subsample, so a generator may feed many trials, each in
+    turn; the pairs of a block of trials are drawn together by
+    :func:`sample_vector_pairs`, and the power-law schedule is solved once.
+    The estimators then fill their columns for all trials at once.
     """
     plan = _powerlaw_plan(config)
     draws = [_draw(config, pair, rng, plan)
@@ -511,10 +502,9 @@ def calibrate_hybrid(config: ExperimentConfig,
                      rng: np.random.Generator) -> dict[int, HybridCalibration | str]:
     """Estimate each CRT depth's hybrid threshold inputs on ``config.calib_trials`` draws.
 
-    Each draw is a trial of CRT alone on ``rng`` (the calibration stream
-    of :func:`run_streams`).  All draws share that one stream, so each
-    draws its pair with :func:`sample_vector_pair` right before its pools;
-    the estimators then run once over all of them.  Depth d is calibrated
+    The draws are :func:`run_trials` of CRT alone on ``rng`` (the
+    calibration stream of :func:`run_streams`) given once per draw, so
+    each draws its pair right before its pools.  Depth d is calibrated
     on the draws that kept its CRT row (the anchor and depths d - 1 and
     d), as every estimator drops a row alone: ``mle_avg_depth2`` is their
     mean error of the depth-2 MLE anchor under the configured noise and
@@ -527,9 +517,7 @@ def calibrate_hybrid(config: ExperimentConfig,
     depth, the one with the best best-depth error wins.
     """
     crt_config = dataclasses.replace(config, algorithms=("crt",))  # no power-law plan
-    draws = [_draw(crt_config, sample_vector_pair(rng, config.vector_mode), rng, None)
-             for _ in range(config.calib_trials)]
-    table = _estimate(crt_config, draws, None)
+    table = run_trials(crt_config, [rng] * config.calib_trials)
     d_max = np.array(table.label)
     theta = table.theta_true[:, None]
     exact = crt_columns(sin_squared((2 * d_max + 1) * theta),
@@ -539,7 +527,7 @@ def calibrate_hybrid(config: ExperimentConfig,
     fed = {d: (table.p_true[rows], sin_squared(table.anchor[rows]), table.p_hat[rows, j],
                exact.p_hat[rows, j])
            for j, (d, rows) in enumerate(zip(table.label, table.kept.T)) if rows.any()}
-    unkept = {d: f"no calibration trial of {len(draws)} kept a CRT row at depth {d}"
+    unkept = {d: f"no calibration trial of {config.calib_trials} kept a CRT row at depth {d}"
               for d in table.label if d not in fed}
 
     def mean_err(p_hats, p_true) -> float:
@@ -599,9 +587,10 @@ def fit_depolarizing(counts, true_thetas) -> list[float | str]:
     from damping.  A depth's entry is instead the reason it has no rate
     when fewer than two trials kept a shot, when every probability sits at
     1/2, or when the fitted damping is not positive or lies within two
-    standard errors of 0; every other depth keeps its rate.
+    standard errors of 0; every other depth keeps its rate.  Counts of any
+    other shape, or below 0, raise ``ValueError`` as :func:`mle_estimate`'s do.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _checked_counts(counts)
     thetas = np.asarray(true_thetas, dtype=float)
     if thetas.shape != (len(counts),):
         raise ValueError(f"true_thetas holds {thetas.size} angles, counts {len(counts)} trials")

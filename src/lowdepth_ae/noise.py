@@ -94,6 +94,16 @@ class DepthCounts(namedtuple("DepthCounts", "depth n_good n_bad n_discarded")):
         return self.n_good + self.n_bad
 
 
+def _checked_counts(counts, n_depths: int | None = None) -> np.ndarray:
+    """``counts`` as int64 (trials, depths, 3) tallies >= 0, with ``n_depths`` depths if given."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 3 or counts.shape[2] != 3 or n_depths not in (None, counts.shape[1]):
+        raise ValueError("counts need one (good, bad, discarded) entry per depth and trial")
+    if (counts < 0).any():
+        raise ValueError("counts must be >= 0")
+    return counts
+
+
 @dataclass(frozen=True)
 class CorrelatedNoise:
     """Bursty error modulator: sticky two-state Markov chain over shots.

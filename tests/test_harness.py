@@ -156,6 +156,24 @@ def test_a_block_of_pairs_rejects_a_generator_held_twice():
         sample_vector_pairs([rng, np.random.default_rng(1), rng], "haar")
 
 
+def test_trial_pairs_pull_no_generator_past_a_full_block():
+    pulled = []
+
+    def rngs():
+        for i in range(3 * PAIR_BLOCK):
+            pulled.append(i)
+            yield np.random.default_rng(i)
+
+    pairs = harness._trial_pairs(rngs(), "haar")
+    next(pairs)
+    assert len(pulled) == PAIR_BLOCK
+    for _ in range(PAIR_BLOCK - 1):
+        next(pairs)
+    assert len(pulled) == PAIR_BLOCK
+    next(pairs)
+    assert len(pulled) == 2 * PAIR_BLOCK
+
+
 def test_stacked_row_by_column_matmul_is_ndarray_dot_bit_for_bit():
     # the block sampler's dots rest on this: numpy sends a (1, 4) @ (4, 1)
     # matmul to the loop ndarray.dot runs; einsum and (a * b).sum(1) differ
@@ -734,6 +752,32 @@ def test_batched_trials_equal_trials_run_one_by_one(mle_noise_aware, monkeypatch
         == [trial_rows(one, 0) for one in one_by_one]
 
 
+LEAKY_BURST = NoiseModel.linear_ramp(3, leak_prob=0.6,
+                                     correlation=CorrelatedNoise(p_switch=0.05, burst_scale=4.0))
+
+
+@pytest.mark.parametrize("order", ["one generator", "mixed"])
+@pytest.mark.parametrize("mode", VECTOR_MODES)
+def test_trials_sharing_generators_equal_trials_run_one_by_one(mode, order):
+    # A generator that feeds many trials draws each pair right before that
+    # trial's pools: a block ends before a generator it already holds.
+    config = quiet_config(n_shots=8, vector_mode=mode, algorithms=ALGORITHMS, noise=LEAKY_BURST)
+    cal = {2: HybridCalibration(mle_avg_depth2=0.05, crt_exact_at_d=0.01), 3: "no calibration"}
+
+    def streams():
+        if order == "one generator":
+            return [np.random.default_rng(11)] * (PAIR_BLOCK + 6)
+        r1, r2, r3 = (np.random.default_rng(seed) for seed in (11, 12, 13))
+        return [r1, r2, r1, r3]
+
+    batched = run_trials(config, streams(), cal)
+    one_by_one = [run_trial(config, sample_vector_pair(rng, mode), rng, cal) for rng in streams()]
+    for name in ("theta_true", "counts", "theta_hat", "oracle_calls"):
+        alone = np.concatenate([getattr(one, name) for one in one_by_one])
+        assert getattr(batched, name).tobytes() == alone.tobytes(), name
+    assert batched.reason.tolist() == np.concatenate([one.reason for one in one_by_one]).tolist()
+
+
 def scalar_crt_and_hybrid(pool, d, theta, calls, cal):
     """A trial's CRT and hybrid rows at depth ``d``, one reconstruction at a time.
 
@@ -1023,6 +1067,22 @@ def test_fit_names_both_lengths_when_counts_and_angles_differ(n_trials, n_angles
     with pytest.raises(ValueError, match=f"^true_thetas holds {n_angles} angles, "
                                          f"counts {n_trials} trials"):
         fit_depolarizing(counts, np.linspace(0.1, 1.2, n_angles))
+
+
+@pytest.mark.parametrize("counts,message", [
+    ([], "one (good, bad, discarded) entry per depth and trial"),
+    (np.full((3, 4), 5), "one (good, bad, discarded) entry per depth and trial"),
+    (np.full((3, 4, 2), 5), "one (good, bad, discarded) entry per depth and trial"),
+    (np.full((3, 4, 3), -1), "counts must be >= 0"),
+])
+def test_fit_and_mle_reject_counts_by_one_rule(counts, message):
+    # fit_depolarizing raised a bare IndexError on the first two and on the
+    # third, missing its discarded column, wrote a reason at every depth
+    thetas = np.linspace(0.1, 1.2, len(counts))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit_depolarizing(counts, thetas)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mle_estimate(counts, range(4), 0.01)
 
 
 def test_fit_needs_two_trials():
