@@ -16,7 +16,7 @@ import numpy as np
 from .circuits import build_iterated_circuit, compile_to_two_qubit, compiled_stats
 from .harness import (ExperimentConfig, _trial_pairs, calibrate_hybrid, calibration_record,
                       fit_depolarizing, fit_record, run_experiment, run_streams, run_trial,
-                      sample_vector_pair, write_json)
+                      write_json)
 from .noise import NONNEGATIVE_INT, checked, neg_log_damping
 
 CONFIG_FIELDS = {field.name for field in dataclasses.fields(ExperimentConfig)}
@@ -31,8 +31,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_stats(args) -> int:
     max_depth = checked("--max-depth", args.max_depth, *NONNEGATIVE_INT)
-    rng = np.random.default_rng(args.seed or 0)
-    x, y = sample_vector_pair(rng, "haar")
+    x = y = np.full(4, 0.5)  # the counts are the same for every unit-vector pair
     print(f"{'t':>3} {'oracle calls':>13} {'rbs gates':>10} {'2q gates':>9} {'2q depth':>9}")
     for t in range(max_depth + 1):
         circuit = build_iterated_circuit(x, y, t)
@@ -116,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="two-qubit resource table of the amplified circuits")
     p_stats.add_argument("--max-depth", type=int, default=7)
-    p_stats.add_argument("--seed", type=int, default=None)
     p_stats.set_defaults(func=_cmd_stats)
 
     for name, func, extra in (
@@ -126,14 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
              "fit -log(1 - eta_d) = gamma_d - log(1 - beta) per depth from simulated data"),
             ("sweep", _cmd_sweep, "repeat the run over a parameter range")):
         p = sub.add_parser(name, help=extra)
-        p.add_argument("--config", type=Path, default=None, help="JSON config file")
+        p.add_argument("--config", type=Path, help="JSON config file")
         # a flag that overrides a config field stores its value under the field's name
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", dest="out_dir", type=str, default=None)
-        p.add_argument("--algorithms", type=lambda names: tuple(names.split(",")), default=None,
-                       help="comma-separated subset of direct,mle,crt,hybrid,powerlaw")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", dest="out_dir", type=str)
+        if name in ("run", "sweep"):
+            p.add_argument("--algorithms", type=lambda names: tuple(names.split(",")),
+                           help="comma-separated subset of direct,mle,crt,hybrid,powerlaw")
         if name == "calibrate":
-            p.add_argument("--trials", dest="calib_trials", type=int, default=None)
+            p.add_argument("--trials", dest="calib_trials", type=int)
             p.add_argument("--tune-beta", action="store_true", default=None)
         if name == "sweep":
             p.add_argument("--param", choices=("max-depth", "target-eps"), required=True)

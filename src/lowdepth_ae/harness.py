@@ -191,12 +191,6 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
 
 
-def sample_vector_pair(rng: np.random.Generator, mode: str = "haar"):
-    """Random 4-dimensional unit-vector pair: row 0 of :func:`sample_vector_pairs` on ``[rng]``."""
-    x, y = sample_vector_pairs([rng], mode)
-    return x[0], y[0]
-
-
 def sample_vector_pairs(rngs, mode: str = "haar") -> tuple[np.ndarray, np.ndarray]:
     """A random 4-dimensional unit-vector pair from each of a block of generators, as (n, 4) arrays.
 
@@ -378,7 +372,7 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
     """
     n_depths = config.max_depth + 1
     depths = range(n_depths)
-    thetas, pools, subsampled = zip(*draws)
+    thetas, pools, subsampled = zip(*draws) if draws else ((), (), ())
     theta_true = np.array(thetas, dtype=float)
     counts = np.array(pools, dtype=np.int64).reshape(-1, n_depths, 3)
     if not config.algorithms:  # sampling only: no estimate columns
@@ -588,7 +582,7 @@ def fit_depolarizing(counts, true_thetas) -> list[float | str]:
     when fewer than two trials kept a shot, when every probability sits at
     1/2, or when the fitted damping is not positive or lies within two
     standard errors of 0; every other depth keeps its rate.  Counts of any
-    other shape, or below 0, raise ``ValueError`` as :func:`mle_estimate`'s do.
+    other shape or dtype, or below 0, raise ``ValueError`` as :func:`mle_estimate`'s do.
     """
     counts = _checked_counts(counts)
     thetas = np.asarray(true_thetas, dtype=float)

@@ -95,10 +95,16 @@ class DepthCounts(namedtuple("DepthCounts", "depth n_good n_bad n_discarded")):
 
 
 def _checked_counts(counts, n_depths: int | None = None) -> np.ndarray:
-    """``counts`` as int64 (trials, depths, 3) tallies >= 0, with ``n_depths`` depths if given."""
-    counts = np.asarray(counts, dtype=np.int64)
+    """``counts`` as int64 (trials, depths, 3) tallies >= 0, with ``n_depths`` depths if given.
+
+    The tallies must already be integers: a float array is rejected, not truncated.
+    """
+    counts = np.asarray(counts)
     if counts.ndim != 3 or counts.shape[2] != 3 or n_depths not in (None, counts.shape[1]):
         raise ValueError("counts need one (good, bad, discarded) entry per depth and trial")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+    counts = counts.astype(np.int64, copy=False)
     if (counts < 0).any():
         raise ValueError("counts must be >= 0")
     return counts

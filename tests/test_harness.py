@@ -1,4 +1,5 @@
 """Experiment driver: trials, calibration, noise fitting, emission, CLI."""
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -27,13 +28,13 @@ from lowdepth_ae.harness import (ALGORITHMS, PAIR_BLOCK, STREAM_BLOCK, VECTOR_MO
                                  ExperimentConfig, RunTable,
                                  aggregate_and_emit, calibrate_hybrid, calibration_record,
                                  fit_depolarizing, run_experiment, run_streams, run_trial,
-                                 run_trials, sample_vector_pair, sample_vector_pairs)
+                                 run_trials, sample_vector_pairs)
 from lowdepth_ae.noise import (CorrelatedNoise, DepthCounts, NoiseModel, effective_eta,
                                neg_log_damping, noise_floor, noisy_prob, sample_noisy_shots)
 from lowdepth_ae.schedules import (InfeasibleScheduleError, fisher_noisy, optimize_exponent,
                                    power_law_schedule)
 from lowdepth_ae.simulator import analytic_success_prob
-from lowdepth_ae.cli import main as cli_main
+from lowdepth_ae.cli import build_parser, main as cli_main
 
 
 def tallies(pools):
@@ -75,11 +76,17 @@ def quiet_config(**kwargs):
 
 # ----------------------------------------------------------------- input pairs
 
+def one_pair(rng, mode="haar"):
+    """The pair ``rng`` draws alone: row 0 of a one-row block."""
+    x, y = sample_vector_pairs([rng], mode)
+    return x[0], y[0]
+
+
 def test_vector_pairs_are_unit_norm():
     rng = np.random.default_rng(0)
     for mode in ("haar", "uniform-theta"):
         for _ in range(200):
-            x, y = sample_vector_pair(rng, mode)
+            x, y = one_pair(rng, mode)
             assert abs(np.linalg.norm(x) - 1.0) < 1e-12
             assert abs(np.linalg.norm(y) - 1.0) < 1e-12
             assert -1.0 - 1e-12 <= float(np.dot(x, y)) <= 1.0 + 1e-12
@@ -89,15 +96,15 @@ def test_uniform_theta_mode_spreads_angles():
     rng = np.random.default_rng(1)
     thetas = []
     for _ in range(2000):
-        x, y = sample_vector_pair(rng, "uniform-theta")
+        x, y = one_pair(rng, "uniform-theta")
         thetas.append(math.asin(min(abs(float(np.dot(x, y))), 1.0)))
     assert abs(np.mean(thetas) - math.pi / 4) < 0.05
     assert np.min(thetas) < 0.1 and np.max(thetas) > math.pi / 2 - 0.1
 
 
 def test_vector_pairs_reproducible():
-    a = sample_vector_pair(np.random.default_rng(7), "haar")
-    b = sample_vector_pair(np.random.default_rng(7), "haar")
+    a = one_pair(np.random.default_rng(7), "haar")
+    b = one_pair(np.random.default_rng(7), "haar")
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -124,14 +131,12 @@ def scalar_vector_pair(rng, mode):
 @given(mode=st.sampled_from(VECTOR_MODES), seed=st.integers(0, 2**32 - 1))
 def test_one_call_vector_pair_equals_the_vector_by_vector_draw(mode, seed):
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    for a, b in zip(sample_vector_pair(fast, mode), scalar_vector_pair(slow, mode)):
+    for a, b in zip(one_pair(fast, mode), scalar_vector_pair(slow, mode)):
         assert a.tobytes() == b.tobytes()
     assert fast.random() == slow.random()  # the same number of draws
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        sample_vector_pair(np.random.default_rng(0), "spherical")
     with pytest.raises(ValueError):
         sample_vector_pairs([np.random.default_rng(0)], "spherical")
 
@@ -264,7 +269,7 @@ def test_noiseless_trial_mle_is_accurate():
     errs = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        pair = sample_vector_pair(rng, "uniform-theta")
+        pair = one_pair(rng, "uniform-theta")
         trial = run_trial(config, pair, rng)
         errs.append(abs(trial.theta_hat[0, -1] - trial.theta_true[0]))
     assert np.mean(errs) <= config.epsilon + 0.005
@@ -288,9 +293,23 @@ def test_noiseless_trial_at_pi_over_eight():
 def test_empty_algorithm_set_yields_no_estimates():
     config = quiet_config(algorithms=())
     rng = np.random.default_rng(3)
-    trial = run_trial(config, sample_vector_pair(rng, "haar"), rng)
+    trial = run_trial(config, one_pair(rng, "haar"), rng)
     assert trial.algorithm == () and trial.theta_hat.shape == (1, 0)
     assert trial.counts.shape == (1, config.max_depth + 1, 3)
+
+
+def test_trials_over_no_generator_are_a_zero_trial_table(tmp_path):
+    # raised a bare "not enough values to unpack"
+    config = quiet_config(algorithms=ALGORITHMS)
+    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
+    one, none = (run_trials(config, rngs, cal) for rngs in ([np.random.default_rng(0)], []))
+    assert (none.algorithm, none.label) == (one.algorithm, one.label)
+    for name in ("theta_true", "counts", "theta_hat", "oracle_calls", "branch", "reason"):
+        zero, full = getattr(none, name), getattr(one, name)
+        assert zero.dtype == full.dtype and zero.shape == (0, *full.shape[1:])
+    assert run_trials(dataclasses.replace(config, algorithms=()), []).theta_hat.shape == (0, 0)
+    with pytest.raises(ValueError, match="^no trials to aggregate$"):
+        aggregate_and_emit(none, config, tmp_path)
 
 
 @pytest.mark.parametrize("vector_mode", VECTOR_MODES)
@@ -298,7 +317,7 @@ def test_a_sampling_only_trial_equals_the_batched_table(vector_mode):
     config = quiet_config(algorithms=(), vector_mode=vector_mode,
                           noise=NoiseModel.linear_ramp(3, leak_prob=0.2))
     rng = np.random.default_rng(3)
-    trial = run_trial(config, sample_vector_pair(rng, vector_mode), rng)
+    trial = run_trial(config, one_pair(rng, vector_mode), rng)
     batched = run_trials(config, [np.random.default_rng(3)])
     for name in ("theta_true", "counts", "theta_hat", "oracle_calls", "branch", "reason"):
         a, b = getattr(trial, name), getattr(batched, name)
@@ -334,7 +353,7 @@ def powerlaw_calls_from_the_pool(config, table):
 def test_powerlaw_subsamples_the_recorded_pool():
     config = quiet_config(algorithms=("powerlaw",))
     rng = np.random.default_rng(5)
-    trial = run_trial(config, sample_vector_pair(rng, "haar"), rng)
+    trial = run_trial(config, one_pair(rng, "haar"), rng)
     assert trial.kept.all()
     assert trial.oracle_calls[:, 0].tolist() == powerlaw_calls_from_the_pool(config, trial)
 
@@ -343,7 +362,7 @@ def test_per_algorithm_failure_does_not_abort_trial():
     config = quiet_config(algorithms=("direct", "powerlaw"),
                           powerlaw_target_eps=1e-9)  # infeasible on purpose
     rng = np.random.default_rng(6)
-    trial = run_trial(config, sample_vector_pair(rng, "haar"), rng)
+    trial = run_trial(config, one_pair(rng, "haar"), rng)
     assert kept_labels(trial, 0, "powerlaw") == []
     assert "powerlaw" in trial.errors()["0"]
     assert kept_labels(trial, 0, "direct") == [0]
@@ -496,7 +515,7 @@ def _stream_draws(streams):
 def _argument_calls():
     """``(function, argument, call, valid)``: each count, depth and top-depth argument of
     the public functions, ``call(value)`` the function with that argument set to ``value``."""
-    x, y = sample_vector_pair(np.random.default_rng(0))
+    x, y = one_pair(np.random.default_rng(0))
     grid = np.linspace(0.0, 1.5, 7)
     gammas = NoiseModel.linear_ramp(7).gamma_by_depth
     calls = [
@@ -687,7 +706,7 @@ def test_calibration_skips_failed_draws(tmp_path):
     config = leaky_config(algorithms=("mle", "crt", "hybrid"))
     crt_only = leaky_config(algorithms=("crt",))
     rng = run_streams(config.seed, 0)[0]
-    draws = [run_trial(crt_only, sample_vector_pair(rng, config.vector_mode), rng)
+    draws = [run_trial(crt_only, one_pair(rng, config.vector_mode), rng)
              for _ in range(config.calib_trials)]
     cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
     assert sorted(cal) == [2, 3]
@@ -744,7 +763,7 @@ def test_batched_trials_equal_trials_run_one_by_one(mle_noise_aware, monkeypatch
     config = leaky_config(algorithms=ALGORITHMS, mle_noise_aware=mle_noise_aware)
     cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
     streams = list(run_streams(config.seed, config.n_trials)[1])
-    one_by_one = [run_trial(config, sample_vector_pair(rng, config.vector_mode), rng, cal)
+    one_by_one = [run_trial(config, one_pair(rng, config.vector_mode), rng, cal)
                   for rng in streams]
     batched = run_trials(config, list(run_streams(config.seed, config.n_trials)[1]), cal)
     assert batched.errors()
@@ -771,7 +790,7 @@ def test_trials_sharing_generators_equal_trials_run_one_by_one(mode, order):
         return [r1, r2, r1, r3]
 
     batched = run_trials(config, streams(), cal)
-    one_by_one = [run_trial(config, sample_vector_pair(rng, mode), rng, cal) for rng in streams()]
+    one_by_one = [run_trial(config, one_pair(rng, mode), rng, cal) for rng in streams()]
     for name in ("theta_true", "counts", "theta_hat", "oracle_calls"):
         alone = np.concatenate([getattr(one, name) for one in one_by_one])
         assert getattr(batched, name).tobytes() == alone.tobytes(), name
@@ -1074,10 +1093,15 @@ def test_fit_names_both_lengths_when_counts_and_angles_differ(n_trials, n_angles
     (np.full((3, 4), 5), "one (good, bad, discarded) entry per depth and trial"),
     (np.full((3, 4, 2), 5), "one (good, bad, discarded) entry per depth and trial"),
     (np.full((3, 4, 3), -1), "counts must be >= 0"),
+    (np.full((3, 4, 3), 2.5), "counts must be integers, got dtype float64"),
+    (np.full((3, 4, 3), 5.0), "counts must be integers, got dtype float64"),
+    (np.full((3, 4, 3), np.nan), "counts must be integers, got dtype float64"),
+    (np.full((3, 4, 3), True), "counts must be integers, got dtype bool"),
 ])
 def test_fit_and_mle_reject_counts_by_one_rule(counts, message):
     # fit_depolarizing raised a bare IndexError on the first two and on the
-    # third, missing its discarded column, wrote a reason at every depth
+    # third, missing its discarded column, wrote a reason at every depth;
+    # both truncated 2.5 to 2, and a NaN died in numpy's bare cast error
     thetas = np.linspace(0.1, 1.2, len(counts))
     with pytest.raises(ValueError, match=re.escape(message)):
         fit_depolarizing(counts, thetas)
@@ -1487,6 +1511,52 @@ def test_cli_rejects_an_empty_algorithm_list(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["message"] \
         == "--max-depth must be a nonnegative integer, got -1"
 
+
+# two values of every flag but --config and --out, as the argv tokens that
+# follow the command's own; argparse keeps a flag's last value, so sweep's
+# --param and --values cases override its base ones
+FLAG_CASES = {
+    ("stats", "--max-depth"): (["--max-depth", "2"], ["--max-depth", "3"]),
+    ("run", "--seed"): (["--seed", "1"], ["--seed", "2"]),
+    ("run", "--algorithms"): (["--algorithms", "direct"], ["--algorithms", "mle"]),
+    ("calibrate", "--seed"): (["--seed", "1"], ["--seed", "2"]),
+    ("calibrate", "--trials"): (["--trials", "4"], ["--trials", "5"]),
+    ("calibrate", "--tune-beta"): ([], ["--tune-beta"]),
+    ("fit-noise", "--seed"): (["--seed", "1"], ["--seed", "2"]),
+    ("sweep", "--seed"): (["--seed", "1"], ["--seed", "2"]),
+    ("sweep", "--algorithms"): (["--algorithms", "direct"], ["--algorithms", "mle"]),
+    ("sweep", "--param"): (["--param", "max-depth"], ["--param", "target-eps"]),
+    ("sweep", "--values"): (["--values", "2"], ["--values", "3"]),
+}
+
+
+def test_every_cli_flag_has_a_pair_of_values_to_compare():
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {(name, action.option_strings[-1]) for name, sub in commands.choices.items()
+             for action in sub._actions if action.option_strings}
+    assert {(name, flag) for name, flag in flags
+            if flag not in ("--help", "--config", "--out")} == set(FLAG_CASES)
+
+
+@pytest.mark.parametrize("command,flag", sorted(FLAG_CASES))
+def test_each_value_of_a_cli_flag_changes_what_the_command_writes(command, flag, tmp_path,
+                                                                   capsys):
+    # stats --seed, calibrate --algorithms and fit-noise --algorithms changed no byte
+    cfg_path = tmp_path / "config.json"
+    config = quiet_config(n_trials=3, n_shots=40, calib_trials=4, vector_mode="uniform-theta")
+    cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    written = []
+    for k, values in enumerate(FLAG_CASES[command, flag]):
+        out = tmp_path / f"out{k}"
+        base = [] if command == "stats" else ["--config", str(cfg_path), "--out", str(out)]
+        if command == "sweep":
+            base += ["--param", "max-depth", "--values", "2"]
+        assert cli_main([command, *base, *values]) == 0
+        files = {path.relative_to(out).as_posix(): path.read_text(encoding="utf-8")
+                 for path in sorted(out.rglob("*")) if path.is_file()}
+        written.append(json.dumps([capsys.readouterr().out, files]).replace(str(out), "<out>"))
+    assert written[0] != written[1]
 
 def test_cli_failure_emits_json_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
