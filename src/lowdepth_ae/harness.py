@@ -494,63 +494,61 @@ def run_trials(config: ExperimentConfig, rngs,
 
 def calibrate_hybrid(config: ExperimentConfig,
                      rng: np.random.Generator) -> dict[int, HybridCalibration | str]:
-    """Estimate each CRT depth's hybrid threshold inputs on ``config.calib_trials`` draws.
+    """Each CRT depth's hybrid calibration, from ``config.calib_trials`` draws.
 
     The draws are :func:`run_trials` of CRT alone on ``rng`` (the
     calibration stream of :func:`run_streams`) given once per draw, so
-    each draws its pair right before its pools.  Depth d is calibrated
-    on the draws that kept its CRT row (the anchor and depths d - 1 and
-    d), as every estimator drops a row alone: ``mle_avg_depth2`` is their
-    mean error of the depth-2 MLE anchor under the configured noise and
-    shot budget; ``crt_exact_at_d`` their mean error of the CRT
-    reconstruction fed exact (infinite-shot, noiseless) probabilities.  A
-    depth that no draw kept maps to the reason it has no calibration, and
-    the hybrid drops its rows there.  With ``config.tune_beta`` the
-    threshold multiplier is grid-searched on the same draws: among
-    multipliers whose hybrid never loses to plain CRT at any calibrated
-    depth, the one with the best best-depth error wins.
+    each draws its pair right before its pools.  First each depth's
+    inputs, once: depth d is calibrated on the draws that kept its CRT
+    row (the anchor and depths d - 1 and d), as every estimator drops a
+    row alone; ``mle_avg_depth2`` is their mean error of the depth-2 MLE
+    anchor under the configured noise and shot budget, ``crt_exact_at_d``
+    their mean error of the CRT reconstruction fed exact (infinite-shot,
+    noiseless) probabilities.  Then the multiplier: ``config.beta_hybrid``,
+    or with ``config.tune_beta`` the first of ``BETA_TUNING_GRID`` with
+    the smallest best-depth hybrid error among those whose hybrid never
+    loses to plain CRT (by more than 1e-12) at any calibrated depth, if
+    one qualifies.  Each depth gets its calibration at that multiplier,
+    or, where no draw kept its CRT row, the reason it has none, and the
+    hybrid drops its rows there.  Calibration needs CRT depths
+    2..max_depth: a ``max_depth`` below 2 raises ``ValueError``.
     """
+    if config.max_depth < 2:
+        raise ValueError("calibration needs CRT depths 2..max_depth, "
+                         f"but max_depth is {config.max_depth}")
     crt_config = dataclasses.replace(config, algorithms=("crt",))  # no power-law plan
     table = run_trials(crt_config, [rng] * config.calib_trials)
     d_max = np.array(table.label)
     theta = table.theta_true[:, None]
     exact = crt_columns(sin_squared((2 * d_max + 1) * theta),
                         sin_squared((2 * d_max - 1) * theta), theta, d_max)
-    # per depth some draw kept: the true, anchor, CRT and exact-input CRT
-    # probabilities of the draws that kept it
-    fed = {d: (table.p_true[rows], sin_squared(table.anchor[rows]), table.p_hat[rows, j],
-               exact.p_hat[rows, j])
-           for j, (d, rows) in enumerate(zip(table.label, table.kept.T)) if rows.any()}
-    unkept = {d: f"no calibration trial of {config.calib_trials} kept a CRT row at depth {d}"
-              for d in table.label if d not in fed}
+    anchor_p = sin_squared(table.anchor)
 
-    def mean_err(p_hats, p_true) -> float:
-        return float(np.mean(np.abs(p_hats - p_true)))
+    def mean_err(p_hat, j) -> float:
+        """The mean ``|p_hat - p_true|`` over the draws that kept CRT slot ``j``."""
+        rows = table.kept[:, j]
+        return float(np.mean(np.abs(p_hat[rows] - table.p_true[rows])))
 
-    def calibrations(beta) -> dict[int, HybridCalibration | str]:
-        return unkept | {d: HybridCalibration(mle_avg_depth2=mean_err(anchor_p, p_true),
-                                              crt_exact_at_d=mean_err(exact_p, p_true),
-                                              beta_hybrid=beta)
-                         for d, (p_true, anchor_p, _, exact_p) in fed.items()}
-
-    beta = config.beta_hybrid
-    if config.tune_beta and fed:
-        crt_means = {d: mean_err(crt_p, p_true) for d, (p_true, _, crt_p, _) in fed.items()}
-        best = None
+    # per CRT slot that some draw kept, its depth's calibration at the configured multiplier
+    calibrated = {j: HybridCalibration(mle_avg_depth2=mean_err(anchor_p, j),
+                                       crt_exact_at_d=mean_err(exact.p_hat[:, j], j),
+                                       beta_hybrid=config.beta_hybrid)
+                  for j in range(len(table.label)) if table.kept[:, j].any()}
+    beta, best_err = config.beta_hybrid, math.inf
+    if config.tune_beta and calibrated:
         for candidate in BETA_TUNING_GRID:
-            cal = calibrations(candidate)
-            hybrid_means = {
-                d: mean_err(np.where(hybrid_fallback(anchor_p, crt_p, cal[d].threshold),
-                                     anchor_p, crt_p), p_true)
-                for d, (p_true, anchor_p, crt_p, _) in fed.items()}
-            if any(hybrid_means[d] > crt_means[d] + 1e-12 for d in fed):
-                continue
-            score = min(hybrid_means.values())
-            if best is None or score < best[0]:
-                best = (score, candidate)
-        if best is not None:
-            beta = best[1]
-    return calibrations(beta)
+            hybrid, crt = [], []  # mean errors at each calibrated depth
+            for j, cal in calibrated.items():
+                crt_p = table.p_hat[:, j]
+                threshold = dataclasses.replace(cal, beta_hybrid=candidate).threshold
+                hybrid.append(mean_err(np.where(hybrid_fallback(anchor_p, crt_p, threshold),
+                                                anchor_p, crt_p), j))
+                crt.append(mean_err(crt_p, j))
+            if all(h <= c + 1e-12 for h, c in zip(hybrid, crt)) and min(hybrid) < best_err:
+                beta, best_err = candidate, min(hybrid)
+    return {d: dataclasses.replace(calibrated[j], beta_hybrid=beta) if j in calibrated
+            else f"no calibration trial of {config.calib_trials} kept a CRT row at depth {d}"
+            for j, d in enumerate(table.label)}
 
 
 def calibration_record(calibrations: dict[int, HybridCalibration | str]) -> dict:

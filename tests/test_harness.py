@@ -693,6 +693,93 @@ def test_calibration_beta_tuning_picks_from_grid():
     assert betas.pop() in BETA_TUNING_GRID + (config.beta_hybrid,)
 
 
+def crt_table(theta_true, anchor_p, crt_p):
+    """A CRT-only table of depths 2 and 3 at the given angles and p offsets.
+
+    Trial t's anchor reads ``p_true + anchor_p[t]`` and its CRT row at depth
+    d ``p_true + crt_p[t][d - 2]``; a ``None`` offset drops that row.
+    """
+    theta_true = np.array(theta_true)
+    p_true = np.sin(theta_true) ** 2
+
+    def angle(p):
+        return math.asin(math.sqrt(p))
+
+    theta_hat = np.array([[np.nan if c is None else angle(p + c) for c in row]
+                          for p, row in zip(p_true, crt_p)])
+    kept = ~np.isnan(theta_hat)
+    return RunTable(theta_true=theta_true, counts=np.zeros((len(theta_true), 4, 3), np.int64),
+                    algorithm=("crt", "crt"), label=(2, 3), theta_hat=theta_hat,
+                    oracle_calls=np.zeros(theta_hat.shape, np.int64),
+                    branch=np.full(theta_hat.shape, "", object),
+                    reason=np.where(kept, None, "dropped").astype(object),
+                    anchor=np.array([angle(p + a) for p, a in zip(p_true, anchor_p)]))
+
+
+def test_calibration_beta_search_skips_a_loss_at_any_depth_and_keeps_the_first_tie(monkeypatch):
+    # At pi/5 the CRT of exact inputs is exact at depths 2 and 3, so each
+    # threshold is beta times the mean anchor error: 0.0575 at depth 2, 0.106
+    # at depth 3.  Trial 2 at depth 3 falls back for beta <= 1 only, to an
+    # anchor 1e-13 worse than CRT; trial 1 at depth 2 falls back for beta <= 2.
+    third = math.pi / 5
+    table = crt_table([third, third, third, 2 * third, third, third],
+                      [0.05, 0.05, 0.08, -0.05, 0.05, 0.3],
+                      [(0.09, 0.05), (0.2, -0.02), (0.08, -0.08 + 1e-13), (-0.05, None),
+                       (None, 0.05), (None, 0.3)])
+    monkeypatch.setattr(harness, "run_trials", lambda config, rngs, calibrations=None: table)
+    config = quiet_config(calib_trials=6, beta_hybrid=3.0)
+    untuned = calibrate_hybrid(config, None)
+
+    def mean_errors(beta):
+        """Per depth, the hybrid's and CRT's mean error at multiplier ``beta``."""
+        anchor_p = estimators.sin_squared(table.anchor)
+        means = {}
+        for j, d in enumerate(table.label):
+            rows = table.kept[:, j]
+            crt_p = table.p_hat[rows, j]
+            threshold = dataclasses.replace(untuned[d], beta_hybrid=beta).threshold
+            fallback = hybrid_fallback(anchor_p[rows], crt_p, threshold)
+            hybrid_p = np.where(fallback, anchor_p[rows], crt_p)
+            means[d] = tuple(float(np.mean(np.abs(p - table.p_true[rows])))
+                             for p in (hybrid_p, crt_p))
+        return means
+
+    means = {beta: mean_errors(beta) for beta in harness.BETA_TUNING_GRID}
+    best = {beta: min(h for h, _ in m.values()) for beta, m in means.items()}
+    # 0.5 has the best best-depth error, at depth 2, but loses to CRT at depth 3
+    assert best[0.5] < min(best[b] for b in (1.0, 2.0, 4.0, 8.0))
+    assert means[0.5][2][0] < means[0.5][2][1] and means[0.5][3][0] > means[0.5][3][1] + 1e-12
+    # 1 and 2 tie, and 1 is worse than CRT at depth 3 by less than 1e-12
+    assert best[1.0] == best[2.0] < min(best[4.0], best[8.0])
+    assert 0 < means[1.0][3][0] - means[1.0][3][1] <= 1e-12
+
+    tuned = calibrate_hybrid(dataclasses.replace(config, tune_beta=True), None)
+    assert tuned == {d: dataclasses.replace(c, beta_hybrid=1.0) for d, c in untuned.items()}
+
+    # an anchor far off where CRT is right loses at every multiplier, so the
+    # configured one stays
+    table = crt_table([third] * 10, [0.5] + [0.01] * 9, [(0.0, 0.0)] + [(0.01, 0.01)] * 9)
+    monkeypatch.setattr(harness, "run_trials", lambda config, rngs, calibrations=None: table)
+    tuned = calibrate_hybrid(dataclasses.replace(config, tune_beta=True), None)
+    assert [c.beta_hybrid for c in tuned.values()] == [3.0, 3.0]
+
+
+@pytest.mark.parametrize("max_depth", [0, 1])
+def test_calibration_without_crt_depths_names_max_depth(max_depth, tmp_path, capsys):
+    # the config names no CRT estimator, so only calibration needs depth 2
+    config = ExperimentConfig(max_depth=max_depth, algorithms=("mle",),
+                              noise=NoiseModel.linear_ramp(max_depth))
+    message = f"calibration needs CRT depths 2..max_depth, but max_depth is {max_depth}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        calibrate_hybrid(config, run_streams(config.seed, 0)[0])
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    out_dir = tmp_path / "cal"
+    assert cli_main(["calibrate", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not out_dir.exists()
+
+
 def leaky_config(**kwargs):
     return quiet_config(n_trials=30, n_shots=8, calib_trials=50,
                         noise=NoiseModel.linear_ramp(3, leak_prob=0.6), **kwargs)
