@@ -52,10 +52,7 @@ def _cmd_run(args) -> int:
 def _cmd_calibrate(args) -> int:
     config = _load_config(args)
     cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "calibration.json"
-    write_json(path, calibration_record(cal))
+    path = write_json(config.out_dir, "calibration.json", calibration_record(cal))
     print(f"calibration: {path}")
     return 0
 
@@ -71,10 +68,7 @@ def _cmd_fit_noise(args) -> int:
         trial = run_trial(sampling, pair, rng)
         counts[t], thetas[t] = trial.counts, trial.theta_true[0]  # (1, D, 3) into (D, 3)
     fit = fit_depolarizing(counts, thetas)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "gamma_fit.json"
-    write_json(path, fit_record(fit))
+    path = write_json(config.out_dir, "gamma_fit.json", fit_record(fit))
     # the fit measures -log a_d = gamma_d - log(1 - beta), readout error included
     print(f"{'depth':>6} {'gamma_model':>12} {'gamma_fit':>12}")
     for d, g in enumerate(fit):

@@ -19,6 +19,7 @@ depth d' costing 2d'+1 calls.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -560,11 +561,23 @@ def calibration_record(calibrations: dict[int, HybridCalibration | str]) -> dict
             for d, c in sorted(calibrations.items())}
 
 
-def write_json(path: Path, record) -> None:
-    """Write ``record`` as indented, key-sorted JSON with a trailing newline."""
+def write_output(out_dir, name: str, chunks) -> Path:
+    """The one writer of every output file: ``chunks``' strings, in order, to ``out_dir/name``.
+
+    It makes ``out_dir``, parents included, writes UTF-8 with ``\\n`` line
+    ends on every platform and returns the path.  ``chunks`` may be a generator.
+    """
+    path = Path(out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.writelines(chunks)
+    return path
+
+
+def write_json(out_dir, name: str, record) -> Path:
+    """Write ``record`` as indented, key-sorted JSON and a newline, in ``json.dump``'s chunks."""
+    text = json.JSONEncoder(indent=2, sort_keys=True).iterencode(record)
+    return write_output(out_dir, name, itertools.chain(text, ["\n"]))
 
 
 def fit_depolarizing(counts, true_thetas) -> list[float | str]:
@@ -642,17 +655,16 @@ def _distinct(column: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _write_csv(path: Path, header, chunks) -> None:
-    """Write a header and, chunk by chunk, equal-length columns of strings as lines.
+def _csv_lines(header, chunks) -> Iterator[str]:
+    """A header line and, chunk by chunk, equal-length columns of strings as lines.
 
     The fields are names, labels and numbers, none of which ``csv`` would
     quote, so the lines are what ``csv.writer`` writes, only faster.  Each
-    chunk's lines are joined from its columns' lists and written as one string.
+    chunk's lines are joined from its columns' lists and yielded as one string.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for chunk in chunks:  # the empty last line ends the others; a chunk of none writes ""
-            fh.write("\n".join([*map(",".join, zip(*(np.asarray(c).tolist() for c in chunk))), ""]))
+    yield ",".join(header) + "\n"
+    for chunk in chunks:  # the empty last line ends the others; a chunk of none gives ""
+        yield "\n".join([*map(",".join, zip(*(np.asarray(c).tolist() for c in chunk))), ""])
 
 
 def _trial_rows(table: RunTable, theta_keys: np.ndarray, p_keys: np.ndarray):
@@ -704,16 +716,12 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
     """
     if len(table.theta_true) == 0:
         raise ValueError("no trials to aggregate")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     kept = table.kept
     theta_keys = _distinct(table.theta_hat)
     p_keys = sin_squared(theta_keys.view(float))
-    paths = {"trials": out / "trials.csv", "aggregate": out / "aggregate.csv",
-             "crt_histogram": out / "crt_error_histogram.csv",
-             "manifest": out / "manifest.json"}
-    _write_csv(paths["trials"], TRIAL_COLUMNS, _trial_rows(table, theta_keys, p_keys))
+    paths = {"trials": write_output(out_dir, "trials.csv", _csv_lines(
+        TRIAL_COLUMNS, _trial_rows(table, theta_keys, p_keys)))}
 
     n_slots = kept.shape[1]
     first_row = kept.argmax(axis=0) * n_slots + np.arange(n_slots)
@@ -732,16 +740,16 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
             crt_labels.append(label)
             hist_counts.append(np.histogram(errs_p, bins=edges)[0])
     stats = _strings(np.array(stats, dtype=float).reshape(-1, 3))
-    _write_csv(paths["aggregate"], AGGREGATE_COLUMNS,
-               [[[table.algorithm[s] for s in slots], labels,
-                 _strings(np.array(calls, dtype=np.int64)), *stats.T]])
+    paths["aggregate"] = write_output(out_dir, "aggregate.csv", _csv_lines(
+        AGGREGATE_COLUMNS, [[[table.algorithm[s] for s in slots], labels,
+                             _strings(np.array(calls, dtype=np.int64)), *stats.T]]))
     bins = len(edges) - 1
     edge_strings = _strings(edges)
-    _write_csv(paths["crt_histogram"], ("depth", "bin_lo", "bin_hi", "count"),
-               [[np.repeat(np.array(crt_labels, dtype=object), bins),
-                 np.tile(edge_strings[:-1], len(crt_labels)),
-                 np.tile(edge_strings[1:], len(crt_labels)),
-                 _strings(np.array(hist_counts, dtype=np.int64).reshape(-1))]])
+    paths["crt_histogram"] = write_output(out_dir, "crt_error_histogram.csv", _csv_lines(
+        ("depth", "bin_lo", "bin_hi", "count"),
+        [[np.repeat(np.array(crt_labels, dtype=object), bins),
+          np.tile(edge_strings[:-1], len(crt_labels)), np.tile(edge_strings[1:], len(crt_labels)),
+          _strings(np.array(hist_counts, dtype=np.int64).reshape(-1))]]))
 
     fit = {"gamma_by_depth": None} if gamma_fit is None else fit_record(gamma_fit)
     config_record = config.to_dict()
@@ -756,7 +764,7 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
         "calibration": calibration_record(calibrations) if calibrations else None,
         "trial_errors": table.errors(),
     }
-    write_json(paths["manifest"], manifest)
+    paths["manifest"] = write_json(out_dir, "manifest.json", manifest)
     return paths
 
 

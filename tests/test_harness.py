@@ -1675,6 +1675,40 @@ def test_cli_fit_noise_and_sweep(tmp_path, capsys):
         assert f"\npowerlaw,eps={eps}," in aggregate
 
 
+RUN_FILES = ("aggregate.csv", "crt_error_histogram.csv", "manifest.json", "trials.csv")
+# per command: its argv after --config and --out, the files it writes below
+# --out and those whose paths it prints
+NESTED_OUT_CASES = {
+    "run": ([], RUN_FILES, RUN_FILES),
+    "calibrate": ([], ("calibration.json",), ("calibration.json",)),
+    "fit-noise": ([], ("gamma_fit.json",), ("gamma_fit.json",)),
+    "sweep": (["--param", "max-depth", "--values", "2,3"],
+              tuple(f"max_depth_{d}/{name}" for d in (2, 3) for name in RUN_FILES),
+              ("max_depth_2/aggregate.csv", "max_depth_3/aggregate.csv")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NESTED_OUT_CASES))
+def test_a_command_makes_a_nested_out_directory_and_writes_its_flat_bytes(command, tmp_path,
+                                                                          capsys):
+    # no test gave --out two levels below a directory that does not exist
+    extra, files, printed = NESTED_OUT_CASES[command]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(quiet_config(n_trials=3, calib_trials=4).to_dict()),
+                        encoding="utf-8")
+    written = []
+    for out in (tmp_path / "flat", tmp_path / "missing" / "parent" / "out"):
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+        stdout = capsys.readouterr().out
+        paths = re.findall(re.escape(str(out)) + r"\S*", stdout)
+        assert sorted(Path(p).relative_to(out).as_posix() for p in paths) == sorted(printed)
+        found = {path.relative_to(out).as_posix(): path.read_bytes()
+                 for path in out.rglob("*") if path.is_file()}
+        assert sorted(found) == sorted(files)
+        written.append((stdout.replace(str(out), "<out>"), found))
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("param,values,bad", [("max-depth", "2,2.5", "'2.5'"),
                                               ("max-depth", "two", "'two'"),
                                               ("target-eps", "0.05,tenth", "'tenth'"),
