@@ -31,6 +31,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 HARNESS = "tests/test_harness.py::"
+ESTIMATORS = "tests/test_estimators.py::"
+NOISE = "tests/test_noise.py::"
+CIRCUITS = "tests/test_circuits.py::"
 
 
 class Mutant(NamedTuple):
@@ -87,6 +90,79 @@ MUTANTS = (
     Mutant("writer-without-parents", "harness.py",
            "mkdir(parents=True, exist_ok=True)", "mkdir(exist_ok=True)",
            (HARNESS + "test_a_command_makes_a_nested_out_directory_and_writes_its_flat_bytes",)),
+    # the engine's accounting and pruning rules, and the hybrid's choice
+    Mutant("oracle-calls-two-per-depth", "estimators.py",
+           "(2 * np.asarray(depths, dtype=np.int64) + 1)",
+           "(2 * np.asarray(depths, dtype=np.int64) + 2)",
+           (ESTIMATORS + "test_mle_oracle_accounting_includes_discards",)),
+    Mutant("mle-entry-any-count-positive", "estimators.py",
+           "(pairs > 0).all(axis=(1, 2))", "(pairs > 0).any(axis=(1, 2))",
+           (ESTIMATORS + "test_mle_all_bad_lands_on_zero",)),
+    Mutant("mle-bound-strict", "estimators.py",
+           "bound >= low[:, None]", "bound > low[:, None]",
+           (ESTIMATORS + "test_mle_all_bad_lands_on_zero",)),
+    Mutant("hybrid-falls-back-at-the-threshold", "estimators.py",
+           "np.abs(anchor_p - crt_p) > threshold", "np.abs(anchor_p - crt_p) >= threshold",
+           (ESTIMATORS + "test_hybrid_keeps_crt_when_close",)),
+    # CRT: the residues and the tie, and the squared sine of every estimate
+    Mutant("crt-residue-floor", "estimators.py",
+           "r1 = (np.rint(s2 * l / 2)", "r1 = (np.floor(s2 * l / 2)",
+           (ESTIMATORS + "test_crt_at_large_depth_equals_the_reference[50]",)),
+    Mutant("crt-tie-by-error-alone", "estimators.py",
+           "pick = np.where(err == err.min(axis=1, keepdims=True), folded, modulus_)"
+           ".argmin(axis=1)",
+           "pick = err.argmin(axis=1)",
+           (ESTIMATORS + "test_crt_ties_toward_the_smaller_folded_value",)),
+    Mutant("sin-squared-by-numpy", "estimators.py",
+           "return _elementwise(lambda theta: math.sin(theta) ** 2, thetas)",
+           "return np.sin(np.asarray(thetas, dtype=float)) ** 2",
+           (ESTIMATORS + "test_sin_squared_equals_the_scalar_square_bit_for_bit",)),
+    Mutant("sin-squared-by-product", "estimators.py",
+           "lambda theta: math.sin(theta) ** 2", "lambda theta: math.sin(theta) * math.sin(theta)",
+           (ESTIMATORS + "test_sin_squared_equals_the_scalar_square_bit_for_bit",)),
+    # the outcome law and the burst sampler
+    Mutant("fixed-point-one-quarter", "noise.py",
+           "FIXED_POINT = 0.5", "FIXED_POINT = 0.25",
+           (NOISE + "test_the_fixed_point_of_the_law_is_one_half",)),
+    Mutant("burst-reset-keeps-toggles", "noise.py",
+           "    reset ^= toggle  # every toggle draw is also below p_leave\n", "",
+           (NOISE + "test_correlated_bursts_change_the_rate",)),
+    Mutant("noisy-prob-half-angle", "noise.py",
+           "cos(2 * (2 * depth + 1) * theta)", "cos((2 * depth + 1) * theta)",
+           (NOISE + "test_noisy_prob_noiseless_reduces_to_sin2",)),
+    # the noise fit, the calibration's kept rows and the pair draw
+    Mutant("fit-one-standard-error", "harness.py",
+           "if a <= 2.0 * se:", "if a <= 1.0 * se:",
+           (HARNESS + "test_run_and_fit_noise_report_a_depth_without_signal[no-signal-30]",)),
+    Mutant("calibration-rows-kept-at-every-depth", "harness.py",
+           "        rows = table.kept[:, j]\n", "        rows = table.kept.all(axis=1)\n",
+           (HARNESS + "test_calibration_beta_search_skips_a_loss_at_any_depth_and_keeps"
+                      "_the_first_tie",)),
+    Mutant("dots-by-sum", "harness.py",
+           "return np.matmul(a[:, None, :], b[:, :, None])[:, 0]",
+           "return (a * b).sum(axis=1, keepdims=True)",
+           (HARNESS + "test_stacked_row_by_column_matmul_is_ndarray_dot_bit_for_bit",)),
+    # the schedule, the circuit and the simulator
+    Mutant("schedule-rounds", "schedules.py",
+           "math.floor(n_shots * (2 * d + 1) ** nu)", "round(n_shots * (2 * d + 1) ** nu)",
+           ("tests/test_schedules.py::test_schedule_entries_equal_the_floor_formula",)),
+    Mutant("merged-rbs02-half-angle", "circuits.py",
+           'Gate("rbs", (0, 2), u - -u)', 'Gate("rbs", (0, 2), u)',
+           (CIRCUITS + "test_merged_matches_unmerged_statevector[1]",)),
+    Mutant("compiled-depth-min", "circuits.py",
+           "two_qubit_depth=max(level, default=0)", "two_qubit_depth=min(level, default=0)",
+           (CIRCUITS + "test_depth_zero_oracle_has_four_rbs_depth_three",)),
+    Mutant("apply-moves-axes-back-the-wrong-way", "simulator.py",
+           "return np.moveaxis(st, front, targets).reshape(DIM)",
+           "return np.moveaxis(st, targets, front).reshape(DIM)",
+           ("tests/test_simulator.py::test_each_gate_acts_as_its_dense_operator[rbs20]",)),
+    # the sweep's entries
+    Mutant("sweep-without-entries-runs-nothing", "cli.py",
+           "    if not subs:\n", "    if False:\n",
+           (HARNESS + "test_cli_sweep_without_entries_fails[,]",)),
+    Mutant("sweep-runs-a-repeated-directory", "cli.py",
+           "            if name in subs:\n", "            if False:\n",
+           (HARNESS + "test_cli_sweep_rejects_an_entry_whose_directory_an_earlier_entry_names",)),
 )
 
 

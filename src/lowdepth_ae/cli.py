@@ -43,7 +43,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    _, paths = run_experiment(config)
+    _, paths = run_experiment(config, args.out_dir)
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0
@@ -52,7 +52,7 @@ def _cmd_run(args) -> int:
 def _cmd_calibrate(args) -> int:
     config = _load_config(args)
     cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
-    path = write_json(config.out_dir, "calibration.json", calibration_record(cal))
+    path = write_json(args.out_dir, "calibration.json", calibration_record(cal))
     print(f"calibration: {path}")
     return 0
 
@@ -68,7 +68,7 @@ def _cmd_fit_noise(args) -> int:
         trial = run_trial(sampling, pair, rng)
         counts[t], thetas[t] = trial.counts, trial.theta_true[0]  # (1, D, 3) into (D, 3)
     fit = fit_depolarizing(counts, thetas)
-    path = write_json(config.out_dir, "gamma_fit.json", fit_record(fit))
+    path = write_json(args.out_dir, "gamma_fit.json", fit_record(fit))
     # the fit measures -log a_d = gamma_d - log(1 - beta), readout error included
     print(f"{'depth':>6} {'gamma_model':>12} {'gamma_fit':>12}")
     for d, g in enumerate(fit):
@@ -80,23 +80,23 @@ def _cmd_fit_noise(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    base_out = Path(config.out_dir)
-    subs = []  # every entry's config, before the first run
+    subs = {}  # every entry's sub-directory, with its value and config, before the first run
     for raw in filter(None, (v.strip() for v in args.values.split(","))):
         try:
             if args.param == "max-depth":
                 value = int(raw)
-                fields = {"max_depth": value, "out_dir": str(base_out / f"max_depth_{value}")}
+                name, fields = f"max_depth_{value}", {"max_depth": value}
             else:  # target-eps, the only other choice argparse admits
-                fields = {"powerlaw_target_eps": float(raw),
-                          "out_dir": str(base_out / f"target_eps_{raw}")}
-            subs.append((raw, dataclasses.replace(config, **fields)))
+                name, fields = f"target_eps_{raw}", {"powerlaw_target_eps": float(raw)}
+            if name in subs:
+                raise ValueError(f"its directory {name} is that of entry {subs[name][0]!r}")
+            subs[name] = raw, dataclasses.replace(config, **fields)
         except ValueError as exc:
             raise ValueError(f"--values entry {raw!r} for --param {args.param}: {exc}") from None
     if not subs:
         raise ValueError(f"--values {args.values!r} for --param {args.param} has no entry")
-    for raw, sub in subs:
-        _, paths = run_experiment(sub)
+    for name, (raw, sub) in subs.items():
+        _, paths = run_experiment(sub, Path(args.out_dir) / name)
         print(f"{args.param}={raw}: {paths['aggregate']}")
     return 0
 
@@ -119,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("sweep", _cmd_sweep, "repeat the run over a parameter range")):
         p = sub.add_parser(name, help=extra)
         p.add_argument("--config", type=Path, help="JSON config file")
+        p.add_argument("--out", dest="out_dir", default="runs", help="directory to write into")
         # a flag that overrides a config field stores its value under the field's name
         p.add_argument("--seed", type=int)
-        p.add_argument("--out", dest="out_dir", type=str)
         if name in ("run", "sweep"):
             p.add_argument("--algorithms", type=lambda names: tuple(names.split(",")),
                            help="comma-separated subset of direct,mle,crt,hybrid,powerlaw")

@@ -22,7 +22,6 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -80,7 +79,6 @@ class ExperimentConfig:
     tune_beta: bool = False
     calib_trials: int = 200
     powerlaw_target_eps: float = 0.01
-    out_dir: str = "runs"
 
     def __post_init__(self):
         check_fields(self, {
@@ -92,8 +90,7 @@ class ExperimentConfig:
                            lambda v: all(isinstance(a, str) for a in v)),
             "noise": (NoiseModel, "a noise model"), "mle_noise_aware": (bool, "true or false"),
             "beta_hybrid": NONNEGATIVE, "tune_beta": (bool, "true or false"),
-            "calib_trials": POSITIVE_INT, "powerlaw_target_eps": POSITIVE,
-            "out_dir": ((str, os.PathLike), "a path")})
+            "calib_trials": POSITIVE_INT, "powerlaw_target_eps": POSITIVE})
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         _grid_size(self.epsilon)
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -701,7 +698,7 @@ def _trial_rows(table: RunTable, theta_keys: np.ndarray, p_keys: np.ndarray):
 
 def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
                        calibrations=None, gamma_fit=None) -> dict[str, Path]:
-    """Write per-trial and aggregate CSVs, CRT error histograms and a manifest.
+    """Write per-trial and aggregate CSVs, CRT error histograms and a manifest into ``out_dir``.
 
     ``trials.csv`` has one line per kept row of ``table``, trial by trial
     and slot by slot, written :data:`ROW_CHUNK` cells at a time.  Each
@@ -712,7 +709,9 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
     computed a chunk, or a slot, at a time, with each ``p_hat`` looked up
     from the distinct estimates.  The manifest's ``gamma_fit`` and
     ``gamma_fit_error`` are the :func:`fit_record` of ``gamma_fit``, the
-    entries of :func:`fit_depolarizing` (both ``None`` without them).
+    entries of :func:`fit_depolarizing` (both ``None`` without them), and its
+    ``config`` is ``config.to_dict()``: the directory is not part of the
+    experiment, so identical configs write identical bytes wherever they go.
     """
     if len(table.theta_true) == 0:
         raise ValueError("no trials to aggregate")
@@ -752,11 +751,9 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
           _strings(np.array(hist_counts, dtype=np.int64).reshape(-1))]]))
 
     fit = {"gamma_by_depth": None} if gamma_fit is None else fit_record(gamma_fit)
-    config_record = config.to_dict()
-    config_record.pop("out_dir")  # volatile; identical runs stay byte-identical
     manifest = {
         "version": __version__,
-        "config": config_record,
+        "config": config.to_dict(),
         "oracle_call_convention": "cumulative over depths 0..d for MLE rows; "
                                   "2d+1 calls per shot, discarded shots included",
         "gamma_fit": fit["gamma_by_depth"],
@@ -768,19 +765,18 @@ def aggregate_and_emit(table: RunTable, config: ExperimentConfig, out_dir,
     return paths
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None):
+def run_experiment(config: ExperimentConfig, out_dir):
     """Calibrate, run all trials, fit the depolarizing model and emit files.
 
-    Returns ``(table, paths)``, the run's :class:`RunTable` and the written
-    files.  The streams of :func:`run_streams` make the run reproducible
-    bit for bit.
+    The files go to ``out_dir``, made with its parents if missing.  Returns
+    ``(table, paths)``, the run's :class:`RunTable` and the written files.
+    The streams of :func:`run_streams` make the run reproducible bit for bit.
     """
     calib_rng, trial_rngs = run_streams(config.seed, config.n_trials)
     calibrations = None
     if "hybrid" in config.algorithms:
         calibrations = calibrate_hybrid(config, calib_rng)
     table = run_trials(config, trial_rngs, calibrations)
-    paths = aggregate_and_emit(table, config, out_dir or config.out_dir,
-                               calibrations=calibrations,
+    paths = aggregate_and_emit(table, config, out_dir, calibrations=calibrations,
                                gamma_fit=fit_depolarizing(table.counts, table.theta_true))
     return table, paths

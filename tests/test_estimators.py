@@ -15,7 +15,7 @@ from lowdepth_ae.estimators import (EXTENDED_OFFSETS, CrtReadings, Estimate,
                                     bayesian_update, crt_columns,
                                     crt_reconstruct, crt_solve,
                                     direct_estimate, hybrid_fallback,
-                                    log_likelihood_rows, mle_estimate)
+                                    log_likelihood_rows, mle_estimate, sin_squared)
 from lowdepth_ae.noise import DepthCounts, NoiseModel, effective_eta
 
 RNG = np.random.default_rng(1234)
@@ -109,6 +109,16 @@ def test_update_single_good_shot_shapes_like_sin_squared():
     updated = bayesian_update(np.zeros_like(thetas), log_likelihood_rows(thetas, 0), 1, 0)
     assert updated[0] == -np.inf  # p = 0 at theta = 0: excluded, not clamped
     assert np.allclose(updated[1:], np.log(np.sin(thetas[1:]) ** 2), atol=1e-12)
+
+
+def test_sin_squared_equals_the_scalar_square_bit_for_bit():
+    # np.sin(thetas) ** 2 and math.sin(theta) * math.sin(theta) each passed
+    # every other test; both square by one multiplication, which rounds
+    # differently from Python's ** 2 at a few grid points
+    thetas = np.concatenate([grid(1e-3), grid(1e-4)])
+    reference = np.array([math.sin(theta) ** 2 for theta in thetas.tolist()])
+    assert sin_squared(thetas).view(np.int64).tolist() == reference.view(np.int64).tolist()
+    assert (np.sin(thetas) ** 2 != reference).any()
 
 
 def test_update_zero_count_at_impossible_outcome_adds_nothing():
@@ -737,6 +747,13 @@ def test_crt_columns_scratch_does_not_grow_with_the_elements():
         scratch.append(peak - current)
     assert max(scratch) < 2 * estimators.CHUNK_BYTES
     assert scratch[1] - scratch[0] < estimators.CHUNK_BYTES // 4
+
+
+def test_crt_ties_toward_the_smaller_folded_value():
+    # folded candidates 4 and 5 of modulus 15 tie at the smallest error here;
+    # an argmin over the errors alone picked 5 pi / 15
+    assert crt_columns(0.0, 0.0, 0.9389317146324906, 2).theta == 4 * math.pi / 15
+    assert crt_reconstruct(0.0, 0.0, 0.9389317146324906, 2)[0] == 4 * math.pi / 15
 
 
 def test_crt_columns_reject_small_depth():

@@ -590,21 +590,32 @@ def _wrong_shapes():
             ("noise correlation", {**quiet, "noise": {**noise, "correlation": 5}}),
             ("algorithms", {**quiet, "algorithms": [["mle"]]}),
             ("algorithms", {**quiet, "algorithms": 5}),
-            ("config", [quiet]),
-            ("out_dir", {**quiet, "out_dir": 5})]
+            ("config", [quiet])]
 
 
 @pytest.mark.parametrize("name,data", _wrong_shapes())
-def test_config_rejects_a_field_of_the_wrong_shape(name, data, tmp_path, monkeypatch):
-    # these died before with an AttributeError or TypeError that named no
-    # field; out_dir=5 only once no --out overrode it
-    monkeypatch.chdir(tmp_path)  # where a run without --out would write
+def test_config_rejects_a_field_of_the_wrong_shape(name, data, tmp_path):
+    # these died before with an AttributeError or TypeError that named no field
     with pytest.raises(ValueError, match=name):
         ExperimentConfig.from_dict(data)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(data), encoding="utf-8")
-    out = [] if name == "out_dir" else ["--out", str(tmp_path / "out")]
-    assert cli_main(["run", "--config", str(cfg_path)] + out) == 2
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("out_dir", ["elsewhere", 5])
+def test_config_rejects_out_dir_as_an_unknown_field(out_dir, tmp_path, monkeypatch, capsys):
+    # the directory is --out's alone: a config's out_dir was a field, and a
+    # run without --out wrote there
+    monkeypatch.chdir(tmp_path)  # where a run without --out writes
+    data = {**quiet_config().to_dict(), "out_dir": out_dir}
+    with pytest.raises(TypeError, match="out_dir"):
+        ExperimentConfig.from_dict(data)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "'out_dir'" in json.loads(capsys.readouterr().err)["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
@@ -1317,8 +1328,8 @@ def test_elementwise_calls_fn_once_per_distinct_value_as_the_per_element_referen
 # ------------------------------------------------------------------ end to end
 
 def test_run_experiment_emits_consistent_accounting(tmp_path):
-    config = quiet_config(out_dir=str(tmp_path / "run"))
-    trials, paths = run_experiment(config)
+    config = quiet_config()
+    trials, paths = run_experiment(config, tmp_path / "run")
     rows = paths["trials"].read_text(encoding="utf-8").splitlines()[1:]
     per_group: dict[tuple[str, str], int] = {}
     for row in rows:
@@ -1675,7 +1686,6 @@ def test_cli_fit_noise_and_sweep(tmp_path, capsys):
         assert f"\npowerlaw,eps={eps}," in aggregate
 
 
-RUN_FILES = ("aggregate.csv", "crt_error_histogram.csv", "manifest.json", "trials.csv")
 # per command: its argv after --config and --out, the files it writes below
 # --out and those whose paths it prints
 NESTED_OUT_CASES = {
@@ -1709,6 +1719,20 @@ def test_a_command_makes_a_nested_out_directory_and_writes_its_flat_bytes(comman
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("command", sorted(NESTED_OUT_CASES))
+def test_a_command_without_out_writes_into_runs(command, tmp_path, monkeypatch, capsys):
+    # without --out, each command writes below runs in the working directory
+    monkeypatch.chdir(tmp_path)
+    extra, files, printed = NESTED_OUT_CASES[command]
+    Path("config.json").write_text(json.dumps(quiet_config(n_trials=3, calib_trials=4)
+                                              .to_dict()), encoding="utf-8")
+    assert cli_main([command, "--config", "config.json", *extra]) == 0
+    paths = re.findall(r"(runs\S*)$", capsys.readouterr().out, re.MULTILINE)
+    assert sorted(Path(p).relative_to("runs").as_posix() for p in paths) == sorted(printed)
+    assert sorted(path.relative_to("runs").as_posix() for path in Path("runs").rglob("*")
+                  if path.is_file()) == sorted(files)
+
+
 @pytest.mark.parametrize("param,values,bad", [("max-depth", "2,2.5", "'2.5'"),
                                               ("max-depth", "two", "'two'"),
                                               ("target-eps", "0.05,tenth", "'tenth'"),
@@ -1725,6 +1749,36 @@ def test_cli_sweep_names_the_entry_it_cannot_parse(param, values, bad, tmp_path,
     message = json.loads(capsys.readouterr().err)["message"]
     assert "--values" in message and bad in message and param in message
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("param,values,bad,first", [("max-depth", "3,3", "'3'", "'3'"),
+                                                    ("max-depth", "2,3,03", "'03'", "'3'"),
+                                                    ("target-eps", "0.05,0.05", "'0.05'",
+                                                     "'0.05'")])
+def test_cli_sweep_rejects_an_entry_whose_directory_an_earlier_entry_names(
+        param, values, bad, first, tmp_path, capsys):
+    # "3,3" and "3,03" ran max_depth_3 twice, the second run overwriting the
+    # first, and printed its line twice
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(quiet_config(n_trials=3).to_dict()), encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep"),
+                     "--param", param, "--values", values]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith(f"--values entry {bad} for --param {param}: ")
+    assert message.endswith(f"is that of entry {first}")
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_cli_sweep_runs_equal_values_that_name_different_directories(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(quiet_config(n_trials=3, algorithms=("powerlaw",)).to_dict()),
+                        encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep"),
+                     "--param", "target-eps", "--values", "0.05,5e-2"]) == 0
+    assert capsys.readouterr().out.count("target-eps=") == 2
+    first, second = (tmp_path / "sweep" / f"target_eps_{raw}" / "trials.csv"
+                     for raw in ("0.05", "5e-2"))
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("values", [",", "", " , "])
