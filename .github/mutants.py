@@ -142,6 +142,19 @@ MUTANTS = (
            "return np.matmul(a[:, None, :], b[:, :, None])[:, 0]",
            "return (a * b).sum(axis=1, keepdims=True)",
            (HARNESS + "test_stacked_row_by_column_matmul_is_ndarray_dot_bit_for_bit",)),
+    # one generator's pair on 1-D rows, and calibration's exact CRT inputs
+    Mutant("one-pair-rows-swapped", "harness.py",
+           "    x, u = rng.standard_normal((2, 4))\n", "    u, x = rng.standard_normal((2, 4))\n",
+           (HARNESS + "test_a_block_of_pairs_equals_the_vector_by_vector_draw_row_by_row"
+                      "[haar-1]",)),
+    Mutant("one-pair-y-not-renormalized", "harness.py",
+           "return x[None], (y / math.sqrt(y.dot(y)))[None]", "return x[None], y[None]",
+           (HARNESS + "test_a_block_of_pairs_equals_the_vector_by_vector_draw_row_by_row"
+                      "[uniform-theta-1]",)),
+    Mutant("exact-crt-multiples-one-depth-low", "harness.py",
+           "(2 * np.arange(1, config.max_depth + 1) + 1)",
+           "(2 * np.arange(1, config.max_depth + 1) - 1)",
+           (HARNESS + "test_calibration_feeds_exact_crt_the_two_call_inputs_bit_for_bit[2]",)),
     # the schedule, the circuit and the simulator
     Mutant("schedule-rounds", "schedules.py",
            "math.floor(n_shots * (2 * d + 1) ** nu)", "round(n_shots * (2 * d + 1) ** nu)",

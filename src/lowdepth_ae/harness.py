@@ -199,12 +199,15 @@ def sample_vector_pairs(rngs, mode: str = "haar") -> tuple[np.ndarray, np.ndarra
     the arithmetic then runs once over the block, with :func:`_dots`,
     ``np.sqrt`` (correctly rounded, as ``math.sqrt`` is) and ``math.sin``
     and ``math.cos`` per row, so row i is the pair that generator would
-    make alone.  A block holds each generator once.
+    make alone.  A block holds each generator once.  A block of one
+    generator, as calibration draws, runs the same arithmetic on 1-D rows.
     """
     if mode not in VECTOR_MODES:
         raise ValueError(f"unknown vector mode {mode!r}")
     if len(set(map(id, rngs))) != len(rngs):
         raise ValueError("a block of pairs holds a generator more than once")
+    if len(rngs) == 1:
+        return _vector_pair(*rngs, mode)
     # rng.uniform(0, pi / 2), bit for bit, before the normals
     thetas = [math.pi / 2 * rng.random() for rng in rngs] if mode == "uniform-theta" else None
     normals = np.empty((len(rngs), 2, 4))
@@ -219,6 +222,24 @@ def sample_vector_pairs(rngs, mode: str = "haar") -> tuple[np.ndarray, np.ndarra
     y = np.array([math.sin(t) for t in thetas])[:, None] * x \
         + np.array([math.cos(t) for t in thetas])[:, None] * u
     return x, y / np.sqrt(_dots(y, y))
+
+
+def _vector_pair(rng: np.random.Generator, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Row 0 of :func:`sample_vector_pairs` of ``rng`` alone, as (1, 4) arrays, bit for bit.
+
+    The same draws and the same operations in the same order, on 1-D rows:
+    ``ndarray.dot`` and ``math.sqrt`` (correctly rounded, as ``np.sqrt``
+    is), without a block's fixed cost of numpy calls.
+    """
+    theta = math.pi / 2 * rng.random() if mode == "uniform-theta" else None
+    x, u = rng.standard_normal((2, 4))
+    if mode == "haar":
+        return (x / math.sqrt(x.dot(x)))[None], (u / math.sqrt(u.dot(u)))[None]
+    x /= math.sqrt(x.dot(x))
+    u -= u.dot(x) * x
+    u /= math.sqrt(u.dot(u))
+    y = math.sin(theta) * x + math.cos(theta) * u
+    return x[None], (y / math.sqrt(y.dot(y)))[None]
 
 
 def _trial_pairs(rngs, mode: str) -> Iterator[tuple[np.random.Generator, tuple]]:
@@ -516,10 +537,10 @@ def calibrate_hybrid(config: ExperimentConfig,
                          f"but max_depth is {config.max_depth}")
     crt_config = dataclasses.replace(config, algorithms=("crt",))  # no power-law plan
     table = run_trials(crt_config, [rng] * config.calib_trials)
-    d_max = np.array(table.label)
     theta = table.theta_true[:, None]
-    exact = crt_columns(sin_squared((2 * d_max + 1) * theta),
-                        sin_squared((2 * d_max - 1) * theta), theta, d_max)
+    # exact p at (2k+1) theta for k = 1..max_depth; depth d reads k = d and k = d - 1
+    exact_p = sin_squared((2 * np.arange(1, config.max_depth + 1) + 1) * theta)
+    exact = crt_columns(exact_p[:, 1:], exact_p[:, :-1], theta, np.array(table.label))
     anchor_p = sin_squared(table.anchor)
 
     def mean_err(p_hat, j) -> float:

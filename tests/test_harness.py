@@ -77,7 +77,7 @@ def quiet_config(**kwargs):
 # ----------------------------------------------------------------- input pairs
 
 def one_pair(rng, mode="haar"):
-    """The pair ``rng`` draws alone: row 0 of a one-row block."""
+    """The pair ``rng`` draws alone, on the one-generator path of :func:`sample_vector_pairs`."""
     x, y = sample_vector_pairs([rng], mode)
     return x[0], y[0]
 
@@ -130,10 +130,12 @@ def scalar_vector_pair(rng, mode):
 @settings(max_examples=300, deadline=None)
 @given(mode=st.sampled_from(VECTOR_MODES), seed=st.integers(0, 2**32 - 1))
 def test_one_call_vector_pair_equals_the_vector_by_vector_draw(mode, seed):
-    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    for a, b in zip(one_pair(fast, mode), scalar_vector_pair(slow, mode)):
-        assert a.tobytes() == b.tobytes()
-    assert fast.random() == slow.random()  # the same number of draws
+    # one generator takes a 1-D path; it must also draw what the block arithmetic does
+    fast, slow, in_block = (np.random.default_rng(seed) for _ in range(3))
+    block = sample_vector_pairs([in_block, np.random.default_rng(seed ^ 1)], mode)
+    for a, b, row in zip(one_pair(fast, mode), scalar_vector_pair(slow, mode), block):
+        assert a.tobytes() == b.tobytes() == row[0].tobytes()
+    assert fast.random() == slow.random() == in_block.random()  # the same number of draws
 
 
 def test_unknown_mode_rejected():
@@ -141,7 +143,7 @@ def test_unknown_mode_rejected():
         sample_vector_pairs([np.random.default_rng(0)], "spherical")
 
 
-@pytest.mark.parametrize("n", [1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 2, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1])
 @pytest.mark.parametrize("mode", VECTOR_MODES)
 def test_a_block_of_pairs_equals_the_vector_by_vector_draw_row_by_row(mode, n):
     children = np.random.SeedSequence(2024 + n).spawn(n)
@@ -702,6 +704,35 @@ def test_calibration_beta_tuning_picks_from_grid():
     betas = {c.beta_hybrid for c in cal.values()}
     assert len(betas) == 1
     assert betas.pop() in BETA_TUNING_GRID + (config.beta_hybrid,)
+
+
+@pytest.mark.parametrize("max_depth", range(2, 8))
+def test_calibration_feeds_exact_crt_the_two_call_inputs_bit_for_bit(max_depth, monkeypatch):
+    # one squared-sine call over (2k + 1) theta, k = 1..max_depth, must give
+    # depth d what sin_squared((2d + 1) theta) and sin_squared((2d - 1) theta) do
+    tables, calls = [], []
+
+    def run_trials_spy(*args, **kwargs):
+        tables.append(run_trials(*args, **kwargs))
+        return tables[-1]
+
+    def crt_columns_spy(*args):
+        calls.append(args)
+        return crt_columns(*args)
+
+    monkeypatch.setattr(harness, "run_trials", run_trials_spy)
+    monkeypatch.setattr(harness, "crt_columns", crt_columns_spy)
+    config = quiet_config(max_depth=max_depth, n_shots=20, calib_trials=12,
+                          noise=NoiseModel.linear_ramp(max_depth))
+    calibrate_hybrid(config, np.random.default_rng(max_depth))
+    (table,) = tables
+    p_d, p_dm1, theta, d_max = calls[-1]  # the first call is the draws' own CRT
+    d = np.arange(2, max_depth + 1)
+    theta_true = table.theta_true[:, None]
+    assert theta.tobytes() == theta_true.tobytes() and np.array_equal(d_max, d)
+    assert p_d.shape == p_dm1.shape == (config.calib_trials, max_depth - 1)
+    assert p_d.tobytes() == estimators.sin_squared((2 * d + 1) * theta_true).tobytes()
+    assert p_dm1.tobytes() == estimators.sin_squared((2 * d - 1) * theta_true).tobytes()
 
 
 def crt_table(theta_true, anchor_p, crt_p):
