@@ -45,24 +45,31 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # one trial pipeline for run and calibrate
-    Mutant("trial-pairs-no-repeat-cut", "harness.py",
-           "        if id(rng) in block:\n"
-           "            yield from drawn(block)\n"
-           "            block = {}\n"
-           "        block[id(rng)] = rng\n",
-           "        block[id(rng)] = rng\n",
-           (HARNESS + "test_trials_sharing_generators_equal_trials_run_one_by_one",)),
-    Mutant("trial-pairs-full-block-before-append", "harness.py",
-           "        block[id(rng)] = rng\n"
-           "        if len(block) == PAIR_BLOCK:\n"
-           "            yield from drawn(block)\n"
-           "            block = {}\n",
-           "        if len(block) == PAIR_BLOCK:\n"
-           "            yield from drawn(block)\n"
-           "            block = {}\n"
-           "        block[id(rng)] = rng\n",
-           (HARNESS + "test_trial_pairs_pull_no_generator_past_a_full_block",)),
+    # one generator per block of trials: its pairs first, then each trial's pools
+    Mutant("pairs-drawn-after-a-trials-pools", "harness.py",
+           "        pairs = zip(*_vector_pairs(rng, TRIAL_BLOCK, config.vector_mode))\n",
+           "        pairs = (next(zip(*_vector_pairs(rng, TRIAL_BLOCK, config.vector_mode)))\n"
+           "                 for _ in range(TRIAL_BLOCK))\n",
+           (HARNESS + "test_each_block_draws_all_its_pairs_before_its_first_trial[haar-256]",)),
+    Mutant("subsample-from-the-pool-generator", "harness.py",
+           "subsample_rng.hypergeometric(good, bad, m)", "rng.hypergeometric(good, bad, m)",
+           ("tests/test_schedules.py::test_draw_subsamples_as_the_reference_chain",
+            HARNESS + "test_run_and_fit_noise_see_the_same_pools_across_two_blocks")),
+    Mutant("short-last-block", "harness.py",
+           "_vector_pairs(rng, TRIAL_BLOCK, config.vector_mode)",
+           "_vector_pairs(rng, min(TRIAL_BLOCK, config.n_trials - start), config.vector_mode)",
+           (HARNESS + "test_each_block_draws_all_its_pairs_before_its_first_trial[haar-1]",
+            HARNESS + "test_a_runs_first_trials_are_those_of_any_longer_run")),
+    Mutant("angles-drawn-after-normals", "harness.py",
+           "    thetas = (math.pi / 2 * rng.random(n)).tolist()"
+           " if mode == \"uniform-theta\" else None\n"
+           "    normals = rng.standard_normal((n, 2, 4))\n",
+           "    normals = rng.standard_normal((n, 2, 4))\n"
+           "    thetas = (math.pi / 2 * rng.random(n)).tolist()"
+           " if mode == \"uniform-theta\" else None\n",
+           (HARNESS + "test_a_block_of_pairs_equals_the_vector_by_vector_draw_row_by_row"
+                      "[uniform-theta-1]",)),
+    # the trial pipeline's count check and oracle-call bill
     Mutant("fit-without-counts-check", "harness.py",
            "    counts = _checked_counts(counts)\n",
            "    counts = np.asarray(counts)\n",
@@ -142,15 +149,7 @@ MUTANTS = (
            "return np.matmul(a[:, None, :], b[:, :, None])[:, 0]",
            "return (a * b).sum(axis=1, keepdims=True)",
            (HARNESS + "test_stacked_row_by_column_matmul_is_ndarray_dot_bit_for_bit",)),
-    # one generator's pair on 1-D rows, and calibration's exact CRT inputs
-    Mutant("one-pair-rows-swapped", "harness.py",
-           "    x, u = rng.standard_normal((2, 4))\n", "    u, x = rng.standard_normal((2, 4))\n",
-           (HARNESS + "test_a_block_of_pairs_equals_the_vector_by_vector_draw_row_by_row"
-                      "[haar-1]",)),
-    Mutant("one-pair-y-not-renormalized", "harness.py",
-           "return x[None], (y / math.sqrt(y.dot(y)))[None]", "return x[None], y[None]",
-           (HARNESS + "test_a_block_of_pairs_equals_the_vector_by_vector_draw_row_by_row"
-                      "[uniform-theta-1]",)),
+    # calibration's exact CRT inputs
     Mutant("exact-crt-multiples-one-depth-low", "harness.py",
            "(2 * np.arange(1, config.max_depth + 1) + 1)",
            "(2 * np.arange(1, config.max_depth + 1) - 1)",

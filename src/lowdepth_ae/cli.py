@@ -51,7 +51,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _load_config(args)
-    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
+    cal = calibrate_hybrid(config, run_streams(config.seed)[0])
     path = write_json(args.out_dir, "calibration.json", calibration_record(cal))
     print(f"calibration: {path}")
     return 0
@@ -63,9 +63,9 @@ def _cmd_fit_noise(args) -> int:
     # each trial's tallies are copied into one row, so no trial's table outlives it
     counts = np.empty((config.n_trials, config.max_depth + 1, 3), dtype=np.int64)
     thetas = np.empty(config.n_trials)
-    trial_rngs = run_streams(config.seed, config.n_trials)[1]
-    for t, (rng, pair) in enumerate(_trial_pairs(trial_rngs, config.vector_mode)):
-        trial = run_trial(sampling, pair, rng)
+    trial_blocks = run_streams(config.seed)[1]
+    for t, (rng, subsample_rng, pair) in enumerate(_trial_pairs(config, trial_blocks)):
+        trial = run_trial(sampling, pair, rng, subsample_rng)
         counts[t], thetas[t] = trial.counts, trial.theta_true[0]  # (1, D, 3) into (D, 3)
     fit = fit_depolarizing(counts, thetas)
     path = write_json(args.out_dir, "gamma_fit.json", fit_record(fit))

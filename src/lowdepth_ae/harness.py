@@ -8,9 +8,12 @@ MLE passes update chunks of trials together, CRT reconstructs every
 (trial, depth) pair in one call and the hybrid chooses with one mask.
 Emission writes per-trial and aggregate CSVs plus a JSON manifest, the
 per-trial rows a fixed-size chunk at a time.  All randomness flows from
-a single seed through :func:`run_streams`, one calibration stream and
-one stream per trial, so identical configs produce byte-identical output
-files, and ``calibrate`` and ``fit-noise`` see the very draws a run sees.
+a single seed through :func:`run_streams`: one calibration stream, and
+per block of ``TRIAL_BLOCK`` trials one stream that draws the block's
+vector pairs at once and then each trial's pools, and one that draws
+their power-law subsamples.  So identical configs produce byte-identical
+output files, a run's first n trials are those of any longer run, and
+``calibrate`` and ``fit-noise`` see the very draws a run sees.
 
 Oracle-call accounting is cumulative for the MLE rows: the point at
 maximum depth d charges all shots taken at depths 0..d, each shot at
@@ -41,12 +44,9 @@ from .schedules import InfeasibleScheduleError, optimize_exponent, power_law_sch
 ALGORITHMS = ("direct", "mle", "crt", "hybrid", "powerlaw")
 VECTOR_MODES = ("haar", "uniform-theta")
 BETA_TUNING_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
-# spawn keys whose seed words run_streams derives at once; a power of two,
-# so no block straddles key 2**32, where a key starts to take two words
-STREAM_BLOCK = 1024
-# trials whose vector pairs one set of numpy calls draws; their generators
-# live together, so not STREAM_BLOCK of them (about 1 KB each)
-PAIR_BLOCK = 64
+# trials that one generator feeds: it draws their vector pairs together,
+# then each trial's pools in turn
+TRIAL_BLOCK = 256
 # (trial, slot) cells whose trials.csv rows aggregate_and_emit formats and
 # writes at a time, CHUNK_BYTES of scratch: a chunk peaks at about 512 B a
 # row (measured with tracemalloc), its lines and its cells' strings.
@@ -189,30 +189,21 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
 
 
-def sample_vector_pairs(rngs, mode: str = "haar") -> tuple[np.ndarray, np.ndarray]:
-    """A random 4-dimensional unit-vector pair from each of a block of generators, as (n, 4) arrays.
+def _vector_pairs(rng: np.random.Generator, n: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` random 4-dimensional unit-vector pairs from one generator, as (n, 4) arrays.
 
     ``haar`` normalizes independent Gaussian draws; ``uniform-theta`` first
     draws the target angle uniformly on [0, pi/2] and builds a pair with
     ``x . y = sin(theta)``, spreading the estimated probability over [0, 1].
-    Each generator draws its angle, then its eight normals into its row;
-    the arithmetic then runs once over the block, with :func:`_dots`,
-    ``np.sqrt`` (correctly rounded, as ``math.sqrt`` is) and ``math.sin``
-    and ``math.cos`` per row, so row i is the pair that generator would
-    make alone.  A block holds each generator once.  A block of one
-    generator, as calibration draws, runs the same arithmetic on 1-D rows.
+    ``rng`` draws every row's angle, then every row's eight normals (x,
+    then u), in row order.  The arithmetic runs once over the rows, with
+    :func:`_dots`, ``np.sqrt`` (correctly rounded, as ``math.sqrt`` is) and
+    ``math.sin`` and ``math.cos`` per row, so row i is the pair that the
+    one-vector-at-a-time arithmetic makes of the same numbers.
     """
-    if mode not in VECTOR_MODES:
-        raise ValueError(f"unknown vector mode {mode!r}")
-    if len(set(map(id, rngs))) != len(rngs):
-        raise ValueError("a block of pairs holds a generator more than once")
-    if len(rngs) == 1:
-        return _vector_pair(*rngs, mode)
     # rng.uniform(0, pi / 2), bit for bit, before the normals
-    thetas = [math.pi / 2 * rng.random() for rng in rngs] if mode == "uniform-theta" else None
-    normals = np.empty((len(rngs), 2, 4))
-    for rng, row in zip(rngs, normals):
-        rng.standard_normal(out=row)
+    thetas = (math.pi / 2 * rng.random(n)).tolist() if mode == "uniform-theta" else None
+    normals = rng.standard_normal((n, 2, 4))
     x, u = normals[:, 0], normals[:, 1]
     if mode == "haar":
         return x / np.sqrt(_dots(x, x)), u / np.sqrt(_dots(u, u))
@@ -224,124 +215,39 @@ def sample_vector_pairs(rngs, mode: str = "haar") -> tuple[np.ndarray, np.ndarra
     return x, y / np.sqrt(_dots(y, y))
 
 
-def _vector_pair(rng: np.random.Generator, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Row 0 of :func:`sample_vector_pairs` of ``rng`` alone, as (1, 4) arrays, bit for bit.
+def _trial_pairs(config: ExperimentConfig, blocks) -> Iterator[tuple]:
+    """Each of ``config.n_trials`` trials as ``(rng, subsample_rng, (x, y))``, trial by trial.
 
-    The same draws and the same operations in the same order, on 1-D rows:
-    ``ndarray.dot`` and ``math.sqrt`` (correctly rounded, as ``np.sqrt``
-    is), without a block's fixed cost of numpy calls.
+    Trials ``TRIAL_BLOCK * b`` onwards take block b of ``blocks``, its
+    ``(rng, subsample_rng)``, pulled when its first trial starts.  ``rng``
+    then draws the pairs of the whole block at once, however few of its
+    trials the run keeps, so a run's first n trials are those of any longer
+    run; each trial draws the rest of its draws as it comes.  Blocks that
+    run out end the trials.
     """
-    theta = math.pi / 2 * rng.random() if mode == "uniform-theta" else None
-    x, u = rng.standard_normal((2, 4))
-    if mode == "haar":
-        return (x / math.sqrt(x.dot(x)))[None], (u / math.sqrt(u.dot(u)))[None]
-    x /= math.sqrt(x.dot(x))
-    u -= u.dot(x) * x
-    u /= math.sqrt(u.dot(u))
-    y = math.sin(theta) * x + math.cos(theta) * u
-    return x[None], (y / math.sqrt(y.dot(y)))[None]
+    for start, (rng, subsample_rng) in zip(range(0, config.n_trials, TRIAL_BLOCK), blocks):
+        pairs = zip(*_vector_pairs(rng, TRIAL_BLOCK, config.vector_mode))
+        for pair in itertools.islice(pairs, config.n_trials - start):
+            yield rng, subsample_rng, pair
 
 
-def _trial_pairs(rngs, mode: str) -> Iterator[tuple[np.random.Generator, tuple]]:
-    """Each generator of ``rngs`` with its vector pair, drawn a block of trials at a time.
+def run_streams(seed: int) -> tuple[np.random.Generator, Iterator[tuple[np.random.Generator, ...]]]:
+    """The random streams of a run: ``(calibration_rng, trial_blocks)``.
 
-    A block ends at ``PAIR_BLOCK`` generators, or just before one it
-    already holds, so a generator that feeds many trials draws each pair
-    right before that trial's pools.  A block's generators are pulled, and
-    draw their pairs, when it starts (none past a full block); each then
-    draws the rest of its trial as it comes.
+    The stream of spawn key ``k`` is ``default_rng(SeedSequence(seed,
+    spawn_key=k))``.  Calibration draws from key ``(0,)``.  Each block of
+    ``TRIAL_BLOCK`` trials is one ``(rng, subsample_rng)`` of the endless
+    ``trial_blocks``: block b draws its pairs and pools from key ``(b + 1,)``
+    and its power-law subsamples from that key's child, ``(b + 1, 0)``.  A
+    block's generators are built when the iterator reaches it, and the
+    config's ``n_trials`` alone says how many blocks a run reaches.
     """
-    def drawn(block):
-        return zip(block.values(), zip(*sample_vector_pairs(block.values(), mode)))
+    seed = checked("seed", seed, *NONNEGATIVE_INT)
 
-    block = {}  # the block's generators by id, in order
-    for rng in rngs:
-        if id(rng) in block:
-            yield from drawn(block)
-            block = {}
-        block[id(rng)] = rng
-        if len(block) == PAIR_BLOCK:
-            yield from drawn(block)
-            block = {}
-    yield from drawn(block)
+    def stream(*key) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
-
-def _hash_consts(init: int, mult: int, skip: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """What ``SeedSequence``'s hash calls ``skip`` to ``skip + n - 1`` xor in and multiply by.
-
-    Each call xors in the running constant, advances it by ``mult`` and
-    multiplies by the advanced one.
-    """
-    consts = np.array([init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(skip, skip + n + 1)],
-                      dtype=np.uint32)[:, None]
-    return consts[:-1], consts[1:]
-
-
-def _spawned_seed_words(seed_seq, keys: range) -> np.ndarray:
-    """``SeedSequence(entropy, spawn_key=(k,)).generate_state(4, np.uint64)`` for each k, as rows.
-
-    ``seed_seq``, the seed's own ``SeedSequence``, holds the seed's words
-    mixed as every child first mixes them; only the keys' words are mixed
-    here, with numpy's arithmetic (fixed by NEP 19).  Every key must take
-    as many 32-bit words as the others, as in a power-of-two-aligned block.
-    """
-    # the hex constants are numpy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B, MULT_B
-    n_seed = max(4, -(-int(seed_seq.entropy).bit_length() // 32))
-    n_key = max(1, -(-(keys.stop - 1).bit_length() // 32))
-    xor, mul = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * n_seed, 4 * n_key)
-    pool = np.repeat(seed_seq.pool[:, None], len(keys), axis=1)
-    spawn_key = np.arange(keys.start, keys.stop, dtype=np.uint64)
-    for j in range(n_key):
-        word = (spawn_key >> np.uint64(32 * j)).astype(np.uint32)
-        hashed = (word ^ xor[4 * j:4 * j + 4]) * mul[4 * j:4 * j + 4]
-        hashed ^= hashed >> np.uint32(16)
-        pool = np.uint32(0xCA01F9DD) * pool - np.uint32(0x4973F715) * hashed
-        pool ^= pool >> np.uint32(16)
-    xor, mul = _hash_consts(0x8B51F9DD, 0x58F38DED, 0, 8)
-    state = (np.tile(pool, (2, 1)) ^ xor) * mul
-    state ^= state >> np.uint32(16)
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
-
-
-class _SeedWords:
-    """A seed sequence that hands a bit generator precomputed seed words."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.words
-
-
-def run_streams(seed: int, n_trials: int
-                ) -> tuple[np.random.Generator, Iterator[np.random.Generator]]:
-    """The random streams of a run: ``(calibration_rng, trial_rngs)``.
-
-    Stream 0 calibrates and stream i + 1 feeds trial i.  Stream i is
-    ``SeedSequence(seed).spawn(n_trials + 1)[i]``, the child with the
-    seed's entropy and spawn key ``(i,)``.  No child is spawned: the
-    PCG64 seed words of ``STREAM_BLOCK`` keys are derived at once when the
-    iterator reaches their block, with numpy's SeedSequence arithmetic
-    (the seed's words mixed once per run, each key's per row), so every
-    generator, built only when its trial starts, begins in the child's
-    state and draws what the child would.
-    """
-    n_trials = checked("n_trials", n_trials, *NONNEGATIVE_INT)
-    from numpy.random.bit_generator import ISeedSequence  # numpy.random loads on first use
-    ISeedSequence.register(_SeedWords)
-    seed_seq = np.random.SeedSequence(checked("seed", seed, *NONNEGATIVE_INT))
-    generator, pcg64 = np.random.Generator, np.random.PCG64
-
-    def streams() -> Iterator[np.random.Generator]:
-        for start in range(0, n_trials + 1, STREAM_BLOCK):
-            keys = range(start, min(start + STREAM_BLOCK, n_trials + 1))
-            for words in _spawned_seed_words(seed_seq, keys):
-                yield generator(pcg64(_SeedWords(words)))
-
-    trial_rngs = streams()
-    return next(trial_rngs), trial_rngs
+    return stream(0), ((stream(b + 1), stream(b + 1, 0)) for b in itertools.count())
 
 
 def _powerlaw_plan(config: ExperimentConfig) -> tuple[int, ...] | str | None:
@@ -360,12 +266,13 @@ def _powerlaw_plan(config: ExperimentConfig) -> tuple[int, ...] | str | None:
     return power_law_schedule(nu, config.n_shots, config.max_depth)
 
 
-def _draw(config: ExperimentConfig, pair, rng: np.random.Generator, plan):
+def _draw(config: ExperimentConfig, pair, rng: np.random.Generator, plan,
+          subsample_rng: np.random.Generator | None):
     """The true angle, shot pool and power-law subsample tallies of one trial.
 
     Tallies are the good, bad and discarded counts of each depth in turn,
-    flat.  The pool and then the subsample (``None`` without a schedule)
-    are drawn from ``rng``, which has already drawn the trial's pair.
+    flat.  The pool is drawn from ``rng`` and the subsample (``None``
+    without a schedule) from ``subsample_rng``.
     """
     x, y = pair
     theta_true = math.asin(min(abs(float(x.dot(y))), 1.0))
@@ -379,7 +286,7 @@ def _draw(config: ExperimentConfig, pair, rng: np.random.Generator, plan):
         subsampled = []
         for m, good, bad in zip(plan, tallies[::3], tallies[1::3]):
             m = min(m, good + bad)
-            n_good = int(rng.hypergeometric(good, bad, m)) if m else 0
+            n_good = int(subsample_rng.hypergeometric(good, bad, m)) if m else 0
             subsampled += (n_good, m - n_good, 0)
     return theta_true, tallies, subsampled
 
@@ -478,36 +385,40 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
 
 
 def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
+              subsample_rng: np.random.Generator | None,
               calibrations: dict[int, HybridCalibration | str] | None = None) -> RunTable:
-    """Simulate one shot pool and run every enabled estimator on it.
+    """Simulate one shot pool from ``rng`` and run every enabled estimator on it.
 
     The true angle is ``asin(min(|x . y|, 1))``, the angle whose squared
     sine the depth-0 oracle circuit succeeds with.  Each depth is sampled
     exactly once; the power-law estimator subsamples the recorded pool
-    without replacement rather than taking fresh shots.  One MLE pass over
-    the pool gives the MLE row at every depth.  CRT and hybrid rows share a
-    depth-2 anchor, kept in the table's ``anchor``: the depth-2 MLE row
-    when that pass is noise-unaware and has one, else the estimate of a
-    separate noise-unaware pass over depths 0..2.  A row whose own inputs
-    kept no shot is dropped with its reason; the other rows stay.
+    without replacement rather than taking fresh shots, drawn from
+    ``subsample_rng`` (``None`` serves a config without a schedule).  One
+    MLE pass over the pool gives the MLE row at every depth.  CRT and hybrid
+    rows share a depth-2 anchor, kept in the table's ``anchor``: the depth-2
+    MLE row when that pass is noise-unaware and has one, else the estimate
+    of a separate noise-unaware pass over depths 0..2.  A row whose own
+    inputs kept no shot is dropped with its reason; the other rows stay.
     """
     plan = _powerlaw_plan(config)
-    return _estimate(config, [_draw(config, pair, rng, plan)], plan, calibrations)
+    draw = _draw(config, pair, rng, plan, subsample_rng)
+    return _estimate(config, [draw], plan, calibrations)
 
 
-def run_trials(config: ExperimentConfig, rngs,
+def run_trials(config: ExperimentConfig, blocks,
                calibrations: dict[int, HybridCalibration | str] | None = None) -> RunTable:
-    """:func:`run_trial` on a vector pair drawn from each generator, trial ids from 0.
+    """:func:`run_trial` on each of ``config.n_trials`` trials, trial ids from 0.
 
-    Every trial's stream is consumed first, in the order pair, pool,
-    power-law subsample, so a generator may feed many trials, each in
-    turn; the pairs of a block of trials are drawn together by
-    :func:`sample_vector_pairs`, and the power-law schedule is solved once.
+    ``blocks`` holds each block's ``(rng, subsample_rng)``, as
+    :func:`run_streams` gives them.  Every trial is drawn first, in trial
+    order (:func:`_trial_pairs`): its pools from its block's ``rng``, then
+    its power-law subsample from the block's ``subsample_rng``, so the
+    pools do not depend on the estimators; the schedule is solved once.
     The estimators then fill their columns for all trials at once.
     """
     plan = _powerlaw_plan(config)
-    draws = [_draw(config, pair, rng, plan)
-             for rng, pair in _trial_pairs(rngs, config.vector_mode)]
+    draws = [_draw(config, pair, rng, plan, subsample_rng)
+             for rng, subsample_rng, pair in _trial_pairs(config, blocks)]
     return _estimate(config, draws, plan, calibrations)
 
 
@@ -516,27 +427,28 @@ def calibrate_hybrid(config: ExperimentConfig,
     """Each CRT depth's hybrid calibration, from ``config.calib_trials`` draws.
 
     The draws are :func:`run_trials` of CRT alone on ``rng`` (the
-    calibration stream of :func:`run_streams`) given once per draw, so
-    each draws its pair right before its pools.  First each depth's
-    inputs, once: depth d is calibrated on the draws that kept its CRT
-    row (the anchor and depths d - 1 and d), as every estimator drops a
-    row alone; ``mle_avg_depth2`` is their mean error of the depth-2 MLE
-    anchor under the configured noise and shot budget, ``crt_exact_at_d``
-    their mean error of the CRT reconstruction fed exact (infinite-shot,
-    noiseless) probabilities.  Then the multiplier: ``config.beta_hybrid``,
-    or with ``config.tune_beta`` the first of ``BETA_TUNING_GRID`` with
-    the smallest best-depth hybrid error among those whose hybrid never
-    loses to plain CRT (by more than 1e-12) at any calibrated depth, if
-    one qualifies.  Each depth gets its calibration at that multiplier,
-    or, where no draw kept its CRT row, the reason it has none, and the
-    hybrid drops its rows there.  Calibration needs CRT depths
+    calibration stream of :func:`run_streams`) as every block, so it draws
+    ``TRIAL_BLOCK`` pairs and then their trials' pools, block after block.
+    First each depth's inputs, once: depth d is calibrated on the draws that
+    kept its CRT row (the anchor and depths d - 1 and d), as every estimator
+    drops a row alone; ``mle_avg_depth2`` is their mean error of the depth-2
+    MLE anchor under the configured noise and shot budget,
+    ``crt_exact_at_d`` their mean error of the CRT reconstruction fed exact
+    (infinite-shot, noiseless) probabilities.  Then the multiplier:
+    ``config.beta_hybrid``, or with ``config.tune_beta`` the first of
+    ``BETA_TUNING_GRID`` with the smallest best-depth hybrid error among
+    those whose hybrid never loses to plain CRT (by more than 1e-12) at any
+    calibrated depth, if one qualifies.  Each depth gets its calibration at
+    that multiplier, or, where no draw kept its CRT row, the reason it has
+    none, and the hybrid drops its rows there.  Calibration needs CRT depths
     2..max_depth: a ``max_depth`` below 2 raises ``ValueError``.
     """
     if config.max_depth < 2:
         raise ValueError("calibration needs CRT depths 2..max_depth, "
                          f"but max_depth is {config.max_depth}")
-    crt_config = dataclasses.replace(config, algorithms=("crt",))  # no power-law plan
-    table = run_trials(crt_config, [rng] * config.calib_trials)
+    # CRT alone has no power-law plan, so its blocks need no subsample stream
+    crt_config = dataclasses.replace(config, algorithms=("crt",), n_trials=config.calib_trials)
+    table = run_trials(crt_config, itertools.repeat((rng, None)))
     theta = table.theta_true[:, None]
     # exact p at (2k+1) theta for k = 1..max_depth; depth d reads k = d and k = d - 1
     exact_p = sin_squared((2 * np.arange(1, config.max_depth + 1) + 1) * theta)
@@ -793,11 +705,11 @@ def run_experiment(config: ExperimentConfig, out_dir):
     ``(table, paths)``, the run's :class:`RunTable` and the written files.
     The streams of :func:`run_streams` make the run reproducible bit for bit.
     """
-    calib_rng, trial_rngs = run_streams(config.seed, config.n_trials)
+    calib_rng, trial_blocks = run_streams(config.seed)
     calibrations = None
     if "hybrid" in config.algorithms:
         calibrations = calibrate_hybrid(config, calib_rng)
-    table = run_trials(config, trial_rngs, calibrations)
+    table = run_trials(config, trial_blocks, calibrations)
     paths = aggregate_and_emit(table, config, out_dir, calibrations=calibrations,
                                gamma_fit=fit_depolarizing(table.counts, table.theta_true))
     return table, paths

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -24,11 +25,10 @@ from lowdepth_ae import estimators, harness
 from lowdepth_ae.circuits import build_iterated_circuit
 from lowdepth_ae.estimators import (HybridCalibration, crt_columns, crt_reconstruct,
                                     hybrid_fallback, log_likelihood_rows, mle_estimate)
-from lowdepth_ae.harness import (ALGORITHMS, PAIR_BLOCK, STREAM_BLOCK, VECTOR_MODES,
-                                 ExperimentConfig, RunTable,
-                                 aggregate_and_emit, calibrate_hybrid, calibration_record,
-                                 fit_depolarizing, run_experiment, run_streams, run_trial,
-                                 run_trials, sample_vector_pairs)
+from lowdepth_ae.harness import (ALGORITHMS, TRIAL_BLOCK, VECTOR_MODES, ExperimentConfig,
+                                 RunTable, aggregate_and_emit, calibrate_hybrid,
+                                 calibration_record, fit_depolarizing, run_experiment,
+                                 run_streams, run_trial, run_trials)
 from lowdepth_ae.noise import (CorrelatedNoise, DepthCounts, NoiseModel, effective_eta,
                                neg_log_damping, noise_floor, noisy_prob, sample_noisy_shots)
 from lowdepth_ae.schedules import (InfeasibleScheduleError, fisher_noisy, optimize_exponent,
@@ -77,16 +77,15 @@ def quiet_config(**kwargs):
 # ----------------------------------------------------------------- input pairs
 
 def one_pair(rng, mode="haar"):
-    """The pair ``rng`` draws alone, on the one-generator path of :func:`sample_vector_pairs`."""
-    x, y = sample_vector_pairs([rng], mode)
+    """Row 0 of a block of pairs that ``rng`` draws, as a trial's pair."""
+    x, y = harness._vector_pairs(rng, TRIAL_BLOCK, mode)
     return x[0], y[0]
 
 
 def test_vector_pairs_are_unit_norm():
     rng = np.random.default_rng(0)
     for mode in ("haar", "uniform-theta"):
-        for _ in range(200):
-            x, y = one_pair(rng, mode)
+        for x, y in zip(*harness._vector_pairs(rng, TRIAL_BLOCK, mode)):
             assert abs(np.linalg.norm(x) - 1.0) < 1e-12
             assert abs(np.linalg.norm(y) - 1.0) < 1e-12
             assert -1.0 - 1e-12 <= float(np.dot(x, y)) <= 1.0 + 1e-12
@@ -95,9 +94,9 @@ def test_vector_pairs_are_unit_norm():
 def test_uniform_theta_mode_spreads_angles():
     rng = np.random.default_rng(1)
     thetas = []
-    for _ in range(2000):
-        x, y = one_pair(rng, "uniform-theta")
-        thetas.append(math.asin(min(abs(float(np.dot(x, y))), 1.0)))
+    for _ in range(8):
+        for x, y in zip(*harness._vector_pairs(rng, TRIAL_BLOCK, "uniform-theta")):
+            thetas.append(math.asin(min(abs(float(np.dot(x, y))), 1.0)))
     assert abs(np.mean(thetas) - math.pi / 4) < 0.05
     assert np.min(thetas) < 0.1 and np.max(thetas) > math.pi / 2 - 0.1
 
@@ -108,77 +107,86 @@ def test_vector_pairs_reproducible():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-def scalar_vector_pair(rng, mode):
-    """The pair drawn one vector at a time: the reference the one-call draw must equal."""
+def scalar_vector_pairs(rng, n, mode):
+    """``n`` pairs drawn one number and one vector at a time: the reference a block must equal.
+
+    Every angle comes first, then each pair's x and u in turn.
+    """
     def norm(v):
         return math.sqrt(v.dot(v))
 
-    if mode == "haar":
+    thetas = [rng.uniform(0.0, math.pi / 2) for _ in range(n)] if mode == "uniform-theta" else None
+    pairs = []
+    for i in range(n):
         x = rng.standard_normal(4)
-        y = rng.standard_normal(4)
-        return x / norm(x), y / norm(y)
-    theta = rng.uniform(0.0, math.pi / 2)
-    x = rng.standard_normal(4)
-    x /= norm(x)
-    u = rng.standard_normal(4)
-    u -= (u @ x) * x
-    u /= norm(u)
-    y = math.sin(theta) * x + math.cos(theta) * u
-    return x, y / norm(y)
+        u = rng.standard_normal(4)
+        if mode == "haar":
+            pairs.append((x / norm(x), u / norm(u)))
+            continue
+        x /= norm(x)
+        u -= (u @ x) * x
+        u /= norm(u)
+        y = math.sin(thetas[i]) * x + math.cos(thetas[i]) * u
+        pairs.append((x, y / norm(y)))
+    return pairs
 
 
-@settings(max_examples=300, deadline=None)
-@given(mode=st.sampled_from(VECTOR_MODES), seed=st.integers(0, 2**32 - 1))
-def test_one_call_vector_pair_equals_the_vector_by_vector_draw(mode, seed):
-    # one generator takes a 1-D path; it must also draw what the block arithmetic does
-    fast, slow, in_block = (np.random.default_rng(seed) for _ in range(3))
-    block = sample_vector_pairs([in_block, np.random.default_rng(seed ^ 1)], mode)
-    for a, b, row in zip(one_pair(fast, mode), scalar_vector_pair(slow, mode), block):
-        assert a.tobytes() == b.tobytes() == row[0].tobytes()
-    assert fast.random() == slow.random() == in_block.random()  # the same number of draws
+@pytest.mark.parametrize("n", [1, TRIAL_BLOCK])
+@pytest.mark.parametrize("mode", VECTOR_MODES)
+@settings(max_examples=50, deadline=None)
+@example(seed=0)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_block_of_pairs_equals_the_vector_by_vector_draw_row_by_row(mode, n, seed):
+    # all of a block's angles come before its normals, and each row's
+    # arithmetic is the one-vector-at-a-time arithmetic, bit for bit
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    x, y = harness._vector_pairs(fast, n, mode)
+    assert x.shape == y.shape == (n, 4)
+    for i, (ref_x, ref_y) in enumerate(scalar_vector_pairs(slow, n, mode)):
+        assert x[i].tobytes() == ref_x.tobytes() and y[i].tobytes() == ref_y.tobytes(), i
+    assert fast.random() == slow.random()  # the same number of draws
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        sample_vector_pairs([np.random.default_rng(0)], "spherical")
+    with pytest.raises(ValueError, match="vector_mode"):
+        quiet_config(vector_mode="spherical")
 
 
-@pytest.mark.parametrize("n", [1, 2, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1])
-@pytest.mark.parametrize("mode", VECTOR_MODES)
-def test_a_block_of_pairs_equals_the_vector_by_vector_draw_row_by_row(mode, n):
-    children = np.random.SeedSequence(2024 + n).spawn(n)
-    block = [np.random.default_rng(child) for child in children]
-    alone = [np.random.default_rng(child) for child in children]
-    x, y = sample_vector_pairs(block, mode)
-    assert x.shape == y.shape == (n, 4)
-    for i, (fast, slow) in enumerate(zip(block, alone)):
-        ref_x, ref_y = scalar_vector_pair(slow, mode)
-        assert x[i].tobytes() == ref_x.tobytes() and y[i].tobytes() == ref_y.tobytes()
-        assert fast.random() == slow.random()  # the same number of draws
-
-
-def test_a_block_of_pairs_rejects_a_generator_held_twice():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="more than once"):
-        sample_vector_pairs([rng, np.random.default_rng(1), rng], "haar")
-
-
-def test_trial_pairs_pull_no_generator_past_a_full_block():
+def test_trial_pairs_pull_a_block_when_its_first_trial_starts():
     pulled = []
 
-    def rngs():
-        for i in range(3 * PAIR_BLOCK):
-            pulled.append(i)
-            yield np.random.default_rng(i)
+    def blocks():
+        for b in range(3):
+            pulled.append(b)
+            yield np.random.default_rng(b), None
 
-    pairs = harness._trial_pairs(rngs(), "haar")
-    next(pairs)
-    assert len(pulled) == PAIR_BLOCK
-    for _ in range(PAIR_BLOCK - 1):
-        next(pairs)
-    assert len(pulled) == PAIR_BLOCK
-    next(pairs)
-    assert len(pulled) == 2 * PAIR_BLOCK
+    trials = harness._trial_pairs(quiet_config(n_trials=2 * TRIAL_BLOCK + 1), blocks())
+    next(trials)
+    assert pulled == [0]
+    for _ in range(TRIAL_BLOCK - 1):
+        next(trials)
+    assert pulled == [0]
+    next(trials)
+    assert pulled == [0, 1]
+    assert len(list(trials)) == TRIAL_BLOCK and pulled == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n_trials", [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1])
+@pytest.mark.parametrize("mode", VECTOR_MODES)
+def test_each_block_draws_all_its_pairs_before_its_first_trial(mode, n_trials):
+    # block b's generator gives its TRIAL_BLOCK pairs to trials 256b.. in
+    # order, and has drawn nothing else when its first trial starts
+    config = quiet_config(n_trials=n_trials, vector_mode=mode)
+    blocks = [(np.random.default_rng(b), np.random.default_rng(b + 10)) for b in range(2)]
+    trials = list(harness._trial_pairs(config, blocks))
+    assert len(trials) == n_trials
+    for b, (rng, subsample_rng) in enumerate(blocks[:-(-n_trials // TRIAL_BLOCK)]):
+        ref = np.random.default_rng(b)
+        ref_x, ref_y = harness._vector_pairs(ref, TRIAL_BLOCK, mode)
+        assert rng.random() == ref.random()
+        for i, (rng_i, subsample_i, (x, y)) in enumerate(trials[b * TRIAL_BLOCK:][:TRIAL_BLOCK]):
+            assert (rng_i, subsample_i) == (rng, subsample_rng)
+            assert x.tobytes() == ref_x[i].tobytes() and y.tobytes() == ref_y[i].tobytes()
 
 
 def test_stacked_row_by_column_matmul_is_ndarray_dot_bit_for_bit():
@@ -200,51 +208,37 @@ def test_stacked_row_by_column_matmul_is_ndarray_dot_bit_for_bit():
 # -------------------------------------------------------------------- streams
 
 @settings(max_examples=200, deadline=None)
-@example(seed=0, n_trials=0)
-@example(seed=2**64, n_trials=3)
-@example(seed=2**64 + 1, n_trials=0)
-@example(seed=2**64 + 7, n_trials=2 * STREAM_BLOCK + 1)  # both sides of two block boundaries
+@example(seed=0, n_blocks=0)
+@example(seed=2**64, n_blocks=1)
+@example(seed=2**64 + 7, n_blocks=3)
 @given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**130)),
-       n_trials=st.integers(0, 6))
-def test_stream_i_draws_as_the_ith_spawned_child(seed, n_trials):
-    calibration, trials = run_streams(seed, n_trials)
-    streams = [calibration, *trials]
-    children = np.random.SeedSequence(seed).spawn(n_trials + 1)
-    assert len(streams) == len(children)
-    for stream, child in zip(streams, children):
-        spawned = np.random.default_rng(child)
+       n_blocks=st.integers(0, 3))
+def test_trial_block_b_draws_as_spawned_child_b_plus_1(seed, n_blocks):
+    # calibration is the seed's child 0; trial block b draws its pairs and
+    # pools from child b + 1 and its subsamples from that child's own child 0
+    calibration, blocks = run_streams(seed)
+    blocks = list(itertools.islice(blocks, n_blocks))
+    children = np.random.SeedSequence(seed).spawn(n_blocks + 1)
+    streams = [calibration, *(rng for block in blocks for rng in block)]
+    expected = [children[0], *(seq for child in children[1:] for seq in (child, child.spawn(1)[0]))]
+    for stream, seq in zip(streams, expected, strict=True):
+        spawned = np.random.default_rng(seq)
         assert stream.integers(2**63, size=4).tolist() == spawned.integers(2**63, size=4).tolist()
         assert stream.random() == spawned.random()
 
 
-@settings(deadline=None)
-@given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**200)),
-       key=st.sampled_from([0, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1,
-                            2**32 - 1, 2**32]))
-def test_spawned_seed_words_give_numpys_child_states(seed, key):
-    run_streams(0, 0)  # registers the seed-word holder as an ISeedSequence
-    child = np.random.SeedSequence(seed, spawn_key=(key,))
-    words = harness._spawned_seed_words(np.random.SeedSequence(seed), range(key, key + 1))
-    assert words.dtype == np.uint64
-    assert words[0].tolist() == child.generate_state(4, np.uint64).tolist()
-    rng = np.random.Generator(np.random.PCG64(harness._SeedWords(words[0])))
-    assert rng.bit_generator.state == np.random.default_rng(child).bit_generator.state
-
-
 def test_run_streams_keeps_seed_sequence_argument_errors():
-    with pytest.raises(ValueError):
-        run_streams(-1, 3)
-    with pytest.raises(ValueError, match="n_trials"):
-        run_streams(0, -1)
+    with pytest.raises(ValueError, match="seed"):
+        run_streams(-1)
 
 
 def test_run_streams_holds_no_trial_stream_before_its_trial_starts():
     # spawning every child up front held about 35 MB at 10^5 trials
-    run_streams(0, 1)  # numpy.random is imported on first use
+    run_streams(0)  # numpy.random is imported on first use
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        streams = run_streams(12345, 100_000)
+        streams = run_streams(12345)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -272,7 +266,7 @@ def test_noiseless_trial_mle_is_accurate():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         pair = one_pair(rng, "uniform-theta")
-        trial = run_trial(config, pair, rng)
+        trial = run_trial(config, pair, rng, None)
         errs.append(abs(trial.theta_hat[0, -1] - trial.theta_true[0]))
     assert np.mean(errs) <= config.epsilon + 0.005
 
@@ -286,7 +280,7 @@ def test_noiseless_trial_at_pi_over_eight():
     errs = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        trial = run_trial(config, (x, y), rng)
+        trial = run_trial(config, (x, y), rng, None)
         assert abs(trial.theta_true[0] - theta) < 1e-9
         errs.append(abs(trial.theta_hat[0, -1] - theta))
     assert np.mean(errs) <= config.epsilon + 0.003
@@ -295,7 +289,7 @@ def test_noiseless_trial_at_pi_over_eight():
 def test_empty_algorithm_set_yields_no_estimates():
     config = quiet_config(algorithms=())
     rng = np.random.default_rng(3)
-    trial = run_trial(config, one_pair(rng, "haar"), rng)
+    trial = run_trial(config, one_pair(rng, "haar"), rng, None)
     assert trial.algorithm == () and trial.theta_hat.shape == (1, 0)
     assert trial.counts.shape == (1, config.max_depth + 1, 3)
 
@@ -303,8 +297,9 @@ def test_empty_algorithm_set_yields_no_estimates():
 def test_trials_over_no_generator_are_a_zero_trial_table(tmp_path):
     # raised a bare "not enough values to unpack"
     config = quiet_config(algorithms=ALGORITHMS)
-    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
-    one, none = (run_trials(config, rngs, cal) for rngs in ([np.random.default_rng(0)], []))
+    cal = calibrate_hybrid(config, run_streams(config.seed)[0])
+    one, none = (run_trials(config, blocks, cal)
+                 for blocks in ([(np.random.default_rng(0), np.random.default_rng(1))], []))
     assert (none.algorithm, none.label) == (one.algorithm, one.label)
     for name in ("theta_true", "counts", "theta_hat", "oracle_calls", "branch", "reason"):
         zero, full = getattr(none, name), getattr(one, name)
@@ -316,11 +311,11 @@ def test_trials_over_no_generator_are_a_zero_trial_table(tmp_path):
 
 @pytest.mark.parametrize("vector_mode", VECTOR_MODES)
 def test_a_sampling_only_trial_equals_the_batched_table(vector_mode):
-    config = quiet_config(algorithms=(), vector_mode=vector_mode,
+    config = quiet_config(n_trials=1, algorithms=(), vector_mode=vector_mode,
                           noise=NoiseModel.linear_ramp(3, leak_prob=0.2))
     rng = np.random.default_rng(3)
-    trial = run_trial(config, one_pair(rng, vector_mode), rng)
-    batched = run_trials(config, [np.random.default_rng(3)])
+    trial = run_trial(config, one_pair(rng, vector_mode), rng, None)
+    batched = run_trials(config, [(np.random.default_rng(3), None)])
     for name in ("theta_true", "counts", "theta_hat", "oracle_calls", "branch", "reason"):
         a, b = getattr(trial, name), getattr(batched, name)
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
@@ -355,7 +350,7 @@ def powerlaw_calls_from_the_pool(config, table):
 def test_powerlaw_subsamples_the_recorded_pool():
     config = quiet_config(algorithms=("powerlaw",))
     rng = np.random.default_rng(5)
-    trial = run_trial(config, one_pair(rng, "haar"), rng)
+    trial = run_trial(config, one_pair(rng, "haar"), rng, np.random.default_rng(50))
     assert trial.kept.all()
     assert trial.oracle_calls[:, 0].tolist() == powerlaw_calls_from_the_pool(config, trial)
 
@@ -364,7 +359,7 @@ def test_per_algorithm_failure_does_not_abort_trial():
     config = quiet_config(algorithms=("direct", "powerlaw"),
                           powerlaw_target_eps=1e-9)  # infeasible on purpose
     rng = np.random.default_rng(6)
-    trial = run_trial(config, one_pair(rng, "haar"), rng)
+    trial = run_trial(config, one_pair(rng, "haar"), rng, np.random.default_rng(60))
     assert kept_labels(trial, 0, "powerlaw") == []
     assert "powerlaw" in trial.errors()["0"]
     assert kept_labels(trial, 0, "direct") == [0]
@@ -509,9 +504,10 @@ def test_every_field_of_a_validated_record_is_checked(record):
 
 
 def _stream_draws(streams):
-    """The first draw of the calibration stream and of each trial stream of :func:`run_streams`."""
-    calib_rng, trial_rngs = streams
-    return [calib_rng.random()] + [rng.random() for rng in trial_rngs]
+    """The first draw of the calibration stream and of each block's two of :func:`run_streams`."""
+    calib_rng, trial_blocks = streams
+    return [calib_rng.random()] + [rng.random() for block in itertools.islice(trial_blocks, 2)
+                                   for rng in block]
 
 
 def _argument_calls():
@@ -535,8 +531,7 @@ def _argument_calls():
         ("fisher_noisy", "max_depth", lambda v: fisher_noisy(-1.5, 500, v, gammas), 7),
         ("optimize_exponent", "n_shots", lambda v: optimize_exponent(0.01, v, 7, gammas), 500),
         ("optimize_exponent", "max_depth", lambda v: optimize_exponent(0.01, 500, v, gammas), 7),
-        ("run_streams", "seed", lambda v: _stream_draws(run_streams(v, 2)), 2),
-        ("run_streams", "n_trials", lambda v: _stream_draws(run_streams(0, v)), 2),
+        ("run_streams", "seed", lambda v: _stream_draws(run_streams(v)), 2),
         ("NoiseModel.noiseless", "max_depth", NoiseModel.noiseless, 2),
         ("NoiseModel.linear_ramp", "max_depth", NoiseModel.linear_ramp, 2)]
     burst = CorrelatedNoise(0.05, 4.0)
@@ -813,7 +808,7 @@ def test_calibration_without_crt_depths_names_max_depth(max_depth, tmp_path, cap
                               noise=NoiseModel.linear_ramp(max_depth))
     message = f"calibration needs CRT depths 2..max_depth, but max_depth is {max_depth}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        calibrate_hybrid(config, run_streams(config.seed, 0)[0])
+        calibrate_hybrid(config, run_streams(config.seed)[0])
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
     out_dir = tmp_path / "cal"
@@ -823,8 +818,24 @@ def test_calibration_without_crt_depths_names_max_depth(max_depth, tmp_path, cap
 
 
 def leaky_config(**kwargs):
-    return quiet_config(n_trials=30, n_shots=8, calib_trials=50,
-                        noise=NoiseModel.linear_ramp(3, leak_prob=0.6), **kwargs)
+    return quiet_config(**{"n_trials": 30, "n_shots": 8, "calib_trials": 50,
+                           "noise": NoiseModel.linear_ramp(3, leak_prob=0.6), **kwargs})
+
+
+def trials_one_by_one(config, blocks, calibrations=None):
+    """:func:`run_trial` on each of the config's trials, one at a time.
+
+    Each block's generator draws the block's pairs, then each of its trials'
+    pools in turn; the trials' subsamples come from the block's subsample
+    generator.
+    """
+    trials, blocks = [], iter(blocks)
+    while len(trials) < config.n_trials:
+        rng, subsample_rng = next(blocks)
+        x, y = harness._vector_pairs(rng, TRIAL_BLOCK, config.vector_mode)
+        for i in range(min(TRIAL_BLOCK, config.n_trials - len(trials))):
+            trials.append(run_trial(config, (x[i], y[i]), rng, subsample_rng, calibrations))
+    return trials
 
 
 def test_calibration_skips_failed_draws(tmp_path):
@@ -833,11 +844,10 @@ def test_calibration_skips_failed_draws(tmp_path):
     # each depth averages over the draws that kept its CRT row, and depths
     # 2 and 3 keep different draws.
     config = leaky_config(algorithms=("mle", "crt", "hybrid"))
-    crt_only = leaky_config(algorithms=("crt",))
-    rng = run_streams(config.seed, 0)[0]
-    draws = [run_trial(crt_only, one_pair(rng, config.vector_mode), rng)
-             for _ in range(config.calib_trials)]
-    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
+    crt_only = leaky_config(algorithms=("crt",), n_trials=config.calib_trials)
+    rng = run_streams(config.seed)[0]
+    draws = trials_one_by_one(crt_only, itertools.repeat((rng, None)))
+    cal = calibrate_hybrid(config, run_streams(config.seed)[0])
     assert sorted(cal) == [2, 3]
     kept_by_depth = []
     for d in cal:
@@ -868,18 +878,18 @@ def test_calibration_skips_failed_draws(tmp_path):
 
 
 def test_a_row_drops_only_when_its_own_inputs_kept_no_shot(tmp_path):
-    # Trial 1 keeps [3, 0, 3, 5] shots: the D=2 CRT row needs depth 1 and
-    # drops, the D=3 row needs depths 3 and 2 and stays.  Trial 7 keeps
-    # [0, 4, 1, 4]: no MLE estimate at depth 0, but one at depths 1..3.
+    # Trial 16 keeps [3, 0, 6, 2] shots: the D=2 CRT row needs depth 1 and
+    # drops, the D=3 row needs depths 3 and 2 and stays.  Trial 28 keeps
+    # [0, 2, 5, 4]: no MLE estimate at depth 0, but one at depths 1..3.
     config = leaky_config(algorithms=("mle", "crt", "hybrid"))
     table, paths = run_experiment(config, out_dir=tmp_path)
     kept = (table.counts[..., 0] + table.counts[..., 1]).tolist()
-    assert kept[1] == [3, 0, 3, 5]
-    assert kept_labels(table, 1, "crt") == kept_labels(table, 1, "hybrid") == [3]
-    assert table.errors()["1"]["crt"].startswith("depth 2:")
-    assert kept[7] == [0, 4, 1, 4]
-    assert kept_labels(table, 7, "mle") == [1, 2, 3]
-    assert table.errors()["7"] == {"mle": "depth 0: no kept shots at depths 0..0"}
+    assert kept[16] == [3, 0, 6, 2]
+    assert kept_labels(table, 16, "crt") == kept_labels(table, 16, "hybrid") == [3]
+    assert table.errors()["16"]["crt"].startswith("depth 2:")
+    assert kept[28] == [0, 2, 5, 4]
+    assert kept_labels(table, 28, "mle") == [1, 2, 3]
+    assert table.errors()["28"] == {"mle": "depth 0: no kept shots at depths 0..0"}
     manifest = json.loads(paths["manifest"].read_text(encoding="utf-8"))
     assert manifest["trial_errors"] == table.errors()
 
@@ -890,11 +900,9 @@ def test_batched_trials_equal_trials_run_one_by_one(mle_noise_aware, monkeypatch
     # of seven trials
     monkeypatch.setattr(estimators, "CHUNK_BYTES", 7 * estimators.CELL_BYTES * 100)
     config = leaky_config(algorithms=ALGORITHMS, mle_noise_aware=mle_noise_aware)
-    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
-    streams = list(run_streams(config.seed, config.n_trials)[1])
-    one_by_one = [run_trial(config, one_pair(rng, config.vector_mode), rng, cal)
-                  for rng in streams]
-    batched = run_trials(config, list(run_streams(config.seed, config.n_trials)[1]), cal)
+    cal = calibrate_hybrid(config, run_streams(config.seed)[0])
+    one_by_one = trials_one_by_one(config, run_streams(config.seed)[1], cal)
+    batched = run_trials(config, run_streams(config.seed)[1], cal)
     assert batched.errors()
     assert [trial_rows(batched, t) for t in range(config.n_trials)] \
         == [trial_rows(one, 0) for one in one_by_one]
@@ -904,22 +912,23 @@ LEAKY_BURST = NoiseModel.linear_ramp(3, leak_prob=0.6,
                                      correlation=CorrelatedNoise(p_switch=0.05, burst_scale=4.0))
 
 
-@pytest.mark.parametrize("order", ["one generator", "mixed"])
+@pytest.mark.parametrize("order", ["one generator", "two blocks"])
 @pytest.mark.parametrize("mode", VECTOR_MODES)
 def test_trials_sharing_generators_equal_trials_run_one_by_one(mode, order):
-    # A generator that feeds many trials draws each pair right before that
-    # trial's pools: a block ends before a generator it already holds.
-    config = quiet_config(n_shots=8, vector_mode=mode, algorithms=ALGORITHMS, noise=LEAKY_BURST)
+    # A generator that feeds every block, as calibration's does, draws a
+    # block's pairs after the last pools of the block before it.
+    config = quiet_config(n_trials=TRIAL_BLOCK + 6, n_shots=8, vector_mode=mode,
+                          algorithms=ALGORITHMS, noise=LEAKY_BURST)
     cal = {2: HybridCalibration(mle_avg_depth2=0.05, crt_exact_at_d=0.01), 3: "no calibration"}
 
-    def streams():
+    def blocks():
         if order == "one generator":
-            return [np.random.default_rng(11)] * (PAIR_BLOCK + 6)
-        r1, r2, r3 = (np.random.default_rng(seed) for seed in (11, 12, 13))
-        return [r1, r2, r1, r3]
+            rng = np.random.default_rng(11)
+            return itertools.repeat((rng, rng))
+        return [tuple(map(np.random.default_rng, seeds)) for seeds in ((11, 12), (13, 14))]
 
-    batched = run_trials(config, streams(), cal)
-    one_by_one = [run_trial(config, one_pair(rng, mode), rng, cal) for rng in streams()]
+    batched = run_trials(config, blocks(), cal)
+    one_by_one = trials_one_by_one(config, blocks(), cal)
     for name in ("theta_true", "counts", "theta_hat", "oracle_calls"):
         alone = np.concatenate([getattr(one, name) for one in one_by_one])
         assert getattr(batched, name).tobytes() == alone.tobytes(), name
@@ -987,8 +996,8 @@ def test_crt_and_hybrid_rows_equal_those_on_a_separate_anchor_pass(algorithms,
                                                                    mle_noise_aware):
     # leaky pools: some trials keep no shot at a depth the anchor or a CRT row needs
     config = leaky_config(algorithms=algorithms, mle_noise_aware=mle_noise_aware)
-    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
-    table = run_trials(config, list(run_streams(config.seed, config.n_trials)[1]), cal)
+    cal = calibrate_hybrid(config, run_streams(config.seed)[0])
+    table = run_trials(config, run_streams(config.seed)[1], cal)
     assert (table.counts[:, :3, :2].sum(axis=2) == 0).any()
     assert crt_and_hybrid_rows(table) == rows_on_a_separate_anchor_pass(config, table, cal)
     if algorithms[0] == "mle" and not mle_noise_aware:
@@ -1011,9 +1020,9 @@ def test_an_mle_pass_that_fails_after_depth_2_keeps_the_crt_anchor(monkeypatch):
         return result
 
     config = quiet_config(algorithms=("mle", "crt", "hybrid"))
-    cal = calibrate_hybrid(config, run_streams(config.seed, 0)[0])
+    cal = calibrate_hybrid(config, run_streams(config.seed)[0])
     monkeypatch.setattr(harness, "mle_estimate", failing_after_depth_2)
-    table = run_trials(config, list(run_streams(config.seed, config.n_trials)[1]), cal)
+    table = run_trials(config, run_streams(config.seed)[1], cal)
     assert calls == [config.n_trials, 1]
     assert kept_labels(table, 0, "mle") == []
     assert table.errors()["0"]["mle"].startswith("depth 0: posterior underflow")
@@ -1025,7 +1034,7 @@ def test_no_anchor_pass_runs_over_zero_trials():
     # every trial has a depth-2 row from the noise-unaware MLE pass, so the
     # run makes that pass alone; it used to add a pass over no trials
     config = quiet_config(algorithms=("mle", "crt"))
-    rngs = list(run_streams(config.seed, config.n_trials)[1])
+    rngs = run_streams(config.seed)[1]
     with mock.patch.object(harness, "mle_estimate", wraps=mle_estimate) as engine:
         table = run_trials(config, rngs)
     assert not np.isnan(table.anchor).any()
@@ -1036,7 +1045,7 @@ def test_the_anchor_and_power_law_passes_ask_for_their_last_depth_alone():
     # the noise-aware MLE pass reads every depth; the anchor pass over
     # depths 0..2 and the power-law pass read only their last column
     config = quiet_config(algorithms=ALGORITHMS, mle_noise_aware=True)
-    rngs = list(run_streams(config.seed, config.n_trials)[1])
+    rngs = run_streams(config.seed)[1]
     with mock.patch.object(harness, "mle_estimate", wraps=mle_estimate) as engine:
         run_trials(config, rngs)
     assert [(c.args[1], c.kwargs) for c in engine.call_args_list] == [
@@ -1133,32 +1142,32 @@ MIXED = {"n_trials": 40, "n_shots": 50, "max_depth": 3, "seed": 3,
     # every depth was lost with the whole fit, the no-signal depths 1 and 2
     # having been written as gamma_fit 27.631 before that
     (no_signal(0), [None] * 4,
-     ["fitted damping 0.0393958 within two standard errors (0.111295) of 0, no rate",
-      "fitted damping -0.421935 <= 0, no rate",
-      "fitted damping -0.209197 <= 0, no rate",
-      "fitted damping 0.045518 within two standard errors (0.0907015) of 0, no rate"]),
+     ["fitted damping -0.0154875 <= 0, no rate",
+      "fitted damping -0.00331693 <= 0, no rate",
+      "fitted damping 0.182414 within two standard errors (0.155088) of 0, no rate",
+      "fitted damping -0.106805 <= 0, no rate"]),
     # a positive damping inside its own noise was written as a rate: at seed
     # 30 fit-noise printed 3.3048, 1.1600, 2.0452 and 1.7422 beside the model's 800
     (no_signal(30), [None] * 4,
-     ["fitted damping 0.036708 within two standard errors (0.0770036) of 0, no rate",
-      "fitted damping 0.31349 within two standard errors (0.182545) of 0, no rate",
-      "fitted damping 0.129352 within two standard errors (0.123202) of 0, no rate",
-      "fitted damping 0.175143 within two standard errors (0.129675) of 0, no rate"]),
+     ["fitted damping 0.00878265 within two standard errors (0.12193) of 0, no rate",
+      "fitted damping 0.00380427 within two standard errors (0.108054) of 0, no rate",
+      "fitted damping 0.187964 within two standard errors (0.124523) of 0, no rate",
+      "fitted damping 0.0206566 within two standard errors (0.0656655) of 0, no rate"]),
     (no_signal(42), [None] * 4,
-     ["fitted damping 0.0731186 within two standard errors (0.0908619) of 0, no rate",
-      "fitted damping 0.0808877 within two standard errors (0.164222) of 0, no rate",
-      "fitted damping 0.0958462 within two standard errors (0.107501) of 0, no rate",
-      "fitted damping 0.0547025 within two standard errors (0.121237) of 0, no rate"]),
+     ["fitted damping 0.0714175 within two standard errors (0.171173) of 0, no rate",
+      "fitted damping -0.242393 <= 0, no rate",
+      "fitted damping -0.193086 <= 0, no rate",
+      "fitted damping -0.233266 <= 0, no rate"]),
     (no_signal(60), [None] * 4,
-     ["fitted damping 0.0140346 within two standard errors (0.0650923) of 0, no rate",
-      "fitted damping 0.0117958 within two standard errors (0.184441) of 0, no rate",
-      "fitted damping 0.209829 within two standard errors (0.162688) of 0, no rate",
-      "fitted damping 0.00529966 within two standard errors (0.143272) of 0, no rate"]),
+     ["fitted damping -0.219957 <= 0, no rate",
+      "fitted damping -0.0558243 <= 0, no rate",
+      "fitted damping -0.0213107 <= 0, no rate",
+      "fitted damping -0.0165844 <= 0, no rate"]),
     # the whole fit was null here, losing the rates of depths 0 and 1
-    (MIXED, [0.014349426517004528, 0.08557799990456973, None, None],
+    (MIXED, [0.06047144638521197, 0.10073178444065968, None, None],
      [None, None,
-      "fitted damping -0.00037567 <= 0, no rate",
-      "fitted damping -0.018298 <= 0, no rate"])],
+      "fitted damping 0.0260619 within two standard errors (0.0285663) of 0, no rate",
+      "fitted damping 0.0302032 within two standard errors (0.0238313) of 0, no rate"])],
     ids=["no-signal-0", "no-signal-30", "no-signal-42", "no-signal-60", "mixed"])
 def test_run_and_fit_noise_report_a_depth_without_signal(config, rates, reasons, tmp_path,
                                                          capsys):
@@ -1425,8 +1434,8 @@ def test_emission_scratch_does_not_grow_with_trials(tmp_path):
     scratch = []
     for n_trials in (2000, 8000):
         config = chunk_config(n_trials=n_trials, n_shots=50, noise=NoiseModel.linear_ramp(7))
-        calib_rng, trial_rngs = run_streams(config.seed, n_trials)
-        table = run_trials(config, trial_rngs, calibrate_hybrid(config, calib_rng))
+        calib_rng, trial_blocks = run_streams(config.seed)
+        table = run_trials(config, trial_blocks, calibrate_hybrid(config, calib_rng))
         aggregate_and_emit(table, config, tmp_path / "warm")  # imports, caches and columns
         tracemalloc.start()
         try:
@@ -1440,19 +1449,55 @@ def test_emission_scratch_does_not_grow_with_trials(tmp_path):
 
 
 @pytest.mark.parametrize("vector_mode", VECTOR_MODES)
-def test_a_run_one_trial_past_a_pair_block_extends_the_shorter_run(vector_mode, tmp_path):
-    # trial i reads stream i + 1 however the trials fall into pair blocks
+def test_a_run_one_trial_past_a_trial_block_extends_the_shorter_run(vector_mode, tmp_path):
+    # trial 256 opens the second block, whose streams the shorter run never builds
     files = {}
-    for n_trials in (PAIR_BLOCK, PAIR_BLOCK + 1):
+    for n_trials in (TRIAL_BLOCK, TRIAL_BLOCK + 1):
         config = quiet_config(n_trials=n_trials, n_shots=20, calib_trials=8,
                               vector_mode=vector_mode,
                               algorithms=("direct", "mle", "crt", "hybrid"))
         _, paths = run_experiment(config, out_dir=tmp_path / str(n_trials))
         files[n_trials] = paths["trials"].read_text(encoding="utf-8")
-    shorter, longer = files[PAIR_BLOCK], files[PAIR_BLOCK + 1]
+    shorter, longer = files[TRIAL_BLOCK], files[TRIAL_BLOCK + 1]
     assert longer.startswith(shorter) and len(longer) > len(shorter)
     assert {line.split(",")[3] for line in longer[len(shorter):].splitlines()} == {
-        str(PAIR_BLOCK)}
+        str(TRIAL_BLOCK)}
+
+
+def test_a_runs_first_trials_are_those_of_any_longer_run():
+    # every block draws all its pairs, and calibration and each block's
+    # subsamples have streams of their own, so neither n_trials nor
+    # calib_trials moves a trial's pair, pools or power-law subsample
+    def drawn(n_trials, calib_trials):
+        config = quiet_config(n_trials=n_trials, n_shots=20, calib_trials=calib_trials,
+                              algorithms=("crt", "hybrid", "powerlaw"))
+        calib_rng, trial_blocks = run_streams(config.seed)
+        table = run_trials(config, trial_blocks, calibrate_hybrid(config, calib_rng))
+        powerlaw = table.theta_hat[:, table.slot("powerlaw", "eps=0.05")]
+        return table.theta_true, table.counts, powerlaw
+
+    longest = drawn(2 * TRIAL_BLOCK + 88, 8)
+    for n_trials, calib_trials in itertools.product(
+            (TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1), (8, TRIAL_BLOCK + 44)):
+        for column, prefix in zip(drawn(n_trials, calib_trials), longest):
+            assert column.tobytes() == prefix[:n_trials].tobytes(), (n_trials, calib_trials)
+
+
+def test_run_and_fit_noise_see_the_same_pools_across_two_blocks(tmp_path):
+    # the power-law subsamples come from each block's own subsample stream,
+    # so a run draws the very pools fit-noise draws, which subsamples none
+    config = quiet_config(n_trials=TRIAL_BLOCK + 44, n_shots=30, algorithms=("direct", "powerlaw"),
+                          noise=NoiseModel.linear_ramp(3, leak_prob=0.1))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    table, _ = run_experiment(config, tmp_path / "run")
+    assert table.kept[:, table.slot("powerlaw", "eps=0.05")].all()
+    with mock.patch("lowdepth_ae.cli.fit_depolarizing", wraps=fit_depolarizing) as fit:
+        assert cli_main(["fit-noise", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "fit")]) == 0
+    (counts, thetas), _ = fit.call_args
+    assert counts.tobytes() == table.counts.tobytes()
+    assert thetas.tobytes() == table.theta_true.tobytes()
 
 
 def test_shot_pools_are_shared_across_estimators(tmp_path):
@@ -1605,8 +1650,10 @@ def test_cli_algorithms_override(tmp_path, capsys):
 
 
 def test_cli_flags_land_on_their_config_fields(tmp_path, capsys):
-    # each flag stores its value under its field's name and the field's rule checks it
-    config = quiet_config()
+    # each flag stores its value under its field's name and the field's rule checks it;
+    # the configured multiplier is off BETA_TUNING_GRID, so that --tune-beta
+    # moves it wherever the search picks a multiplier
+    config = quiet_config(beta_hybrid=3.0)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
@@ -1619,7 +1666,7 @@ def test_cli_flags_land_on_their_config_fields(tmp_path, capsys):
 
     def expected(**fields):
         flagged = dataclasses.replace(config, **fields)
-        return calibration_record(calibrate_hybrid(flagged, run_streams(flagged.seed, 0)[0]))
+        return calibration_record(calibrate_hybrid(flagged, run_streams(flagged.seed)[0]))
 
     assert written == expected(seed=3, calib_trials=6, tune_beta=True)
     # leaving out any one flag gives another calibration
@@ -1657,6 +1704,9 @@ FLAG_CASES = {
     ("sweep", "--param"): (["--param", "max-depth"], ["--param", "target-eps"]),
     ("sweep", "--values"): (["--values", "2"], ["--values", "3"]),
 }
+# config fields a case sets: at 4 calibration trials the beta search picks
+# the default multiplier 1.0, so --tune-beta would change no byte
+FLAG_CONFIG = {("calibrate", "--tune-beta"): {"beta_hybrid": 3.0}}
 
 
 def test_every_cli_flag_has_a_pair_of_values_to_compare():
@@ -1673,7 +1723,8 @@ def test_each_value_of_a_cli_flag_changes_what_the_command_writes(command, flag,
                                                                    capsys):
     # stats --seed, calibrate --algorithms and fit-noise --algorithms changed no byte
     cfg_path = tmp_path / "config.json"
-    config = quiet_config(n_trials=3, n_shots=40, calib_trials=4, vector_mode="uniform-theta")
+    config = quiet_config(n_trials=3, n_shots=40, calib_trials=4, vector_mode="uniform-theta",
+                          **FLAG_CONFIG.get((command, flag), {}))
     cfg_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
     written = []
     for k, values in enumerate(FLAG_CASES[command, flag]):

@@ -195,12 +195,14 @@ def test_draw_subsamples_as_the_reference_chain(n_shots, max_depth, leak, correl
     plan = tuple(plan[:max_depth + 1])
     x = np.array([1.0, 0.0, 0.0, 0.0])
     y = np.array([0.6, 0.8, 0.0, 0.0])
-    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    theta, pool_tallies, subsampled = _draw(config, (x, y), fast, plan)
+    # the pool from one generator, the subsample from another
+    fast, slow, fast_sub, slow_sub = (np.random.default_rng([seed, k]) for k in (0, 0, 1, 1))
+    theta, pool_tallies, subsampled = _draw(config, (x, y), fast, plan, fast_sub)
     pool = [sample_noisy_shots(theta, d, n_shots, noise, slow) for d in range(max_depth + 1)]
-    reference = [subsample_without_replacement(counts, min(m, counts.kept), slow)
+    reference = [subsample_without_replacement(counts, min(m, counts.kept), slow_sub)
                  for counts, m in zip(pool, plan)]
     assert pool_tallies == [n for counts in pool for n in counts[1:]]
     assert subsampled == [n for counts in reference for n in counts[1:]]
     assert all(type(n) is int for n in subsampled)
-    assert fast.random() == slow.random()  # the same number of draws
+    # the same number of draws from each
+    assert (fast.random(), fast_sub.random()) == (slow.random(), slow_sub.random())
