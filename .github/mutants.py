@@ -34,6 +34,7 @@ HARNESS = "tests/test_harness.py::"
 ESTIMATORS = "tests/test_estimators.py::"
 NOISE = "tests/test_noise.py::"
 CIRCUITS = "tests/test_circuits.py::"
+SCHEDULES = "tests/test_schedules.py::"
 
 
 class Mutant(NamedTuple):
@@ -47,19 +48,32 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # one generator per block of trials: its pairs first, then each trial's pools
     Mutant("pairs-drawn-after-a-trials-pools", "harness.py",
-           "        pairs = zip(*_vector_pairs(rng, TRIAL_BLOCK, config.vector_mode))\n",
-           "        pairs = (next(zip(*_vector_pairs(rng, TRIAL_BLOCK, config.vector_mode)))\n"
-           "                 for _ in range(TRIAL_BLOCK))\n",
+           "        pairs = zip(*_vector_pairs(rng, TRIAL_BLOCK, config.vector_mode))\n"
+           "        yield start, rng, subsample_rng,"
+           " list(itertools.islice(pairs, config.n_trials - start))\n",
+           "        for i in range(min(TRIAL_BLOCK, config.n_trials - start)):\n"
+           "            pair = next(zip(*_vector_pairs(rng, 1, config.vector_mode)))\n"
+           "            yield start + i, rng, subsample_rng, [pair]\n",
            (HARNESS + "test_each_block_draws_all_its_pairs_before_its_first_trial[haar-256]",)),
-    Mutant("subsample-from-the-pool-generator", "harness.py",
-           "subsample_rng.hypergeometric(good, bad, m)", "rng.hypergeometric(good, bad, m)",
-           ("tests/test_schedules.py::test_draw_subsamples_as_the_reference_chain",
-            HARNESS + "test_run_and_fit_noise_see_the_same_pools_across_two_blocks")),
     Mutant("short-last-block", "harness.py",
            "_vector_pairs(rng, TRIAL_BLOCK, config.vector_mode)",
            "_vector_pairs(rng, min(TRIAL_BLOCK, config.n_trials - start), config.vector_mode)",
            (HARNESS + "test_each_block_draws_all_its_pairs_before_its_first_trial[haar-1]",
             HARNESS + "test_a_runs_first_trials_are_those_of_any_longer_run")),
+    # a block's draw: its true angles, and its subsamples in one call on their own stream
+    Mutant("true-angle-unclipped", "harness.py",
+           "math.asin(min(abs(float(x.dot(y))), 1.0))", "math.asin(abs(float(x.dot(y))))",
+           (HARNESS + "test_a_blocks_true_angles_are_the_scalar_formula_row_by_row",)),
+    Mutant("subsample-from-the-pool-generator", "harness.py",
+           "subsample_rng.hypergeometric(good, bad, m)", "rng.hypergeometric(good, bad, m)",
+           (SCHEDULES + "test_draw_subsamples_as_the_reference_chain",
+            HARNESS + "test_a_runs_first_trials_are_those_of_any_longer_run")),
+    Mutant("subsample-unclipped", "harness.py",
+           "np.minimum(plan, good + bad)", "plan",
+           (SCHEDULES + "test_draw_subsamples_as_the_reference_chain",)),
+    Mutant("subsample-good-and-bad-swapped", "harness.py",
+           "hypergeometric(good, bad, m)", "hypergeometric(bad, good, m)",
+           (SCHEDULES + "test_draw_subsamples_as_the_reference_chain",)),
     Mutant("angles-drawn-after-normals", "harness.py",
            "    thetas = (math.pi / 2 * rng.random(n)).tolist()"
            " if mode == \"uniform-theta\" else None\n"
@@ -157,7 +171,7 @@ MUTANTS = (
     # the schedule, the circuit and the simulator
     Mutant("schedule-rounds", "schedules.py",
            "math.floor(n_shots * (2 * d + 1) ** nu)", "round(n_shots * (2 * d + 1) ** nu)",
-           ("tests/test_schedules.py::test_schedule_entries_equal_the_floor_formula",)),
+           (SCHEDULES + "test_schedule_entries_equal_the_floor_formula",)),
     Mutant("merged-rbs02-half-angle", "circuits.py",
            'Gate("rbs", (0, 2), u - -u)', 'Gate("rbs", (0, 2), u)',
            (CIRCUITS + "test_merged_matches_unmerged_statevector[1]",)),

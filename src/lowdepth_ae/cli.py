@@ -63,10 +63,10 @@ def _cmd_fit_noise(args) -> int:
     # each trial's tallies are copied into one row, so no trial's table outlives it
     counts = np.empty((config.n_trials, config.max_depth + 1, 3), dtype=np.int64)
     thetas = np.empty(config.n_trials)
-    trial_blocks = run_streams(config.seed)[1]
-    for t, (rng, subsample_rng, pair) in enumerate(_trial_pairs(config, trial_blocks)):
-        trial = run_trial(sampling, pair, rng, subsample_rng)
-        counts[t], thetas[t] = trial.counts, trial.theta_true[0]  # (1, D, 3) into (D, 3)
+    for start, rng, subsample_rng, pairs in _trial_pairs(config, run_streams(config.seed)[1]):
+        for t, pair in enumerate(pairs, start):
+            trial = run_trial(sampling, pair, rng, subsample_rng)
+            counts[t], thetas[t] = trial.counts, trial.theta_true[0]  # (1, D, 3) into (D, 3)
     fit = fit_depolarizing(counts, thetas)
     path = write_json(args.out_dir, "gamma_fit.json", fit_record(fit))
     # the fit measures -log a_d = gamma_d - log(1 - beta), readout error included

@@ -1,19 +1,20 @@
 """End-to-end experiment driver.
 
-A run first draws every trial: a random vector pair, one shot pool per
-depth and the power-law subsample, gathered into one (trials, depths, 3)
-array of good, bad and discarded counts.  Each enabled estimator then
-fills its columns of one :class:`RunTable` for all trials at once: the
-MLE passes update chunks of trials together, CRT reconstructs every
-(trial, depth) pair in one call and the hybrid chooses with one mask.
-Emission writes per-trial and aggregate CSVs plus a JSON manifest, the
-per-trial rows a fixed-size chunk at a time.  All randomness flows from
-a single seed through :func:`run_streams`: one calibration stream, and
-per block of ``TRIAL_BLOCK`` trials one stream that draws the block's
-vector pairs at once and then each trial's pools, and one that draws
-their power-law subsamples.  So identical configs produce byte-identical
-output files, a run's first n trials are those of any longer run, and
-``calibrate`` and ``fit-noise`` see the very draws a run sees.
+A run first draws every trial, a block at a time: the block's vector
+pairs, one shot pool per trial and depth, as one (trials, depths, 3)
+array of good, bad and discarded counts, and their power-law subsamples.
+Each enabled estimator then fills its columns of one :class:`RunTable`
+for all trials at once: the MLE passes update chunks of trials together,
+CRT reconstructs every (trial, depth) pair in one call and the hybrid
+chooses with one mask.  Emission writes per-trial and aggregate CSVs
+plus a JSON manifest, the per-trial rows a fixed-size chunk at a time.
+All randomness flows from a single seed through :func:`run_streams`: one
+calibration stream, and per block of ``TRIAL_BLOCK`` trials one stream
+that draws the block's vector pairs at once and then each trial's pools,
+and one that draws their power-law subsamples.  So identical configs
+produce byte-identical output files, a run's first n trials are those of
+any longer run, and ``calibrate`` and ``fit-noise`` see the very draws a
+run sees.
 
 Oracle-call accounting is cumulative for the MLE rows: the point at
 maximum depth d charges all shots taken at depths 0..d, each shot at
@@ -216,19 +217,17 @@ def _vector_pairs(rng: np.random.Generator, n: int, mode: str) -> tuple[np.ndarr
 
 
 def _trial_pairs(config: ExperimentConfig, blocks) -> Iterator[tuple]:
-    """Each of ``config.n_trials`` trials as ``(rng, subsample_rng, (x, y))``, trial by trial.
+    """Each block of ``config.n_trials`` trials as ``(start, rng, subsample_rng, pairs)``.
 
-    Trials ``TRIAL_BLOCK * b`` onwards take block b of ``blocks``, its
-    ``(rng, subsample_rng)``, pulled when its first trial starts.  ``rng``
-    then draws the pairs of the whole block at once, however few of its
-    trials the run keeps, so a run's first n trials are those of any longer
-    run; each trial draws the rest of its draws as it comes.  Blocks that
-    run out end the trials.
+    Trials ``start = TRIAL_BLOCK * b`` onwards take block b of ``blocks``,
+    its ``(rng, subsample_rng)``, pulled as the block starts.  ``rng`` draws
+    all its pairs at once, however few the run keeps, so a run's first n
+    trials are those of any longer run; ``pairs`` lists the kept ``(x, y)``,
+    whose pools follow on ``rng``.  Blocks that run out end the trials.
     """
     for start, (rng, subsample_rng) in zip(range(0, config.n_trials, TRIAL_BLOCK), blocks):
         pairs = zip(*_vector_pairs(rng, TRIAL_BLOCK, config.vector_mode))
-        for pair in itertools.islice(pairs, config.n_trials - start):
-            yield rng, subsample_rng, pair
+        yield start, rng, subsample_rng, list(itertools.islice(pairs, config.n_trials - start))
 
 
 def run_streams(seed: int) -> tuple[np.random.Generator, Iterator[tuple[np.random.Generator, ...]]]:
@@ -266,43 +265,41 @@ def _powerlaw_plan(config: ExperimentConfig) -> tuple[int, ...] | str | None:
     return power_law_schedule(nu, config.n_shots, config.max_depth)
 
 
-def _draw(config: ExperimentConfig, pair, rng: np.random.Generator, plan,
-          subsample_rng: np.random.Generator | None):
-    """The true angle, shot pool and power-law subsample tallies of one trial.
+def _draw_block(config: ExperimentConfig, pairs, rng: np.random.Generator, plan,
+                subsample_rng: np.random.Generator | None):
+    """``(theta_true, counts, subsampled)`` of the trials whose ``(x, y)`` are ``pairs``.
 
-    Tallies are the good, bad and discarded counts of each depth in turn,
-    flat.  The pool is drawn from ``rng`` and the subsample (``None``
-    without a schedule) from ``subsample_rng``.
+    A trial's angle is ``asin(min(|x . y|, 1))``; its pools, one
+    :func:`sample_noisy_shots` call per depth from ``rng``, trial by trial,
+    form an int64 (trials, depths, 3) array, and their subsamples, in that
+    form, one ``subsample_rng`` call (``None`` without a plan).
     """
-    x, y = pair
-    theta_true = math.asin(min(abs(float(x.dot(y))), 1.0))
-    n_shots, noise = config.n_shots, config.noise
+    # ndarray.dot per pair: on run_trial's one-trial blocks _dots costs three times as much
+    thetas = [math.asin(min(abs(float(x.dot(y))), 1.0)) for x, y in pairs]
+    n_shots, noise, n_depths = config.n_shots, config.noise, config.max_depth + 1
     tallies = []
-    for d in range(config.max_depth + 1):
-        tallies += sample_noisy_shots(theta_true, d, n_shots, noise, rng)[1:]
-    subsampled = None
-    if isinstance(plan, tuple):
-        # m of the depth's kept shots without replacement; m = 0 takes no draw
-        subsampled = []
-        for m, good, bad in zip(plan, tallies[::3], tallies[1::3]):
-            m = min(m, good + bad)
-            n_good = int(subsample_rng.hypergeometric(good, bad, m)) if m else 0
-            subsampled += (n_good, m - n_good, 0)
-    return theta_true, tallies, subsampled
+    for theta in thetas:
+        for d in range(n_depths):
+            tallies += sample_noisy_shots(theta, d, n_shots, noise, rng)[1:]
+    counts = np.array(tallies, dtype=np.int64).reshape(len(thetas), n_depths, 3)
+    if not isinstance(plan, tuple):
+        return np.array(thetas, dtype=float), counts, None
+    # m of the kept shots, in trial then depth order as scalar calls; m = 0 takes no draw
+    good, bad = counts[..., 0], counts[..., 1]
+    m = np.minimum(plan, good + bad)
+    n_good = subsample_rng.hypergeometric(good, bad, m).astype(np.int64)
+    return np.array(thetas, dtype=float), counts, np.stack([n_good, m - n_good, 0 * m], axis=-1)
 
 
-def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTable:
-    """Every enabled estimator on every trial drawn by :func:`_draw`, as one table.
+def _estimate(config: ExperimentConfig, theta_true, counts, subsampled, plan,
+              calibrations=None) -> RunTable:
+    """Every enabled estimator on every trial of a :func:`_draw_block` draw, as one table.
 
-    ``plan`` is the :func:`_powerlaw_plan` the draws were made with.
+    ``plan`` is the :func:`_powerlaw_plan` the draw was made with.
     """
-    n_depths = config.max_depth + 1
+    n, n_depths = counts.shape[:2]
     depths = range(n_depths)
-    thetas, pools, subsampled = zip(*draws) if draws else ((), (), ())
-    theta_true = np.array(thetas, dtype=float)
-    counts = np.array(pools, dtype=np.int64).reshape(-1, n_depths, 3)
     if not config.algorithms:  # sampling only: no estimate columns
-        n = len(draws)
         none = np.empty((n, 0), object)  # holds no cell, so branch and reason share it
         return RunTable(theta_true, counts, (), (), np.empty((n, 0)), np.empty((n, 0), np.int64),
                         none, none)
@@ -334,9 +331,9 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
     if "crt" in config.algorithms or "hybrid" in config.algorithms:
         # the depth-2 estimate of a noise-unaware MLE pass over the pools;
         # a trial without one gets its own pass over depths 0..2
-        anchor = np.full(len(draws), np.nan)
-        anchor_calls = np.zeros(len(draws), dtype=np.int64)
-        anchor_why = np.full(len(draws), None, dtype=object)
+        anchor = np.full(n, np.nan)
+        anchor_calls = np.zeros(n, dtype=np.int64)
+        anchor_why = np.full(n, None, dtype=object)
         if "mle" in config.algorithms and mle_noise is None:
             anchor, anchor_calls = mle.theta[:, 2].copy(), mle.calls[:, 2].copy()
         redo = np.flatnonzero(np.isnan(anchor))
@@ -363,10 +360,9 @@ def _estimate(config: ExperimentConfig, draws, plan, calibrations=None) -> RunTa
     if "powerlaw" in config.algorithms:
         label = (f"eps={config.powerlaw_target_eps:g}",)
         if isinstance(plan, str):
-            zeros = np.zeros((len(draws), 1), dtype=np.int64)
+            zeros = np.zeros((n, 1), dtype=np.int64)
             add("powerlaw", label, zeros, zeros, np.full(zeros.shape, plan, dtype=object))
         else:
-            subsampled = np.array(subsampled, dtype=np.int64).reshape(-1, n_depths, 3)
             powerlaw = mle_estimate(subsampled, depths, config.epsilon, config.noise,
                                     last_only=True)
             add("powerlaw", label, powerlaw.theta[:, -1:], powerlaw.calls[:, -1:],
@@ -389,20 +385,21 @@ def run_trial(config: ExperimentConfig, pair, rng: np.random.Generator,
               calibrations: dict[int, HybridCalibration | str] | None = None) -> RunTable:
     """Simulate one shot pool from ``rng`` and run every enabled estimator on it.
 
-    The true angle is ``asin(min(|x . y|, 1))``, the angle whose squared
-    sine the depth-0 oracle circuit succeeds with.  Each depth is sampled
-    exactly once; the power-law estimator subsamples the recorded pool
-    without replacement rather than taking fresh shots, drawn from
-    ``subsample_rng`` (``None`` serves a config without a schedule).  One
-    MLE pass over the pool gives the MLE row at every depth.  CRT and hybrid
-    rows share a depth-2 anchor, kept in the table's ``anchor``: the depth-2
-    MLE row when that pass is noise-unaware and has one, else the estimate
-    of a separate noise-unaware pass over depths 0..2.  A row whose own
-    inputs kept no shot is dropped with its reason; the other rows stay.
+    It draws as a block of one trial.  The true angle of ``pair = (x, y)``
+    is ``asin(min(|x . y|, 1))``, whose squared sine the depth-0 oracle
+    circuit succeeds with.  Each depth is sampled exactly once; the
+    power-law estimator subsamples the recorded pool without replacement
+    rather than taking fresh shots, drawn from ``subsample_rng`` (``None``
+    serves a config without a schedule).  One MLE pass over the pool gives
+    the MLE row at every depth.  CRT and hybrid rows share a depth-2 anchor,
+    kept in the table's ``anchor``: the depth-2 MLE row when that pass is
+    noise-unaware and has one, else the estimate of a separate noise-unaware
+    pass over depths 0..2.  A row whose own inputs kept no shot is dropped
+    with its reason; the other rows stay.
     """
     plan = _powerlaw_plan(config)
-    draw = _draw(config, pair, rng, plan, subsample_rng)
-    return _estimate(config, [draw], plan, calibrations)
+    return _estimate(config, *_draw_block(config, [pair], rng, plan, subsample_rng), plan,
+                     calibrations)
 
 
 def run_trials(config: ExperimentConfig, blocks,
@@ -410,16 +407,19 @@ def run_trials(config: ExperimentConfig, blocks,
     """:func:`run_trial` on each of ``config.n_trials`` trials, trial ids from 0.
 
     ``blocks`` holds each block's ``(rng, subsample_rng)``, as
-    :func:`run_streams` gives them.  Every trial is drawn first, in trial
-    order (:func:`_trial_pairs`): its pools from its block's ``rng``, then
-    its power-law subsample from the block's ``subsample_rng``, so the
-    pools do not depend on the estimators; the schedule is solved once.
+    :func:`run_streams` gives them.  Every trial is drawn first, a block at
+    a time (:func:`_trial_pairs`): the block's pools from its ``rng``, trial
+    by trial, then their power-law subsamples from its ``subsample_rng``, so
+    the pools do not depend on the estimators; the schedule is solved once.
     The estimators then fill their columns for all trials at once.
     """
     plan = _powerlaw_plan(config)
-    draws = [_draw(config, pair, rng, plan, subsample_rng)
-             for rng, subsample_rng, pair in _trial_pairs(config, blocks)]
-    return _estimate(config, draws, plan, calibrations)
+    # a draw of no trial heads the list, so that no block gives a table of no trial
+    draws = [(np.empty(0), *np.empty((2, 0, config.max_depth + 1, 3), np.int64))]
+    draws += (_draw_block(config, pairs, rng, plan, subsample_rng)
+              for _, rng, subsample_rng, pairs in _trial_pairs(config, blocks))
+    return _estimate(config, *(None if part[-1] is None else np.concatenate(part)
+                               for part in zip(*draws)), plan, calibrations)
 
 
 def calibrate_hybrid(config: ExperimentConfig,

@@ -13,8 +13,8 @@ bisection on the binding constraint.  A target whose ``1/eps^2`` overflows
 a float is infeasible like any other out of reach.
 
 The module holds no sampler: a run takes each depth's scheduled shots from
-the pool it already recorded, without replacement, as one hypergeometric
-draw per depth in ``harness._draw``.
+the pool it already recorded, without replacement, in one hypergeometric
+call per block of trials in ``harness._draw_block``.
 """
 from __future__ import annotations
 

@@ -147,46 +147,58 @@ def test_a_block_of_pairs_equals_the_vector_by_vector_draw_row_by_row(mode, n, s
     assert fast.random() == slow.random()  # the same number of draws
 
 
+@pytest.mark.parametrize("mode", VECTOR_MODES)
+@settings(max_examples=30, deadline=None)
+@example(seed=0, n=16, same=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16), same=st.booleans())
+def test_a_blocks_true_angles_are_the_scalar_formula_row_by_row(mode, seed, n, same):
+    # with y = x a dot rounds above 1 on about one row in five: the clip binds
+    x, y = harness._vector_pairs(np.random.default_rng(seed), n, mode)
+    y = x if same else y
+    config = quiet_config(algorithms=(), vector_mode=mode)
+    theta = harness._draw_block(config, zip(x, y), np.random.default_rng(0), None, None)[0]
+    reference = np.array([math.asin(min(abs(float(a.dot(b))), 1.0)) for a, b in zip(x, y)])
+    assert theta.dtype == float and theta.tobytes() == reference.tobytes()
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="vector_mode"):
         quiet_config(vector_mode="spherical")
 
 
-def test_trial_pairs_pull_a_block_when_its_first_trial_starts():
+def test_trial_pairs_pull_a_block_when_it_starts():
     pulled = []
 
     def blocks():
-        for b in range(3):
+        for b in range(4):
             pulled.append(b)
             yield np.random.default_rng(b), None
 
     trials = harness._trial_pairs(quiet_config(n_trials=2 * TRIAL_BLOCK + 1), blocks())
-    next(trials)
-    assert pulled == [0]
-    for _ in range(TRIAL_BLOCK - 1):
-        next(trials)
-    assert pulled == [0]
-    next(trials)
-    assert pulled == [0, 1]
-    assert len(list(trials)) == TRIAL_BLOCK and pulled == [0, 1, 2]
+    assert pulled == []
+    for b, rows in enumerate([TRIAL_BLOCK, TRIAL_BLOCK, 1]):
+        assert len(next(trials)[3]) == rows and pulled == list(range(b + 1))
+    assert next(trials, None) is None and pulled == [0, 1, 2]
 
 
 @pytest.mark.parametrize("n_trials", [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1])
 @pytest.mark.parametrize("mode", VECTOR_MODES)
 def test_each_block_draws_all_its_pairs_before_its_first_trial(mode, n_trials):
-    # block b's generator gives its TRIAL_BLOCK pairs to trials 256b.. in
-    # order, and has drawn nothing else when its first trial starts
+    # block b's generator has drawn its TRIAL_BLOCK pairs, and nothing else,
+    # when the block comes with the pairs of its trials 256b.. that the run keeps
     config = quiet_config(n_trials=n_trials, vector_mode=mode)
-    blocks = [(np.random.default_rng(b), np.random.default_rng(b + 10)) for b in range(2)]
-    trials = list(harness._trial_pairs(config, blocks))
-    assert len(trials) == n_trials
-    for b, (rng, subsample_rng) in enumerate(blocks[:-(-n_trials // TRIAL_BLOCK)]):
+    blocks = [(np.random.default_rng(b), np.random.default_rng(b + 10)) for b in range(3)]
+    kept = []
+    for b, (start, rng, subsample_rng, pairs) in enumerate(harness._trial_pairs(config, blocks)):
+        assert start == b * TRIAL_BLOCK
         ref = np.random.default_rng(b)
         ref_x, ref_y = harness._vector_pairs(ref, TRIAL_BLOCK, mode)
-        assert rng.random() == ref.random()
-        for i, (rng_i, subsample_i, (x, y)) in enumerate(trials[b * TRIAL_BLOCK:][:TRIAL_BLOCK]):
-            assert (rng_i, subsample_i) == (rng, subsample_rng)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert (rng, subsample_rng) == blocks[b]
+        for i, (x, y) in enumerate(pairs):
             assert x.tobytes() == ref_x[i].tobytes() and y.tobytes() == ref_y[i].tobytes()
+        kept.append(len(pairs))
+    assert kept == [min(TRIAL_BLOCK, n_trials - start) for start in range(0, n_trials, TRIAL_BLOCK)]
 
 
 def test_stacked_row_by_column_matmul_is_ndarray_dot_bit_for_bit():
@@ -2020,8 +2032,8 @@ def crt_inputs(draw):
 @given(inputs=crt_inputs())
 def test_columnar_crt_and_hybrid_equal_the_scalar_estimators_row_by_row(inputs):
     config, tallies_by_trial, cal = inputs
-    draws = [(0.3, pool, None) for pool in tallies_by_trial]
-    table = harness._estimate(config, draws, None, cal)
+    counts = np.array(tallies_by_trial, dtype=np.int64).reshape(config.n_trials, -1, 3)
+    table = harness._estimate(config, np.full(config.n_trials, 0.3), counts, None, None, cal)
     anchors = mle_estimate(table.counts[:, :3], range(3), config.epsilon)
     for t in range(config.n_trials):
         pool = pool_of(table, t)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from lowdepth_ae.harness import ExperimentConfig, _draw
+from lowdepth_ae.harness import ExperimentConfig, _draw_block, _vector_pairs
 from lowdepth_ae.noise import CorrelatedNoise, DepthCounts, NoiseModel, sample_noisy_shots
 from lowdepth_ae.schedules import (InfeasibleScheduleError, fisher_noisy,
                                    optimize_exponent, power_law_schedule)
@@ -19,7 +19,7 @@ def subsample_without_replacement(counts: DepthCounts, n_target: int,
                                   rng: np.random.Generator) -> DepthCounts:
     """Hypergeometric draw of ``n_target`` shots from the kept pool.
 
-    The reference for the power-law subsample that ``harness._draw`` takes:
+    The reference for the power-law subsample that ``harness._draw_block`` takes:
     the good/bad composition follows the hypergeometric law of drawing
     without replacement from the recorded measurements.
     """
@@ -182,27 +182,31 @@ def test_subsample_deterministic_given_seed():
        leak=st.sampled_from([0.0, 0.3, 0.8]),
        correlation=st.sampled_from([None, CorrelatedNoise(0.05, 4.0)]),
        plan=st.lists(st.integers(0, 90), min_size=6, max_size=6),
-       seed=st.integers(0, 2**32 - 1))
-@example(n_shots=40, max_depth=3, leak=0.8, correlation=None, plan=[0, 3, 90, 40, 0, 0], seed=1)
+       n_trials=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(n_shots=40, max_depth=3, leak=0.8, correlation=None, plan=[0, 3, 90, 40, 0, 0],
+         n_trials=3, seed=1)
 @example(n_shots=40, max_depth=3, leak=0.8, correlation=CorrelatedNoise(0.05, 4.0),
-         plan=[0, 3, 90, 40, 0, 0], seed=2)
+         plan=[0, 3, 90, 40, 0, 0], n_trials=6, seed=2)
 def test_draw_subsamples_as_the_reference_chain(n_shots, max_depth, leak, correlation, plan,
-                                               seed):
+                                               n_trials, seed):
     # plan entries of 0, below the kept shots and at or above them (clipped)
     noise = NoiseModel(gamma_by_depth=(0.1,) * 6, leak_prob=leak, correlation=correlation)
     config = ExperimentConfig(n_shots=n_shots, max_depth=max_depth, noise=noise,
                               algorithms=("powerlaw",))
     plan = tuple(plan[:max_depth + 1])
-    x = np.array([1.0, 0.0, 0.0, 0.0])
-    y = np.array([0.6, 0.8, 0.0, 0.0])
-    # the pool from one generator, the subsample from another
+    x, y = _vector_pairs(np.random.default_rng([seed, 2]), n_trials, "uniform-theta")
+    # a block's pools from one generator, their subsamples from another
     fast, slow, fast_sub, slow_sub = (np.random.default_rng([seed, k]) for k in (0, 0, 1, 1))
-    theta, pool_tallies, subsampled = _draw(config, (x, y), fast, plan, fast_sub)
-    pool = [sample_noisy_shots(theta, d, n_shots, noise, slow) for d in range(max_depth + 1)]
-    reference = [subsample_without_replacement(counts, min(m, counts.kept), slow_sub)
-                 for counts, m in zip(pool, plan)]
-    assert pool_tallies == [n for counts in pool for n in counts[1:]]
-    assert subsampled == [n for counts in reference for n in counts[1:]]
-    assert all(type(n) is int for n in subsampled)
+    theta, counts, subsampled = _draw_block(config, zip(x, y), fast, plan, fast_sub)
+    pools, reference = [], []
+    for t in theta.tolist():  # trial by trial, the pool and then its subsample
+        pool = [sample_noisy_shots(t, d, n_shots, noise, slow) for d in range(max_depth + 1)]
+        pools.append([c[1:] for c in pool])
+        reference.append([subsample_without_replacement(c, min(m, c.kept), slow_sub)[1:]
+                          for c, m in zip(pool, plan)])
+    assert counts.dtype == subsampled.dtype == np.int64
+    assert counts.shape == subsampled.shape == (n_trials, max_depth + 1, 3)
+    assert counts.tobytes() == np.array(pools, dtype=np.int64).tobytes()
+    assert subsampled.tobytes() == np.array(reference, dtype=np.int64).tobytes()
     # the same number of draws from each
     assert (fast.random(), fast_sub.random()) == (slow.random(), slow_sub.random())
